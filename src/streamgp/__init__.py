@@ -40,7 +40,6 @@ from .gradients import (
     AdjointIntermediates,
     GradientState,
     compute_adjoints,
-    ignore_history_ablation,
     init_gradient_state,
     propagate,
 )
@@ -51,23 +50,19 @@ from .inference import (
     MiniBatch,
     PosteriorState,
     PredictiveDistribution,
-    cumulative_bound,
     init_state,
-    kf_update_moments,
     predict,
     split_into_batches,
     update,
 )
-from .kernel import Hyperparameters, kernel_matrix, kernel_matrix_grad, se_ard
+from .kernel import Hyperparameters, kernel_matrix, kernel_matrix_grad
 from .model import (
     BatchGeometry,
     ModelSpec,
     basis,
     batch_geometry,
-    noise_correction,
     prediction_correction,
     regularizer,
-    total_noise,
 )
 from .optimizer import (
     AdamState,
@@ -111,34 +106,28 @@ __all__ = [
     "batch_sparse_posterior",
     "compute_adjoints",
     "coverage",
-    "cumulative_bound",
     "default_hyperparameters",
     "fd_gradient",
     "fixed_theta_pass",
     "full_gp_lml",
     "full_gp_predict",
     "generate_gp_data",
-    "ignore_history_ablation",
     "init_gradient_state",
     "init_inducing_subset",
     "init_state",
     "integrate_cstr",
     "kernel_matrix",
     "kernel_matrix_grad",
-    "kf_update_moments",
     "load_dataset",
-    "noise_correction",
     "predict",
     "prediction_correction",
     "propagate",
     "regularizer",
     "rmse",
     "save_dataset",
-    "se_ard",
     "simulate_cstr",
     "split_into_batches",
     "srgp_fit",
-    "total_noise",
     "train_test_split",
     "update",
 ]

@@ -4,7 +4,9 @@ Full-GP prediction and log marginal likelihood, the one-shot sparse
 posterior, and the collapsed lower bounds of the sparse variants, all
 evaluated the classical way.  These are the oracles the streaming
 recursion is validated against; none of them share the recursion's code
-path beyond the kernel and variant definitions.
+path beyond the kernel, the variant definitions and the prior (K_RR and
+its jittered factor, see :func:`streamgp.model.prior`), which defines
+the model they all share.
 
 Everything sparse goes through the M x M Woodbury route, so no N x N
 matrix is formed outside the size-guarded full-GP operations.  This
@@ -24,7 +26,7 @@ from .errors import ContractViolationError, NumericalError
 from .inference import LOG_2PI, PredictiveDistribution
 from .kernel import Hyperparameters, kernel_diag, kernel_matrix, _check_inputs
 from .linalg import chol_with_jitter, symmetrize, tri_solve
-from .model import ModelSpec, regularizer
+from .model import ModelSpec, prior, regularizer
 
 DENSE_SIZE_GUARD = 5000
 
@@ -96,9 +98,8 @@ def full_gp_lml(
 
 def _sparse_pieces(X: np.ndarray, h: Hyperparameters, spec: ModelSpec):
     """Shared Woodbury ingredients: A = L^-1 K_RX, d, v."""
-    K_RR = kernel_matrix(h.inducing_inputs, h.inducing_inputs, h)
+    factor = prior(h).chol
     K_XR = kernel_matrix(X, h.inducing_inputs, h)
-    factor = chol_with_jitter(K_RR, "K_RR")
     A = tri_solve(factor.L, K_XR.T)  # (M, N)
     d = np.maximum(kernel_diag(X, h) - np.sum(A * A, axis=0), 0.0)
     v = spec.noise_scale * d + h.noise_variance

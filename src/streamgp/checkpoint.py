@@ -12,6 +12,7 @@ uninterrupted run bit for bit.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ class Checkpoint:
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
+    """Write ``ckpt`` atomically to exactly ``path``, whatever its suffix."""
     payload: dict[str, np.ndarray] = {
         "format_version": np.asarray(FORMAT_VERSION),
         "hyper/log_sigma0": np.asarray(ckpt.hyper.log_sigma0),
@@ -80,7 +82,19 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         payload["standardize/scale"] = np.asarray(ckpt.standardize_scale)
     if ckpt.trace_tail:
         payload["train/trace_tail"] = np.asarray(json.dumps(ckpt.trace_tail))
-    np.savez(path, **payload)
+    # Write a sibling temp file and rename it over ``path``: readers see the
+    # old checkpoint or the new one, never a partial file, and writing to an
+    # open file keeps np.savez from appending ".npz" to the name.
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_checkpoint(path: str) -> Checkpoint:

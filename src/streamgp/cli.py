@@ -51,6 +51,10 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 EXIT_TOLERANCE = 5
 
+# Training settings a resumed run must share with its checkpoint, with their
+# defaults for a fresh run.  An omitted flag takes the checkpoint's value.
+RESUMED_SETTINGS = {"lr": 1e-3, "batch_size": 256, "shuffle": False, "gradient_mode": "full"}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -65,20 +69,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--model", default="vfe", choices=["sor", "dtc", "fitc", "vfe", "pep"])
     p_train.add_argument("--alpha", type=float, default=0.5, help="PEP power (ignored otherwise)")
     p_train.add_argument("--num-inducing", type=int, default=20, metavar="M")
-    p_train.add_argument("--batch-size", type=int, default=256, metavar="B")
+    p_train.add_argument("--batch-size", type=int, default=None, metavar="B", help="default 256")
     p_train.add_argument("--epochs", type=int, default=50, metavar="E")
-    p_train.add_argument("--lr", type=float, default=1e-3)
+    p_train.add_argument("--lr", type=float, default=None, help="default 1e-3")
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--checkpoint-out", default="model.npz")
     p_train.add_argument("--trace-out", default=None, help="append one JSON record per step")
     p_train.add_argument("--target-col", default=None)
     p_train.add_argument("--delimiter", default=",")
-    p_train.add_argument("--shuffle", action="store_true")
+    p_train.add_argument("--shuffle", action="store_true", default=None)
     p_train.add_argument("--standardize", action="store_true", help="z-score input columns")
-    p_train.add_argument("--gradient-mode", default="full", choices=["full", "ignore_history"])
+    p_train.add_argument(
+        "--gradient-mode", default=None, choices=["full", "ignore_history"], help="default full"
+    )
     p_train.add_argument("--psi-tol", type=float, default=0.0, help="relative early-stop tolerance")
     p_train.add_argument("--no-epoch-reset", action="store_true", help="carry posterior across epochs")
-    p_train.add_argument("--resume", default=None, help="checkpoint to continue training from")
+    p_train.add_argument(
+        "--resume",
+        default=None,
+        help="checkpoint to continue training from; --lr, --batch-size, --shuffle and "
+        "--gradient-mode default to its values and may not differ from them",
+    )
 
     p_pred = sub.add_parser("predict", help="predict from a checkpoint")
     p_pred.add_argument("--checkpoint", required=True)
@@ -142,11 +153,32 @@ def _apply_standardize(X: np.ndarray, ckpt_mean, ckpt_scale) -> np.ndarray:
     return (X - np.asarray(ckpt_mean)) / np.asarray(ckpt_scale)
 
 
+def _train_settings(args, n: int, stored: dict) -> dict:
+    """The ``RESUMED_SETTINGS`` of this run: as given, else as stored in the
+    resumed checkpoint, else the defaults.  A given value that differs from
+    the checkpoint's is refused, because the run would then no longer
+    continue the stored one."""
+    settings = {}
+    for key, default in RESUMED_SETTINGS.items():
+        given = getattr(args, key)
+        value = stored.get(key, default) if given is None else given
+        if key == "batch_size":
+            value = min(value, n)
+        if given is not None and key in stored and value != stored[key]:
+            raise ContractViolationError(
+                f"--{key.replace('_', '-')} {given} differs from the resumed checkpoint's "
+                f"{stored[key]}; a resumed run keeps its settings"
+            )
+        settings[key] = value
+    return settings
+
+
 def cmd_train(args) -> int:
     ds = load_dataset(args.data, target_col=args.target_col, delimiter=args.delimiter)
     spec = ModelSpec(variant=args.model, alpha=args.alpha)
     std_mean = std_scale = None
     resume = None
+    stored: dict = {}
 
     if args.resume is not None:
         ckpt = load_checkpoint(args.resume)
@@ -154,20 +186,26 @@ def cmd_train(args) -> int:
             raise ContractViolationError(
                 f"resume model {ckpt.spec} differs from requested {spec}"
             )
+        stored = ckpt.config or {}
+        if args.no_epoch_reset or stored.get("epoch_reset") is False:
+            raise ContractViolationError(
+                "cannot resume without epoch resets: the checkpoint holds the fixed-parameter "
+                "posterior, not the carried training posterior and gradient state"
+            )
         hyper = ckpt.hyper
         std_mean, std_scale = ckpt.standardize_mean, ckpt.standardize_scale
         if ckpt.adam is None or ckpt.rng_state is None:
             raise DataError(f"{args.resume} lacks optimizer/RNG state; cannot resume")
         resume = ResumeState(adam=ckpt.adam, rng_state=ckpt.rng_state, epochs_done=ckpt.epochs_done)
-        if ckpt.epochs_done >= args.epochs:
-            print(
-                f"nothing to do: checkpoint already trained {ckpt.epochs_done} epochs "
-                f">= requested total {args.epochs}"
-            )
-            return EXIT_OK
-    else:
-        if args.standardize:
-            std_mean, std_scale = _standardize_fit(ds.X)
+    elif args.standardize:
+        std_mean, std_scale = _standardize_fit(ds.X)
+    settings = _train_settings(args, ds.n, stored)
+    if resume is not None and resume.epochs_done >= args.epochs:
+        print(
+            f"nothing to do: checkpoint already trained {resume.epochs_done} epochs "
+            f">= requested total {args.epochs}"
+        )
+        return EXIT_OK
 
     X = _apply_standardize(ds.X, std_mean, std_scale)
     y = ds.y
@@ -182,38 +220,35 @@ def cmd_train(args) -> int:
             inducing_inputs=init_inducing_subset(X, m, rng),
         )
 
-    batch_size = min(args.batch_size, ds.n)
     config_record = {
         "data": args.data,
         "target_col": args.target_col if args.target_col is not None else ds.column_names[-1],
         "model": args.model,
         "alpha": args.alpha,
         "num_inducing": int(hyper.num_inducing),
-        "batch_size": batch_size,
         "epochs": args.epochs,
-        "lr": args.lr,
         "seed": args.seed,
-        "shuffle": args.shuffle,
         "standardize": std_mean is not None,
-        "gradient_mode": args.gradient_mode,
+        "epoch_reset": not args.no_epoch_reset,
+        **settings,
     }
 
     if args.epochs == 0:
         # No training: checkpoint the prior posterior at the initial parameters.
         posterior = init_state(hyper, spec, PARAM_STANDARD)
-        adam = AdamState.fresh(hyper.n_params, args.lr)
+        adam = AdamState.fresh(hyper.n_params, settings["lr"])
         rng_state = np.random.default_rng(args.seed).bit_generator.state
         trace = []
         epochs_run = 0
     else:
         cfg = TrainConfig(
             epochs=args.epochs,
-            batch_size=batch_size,
-            learning_rate=args.lr,
-            shuffle=args.shuffle,
+            batch_size=settings["batch_size"],
+            learning_rate=settings["lr"],
+            shuffle=settings["shuffle"],
             seed=args.seed,
             psi_rel_tolerance=args.psi_tol,
-            gradient_mode=args.gradient_mode,
+            gradient_mode=settings["gradient_mode"],
             reset_each_epoch=not args.no_epoch_reset,
         )
         result = srgp_fit(X, y, hyper, spec, cfg, resume_from=resume)
@@ -320,7 +355,7 @@ def cmd_validate_gradients(args) -> int:
     for idx in split_into_batches(args.n, batch_size):
         batch = MiniBatch(ds.X[idx], ds.y[idx])
         state_new, km = update(state, batch, hyper, spec)
-        adj = compute_adjoints(state, state_new, km, km.geometry, hyper, spec)
+        adj = compute_adjoints(state, state_new, km, hyper, spec)
         gstate = propagate(gstate, adj, km.geometry, hyper, spec, batch)
         state = state_new
 

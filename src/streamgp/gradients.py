@@ -56,11 +56,10 @@ from .kernel import (
     Hyperparameters,
     inducing_grad_vectors,
     kernel_diag,
-    kernel_matrix,
     kernel_matrix_grad,
 )
-from .linalg import chol_with_jitter, symmetrize
-from .model import BatchGeometry, ModelSpec
+from .linalg import symmetrize
+from .model import BatchGeometry, ModelSpec, Prior, prior
 
 
 @dataclass
@@ -101,16 +100,23 @@ def _frob(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", a, b))
 
 
-def _require_standard(parametrization_or_geom) -> None:
-    transformed = (
-        parametrization_or_geom.transformed
-        if isinstance(parametrization_or_geom, BatchGeometry)
-        else parametrization_or_geom != PARAM_STANDARD
-    )
+def _require_standard(transformed: bool) -> None:
     if transformed:
         raise ContractViolationError(
             "gradient propagation is defined for the standard parametrization only"
         )
+
+
+def _kdot_RR(prior_h: Prior, h: Hyperparameters, i: int) -> np.ndarray:
+    """Derivative of the factored K_RR (jitter included) w.r.t. parameter ``i``.
+
+    The jitter is a multiple of mean(diag K_RR) = sigma0^2, so the log
+    sigma0 derivative is twice the whole factored matrix.
+    """
+    if h.param_class(i)[0] == CLASS_LOG_SIGMA0:
+        return 2.0 * prior_h.K_RR
+    R = h.inducing_inputs
+    return kernel_matrix_grad(R, R, h, i, a_is_inducing=True, b_is_inducing=True)
 
 
 def init_gradient_state(
@@ -133,9 +139,8 @@ def init_gradient_state(
     )
     M = h.num_inducing
     R = h.inducing_inputs
-    K_RR = kernel_matrix(R, R, h)
-    factor = chol_with_jitter(K_RR, "K_RR")
-    Kinv = factor.inverse()
+    prior_h = prior(h)
+    K_RR, factor, Kinv = prior_h.K_RR, prior_h.chol, prior_h.inv
     d_Lambda = np.zeros((idx.size, M, M))
     for p, i in enumerate(idx):
         cls = h.param_class(i)
@@ -148,7 +153,7 @@ def init_gradient_state(
             wm = Kinv[:, m]
             d_Lambda[p] = -(np.outer(wm, kb) + np.outer(kb, wm))
         else:
-            Kdot = kernel_matrix_grad(R, R, h, i, a_is_inducing=True, b_is_inducing=True)
+            Kdot = _kdot_RR(prior_h, h, i)
             d_Lambda[p] = -symmetrize(factor.solve(factor.solve(Kdot).T).T)
     return GradientState(
         param_indices=idx,
@@ -163,22 +168,21 @@ def compute_adjoints(
     state_prev: PosteriorState,
     state_new: PosteriorState,
     km: KalmanIntermediates,
-    geom: BatchGeometry,
     h: Hyperparameters,
     spec: ModelSpec,
 ) -> AdjointIntermediates:
     """Adjoints of the bound term produced by one update call.
 
     ``state_prev``/``state_new`` must be the exact pre/post pair of that
-    call, with ``km`` and ``geom`` its intermediates.
+    call, with ``km`` its intermediates.
     """
-    _require_standard(state_prev.parametrization)
-    _require_standard(geom)
+    geom = km.geometry
+    _require_standard(geom.transformed or state_prev.parametrization != PARAM_STANDARD)
     if state_new.k != state_prev.k + 1:
         raise ContractViolationError("state_new must be the direct successor of state_prev")
     H, v, d = geom.H, geom.v, geom.d
     B = H.shape[0]
-    r, s_inv_r, t, w = km.r, km.s_inv_r, km.t, km.w
+    s_inv_r, t = km.s_inv_r, km.t
     Sigma_prev, Sigma_new = state_prev.Sigma, state_new.Sigma
 
     mu_prev = Sigma_prev @ state_prev.eta
@@ -198,7 +202,7 @@ def compute_adjoints(
     if spec.variant == "vfe":
         L_dd = L_dd + 1.0 / h.noise_variance
 
-    A2 = geom.prior_chol.solve(L_dH.T).T  # L_dH K_RR^-1
+    A2 = geom.prior.chol.solve(L_dH.T).T  # L_dH K_RR^-1
     inner = A2 - L_dd[:, None] * H
     L_dK_XR = A2 - 2.0 * L_dd[:, None] * H
     L_dK_RR = -H.T @ inner
@@ -246,7 +250,7 @@ def propagate(
     both modes coincide there; the derivative state is never advanced in
     this mode.
     """
-    _require_standard(geom)
+    _require_standard(geom.transformed)
     H, v, X, y = geom.H, geom.v, geom.X, batch.y
     c = spec.noise_scale
     sig_n2 = h.noise_variance
@@ -261,7 +265,6 @@ def propagate(
     # are dropped by the ablation as soon as the carried state holds data.
     drop_carried = ignore_history and gstate.k >= 1
 
-    Kinv = None
     for p, i in enumerate(gstate.param_indices):
         cls = h.param_class(i)
         if drop_carried:
@@ -278,16 +281,15 @@ def propagate(
                 d_Lambda[p] = symmetrize(d_Lambda[p] + (H.T * s[None, :]) @ H)
         elif cls[0] == CLASS_INDUCING and not force_dense:
             _, m, d_axis = cls
-            gamma, beta = inducing_grad_vectors(X, h, geom.K_XR, geom.K_RR, m, d_axis)
+            gamma, beta = inducing_grad_vectors(X, h, geom.K_XR, geom.prior.K_RR, m, d_axis)
             direct = (
                 float((adj.L_dK_RR[m, :] + adj.L_dK_RR[:, m]) @ beta)
                 + float(adj.L_dK_XR[:, m] @ gamma)
             )
             d_psi[p] += -0.5 * (carried + direct)
             if not ignore_history:
-                if Kinv is None:
-                    Kinv = geom.K_RR_inv()
                 # Hdot = u1 w_m^T - h_m (K^-1 beta)^T  (rank two)
+                Kinv = geom.prior.inv
                 u1 = gamma - H @ beta
                 w_m = Kinv[:, m]
                 kb = Kinv @ beta
@@ -303,9 +305,7 @@ def propagate(
                 d_Lambda[p] = symmetrize(d_Lambda[p])
         else:
             is_inducing = cls[0] == CLASS_INDUCING
-            Kdot_RR = kernel_matrix_grad(
-                h.inducing_inputs, h.inducing_inputs, h, i, a_is_inducing=True, b_is_inducing=True
-            )
+            Kdot_RR = _kdot_RR(geom.prior, h, i)
             Kdot_XR = kernel_matrix_grad(X, h.inducing_inputs, h, i, b_is_inducing=is_inducing)
             if cls[0] == CLASS_LOG_SIGMA0:
                 kdot_XX = 2.0 * kernel_diag(X, h)
@@ -319,7 +319,7 @@ def propagate(
             d_psi[p] += -0.5 * (carried + direct)
             if not ignore_history:
                 HKdot = H @ Kdot_RR
-                Hdot = geom.prior_chol.solve((Kdot_XR - HKdot).T).T
+                Hdot = geom.prior.chol.solve((Kdot_XR - HKdot).T).T
                 d_eta[p] += Hdot.T @ Vinv_y
                 cross = Hdot.T @ VinvH
                 d_Lambda[p] += cross + cross.T
@@ -341,20 +341,4 @@ def propagate(
         d_Lambda=d_Lambda,
         d_psi=d_psi,
         k=gstate.k + 1,
-    )
-
-
-def ignore_history_ablation(
-    gstate: GradientState,
-    adj: AdjointIntermediates,
-    geom: BatchGeometry,
-    h: Hyperparameters,
-    spec: ModelSpec,
-    batch: MiniBatch,
-    force_dense: bool = False,
-) -> GradientState:
-    """Naive stochastic gradient that forgets accumulated posterior
-    sensitivity; provided for the documented overfitting ablation."""
-    return propagate(
-        gstate, adj, geom, h, spec, batch, ignore_history=True, force_dense=force_dense
     )

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DataError, IllConditionedError, NumericalError
-from .kernel import Hyperparameters, _check_inputs, kernel_matrix
+from .kernel import Hyperparameters, _check_inputs
 from .linalg import chol_with_jitter, symmetrize
 from .model import (
     BatchGeometry,
@@ -47,6 +47,7 @@ from .model import (
     basis,
     batch_geometry,
     prediction_correction,
+    prior,
     regularizer,
 )
 
@@ -110,34 +111,18 @@ class PosteriorState:
 
 @dataclass
 class KalmanIntermediates:
-    """Innovation quantities from one update, kept for diagnostics and
-    for the gradient recursion.
+    """Innovation quantities from one update, kept for the gradient
+    recursion.
 
-    Only O(B) / O(BM) pieces are stored eagerly; the full innovation
-    covariance ``S`` and gain ``G`` are reconstructed on demand so that
-    large batches never materialize a B x B matrix.
+    Only O(B) / O(M) pieces are stored; H and diag(V) live in ``geometry``
+    and the covariances in the pre/post states of the update, so no B x B
+    matrix is ever formed.
     """
 
     r: np.ndarray  # innovation residual (B,)
-    v: np.ndarray  # diag of V_k (B,)
     t: np.ndarray  # H^T V^-1 r (M,)
-    w: np.ndarray  # H Sigma_k H^T V^-1 r (B,)
     s_inv_r: np.ndarray  # S_k^-1 r (B,)
-    Sigma_prev: np.ndarray  # (M, M)
-    Sigma_new: np.ndarray  # (M, M)
     geometry: BatchGeometry
-
-    @property
-    def S(self) -> np.ndarray:
-        """Innovation covariance H Sigma_{k-1} H^T + V (B x B, on demand)."""
-        H = self.geometry.H
-        return symmetrize(H @ self.Sigma_prev @ H.T) + np.diag(self.v)
-
-    @property
-    def G(self) -> np.ndarray:
-        """Kalman gain Sigma_{k-1} H^T S^-1 = Sigma_k H^T V^-1 (M x B)."""
-        H = self.geometry.H
-        return self.Sigma_new @ (H.T / self.v[None, :])
 
 
 @dataclass(frozen=True)
@@ -157,23 +142,24 @@ def init_state(
     """Prior state before any data.
 
     Standard parametrization: Sigma_0 = K_RR, Lambda_0 = K_RR^-1.
-    Transformed: Sigma_0 = K_RR^-1, Lambda_0 = K_RR.  psi starts at 0 and
-    collects a -(B/2) log 2pi constant with every batch, which sums to
-    the usual -(N/2) log 2pi without requiring N up front.
+    Transformed: Sigma_0 = K_RR^-1, Lambda_0 = K_RR.  Both come from the
+    shared :func:`~streamgp.model.prior`, jitter included, so they are an
+    exact inverse pair.  psi starts at 0 and collects a -(B/2) log 2pi
+    constant with every batch, which sums to the usual -(N/2) log 2pi
+    without requiring N up front.
     """
     if parametrization not in (PARAM_STANDARD, PARAM_TRANSFORMED):
         raise ContractViolationError(f"unknown parametrization {parametrization!r}")
-    K_RR = kernel_matrix(h.inducing_inputs, h.inducing_inputs, h)
-    factor = chol_with_jitter(K_RR, "K_RR")
+    p = prior(h)
     M = h.num_inducing
     if parametrization == PARAM_STANDARD:
-        Lambda0 = factor.inverse()
-        Sigma0 = K_RR
-        logdet = -factor.logdet
+        Lambda0 = p.inv
+        Sigma0 = p.K_RR
+        logdet = -p.chol.logdet
     else:
-        Lambda0 = K_RR
-        Sigma0 = factor.inverse()
-        logdet = factor.logdet
+        Lambda0 = p.K_RR
+        Sigma0 = p.inv
+        logdet = p.chol.logdet
     return PosteriorState(
         eta=np.zeros(M),
         Lambda=Lambda0,
@@ -251,16 +237,7 @@ def update_with_geometry(
         k=state.k + 1,
         parametrization=state.parametrization,
     )
-    km = KalmanIntermediates(
-        r=r,
-        v=v,
-        t=t,
-        w=w,
-        s_inv_r=s_inv_r,
-        Sigma_prev=state.Sigma,
-        Sigma_new=Sigma_new,
-        geometry=geom,
-    )
+    km = KalmanIntermediates(r=r, t=t, s_inv_r=s_inv_r, geometry=geom)
     return new_state, km
 
 
@@ -283,44 +260,6 @@ def predict(
     if with_noise:
         cov = cov + h.noise_variance * np.eye(cov.shape[0])
     return PredictiveDistribution(mean=mean, cov=symmetrize(cov), includes_observation_noise=with_noise)
-
-
-def cumulative_bound(state: PosteriorState) -> float:
-    """Accumulated streaming lower bound psi after ``state.k`` batches."""
-    return state.psi
-
-
-def kf_update_moments(
-    mu: np.ndarray,
-    Sigma: np.ndarray,
-    batch: MiniBatch,
-    h: Hyperparameters,
-    spec: ModelSpec,
-    transformed: bool = False,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Kalman update in moment form; cross-check path for the natural
-    recursion.
-
-        r = y - H mu;  S = H Sigma H^T + V;  G = Sigma H^T S^-1
-        mu' = mu + G r;  Sigma' = Sigma - G S G^T
-
-    Returns (mu', Sigma', psi_increment) where the increment matches the
-    term :func:`update` adds to psi.  Forms the B x B innovation
-    covariance, so intended for moderate batch sizes only.
-    """
-    geom = batch_geometry(batch.X, h, spec, transformed=transformed)
-    H, v = geom.H, geom.v
-    r = batch.y - H @ mu
-    S = symmetrize(H @ Sigma @ H.T) + np.diag(v)
-    factor = chol_with_jitter(S, "S")
-    G = factor.solve(H @ Sigma).T
-    mu_new = mu + G @ r
-    Sigma_new = symmetrize(Sigma - G @ S @ G.T)
-    a_k = regularizer(geom.d, spec, h)
-    psi_inc = -0.5 * (
-        batch.size * LOG_2PI + factor.logdet + float(r @ factor.solve(r)) + a_k
-    )
-    return mu_new, Sigma_new, psi_inc
 
 
 def split_into_batches(n: int, batch_size: int, order: np.ndarray | None = None) -> list[np.ndarray]:

@@ -40,6 +40,10 @@ class Hyperparameters:
     the raw (M, D) coordinate matrix.  Construction validates finiteness,
     M >= 1, D >= 1 and that no two inducing rows are closer than
     ``min_separation`` (strictly positive distance when it is 0).
+
+    The arrays are private read-only copies, so an instance never changes
+    after construction; that is what lets :func:`streamgp.model.prior` keep
+    the factored prior on the instance (``_prior``) without it going stale.
     """
 
     log_sigma0: float
@@ -47,10 +51,13 @@ class Hyperparameters:
     log_sigma_n: float
     inducing_inputs: np.ndarray  # (M, D)
     min_separation: float = field(default=0.0, compare=False)
+    _prior: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ll = np.atleast_1d(np.asarray(self.log_lengthscales, dtype=float))
-        R = np.asarray(self.inducing_inputs, dtype=float)
+        ll = np.atleast_1d(np.array(self.log_lengthscales, dtype=float))
+        R = np.array(self.inducing_inputs, dtype=float)
+        ll.flags.writeable = False
+        R.flags.writeable = False
         if R.ndim != 2:
             raise ContractViolationError("inducing_inputs must be a 2-D (M, D) array")
         object.__setattr__(self, "log_lengthscales", ll)
@@ -132,9 +139,9 @@ class Hyperparameters:
         return replace(
             self,
             log_sigma0=float(theta[0]),
-            log_lengthscales=theta[1 : 1 + D].copy(),
+            log_lengthscales=theta[1 : 1 + D],
             log_sigma_n=float(theta[1 + D]),
-            inducing_inputs=theta[2 + D :].reshape(M, D).copy(),
+            inducing_inputs=theta[2 + D :].reshape(M, D),
         )
 
     def param_class(self, i: int) -> tuple:
@@ -183,11 +190,6 @@ def _check_inputs(a: np.ndarray, h: Hyperparameters, name: str) -> np.ndarray:
             f"{name} has shape {a.shape}, expected (*, {h.input_dim})"
         )
     return a
-
-
-def se_ard(x: np.ndarray, x_other: np.ndarray, h: Hyperparameters) -> float:
-    """Evaluate the kernel for a single pair of points."""
-    return float(kernel_matrix(np.atleast_2d(x), np.atleast_2d(x_other), h)[0, 0])
 
 
 def kernel_matrix(A: np.ndarray, B: np.ndarray, h: Hyperparameters) -> np.ndarray:

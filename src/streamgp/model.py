@@ -26,13 +26,14 @@ interpolates between VFE (alpha -> 0) and FITC (alpha = 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ContractViolationError
 from .kernel import Hyperparameters, kernel_diag, kernel_matrix, _check_inputs
-from .linalg import CholFactor, chol_with_jitter, symmetrize, tri_solve
+from .linalg import JITTER_START, CholFactor, chol_with_jitter, symmetrize, tri_solve
 
 VARIANTS = ("sor", "dtc", "fitc", "vfe", "pep")
 
@@ -62,6 +63,61 @@ class ModelSpec:
         return 0.0
 
 
+@dataclass(frozen=True, eq=False)
+class Prior:
+    """The prior u ~ N(0, K_RR) at one parameter value, factored once.
+
+    ``K_RR`` is the matrix that ``chol`` factors, so it includes the
+    diagonal jitter when :func:`chol_with_jitter` had to add one; every
+    consumer (prior state, basis, gradients, prediction) therefore sees one
+    and the same matrix.  The dense inverse is formed on first use.  All
+    arrays are read-only because the prior is shared.
+    """
+
+    K_RR: np.ndarray  # (M, M)
+    chol: CholFactor
+
+    @cached_property
+    def inv(self) -> np.ndarray:
+        """K_RR^-1 (symmetrized), computed once."""
+        inv = self.chol.inverse()
+        inv.flags.writeable = False
+        return inv
+
+
+def prior(h: Hyperparameters) -> Prior:
+    """The factored prior at ``h``: built on the first call, then kept on ``h``.
+
+    ``Hyperparameters`` is frozen with read-only arrays, so the kept prior
+    stays valid for the object's lifetime and every consumer at one
+    parameter value shares a single K_RR build and factorization.
+
+    A K_RR that factors without jitter but whose smallest squared pivot is
+    within 100x of the factorization's backward error M * eps * mean(diag)
+    is singular to all but two digits; it gets the jitter ladder's first
+    rung like a K_RR that fails to factor.  Otherwise a small parameter step
+    can swing the prior precision between about 1 / rung and the round-off
+    limit, and the posterior carried from the previous training step no
+    longer fits the new basis.
+    """
+    if h._prior is None:
+        R, M = h.inducing_inputs, h.num_inducing
+        K_RR = kernel_matrix(R, R, h)
+        chol = chol_with_jitter(K_RR, "K_RR")
+        scale = float(np.mean(np.diag(K_RR)))
+        floor = 100.0 * M * np.finfo(float).eps * scale
+        if chol.jitter == 0.0 and np.min(np.diag(chol.L)) ** 2 < floor:
+            first_rung = JITTER_START * scale
+            chol = chol_with_jitter(K_RR + first_rung * np.eye(M), "K_RR")
+            chol = CholFactor(L=chol.L, jitter=first_rung + chol.jitter)
+        if chol.jitter:
+            K_RR = K_RR + chol.jitter * np.eye(M)
+        K_RR.flags.writeable = False
+        chol.L.flags.writeable = False
+        object.__setattr__(h, "_prior", Prior(K_RR=K_RR, chol=chol))
+    return h._prior
+
+
 @dataclass
 class BatchGeometry:
     """Per-mini-batch quantities shared between inference and gradients.
@@ -69,8 +125,8 @@ class BatchGeometry:
     ``H`` is the basis in the requested parametrization (K_XR K_RR^-1 when
     ``transformed`` is False, plain K_XR otherwise); ``d`` / ``v`` are the
     clamped Schur-complement diagonal and total per-point noise variance.
-    The raw kernel matrices and the K_RR factor are kept because the
-    gradient recursion consumes them.
+    ``K_XR`` and the shared ``prior`` are kept because the gradient
+    recursion consumes them.
     """
 
     H: np.ndarray  # (B, M)
@@ -79,20 +135,7 @@ class BatchGeometry:
     transformed: bool
     X: np.ndarray  # (B, D)
     K_XR: np.ndarray  # (B, M)
-    K_RR: np.ndarray  # (M, M)
-    prior_chol: CholFactor
-    H_std: np.ndarray  # standard basis K_XR K_RR^-1, whatever the parametrization
-    _K_RR_inv: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def batch_size(self) -> int:
-        return self.H.shape[0]
-
-    def K_RR_inv(self) -> np.ndarray:
-        """Dense inverse of the (jittered) K_RR, cached per batch."""
-        if self._K_RR_inv is None:
-            self._K_RR_inv = self.prior_chol.inverse()
-        return self._K_RR_inv
+    prior: Prior
 
 
 def basis(X: np.ndarray, h: Hyperparameters, transformed: bool = False) -> np.ndarray:
@@ -105,30 +148,7 @@ def basis(X: np.ndarray, h: Hyperparameters, transformed: bool = False) -> np.nd
     K_XR = kernel_matrix(X, h.inducing_inputs, h)
     if transformed:
         return K_XR
-    factor = chol_with_jitter(kernel_matrix(h.inducing_inputs, h.inducing_inputs, h), "K_RR")
-    return factor.solve(K_XR.T).T
-
-
-def schur_diag(X: np.ndarray, h: Hyperparameters, H_std: np.ndarray, K_XR: np.ndarray) -> np.ndarray:
-    """diag(K_XX - Q_XX) from already-built pieces, clamped at 0.
-
-    Row-wise sums of H_std * K_XR give diag(Q_XX) without materializing
-    any B x B matrix; the diagonal of a PSD Schur complement is clamped
-    against round-off.
-    """
-    q_diag = np.sum(H_std * K_XR, axis=1)
-    return np.maximum(kernel_diag(X, h) - q_diag, 0.0)
-
-
-def noise_correction(d: np.ndarray, spec: ModelSpec, h: Hyperparameters) -> np.ndarray:
-    """diag(Vbar): the variant-specific extra observation noise."""
-    d = np.asarray(d, dtype=float)
-    return spec.noise_scale * d
-
-
-def total_noise(d: np.ndarray, spec: ModelSpec, h: Hyperparameters) -> np.ndarray:
-    """diag(V) = diag(Vbar) + sigma_n^2."""
-    return noise_correction(d, spec, h) + h.noise_variance
+    return prior(h).chol.solve(K_XR.T).T
 
 
 def regularizer(d: np.ndarray, spec: ModelSpec, h: Hyperparameters) -> float:
@@ -160,30 +180,30 @@ def prediction_correction(X_star: np.ndarray, spec: ModelSpec, h: Hyperparameter
         return np.zeros((A, A))
     K_ss = kernel_matrix(X_star, X_star, h)
     K_sR = kernel_matrix(X_star, h.inducing_inputs, h)
-    factor = chol_with_jitter(kernel_matrix(h.inducing_inputs, h.inducing_inputs, h), "K_RR")
-    half = tri_solve(factor.L, K_sR.T)  # (M, A); Q_** = half.T half
+    half = tri_solve(prior(h).chol.L, K_sR.T)  # (M, A); Q_** = half.T half
     return symmetrize(K_ss - half.T @ half)
 
 
 def batch_geometry(
     X: np.ndarray, h: Hyperparameters, spec: ModelSpec, transformed: bool = False
 ) -> BatchGeometry:
-    """Assemble all per-batch quantities behind a single K_RR factorization."""
+    """Assemble all per-batch quantities on the shared prior factor.
+
+    diag(V) = c d + sigma_n^2 with c = ``spec.noise_scale``.
+    """
     X = _check_inputs(X, h, "X")
-    K_RR = kernel_matrix(h.inducing_inputs, h.inducing_inputs, h)
+    p = prior(h)
     K_XR = kernel_matrix(X, h.inducing_inputs, h)
-    factor = chol_with_jitter(K_RR, "K_RR")
-    H_std = factor.solve(K_XR.T).T
-    d = schur_diag(X, h, H_std, K_XR)
-    v = total_noise(d, spec, h)
+    H_std = p.chol.solve(K_XR.T).T
+    # d = diag(K_XX - Q_XX), with diag(Q_XX) as row sums of H_std * K_XR (no
+    # B x B matrix), clamped at 0 against round-off.
+    d = np.maximum(kernel_diag(X, h) - np.sum(H_std * K_XR, axis=1), 0.0)
     return BatchGeometry(
         H=K_XR if transformed else H_std,
         d=d,
-        v=v,
+        v=spec.noise_scale * d + h.noise_variance,
         transformed=transformed,
         X=X,
         K_XR=K_XR,
-        K_RR=K_RR,
-        prior_chol=factor,
-        H_std=H_std,
+        prior=p,
     )

@@ -20,9 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractViolationError, DataError, NumericalError
-from .gradients import GradientState, compute_adjoints, ignore_history_ablation, init_gradient_state, propagate
+from .gradients import GradientState, compute_adjoints, init_gradient_state, propagate
 from .inference import (
-    PARAM_STANDARD,
     MiniBatch,
     PosteriorState,
     init_state,
@@ -204,11 +203,11 @@ def srgp_fit(
     gstate: GradientState | None = None
     prev_epoch_psi: float | None = None
     epochs_run = start_epoch
-    propagate_fn = propagate if cfg.gradient_mode == "full" else ignore_history_ablation
+    ignore_history = cfg.gradient_mode == "ignore_history"
 
     for epoch in range(start_epoch, cfg.epochs):
         if state is None or cfg.reset_each_epoch:
-            state = init_state(h, spec, PARAM_STANDARD)
+            state = init_state(h, spec)
             gstate = init_gradient_state(h, spec)
         order = rng.permutation(n) if cfg.shuffle else None
         for k, idx in enumerate(split_into_batches(n, cfg.batch_size, order)):
@@ -216,8 +215,10 @@ def srgp_fit(
             batch = MiniBatch(X[idx], y[idx])
             try:
                 state_new, km = update(state, batch, h, spec)
-                adj = compute_adjoints(state, state_new, km, km.geometry, h, spec)
-                gstate_new = propagate_fn(gstate, adj, km.geometry, h, spec, batch)
+                adj = compute_adjoints(state, state_new, km, h, spec)
+                gstate_new = propagate(
+                    gstate, adj, km.geometry, h, spec, batch, ignore_history=ignore_history
+                )
             except NumericalError as err:
                 raise NumericalError(f"epoch {epoch}, mini-batch {k}: {err}") from None
             psi_k = state_new.psi - state.psi
@@ -262,14 +263,14 @@ def fixed_theta_pass(
     h: Hyperparameters,
     spec: ModelSpec,
     batch_size: int,
-    parametrization: str = PARAM_STANDARD,
 ) -> PosteriorState:
-    """One gradient-free pass over the data in natural order."""
+    """One gradient-free pass over the data in natural order (standard
+    parametrization)."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     y = np.asarray(y, dtype=float).ravel()
-    state = init_state(h, spec, parametrization)
+    state = init_state(h, spec)
     for idx in split_into_batches(y.size, batch_size):
         state, _ = update(state, MiniBatch(X[idx], y[idx]), h, spec)
     return state

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from streamgp import Hyperparameters, ModelSpec, kernel_matrix
+from streamgp import Hyperparameters, MiniBatch, ModelSpec, kernel_matrix
 from streamgp.kernel import kernel_diag
+from streamgp.linalg import chol_with_jitter, symmetrize
+from streamgp.model import batch_geometry, regularizer
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -117,3 +119,51 @@ def dense_predictive(
         T = kernel_matrix(X_star, X_star, h)
     cov = T - Q_sX @ np.linalg.solve(mid, Q_sX.T)
     return mean, 0.5 * (cov + cov.T)
+
+
+def se_ard(x: np.ndarray, x_other: np.ndarray, h: Hyperparameters) -> float:
+    """The kernel for a single pair of points."""
+    return float(kernel_matrix(np.atleast_2d(x), np.atleast_2d(x_other), h)[0, 0])
+
+
+# -- moment-form oracles of one update ---------------------------------------------
+
+
+def innovation_cov(km, state_prev) -> np.ndarray:
+    """S = H Sigma_{k-1} H^T + V of the update ``km`` (B x B)."""
+    H, v = km.geometry.H, km.geometry.v
+    return symmetrize(H @ state_prev.Sigma @ H.T) + np.diag(v)
+
+
+def kalman_gain(km, state_new) -> np.ndarray:
+    """G = Sigma_{k-1} H^T S^-1 = Sigma_k H^T V^-1 of the update ``km`` (M x B)."""
+    H, v = km.geometry.H, km.geometry.v
+    return state_new.Sigma @ (H.T / v[None, :])
+
+
+def kf_update_moments(
+    mu: np.ndarray,
+    Sigma: np.ndarray,
+    batch: MiniBatch,
+    h: Hyperparameters,
+    spec: ModelSpec,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Kalman update in moment form, the cross-check of the natural recursion.
+
+        r = y - H mu;  S = H Sigma H^T + V;  G = Sigma H^T S^-1
+        mu' = mu + G r;  Sigma' = Sigma - G S G^T
+
+    Returns (mu', Sigma', psi_increment), the increment being the term
+    ``update`` adds to psi.  Forms the B x B innovation covariance.
+    """
+    geom = batch_geometry(batch.X, h, spec)
+    H, v = geom.H, geom.v
+    r = batch.y - H @ mu
+    S = symmetrize(H @ Sigma @ H.T) + np.diag(v)
+    factor = chol_with_jitter(S, "S")
+    G = factor.solve(H @ Sigma).T
+    mu_new = mu + G @ r
+    Sigma_new = symmetrize(Sigma - G @ S @ G.T)
+    a_k = regularizer(geom.d, spec, h)
+    psi_inc = -0.5 * (batch.size * LOG_2PI + factor.logdet + float(r @ factor.solve(r)) + a_k)
+    return mu_new, Sigma_new, psi_inc

@@ -33,7 +33,7 @@ class TestFullGP:
         X = np.array([[0.2]])
         y = np.array([0.7])
         X_star = np.array([[0.5]])
-        from streamgp import se_ard
+        from conftest import se_ard
 
         k_star = se_ard(X_star[0], X[0], h)
         k_xx = h.sigma0 ** 2

@@ -129,6 +129,54 @@ class TestTrain:
         assert run_cli("train", "--data", gp_file, "--epochs", "2", "--batch-size", "40", "--checkpoint-out", str(ckpt)) == 0
         assert run_cli("train", "--data", gp_file, "--epochs", "1", "--batch-size", "40", "--resume", str(ckpt), "--checkpoint-out", str(tmp_path / "x.npz")) == 0
 
+    def test_checkpoint_written_to_exact_path_and_resumable(self, gp_file, tmp_path):
+        # A non-.npz name is written as given (no ".npz" appended), with no
+        # temp file left beside it, and --resume reads it back.
+        common = ("train", "--data", gp_file, "--batch-size", "40", "--num-inducing", "5")
+        ckpt = tmp_path / "m.ckpt"
+        assert run_cli(*common, "--epochs", "1", "--checkpoint-out", str(ckpt)) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "train.csv"]
+        out = tmp_path / "m2.ckpt"
+        assert run_cli(*common, "--epochs", "2", "--resume", str(ckpt), "--checkpoint-out", str(out)) == 0
+        assert load_checkpoint(str(out)).epochs_done == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "m2.ckpt", "train.csv"]
+
+    def test_resume_refuses_no_epoch_reset(self, gp_file, tmp_path, capsys):
+        # The checkpoint lacks the carried posterior and gradient state.
+        common = ("train", "--data", gp_file, "--batch-size", "40", "--num-inducing", "5")
+        ckpt, out = tmp_path / "m.npz", tmp_path / "out.npz"
+        assert run_cli(*common, "--epochs", "1", "--checkpoint-out", str(ckpt)) == 0
+        args = ("--epochs", "2", "--resume", str(ckpt), "--checkpoint-out", str(out))
+        assert run_cli(*common, *args, "--no-epoch-reset") == 2
+        assert "epoch resets" in capsys.readouterr().err
+        carried = tmp_path / "carried.npz"
+        assert run_cli(*common, "--epochs", "1", "--no-epoch-reset", "--checkpoint-out", str(carried)) == 0
+        assert run_cli(*common, "--epochs", "2", "--resume", str(carried), "--checkpoint-out", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag", [("--lr", "0.5"), ("--batch-size", "20"), ("--shuffle",), ("--gradient-mode", "ignore_history")]
+    )
+    def test_resume_refuses_changed_setting(self, gp_file, tmp_path, capsys, flag):
+        common = ("train", "--data", gp_file, "--num-inducing", "5")
+        ckpt, out = tmp_path / "m.npz", tmp_path / "out.npz"
+        assert run_cli(*common, "--epochs", "1", "--batch-size", "40", "--checkpoint-out", str(ckpt)) == 0
+        code = run_cli(*common, "--epochs", "2", "--resume", str(ckpt), "--checkpoint-out", str(out), *flag)
+        assert code == 2
+        assert flag[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resume_takes_omitted_settings_from_checkpoint(self, gp_file, tmp_path):
+        common = ("train", "--data", gp_file, "--num-inducing", "5", "--seed", "3")
+        settings = ("--lr", "0.01", "--batch-size", "20", "--shuffle", "--gradient-mode", "ignore_history")
+        full, half, resumed = tmp_path / "full.npz", tmp_path / "half.npz", tmp_path / "resumed.npz"
+        assert run_cli(*common, *settings, "--epochs", "2", "--checkpoint-out", str(full)) == 0
+        assert run_cli(*common, *settings, "--epochs", "1", "--checkpoint-out", str(half)) == 0
+        assert run_cli(*common, "--epochs", "2", "--resume", str(half), "--checkpoint-out", str(resumed)) == 0
+        a, b = load_checkpoint(str(full)), load_checkpoint(str(resumed))
+        np.testing.assert_array_equal(a.hyper.to_vector(), b.hyper.to_vector())
+        assert a.config == b.config
+
     def test_standardize_round_trips_through_predict(self, tmp_path):
         # Shifted/scaled inputs train fine with --standardize and predict
         # applies the stored transform.

@@ -1,17 +1,23 @@
 """Variant-specific quantities of the weight-space sparse model."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from streamgp import ContractViolationError, ModelSpec, kernel_matrix
-from streamgp.model import (
-    basis,
-    batch_geometry,
-    noise_correction,
-    prediction_correction,
-    regularizer,
-    total_noise,
+from streamgp import (
+    ContractViolationError,
+    Hyperparameters,
+    ModelSpec,
+    TrainConfig,
+    fixed_theta_pass,
+    init_state,
+    kernel_matrix,
+    predict,
+    srgp_fit,
 )
+from streamgp import kernel as kernel_module
+from streamgp.model import basis, batch_geometry, prediction_correction, prior, regularizer
 
 from conftest import dense_Q, make_instance
 
@@ -64,31 +70,37 @@ class TestBasis:
 
 
 class TestNoiseCorrection:
+    # diag(Vbar) = noise_scale * d, and diag(V) = diag(Vbar) + sigma_n^2.
+
     def test_vfe_sor_dtc_have_no_correction(self):
-        d = np.array([0.3, 0.7, 0.1])
-        h = make_instance(3, n=5, m=2)[2]
+        X, _, h = make_instance(3, n=5, m=2)
         for name in ("vfe", "sor", "dtc"):
-            np.testing.assert_array_equal(noise_correction(d, ModelSpec(name), h), np.zeros(3))
+            assert ModelSpec(name).noise_scale == 0.0
+            geom = batch_geometry(X, h, ModelSpec(name))
+            np.testing.assert_array_equal(geom.v, np.full(5, h.noise_variance))
 
     def test_pep_alpha_one_equals_fitc(self):
-        d = np.random.default_rng(0).uniform(size=6)
-        h = make_instance(4, n=5, m=2)[2]
+        X, _, h = make_instance(4, n=6, m=2)
+        assert ModelSpec("pep", alpha=1.0).noise_scale == ModelSpec("fitc").noise_scale == 1.0
         np.testing.assert_array_equal(
-            noise_correction(d, ModelSpec("pep", alpha=1.0), h),
-            noise_correction(d, ModelSpec("fitc"), h),
+            batch_geometry(X, h, ModelSpec("pep", alpha=1.0)).v,
+            batch_geometry(X, h, ModelSpec("fitc")).v,
         )
 
     def test_pep_scales_by_alpha(self):
-        h = make_instance(5, n=5, m=2)[2]
-        out = noise_correction(np.array([0.2, 0.4]), ModelSpec("pep", alpha=0.5), h)
-        np.testing.assert_allclose(out, [0.1, 0.2], rtol=1e-15)
+        assert ModelSpec("pep", alpha=0.5).noise_scale == 0.5
+        X, _, h = make_instance(5, n=5, m=2)
+        geom = batch_geometry(X, h, ModelSpec("pep", alpha=0.5))
+        np.testing.assert_allclose(geom.v - h.noise_variance, 0.5 * geom.d, rtol=1e-12, atol=1e-15)
 
     def test_total_noise_floor_is_noise_variance(self):
         X, _, h = make_instance(6, n=30, m=4)
         for spec in ALL_SPECS:
             geom = batch_geometry(X, h, spec)
             assert np.all(geom.v >= h.noise_variance - 1e-15)
-            np.testing.assert_allclose(geom.v, total_noise(geom.d, spec, h), rtol=1e-15)
+            np.testing.assert_allclose(
+                geom.v, spec.noise_scale * geom.d + h.noise_variance, rtol=1e-15
+            )
 
 
 class TestRegularizer:
@@ -167,7 +179,85 @@ class TestBatchGeometry:
         g_std = batch_geometry(X, h, spec, transformed=False)
         g_t = batch_geometry(X, h, spec, transformed=True)
         np.testing.assert_array_equal(g_t.H, g_t.K_XR)
-        np.testing.assert_allclose(g_std.H, g_std.H_std, rtol=0)
+        np.testing.assert_array_equal(g_std.H, basis(X, h, transformed=False))
         # d and v are parametrization independent
         np.testing.assert_array_equal(g_std.d, g_t.d)
         np.testing.assert_array_equal(g_std.v, g_t.v)
+
+
+def record_prior_builds(monkeypatch) -> list[bytes]:
+    """Record, as parameter-vector bytes, every k(R, R) build that library
+    code outside ``streamgp.kernel`` makes from now on."""
+    builds: list[bytes] = []
+    original = kernel_module.kernel_matrix
+
+    def counting(A, B, h):
+        R = h.inducing_inputs
+        if np.shape(A) == np.shape(B) == R.shape and np.array_equal(A, R) and np.array_equal(B, R):
+            builds.append(h.to_vector().tobytes())
+        return original(A, B, h)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("streamgp.") and name != "streamgp.kernel":
+            if getattr(mod, "kernel_matrix", None) is original:
+                monkeypatch.setattr(mod, "kernel_matrix", counting)
+    return builds
+
+
+class TestPrior:
+    def test_one_build_per_parameter_value_in_fit_and_predict(self, monkeypatch):
+        X, y, h0 = make_instance(20, n=40, m=5)
+        spec = ModelSpec("pep", alpha=0.5)
+        builds = record_prior_builds(monkeypatch)
+        fit = srgp_fit(X, y, h0, spec, TrainConfig(epochs=2, batch_size=10, learning_rate=1e-3))
+        predict(fit.posterior, X[:7], fit.hyper, spec, with_noise=True)
+        thetas = {h0.to_vector().tobytes()} | {t.theta.tobytes() for t in fit.trace}
+        assert len(thetas) == 9  # the start and one per gradient step
+        assert len(builds) == len(thetas)
+        assert set(builds) == thetas
+
+    def test_fixed_theta_pass_and_predict_build_once(self, monkeypatch):
+        X, y, h = make_instance(21, n=30, m=4)
+        spec = ModelSpec("fitc")
+        builds = record_prior_builds(monkeypatch)
+        state = fixed_theta_pass(X, y, h, spec, 7)
+        assert len(builds) == 1
+        fresh = h.with_vector(h.to_vector())  # same values, new object
+        predict(state, X[:5], fresh, spec)
+        assert len(builds) == 2
+
+    def test_prior_is_kept_on_the_hyperparameters(self):
+        _, _, h = make_instance(22, n=10, m=4)
+        p = prior(h)
+        assert prior(h) is p
+        assert batch_geometry(h.inducing_inputs, h, ModelSpec("vfe")).prior is p
+        assert h.with_vector(h.to_vector())._prior is None
+        np.testing.assert_array_equal(p.K_RR, kernel_matrix(h.inducing_inputs, h.inducing_inputs, h))
+        for a in (p.K_RR, p.chol.L, p.inv, h.log_lengthscales, h.inducing_inputs):
+            assert not a.flags.writeable
+
+    def test_hyperparameters_copy_their_arrays(self):
+        R = np.array([[0.1], [0.6]])
+        ll = np.log([0.3])
+        h = Hyperparameters(0.0, ll, np.log(0.1), R)
+        R[0, 0] = 0.9
+        ll[0] = 5.0
+        assert h.inducing_inputs[0, 0] == 0.1 and h.log_lengthscales[0] == np.log(0.3)
+
+    def test_jittered_prior_state_is_an_inverse_pair(self):
+        # A near-duplicate inducing row makes K_RR numerically singular, so
+        # the factorization adds jitter.  Sigma_0 and Lambda_0 must then be
+        # inverses of the same (jittered) matrix.  The residual is bounded
+        # relative to ||Sigma_0|| ||Lambda_0|| (about cond * eps for an
+        # exact pair); an unjittered Sigma_0 misses the bound by 10x and more.
+        R = np.array([[0.0], [1e-9], [0.5], [0.9]])
+        h = Hyperparameters(0.0, np.log([0.3]), np.log(0.1), R)
+        p = prior(h)
+        assert p.chol.jitter > 0.0
+        K = kernel_matrix(R, R, h)
+        np.testing.assert_array_equal(p.K_RR, K + p.chol.jitter * np.eye(4))
+        for parametrization in ("standard", "transformed"):
+            st = init_state(h, ModelSpec("vfe"), parametrization)
+            scale = np.linalg.norm(st.Sigma, 2) * np.linalg.norm(st.Lambda, 2)
+            residual = np.max(np.abs(st.Sigma @ st.Lambda - np.eye(4)))
+            assert residual <= 1e-10 * scale, (residual, scale)

@@ -131,7 +131,7 @@ class TestSrgpFit:
         g = init_gradient_state(h, spec)
         batch = MiniBatch(X, y)
         state_new, km = update(state, batch, h, spec)
-        adj = compute_adjoints(state, state_new, km, km.geometry, h, spec)
+        adj = compute_adjoints(state, state_new, km, h, spec)
         g = propagate(g, adj, km.geometry, h, spec, batch)
         expected, _ = adam_step(h.to_vector(), g.d_psi, AdamState.fresh(h.n_params, 1e-3))
         np.testing.assert_array_equal(result.hyper.to_vector(), expected)

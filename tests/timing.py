@@ -1,0 +1,134 @@
+"""Wall-clock measurements for the complexity tests, taken in a child process.
+
+A timing taken inside the test process shares the BLAS thread pool with
+everything else running on the machine; with two or more BLAS threads on a
+small machine the fitted scaling exponents came out anywhere.  ``pinned``
+runs one named measurement below in a fresh interpreter whose OpenBLAS,
+OpenMP and MKL pools are set to one thread before numpy loads.  The calls
+of one measurement are warmed up, then timed in turn, round after round,
+so that a change in machine speed during the measurement reaches every
+size alike; each is reported as its minimum over the rounds, the run least
+disturbed by other work.
+
+Run directly to see the numbers:  ``python tests/timing.py criterion_09``
+(with ``src`` and ``tests`` on ``PYTHONPATH``) prints one JSON object.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+WARMUP = 2
+
+
+def pinned(name: str) -> dict:
+    """Run measurement ``name`` in a one-BLAS-thread child; its JSON result."""
+    path = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, **PINNED_ENV, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    proc = subprocess.run(
+        [sys.executable, __file__, name], env=env, capture_output=True, text=True, timeout=600
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"timing child {name!r} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def min_times(fns: list, reps: int) -> list[float]:
+    """Minimum wall time of each ``fn()`` over ``reps`` interleaved rounds,
+    after a warm-up."""
+    for fn in fns:
+        for _ in range(WARMUP):
+            fn()
+    best = [float("inf")] * len(fns)
+    for _ in range(reps):
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best
+
+
+def criterion_09() -> dict:
+    """One full step (update, adjoints, propagate) at B = 100 / 400 / 1600
+    with M = 50, and dense-path ``propagate`` over 5 / 10 / 20 tracked
+    inducing coordinates at B = 400, M = 40."""
+    import numpy as np
+
+    import streamgp as sg
+    from streamgp import Hyperparameters, MiniBatch, ModelSpec
+    from streamgp.gradients import compute_adjoints, init_gradient_state, propagate
+
+    rng = np.random.default_rng(0)
+    spec = ModelSpec("pep", alpha=0.5)
+
+    def step_at(B: int):
+        X = rng.uniform(0.0, 1.0, (B, 1))
+        y = rng.standard_normal(B)
+        h = Hyperparameters(0.0, np.log([0.3]), np.log(0.1), sg.init_inducing_subset(X, 50, rng))
+        batch = MiniBatch(X, y)
+        st, g = sg.init_state(h, spec), init_gradient_state(h, spec)
+
+        def step():
+            st2, km = sg.update(st, batch, h, spec)
+            propagate(g, compute_adjoints(st, st2, km, h, spec), km.geometry, h, spec, batch)
+
+        return step
+
+    sizes_b = [100, 400, 1600]
+    times_b = min_times([step_at(B) for B in sizes_b], reps=9)
+
+    X = rng.uniform(0.0, 1.0, (400, 2))
+    y = rng.standard_normal(400)
+    h = Hyperparameters(0.0, np.log([0.3, 0.3]), np.log(0.1), sg.init_inducing_subset(X, 40, rng))
+    return {
+        "sizes_b": sizes_b,
+        "times_b": times_b,
+        **_dense_propagate_times(h, MiniBatch(X, y), spec, sizes=[5, 10, 20], reps=15),
+    }
+
+
+def propagate_parameter_count() -> dict:
+    """Dense-path ``propagate`` over 5 / 10 / 20 tracked inducing
+    coordinates at B = 400, M = 40, D = 2."""
+    from conftest import make_instance
+
+    from streamgp import MiniBatch, ModelSpec
+
+    X, y, h = make_instance(19, n=400, m=40, d=2, lengthscale=[0.3, 0.3])
+    return _dense_propagate_times(
+        h, MiniBatch(X, y), ModelSpec("pep", alpha=0.5), sizes=[5, 10, 20], reps=15
+    )
+
+
+def _dense_propagate_times(h, batch, spec, sizes: list[int], reps: int) -> dict:
+    import numpy as np
+
+    import streamgp as sg
+    from streamgp.gradients import compute_adjoints, init_gradient_state, propagate
+
+    st = sg.init_state(h, spec)
+    st2, km = sg.update(st, batch, h, spec)
+    adj = compute_adjoints(st, st2, km, h, spec)
+    base = h.input_dim + 2
+
+    def propagate_over(P: int):
+        g0 = init_gradient_state(h, spec, param_indices=np.arange(base, base + P), force_dense=True)
+        return lambda: propagate(g0, adj, km.geometry, h, spec, batch, force_dense=True)
+
+    return {"sizes_p": sizes, "times_p": min_times([propagate_over(P) for P in sizes], reps)}
+
+
+MEASUREMENTS = {
+    "criterion_09": criterion_09,
+    "propagate_parameter_count": propagate_parameter_count,
+}
+
+if __name__ == "__main__":
+    print(json.dumps(MEASUREMENTS[sys.argv[1]]()))
