@@ -55,7 +55,7 @@ from .inference import (
     split_into_batches,
     update,
 )
-from .kernel import Hyperparameters, kernel_matrix, kernel_matrix_grad
+from .kernel import Hyperparameters, kernel_matrix
 from .model import (
     BatchGeometry,
     ModelSpec,
@@ -117,7 +117,6 @@ __all__ = [
     "init_state",
     "integrate_cstr",
     "kernel_matrix",
-    "kernel_matrix_grad",
     "load_dataset",
     "predict",
     "prediction_correction",

@@ -271,20 +271,18 @@ def coverage(y: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> float:
 # -- delimited text files ------------------------------------------------------
 
 
-def load_dataset(path: str, target_col: str | None = None, delimiter: str = ",") -> Dataset:
-    """Read a delimiter-separated file with one header row.
+def _read_table(path: str, delimiter: str) -> tuple[list[str], np.ndarray]:
+    """Header and (rows, columns) values of a delimited file with one header row.
 
-    The target column is selected by name (default: last column).
-    Non-numeric or non-finite cells are rejected with row/column
-    diagnostics.
+    Ragged rows and non-numeric or non-finite cells are rejected with
+    row/column diagnostics.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
-            header = next(reader)
+            header = [c.strip() for c in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        header = [c.strip() for c in header]
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -309,7 +307,17 @@ def load_dataset(path: str, target_col: str | None = None, delimiter: str = ",")
             rows.append(parsed)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    data = np.asarray(rows)
+    return header, np.asarray(rows)
+
+
+def load_dataset(path: str, target_col: str | None = None, delimiter: str = ",") -> Dataset:
+    """Read a delimiter-separated file with one header row.
+
+    The target column is selected by name (default: last column).
+    Non-numeric or non-finite cells are rejected with row/column
+    diagnostics.
+    """
+    header, data = _read_table(path, delimiter)
     target = target_col if target_col is not None else header[-1]
     if target not in header:
         raise DataError(f"{path}: target column {target!r} not in header {header}")
@@ -320,24 +328,10 @@ def load_dataset(path: str, target_col: str | None = None, delimiter: str = ",")
 
 
 def load_inputs(path: str, delimiter: str = ",") -> tuple[np.ndarray, list[str]]:
-    """Read a delimited file as a plain feature matrix (header required)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = [c.strip() for c in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError:
-                raise DataError(f"{path}: non-numeric row {lineno}") from None
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return np.asarray(rows), header
+    """Read a delimited file as a plain feature matrix (header required),
+    with the same checks as :func:`load_dataset`."""
+    header, data = _read_table(path, delimiter)
+    return data, header
 
 
 def save_dataset(ds: Dataset, path: str, delimiter: str = ",") -> None:

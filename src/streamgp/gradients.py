@@ -32,13 +32,13 @@ specific to it, so states built with the transformed parametrization are
 rejected.  Gradients of log sigma_n are taken directly in log space
 (dV/dlog sigma_n = 2 sigma_n^2 I).
 
-Inducing-coordinate derivatives have one-column / one-row-and-column
-kernel sparsity which is exploited through rank-one updates; a dense
-fallback (``force_dense``) retains the straightforward path for testing.
-
-The per-parameter loop runs sequentially in a fixed order (parameter
-slices are independent, so results are reproducible bit for bit); the
-gradient state is single-writer alongside its posterior.
+Each parameter class (log sigma0, the D log-lengthscales, log sigma_n, the
+M*D inducing coordinates) is one block of array code over all its members,
+and all share one tail: s = -vdot / v^2, the noise terms H^T diag(s) H, the
+carried terms as one contraction, and a finiteness check naming the first
+bad parameter.  ``tests/conftest.py`` keeps the per-parameter dense
+recursion as the reference.  The gradient state is single-writer alongside
+its posterior, so :func:`propagate` advances it in place.
 """
 
 from __future__ import annotations
@@ -49,24 +49,24 @@ import numpy as np
 
 from .errors import ContractViolationError, NumericalError
 from .inference import PARAM_STANDARD, KalmanIntermediates, MiniBatch, PosteriorState
-from .kernel import (
-    CLASS_INDUCING,
-    CLASS_LOG_SIGMA0,
-    CLASS_LOG_SIGMA_N,
-    Hyperparameters,
-    inducing_grad_vectors,
-    kernel_diag,
-    kernel_matrix_grad,
-)
-from .linalg import symmetrize
-from .model import BatchGeometry, ModelSpec, Prior, prior
+from .kernel import Hyperparameters, kernel_diag
+from .model import BatchGeometry, ModelSpec, prior
+
+# Parameters per block of the in-place Lambda_dot updates, which bounds
+# their (BLOCK, M, M) temporaries.
+BLOCK = 8
 
 
 @dataclass
 class GradientState:
-    """Running derivatives of (eta, Lambda, psi) per tracked parameter."""
+    """Running derivatives of (eta, Lambda, psi) for every parameter, in the
+    order of :meth:`~streamgp.kernel.Hyperparameters.to_vector`.
 
-    param_indices: np.ndarray  # (P,) indices into the flat parameter vector
+    :func:`propagate` advances ``d_eta`` and ``d_Lambda`` in place and
+    returns them in the new state; ``d_psi`` is a fresh array at every step,
+    so two successive states' ``d_psi`` differ by that step's gradient.
+    """
+
     d_eta: np.ndarray  # (P, M)
     d_Lambda: np.ndarray  # (P, M, M)
     d_psi: np.ndarray  # (P,)
@@ -74,7 +74,7 @@ class GradientState:
 
     @property
     def n_params(self) -> int:
-        return self.param_indices.size
+        return self.d_psi.size
 
 
 @dataclass
@@ -95,11 +95,6 @@ class AdjointIntermediates:
     L_dsigman: float
 
 
-def _frob(a: np.ndarray, b: np.ndarray) -> float:
-    # sum(a * b) without materializing the elementwise product
-    return float(np.einsum("ij,ij->", a, b))
-
-
 def _require_standard(transformed: bool) -> None:
     if transformed:
         raise ContractViolationError(
@@ -107,24 +102,43 @@ def _require_standard(transformed: bool) -> None:
         )
 
 
-def _kdot_RR(prior_h: Prior, h: Hyperparameters, i: int) -> np.ndarray:
-    """Derivative of the factored K_RR (jitter included) w.r.t. parameter ``i``.
+def _kernel_grads(A: np.ndarray, K_AR: np.ndarray, h: Hyperparameters) -> tuple:
+    """Derivatives of K_AR = k(A, R), stacked over the input dimension d.
 
-    The jitter is a multiple of mean(diag K_RR) = sigma0^2, so the log
-    sigma0 derivative is twice the whole factored matrix.
+    Returns ``(dR, dl)``, both (n, M, D): ``dR[:, m, d]`` is column m of
+    dK_AR/dR[m][d] (its only nonzero column unless A is R itself) and
+    ``dl[..., d]`` is dK_AR/dlog l_d.
     """
-    if h.param_class(i)[0] == CLASS_LOG_SIGMA0:
-        return 2.0 * prior_h.K_RR
-    R = h.inducing_inputs
-    return kernel_matrix_grad(R, R, h, i, a_is_inducing=True, b_is_inducing=True)
+    diff = A[:, None, :] - h.inducing_inputs[None, :, :]
+    dR = K_AR[:, :, None] * diff / h.lengthscales**2
+    return dR, dR * diff
 
 
-def init_gradient_state(
-    h: Hyperparameters,
-    spec: ModelSpec,
-    param_indices: np.ndarray | None = None,
-    force_dense: bool = False,
-) -> GradientState:
+def _add_symmetric_products(dst: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+    """dst[p] += X_p + X_p^T with X_p = left[p] @ right[p], in place.
+
+    Adding X + X^T keeps a symmetric ``dst`` exactly symmetric.
+    """
+    for lo in range(0, len(dst), BLOCK):
+        X = left[lo : lo + BLOCK] @ right[lo : lo + BLOCK]
+        dst[lo : lo + BLOCK] += X + X.swapaxes(1, 2)
+
+
+def _add_noise_terms(dst: np.ndarray, s: np.ndarray, H: np.ndarray) -> None:
+    """dst[p] += H^T diag(s[p]) H for every row p of ``s``, in place.
+
+    Row i of every parameter's term, from the diagonal on, is one matrix
+    product with the Khatri-Rao columns H_bi H_bj (j >= i), so no
+    (B, M (M + 1) / 2) array of them is ever held.  Each row is mirrored into
+    column i, so ``dst`` stays exactly symmetric.
+    """
+    for i in range(H.shape[1]):
+        row = s @ (H[:, i : i + 1] * H[:, i:])
+        dst[:, i, i:] += row
+        dst[:, i + 1 :, i] += row[:, 1:]
+
+
+def init_gradient_state(h: Hyperparameters, spec: ModelSpec) -> GradientState:
     """Derivatives of the prior state: eta_dot = 0, psi_dot = 0 and
 
         Lambda_dot_0 = -K_RR^-1 Kdot_RR K_RR^-1
@@ -132,36 +146,20 @@ def init_gradient_state(
     which is nonzero exactly for the parameters K_RR depends on (amplitude,
     lengthscales, inducing coordinates) and zero for log sigma_n.
     """
-    idx = (
-        np.arange(h.n_params, dtype=int)
-        if param_indices is None
-        else np.asarray(param_indices, dtype=int)
-    )
-    M = h.num_inducing
-    R = h.inducing_inputs
-    prior_h = prior(h)
-    K_RR, factor, Kinv = prior_h.K_RR, prior_h.chol, prior_h.inv
-    d_Lambda = np.zeros((idx.size, M, M))
-    for p, i in enumerate(idx):
-        cls = h.param_class(i)
-        if cls[0] == CLASS_LOG_SIGMA_N:
-            continue
-        if cls[0] == CLASS_INDUCING and not force_dense:
-            _, m, d = cls
-            beta = K_RR[m, :] * (R[:, d] - R[m, d]) / h.lengthscales[d] ** 2
-            kb = Kinv @ beta
-            wm = Kinv[:, m]
-            d_Lambda[p] = -(np.outer(wm, kb) + np.outer(kb, wm))
-        else:
-            Kdot = _kdot_RR(prior_h, h, i)
-            d_Lambda[p] = -symmetrize(factor.solve(factor.solve(Kdot).T).T)
-    return GradientState(
-        param_indices=idx,
-        d_eta=np.zeros((idx.size, M)),
-        d_Lambda=d_Lambda,
-        d_psi=np.zeros(idx.size),
-        k=0,
-    )
+    P, M, D = h.n_params, h.num_inducing, h.input_dim
+    p = prior(h)
+    beta, dRR_l = _kernel_grads(h.inducing_inputs, p.K_RR, h)
+    d_Lambda = np.zeros((P, M, M))
+    d_Lambda[0] = -2.0 * p.inv  # Kdot_RR = 2 K_RR
+    # K^-1 Kdot_d K^-1 for every lengthscale: two solves, D right-hand sides each.
+    first = p.chol.solve(dRR_l.transpose(0, 2, 1).reshape(M, D * M)).reshape(M, D, M)
+    both = p.chol.solve(first.transpose(2, 1, 0).reshape(M, D * M)).reshape(M, D, M)
+    d_Lambda[1 : D + 1] = -0.5 * (both.transpose(1, 0, 2) + both.transpose(1, 2, 0))
+    # Inducing coordinates: -(w_m kb^T + kb w_m^T) with kb = K^-1 beta.
+    w = np.repeat(p.inv, D, axis=0)  # row m*D + d holds w_m
+    kb = (p.inv @ beta.reshape(M, M * D)).T
+    _add_symmetric_products(d_Lambda[D + 2 :], -w[:, :, None], kb[:, None, :])
+    return GradientState(d_eta=np.zeros((P, M)), d_Lambda=d_Lambda, d_psi=np.zeros(P), k=0)
 
 
 def compute_adjoints(
@@ -238,9 +236,12 @@ def propagate(
     spec: ModelSpec,
     batch: MiniBatch,
     ignore_history: bool = False,
-    force_dense: bool = False,
 ) -> GradientState:
     """Advance the gradient recursion across one absorbed mini-batch.
+
+    ``gstate.d_eta`` and ``gstate.d_Lambda`` are advanced in place and
+    shared with the returned state, so ``gstate`` is spent afterwards
+    except for its ``d_psi`` and ``k``.
 
     With ``ignore_history`` the parameter-dependence of the carried
     posterior is dropped: psi_dot treats (eta_{k-1}, Lambda_{k-1}) as
@@ -251,94 +252,103 @@ def propagate(
     this mode.
     """
     _require_standard(geom.transformed)
-    H, v, X, y = geom.H, geom.v, geom.X, batch.y
-    c = spec.noise_scale
-    sig_n2 = h.noise_variance
-    Vinv_y = y / v
-    VinvH = H / v[:, None]
+    P, D = h.n_params, h.input_dim
+    beta, dRR_l = _kernel_grads(h.inducing_inputs, geom.prior.K_RR, h)
+    gamma, dXR_l = _kernel_grads(geom.X, geom.K_XR, h)
 
-    d_eta = gstate.d_eta if ignore_history else gstate.d_eta.copy()
-    d_Lambda = gstate.d_Lambda if ignore_history else gstate.d_Lambda.copy()
-    d_psi = gstate.d_psi.copy()
+    # Direct terms <L_dK_RR, Kdot_RR> + <L_dK_XR, Kdot_XR> + <L_dk_XX, kdot_XX>
+    # and L_dsigma_n.  Lengthscales and inducing coordinates leave diag(K_XX)
+    # fixed; for R[m][d], Kdot_RR = e_m beta^T + beta e_m^T and Kdot_XR = gamma e_m^T.
+    L_RR, L_XR = adj.L_dK_RR, adj.L_dK_XR
+    direct = np.empty(P)
+    direct[0] = 2.0 * (
+        np.vdot(L_RR, geom.prior.K_RR)
+        + np.vdot(L_XR, geom.K_XR)
+        + adj.L_dk_XX @ kernel_diag(geom.X, h)
+    )
+    direct[1 : D + 1] = L_RR.ravel() @ dRR_l.reshape(-1, D) + L_XR.ravel() @ dXR_l.reshape(-1, D)
+    direct[D + 1] = adj.L_dsigman
+    direct[D + 2 :] = (
+        np.einsum("mj,jmd->md", L_RR + L_RR.T, beta) + np.einsum("bm,bmd->md", L_XR, gamma)
+    ).ravel()
 
     # The carried-sensitivity terms <L_deta, eta_dot> + <L_dLambda, Lambda_dot>
     # are dropped by the ablation as soon as the carried state holds data.
-    drop_carried = ignore_history and gstate.k >= 1
+    if ignore_history and gstate.k >= 1:
+        carried = 0.0
+    else:
+        carried = gstate.d_eta @ adj.L_deta + gstate.d_Lambda.reshape(P, -1) @ adj.L_dLambda.ravel()
+    d_psi = gstate.d_psi - 0.5 * (carried + direct)
+    bad = np.flatnonzero(~np.isfinite(d_psi))
+    if bad.size:
+        raise NumericalError(
+            f"non-finite gradient for {h.param_label(int(bad[0]))} at mini-batch {gstate.k + 1}"
+        )
+    if not ignore_history:
+        _advance(gstate, geom, h, spec, batch.y, beta, dRR_l, gamma, dXR_l)
+    return GradientState(d_eta=gstate.d_eta, d_Lambda=gstate.d_Lambda, d_psi=d_psi, k=gstate.k + 1)
 
-    for p, i in enumerate(gstate.param_indices):
-        cls = h.param_class(i)
-        if drop_carried:
-            carried = 0.0
-        else:
-            carried = float(adj.L_deta @ gstate.d_eta[p]) + _frob(adj.L_dLambda, gstate.d_Lambda[p])
 
-        if cls[0] == CLASS_LOG_SIGMA_N:
-            # All kernel derivatives vanish; only the noise enters.
-            d_psi[p] += -0.5 * (carried + adj.L_dsigman)
-            if not ignore_history:
-                s = -2.0 * sig_n2 / v**2  # dV^-1/dlog sigma_n
-                d_eta[p] += H.T @ (s * y)
-                d_Lambda[p] = symmetrize(d_Lambda[p] + (H.T * s[None, :]) @ H)
-        elif cls[0] == CLASS_INDUCING and not force_dense:
-            _, m, d_axis = cls
-            gamma, beta = inducing_grad_vectors(X, h, geom.K_XR, geom.prior.K_RR, m, d_axis)
-            direct = (
-                float((adj.L_dK_RR[m, :] + adj.L_dK_RR[:, m]) @ beta)
-                + float(adj.L_dK_XR[:, m] @ gamma)
-            )
-            d_psi[p] += -0.5 * (carried + direct)
-            if not ignore_history:
-                # Hdot = u1 w_m^T - h_m (K^-1 beta)^T  (rank two)
-                Kinv = geom.prior.inv
-                u1 = gamma - H @ beta
-                w_m = Kinv[:, m]
-                kb = Kinv @ beta
-                h_m = H[:, m]
-                d_eta[p] += w_m * float(u1 @ Vinv_y) - kb * float(h_m @ Vinv_y)
-                half = np.outer(w_m, u1 @ VinvH) - np.outer(kb, h_m @ VinvH)
-                d_Lambda[p] += half + half.T
-                if c != 0.0:
-                    ddot = -2.0 * h_m * u1
-                    s = -c * ddot / v**2
-                    d_eta[p] += H.T @ (s * y)
-                    d_Lambda[p] += (H.T * s[None, :]) @ H
-                d_Lambda[p] = symmetrize(d_Lambda[p])
-        else:
-            is_inducing = cls[0] == CLASS_INDUCING
-            Kdot_RR = _kdot_RR(geom.prior, h, i)
-            Kdot_XR = kernel_matrix_grad(X, h.inducing_inputs, h, i, b_is_inducing=is_inducing)
-            if cls[0] == CLASS_LOG_SIGMA0:
-                kdot_XX = 2.0 * kernel_diag(X, h)
-            else:
-                kdot_XX = np.zeros(X.shape[0])  # lengthscales and R leave diag(K_XX) fixed
-            direct = (
-                _frob(adj.L_dK_RR, Kdot_RR)
-                + _frob(adj.L_dK_XR, Kdot_XR)
-                + float(adj.L_dk_XX @ kdot_XX)
-            )
-            d_psi[p] += -0.5 * (carried + direct)
-            if not ignore_history:
-                HKdot = H @ Kdot_RR
-                Hdot = geom.prior.chol.solve((Kdot_XR - HKdot).T).T
-                d_eta[p] += Hdot.T @ Vinv_y
-                cross = Hdot.T @ VinvH
-                d_Lambda[p] += cross + cross.T
-                if c != 0.0:
-                    ddot = kdot_XX - 2.0 * np.sum(H * Kdot_XR, axis=1) + np.sum(HKdot * H, axis=1)
-                    s = -c * ddot / v**2
-                    d_eta[p] += H.T @ (s * y)
-                    d_Lambda[p] += (H.T * s[None, :]) @ H
-                d_Lambda[p] = symmetrize(d_Lambda[p])
+def _advance(
+    gstate: GradientState,
+    geom: BatchGeometry,
+    h: Hyperparameters,
+    spec: ModelSpec,
+    y: np.ndarray,
+    beta: np.ndarray,
+    dRR_l: np.ndarray,
+    gamma: np.ndarray,
+    dXR_l: np.ndarray,
+) -> None:
+    """Add one batch to eta_dot and Lambda_dot of every parameter, in place:
 
-        if not np.isfinite(d_psi[p]):
-            raise NumericalError(
-                f"non-finite gradient for {h.param_label(i)} at mini-batch {gstate.k + 1}"
-            )
+        eta_dot    += Hdot^T V^-1 y + H^T diag(s) y
+        Lambda_dot += Hdot^T V^-1 H + H^T V^-1 Hdot + H^T diag(s) H
 
-    return GradientState(
-        param_indices=gstate.param_indices,
-        d_eta=d_eta,
-        d_Lambda=d_Lambda,
-        d_psi=d_psi,
-        k=gstate.k + 1,
+    with s = -vdot / v^2 the derivative of V^-1 and vdot = c ddot, plus
+    2 sigma_n^2 for log sigma_n.
+    """
+    H, v, chol, Kinv = geom.H, geom.v, geom.prior.chol, geom.prior.inv
+    B, M = H.shape
+    P, D = h.n_params, h.input_dim
+    lengthscales, inducing = slice(1, D + 1), slice(D + 2, P)
+    Vinv_y, VinvH = y / v, H / v[:, None]
+    eta_inc = np.zeros((P, M))
+    s = np.zeros((P, B))  # ddot, then -vdot / v^2
+
+    # log sigma0: Hdot = 0 and ddot = 2d.
+    s[0] = 2.0 * geom.d
+
+    # Lengthscales: Hdot_d^T = K^-1 (Kdot_XR - H Kdot_RR)^T, all d from one solve.
+    HK = (H @ dRR_l.reshape(M, M * D)).reshape(B, M, D)
+    s[lengthscales] = np.einsum("bm,bmd->db", H, HK - 2.0 * dXR_l)
+    rhs = (dXR_l - HK).transpose(1, 2, 0).reshape(M, D * B)
+    Hdot_T = chol.solve(rhs).reshape(M, D, B).transpose(1, 0, 2)
+    eta_inc[lengthscales] = Hdot_T @ Vinv_y
+    _add_symmetric_products(
+        gstate.d_Lambda[lengthscales], Hdot_T, np.broadcast_to(VinvH, (D, B, M))
     )
+    del HK, rhs, Hdot_T
+
+    # Inducing coordinates: Hdot = u w_m^T - h_m kb^T with u = gamma - H beta,
+    # w_m = K^-1 e_m and kb = K^-1 beta; row m*D + d is coordinate R[m][d].
+    u = (gamma - (H @ beta.reshape(M, M * D)).reshape(B, M, D)).reshape(B, M * D)
+    s[inducing] = -2.0 * (np.repeat(H, D, axis=1) * u).T
+    w = np.repeat(Kinv, D, axis=0)
+    kb = (Kinv @ beta.reshape(M, M * D)).T
+    eta_inc[inducing] = w * (Vinv_y @ u)[:, None] - kb * np.repeat(H.T @ Vinv_y, D)[:, None]
+    left = np.stack([w, -kb], axis=2)
+    right = np.stack([u.T @ VinvH, np.repeat(H.T @ VinvH, D, axis=0)], axis=1)
+    del u
+    _add_symmetric_products(gstate.d_Lambda[inducing], left, right)
+
+    # log sigma_n, and the noise term every class shares.  Without the
+    # Schur-complement term (c = 0) only log sigma_n moves V.
+    c = spec.noise_scale
+    s *= c
+    s[D + 1] = 2.0 * h.noise_variance
+    s /= -(v**2)
+    noisy = slice(0, P) if c != 0.0 else slice(D + 1, D + 2)
+    eta_inc[noisy] += s[noisy] @ (H * y[:, None])
+    gstate.d_eta += eta_inc
+    _add_noise_terms(gstate.d_Lambda[noisy], s[noisy], H)

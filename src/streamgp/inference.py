@@ -39,12 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, DataError, IllConditionedError, NumericalError
-from .kernel import Hyperparameters, _check_inputs
+from .kernel import Hyperparameters, _check_inputs, kernel_matrix
 from .linalg import chol_with_jitter, symmetrize
 from .model import (
     BatchGeometry,
     ModelSpec,
-    basis,
     batch_geometry,
     prediction_correction,
     prior,
@@ -254,9 +253,11 @@ def predict(
     match the state's parametrization so no back-transform is needed.
     """
     X_star = _check_inputs(X_star, h, "X_star")
-    H_star = basis(X_star, h, transformed=state.parametrization == PARAM_TRANSFORMED)
+    K_sR = kernel_matrix(X_star, h.inducing_inputs, h)  # shared by H_* and V_*
+    transformed = state.parametrization == PARAM_TRANSFORMED
+    H_star = K_sR if transformed else prior(h).chol.solve(K_sR.T).T
     mean = H_star @ (state.Sigma @ state.eta)
-    cov = symmetrize(H_star @ state.Sigma @ H_star.T) + prediction_correction(X_star, spec, h)
+    cov = symmetrize(H_star @ state.Sigma @ H_star.T) + prediction_correction(X_star, spec, h, K_sR)
     if with_noise:
         cov = cov + h.noise_variance * np.eye(cov.shape[0])
     return PredictiveDistribution(mean=mean, cov=symmetrize(cov), includes_observation_noise=with_noise)

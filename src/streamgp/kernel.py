@@ -1,4 +1,4 @@
-"""Squared-exponential ARD kernel, cross-covariances and analytic derivatives.
+"""Squared-exponential ARD kernel, cross-covariances and the parameter layout.
 
 The kernel is
 
@@ -7,8 +7,8 @@ The kernel is
 with one lengthscale per input dimension.  Amplitude, lengthscales and the
 observation-noise standard deviation are stored and optimized in log space
 so that positivity holds by construction; inducing-input coordinates are
-unconstrained.  All derivative routines therefore return d/d(log sigma0),
-d/d(log l_d), d/d(log sigma_n) or d/d(R[m][d]) directly.
+unconstrained.  Gradients (in :mod:`streamgp.gradients`) are therefore taken
+w.r.t. log sigma0, log l_d, log sigma_n and R[m][d] directly.
 
 The full parameter vector is laid out as
 
@@ -205,71 +205,3 @@ def kernel_diag(A: np.ndarray, h: Hyperparameters) -> np.ndarray:
     """diag of kernel_matrix(A, A): constant sigma0^2 for this kernel."""
     A = _check_inputs(A, h, "A")
     return np.full(A.shape[0], h.sigma0 ** 2)
-
-
-def kernel_matrix_grad(
-    A: np.ndarray,
-    B: np.ndarray,
-    h: Hyperparameters,
-    wrt: int,
-    a_is_inducing: bool = False,
-    b_is_inducing: bool = False,
-) -> np.ndarray:
-    """Derivative of the cross-covariance matrix w.r.t. one parameter.
-
-    ``wrt`` indexes the flat parameter vector.  Log-parameter derivatives
-    are chain-ruled (e.g. dK/dlog sigma0 = 2K); the noise derivative is a
-    zero matrix since the kernel does not involve sigma_n.  For an
-    inducing coordinate R[m][d], the identity flags declare which of A, B
-    actually *is* the inducing-input matrix; the result is then nonzero
-    only in row/column m of the flagged side(s).
-    """
-    A = _check_inputs(A, h, "A")
-    B = _check_inputs(B, h, "B")
-    cls = h.param_class(wrt)
-    if cls[0] == CLASS_LOG_SIGMA0:
-        return 2.0 * kernel_matrix(A, B, h)
-    if cls[0] == CLASS_LOG_SIGMA_N:
-        return np.zeros((A.shape[0], B.shape[0]))
-    if cls[0] == CLASS_LOG_LENGTHSCALE:
-        d = cls[1]
-        K = kernel_matrix(A, B, h)
-        diff = A[:, d][:, None] - B[:, d][None, :]
-        return K * diff ** 2 / h.lengthscales[d] ** 2
-    # Inducing coordinate R[m][d].
-    _, m, d = cls
-    if not (a_is_inducing or b_is_inducing):
-        raise ContractViolationError(
-            "inducing-coordinate derivative requires A or B to be the inducing inputs"
-        )
-    K = kernel_matrix(A, B, h)
-    l2 = h.lengthscales[d] ** 2
-    out = np.zeros_like(K)
-    if b_is_inducing:
-        # d k(a_i, r_m) / d r_md = k * (a_id - r_md) / l_d^2
-        out[:, m] += K[:, m] * (A[:, d] - h.inducing_inputs[m, d]) / l2
-    if a_is_inducing:
-        out[m, :] += K[m, :] * (B[:, d] - h.inducing_inputs[m, d]) / l2
-    if a_is_inducing and b_is_inducing:
-        out[m, m] = 0.0  # k(r_m, r_m) is constant in r_m
-    return out
-
-
-def inducing_grad_vectors(
-    X: np.ndarray, h: Hyperparameters, K_XR: np.ndarray, K_RR: np.ndarray, m: int, d: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero pieces of the inducing-coordinate kernel derivatives.
-
-    For parameter R[m][d] the derivative matrices are sparse:
-
-        dK_XR/dR[m][d] = gamma e_m^T      (column m only)
-        dK_RR/dR[m][d] = e_m beta^T + beta e_m^T
-
-    Returns ``(gamma, beta)`` computed from already-materialized kernel
-    matrices, avoiding any dense rebuild.
-    """
-    l2 = h.lengthscales[d] ** 2
-    gamma = K_XR[:, m] * (X[:, d] - h.inducing_inputs[m, d]) / l2
-    beta = K_RR[m, :] * (h.inducing_inputs[:, d] - h.inducing_inputs[m, d]) / l2
-    # beta[m] is already 0 because the coordinate difference vanishes.
-    return gamma, beta

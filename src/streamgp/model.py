@@ -168,18 +168,22 @@ def regularizer(d: np.ndarray, spec: ModelSpec, h: Hyperparameters) -> float:
     return 0.0
 
 
-def prediction_correction(X_star: np.ndarray, spec: ModelSpec, h: Hyperparameters) -> np.ndarray:
+def prediction_correction(
+    X_star: np.ndarray, spec: ModelSpec, h: Hyperparameters, K_sR: np.ndarray | None = None
+) -> np.ndarray:
     """V_*: the correction added to the predictive covariance.
 
     Zero for SoR (which is overconfident away from the data by design);
     the full Schur complement K_** - Q_** for every other variant.
+    ``K_sR`` is k(X_star, R) when the caller has built it already.
     """
     X_star = _check_inputs(X_star, h, "X_star")
     A = X_star.shape[0]
     if spec.variant == "sor":
         return np.zeros((A, A))
     K_ss = kernel_matrix(X_star, X_star, h)
-    K_sR = kernel_matrix(X_star, h.inducing_inputs, h)
+    if K_sR is None:
+        K_sR = kernel_matrix(X_star, h.inducing_inputs, h)
     half = tri_solve(prior(h).chol.L, K_sR.T)  # (M, A); Q_** = half.T half
     return symmetrize(K_ss - half.T @ half)
 

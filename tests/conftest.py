@@ -9,10 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from streamgp import Hyperparameters, MiniBatch, ModelSpec, kernel_matrix
-from streamgp.kernel import kernel_diag
+from streamgp import ContractViolationError, Hyperparameters, MiniBatch, ModelSpec, kernel_matrix
+from streamgp.gradients import GradientState
+from streamgp.kernel import (
+    CLASS_INDUCING,
+    CLASS_LOG_SIGMA0,
+    CLASS_LOG_SIGMA_N,
+    _check_inputs,
+    kernel_diag,
+)
 from streamgp.linalg import chol_with_jitter, symmetrize
-from streamgp.model import batch_geometry, regularizer
+from streamgp.model import batch_geometry, prior, regularizer
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -167,3 +174,132 @@ def kf_update_moments(
     a_k = regularizer(geom.d, spec, h)
     psi_inc = -0.5 * (batch.size * LOG_2PI + factor.logdet + float(r @ factor.solve(r)) + a_k)
     return mu_new, Sigma_new, psi_inc
+
+
+# -- per-parameter gradient oracle ---------------------------------------------------
+
+
+def kernel_matrix_grad(
+    A: np.ndarray,
+    B: np.ndarray,
+    h: Hyperparameters,
+    wrt: int,
+    a_is_inducing: bool = False,
+    b_is_inducing: bool = False,
+) -> np.ndarray:
+    """Derivative of the cross-covariance matrix w.r.t. one parameter.
+
+    ``wrt`` indexes the flat parameter vector.  Log-parameter derivatives
+    are chain-ruled (e.g. dK/dlog sigma0 = 2K); the noise derivative is a
+    zero matrix since the kernel does not involve sigma_n.  For an
+    inducing coordinate R[m][d], the identity flags declare which of A, B
+    actually *is* the inducing-input matrix; the result is then nonzero
+    only in row/column m of the flagged side(s).
+    """
+    A = _check_inputs(A, h, "A")
+    B = _check_inputs(B, h, "B")
+    cls = h.param_class(wrt)
+    if cls[0] == CLASS_LOG_SIGMA0:
+        return 2.0 * kernel_matrix(A, B, h)
+    if cls[0] == CLASS_LOG_SIGMA_N:
+        return np.zeros((A.shape[0], B.shape[0]))
+    if cls[0] != CLASS_INDUCING:
+        d = cls[1]
+        K = kernel_matrix(A, B, h)
+        diff = A[:, d][:, None] - B[:, d][None, :]
+        return K * diff ** 2 / h.lengthscales[d] ** 2
+    _, m, d = cls
+    if not (a_is_inducing or b_is_inducing):
+        raise ContractViolationError(
+            "inducing-coordinate derivative requires A or B to be the inducing inputs"
+        )
+    K = kernel_matrix(A, B, h)
+    l2 = h.lengthscales[d] ** 2
+    out = np.zeros_like(K)
+    if b_is_inducing:
+        # d k(a_i, r_m) / d r_md = k * (a_id - r_md) / l_d^2
+        out[:, m] += K[:, m] * (A[:, d] - h.inducing_inputs[m, d]) / l2
+    if a_is_inducing:
+        out[m, :] += K[m, :] * (B[:, d] - h.inducing_inputs[m, d]) / l2
+    if a_is_inducing and b_is_inducing:
+        out[m, m] = 0.0  # k(r_m, r_m) is constant in r_m
+    return out
+
+
+def _kdot_RR(h: Hyperparameters, i: int) -> np.ndarray:
+    """Derivative of the factored K_RR (jitter included) w.r.t. parameter ``i``.
+
+    The jitter is a multiple of mean(diag K_RR) = sigma0^2, so the log
+    sigma0 derivative is twice the whole factored matrix.
+    """
+    if h.param_class(i)[0] == CLASS_LOG_SIGMA0:
+        return 2.0 * prior(h).K_RR
+    R = h.inducing_inputs
+    return kernel_matrix_grad(R, R, h, i, a_is_inducing=True, b_is_inducing=True)
+
+
+def oracle_init_gradient_state(h: Hyperparameters) -> GradientState:
+    """``init_gradient_state`` one parameter at a time with dense derivative matrices."""
+    M = h.num_inducing
+    factor = prior(h).chol
+    d_Lambda = np.zeros((h.n_params, M, M))
+    for i in range(h.n_params):
+        if h.param_class(i)[0] != CLASS_LOG_SIGMA_N:
+            d_Lambda[i] = -symmetrize(factor.solve(factor.solve(_kdot_RR(h, i)).T).T)
+    return GradientState(
+        d_eta=np.zeros((h.n_params, M)), d_Lambda=d_Lambda, d_psi=np.zeros(h.n_params)
+    )
+
+
+def oracle_propagate(gstate, adj, geom, h, spec, batch, ignore_history=False) -> GradientState:
+    """``propagate`` one parameter at a time with dense derivative matrices.
+
+    Returns a new state and leaves ``gstate`` untouched.
+    """
+    H, v, X, y = geom.H, geom.v, geom.X, batch.y
+    c = spec.noise_scale
+    Vinv_y = y / v
+    VinvH = H / v[:, None]
+    d_eta, d_Lambda, d_psi = gstate.d_eta.copy(), gstate.d_Lambda.copy(), gstate.d_psi.copy()
+    drop_carried = ignore_history and gstate.k >= 1
+    for i in range(h.n_params):
+        cls = h.param_class(i)
+        carried = 0.0
+        if not drop_carried:
+            carried = float(adj.L_deta @ gstate.d_eta[i]) + float(
+                np.sum(adj.L_dLambda * gstate.d_Lambda[i])
+            )
+        if cls[0] == CLASS_LOG_SIGMA_N:
+            d_psi[i] += -0.5 * (carried + adj.L_dsigman)
+            if not ignore_history:
+                s = -2.0 * h.noise_variance / v**2  # dV^-1/dlog sigma_n
+                d_eta[i] += H.T @ (s * y)
+                d_Lambda[i] = symmetrize(d_Lambda[i] + (H.T * s[None, :]) @ H)
+            continue
+        Kdot_RR = _kdot_RR(h, i)
+        Kdot_XR = kernel_matrix_grad(
+            X, h.inducing_inputs, h, i, b_is_inducing=cls[0] == CLASS_INDUCING
+        )
+        if cls[0] == CLASS_LOG_SIGMA0:
+            kdot_XX = 2.0 * kernel_diag(X, h)
+        else:
+            kdot_XX = np.zeros(X.shape[0])  # lengthscales and R leave diag(K_XX) fixed
+        direct = (
+            float(np.sum(adj.L_dK_RR * Kdot_RR))
+            + float(np.sum(adj.L_dK_XR * Kdot_XR))
+            + float(adj.L_dk_XX @ kdot_XX)
+        )
+        d_psi[i] += -0.5 * (carried + direct)
+        if not ignore_history:
+            HKdot = H @ Kdot_RR
+            Hdot = geom.prior.chol.solve((Kdot_XR - HKdot).T).T
+            d_eta[i] += Hdot.T @ Vinv_y
+            cross = Hdot.T @ VinvH
+            d_Lambda[i] += cross + cross.T
+            if c != 0.0:
+                ddot = kdot_XX - 2.0 * np.sum(H * Kdot_XR, axis=1) + np.sum(HKdot * H, axis=1)
+                s = -c * ddot / v**2
+                d_eta[i] += H.T @ (s * y)
+                d_Lambda[i] += (H.T * s[None, :]) @ H
+            d_Lambda[i] = symmetrize(d_Lambda[i])
+    return GradientState(d_eta=d_eta, d_Lambda=d_Lambda, d_psi=d_psi, k=gstate.k + 1)

@@ -248,6 +248,20 @@ class TestPredictEvaluate:
         bad.write_text("a,b,c,d\n1,2,3,4\n")
         assert run_cli("predict", "--checkpoint", trained, "--inputs", str(bad)) == 3
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x0\n0.1\n0.2,0.3\n", "row 3 has 2 cells, header has 1"),
+            ("x0\n0.1\nnan\n", "non-finite value 'nan' at row 3, column 'x0'"),
+        ],
+        ids=["ragged", "non-finite"],
+    )
+    def test_predict_rejects_malformed_inputs(self, trained, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert run_cli("predict", "--checkpoint", trained, "--inputs", str(bad)) == 3
+        assert message in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_usage_error_from_argparse(self):

@@ -1,5 +1,8 @@
 """Gradient recursion: adjoints, propagation, ablation, finite differences."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from streamgp import (
     Hyperparameters,
     MiniBatch,
     ModelSpec,
+    NumericalError,
     batch_bound,
     compute_adjoints,
     fd_gradient,
@@ -17,27 +21,40 @@ from streamgp import (
     split_into_batches,
     update,
 )
+from streamgp.gradients import GradientState
 from streamgp.inference import PARAM_TRANSFORMED
 from streamgp.linalg import rel_diff
 
-from conftest import make_instance
+from conftest import make_instance, oracle_init_gradient_state, oracle_propagate
 from timing import pinned
 
+ALL_SPECS = [
+    ModelSpec("sor"),
+    ModelSpec("dtc"),
+    ModelSpec("fitc"),
+    ModelSpec("vfe"),
+    ModelSpec("pep", alpha=0.5),
+]
 
-def stream_with_gradients(X, y, h, spec, batch_size, mode="full", force_dense=False):
+
+def stream_with_gradients(X, y, h, spec, batch_size, mode="full"):
+    """Final gradient state and a copy of every state along the way
+    (``propagate`` advances d_eta and d_Lambda in place)."""
     state = init_state(h, spec)
-    g = init_gradient_state(h, spec, force_dense=force_dense)
-    history = [g]
+    g = init_gradient_state(h, spec)
+    history = [copy_state(g)]
     for idx in split_into_batches(y.size, batch_size):
         b = MiniBatch(X[idx], y[idx])
         state_new, km = update(state, b, h, spec)
         adj = compute_adjoints(state, state_new, km, h, spec)
-        g = propagate(
-            g, adj, km.geometry, h, spec, b, ignore_history=mode != "full", force_dense=force_dense
-        )
-        history.append(g)
+        g = propagate(g, adj, km.geometry, h, spec, b, ignore_history=mode != "full")
+        history.append(copy_state(g))
         state = state_new
     return g, history
+
+
+def copy_state(g):
+    return GradientState(d_eta=g.d_eta.copy(), d_Lambda=g.d_Lambda.copy(), d_psi=g.d_psi, k=g.k)
 
 
 def fd_of_batch_bound(X, y, h, spec, step=1e-5):
@@ -85,12 +102,6 @@ class TestInitGradientState:
             Ld = np.linalg.inv(kernel_matrix(hd.inducing_inputs, hd.inducing_inputs, hd))
             fd = (Lu - Ld) / (2 * step)
             assert rel_diff(g.d_Lambda[i], fd, floor=1e-3) < 1e-5, h.param_label(i)
-
-    def test_parameter_subset(self):
-        _, _, h = make_instance(3, n=10, m=3)
-        g = init_gradient_state(h, ModelSpec("vfe"), param_indices=np.array([0, 2]))
-        assert g.n_params == 2
-        assert g.d_Lambda.shape == (2, 3, 3)
 
 
 class TestAdjoints:
@@ -210,14 +221,6 @@ class TestPropagateMatchesFiniteDifferences:
         assert h_far.param_class(far_coord) == ("inducing", 4, 0)
         assert abs(g.d_psi[far_coord]) < 1e-8
 
-    def test_dense_fallback_agrees_with_sparse_path(self):
-        X, y, h = make_instance(13, n=30, m=5, d=2)
-        for spec in (ModelSpec("pep", alpha=0.5), ModelSpec("vfe")):
-            g_sparse, _ = stream_with_gradients(X, y, h, spec, batch_size=10)
-            g_dense, _ = stream_with_gradients(X, y, h, spec, batch_size=10, force_dense=True)
-            np.testing.assert_allclose(g_sparse.d_psi, g_dense.d_psi, rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(g_sparse.d_Lambda, g_dense.d_Lambda, rtol=1e-9, atol=1e-12)
-
     def test_lambda_derivative_slices_stay_symmetric(self):
         X, y, h = make_instance(14, n=30, m=5)
         _, history = stream_with_gradients(X, y, h, ModelSpec("pep", alpha=0.5), batch_size=6)
@@ -225,10 +228,49 @@ class TestPropagateMatchesFiniteDifferences:
             for p in range(g.n_params):
                 np.testing.assert_allclose(g.d_Lambda[p], g.d_Lambda[p].T, atol=1e-10)
 
+    def test_non_finite_gradient_names_the_first_bad_parameter(self):
+        X, y, h = make_instance(19, n=10, m=3, d=2)
+        spec = ModelSpec("pep", alpha=0.5)
+        b = MiniBatch(X, y)
+        st = init_state(h, spec)
+        st2, km = update(st, b, h, spec)
+        g = init_gradient_state(h, spec)
+        bad = [h.input_dim + 4, h.n_params - 1]
+        g.d_eta[bad] = np.nan
+        d_Lambda = g.d_Lambda.copy()
+        message = re.escape(f"{h.param_label(bad[0])} at mini-batch 1")
+        with pytest.raises(NumericalError, match=message):
+            propagate(g, compute_adjoints(st, st2, km, h, spec), km.geometry, h, spec, b)
+        np.testing.assert_array_equal(g.d_Lambda, d_Lambda)  # raised before advancing
+
     def test_gradient_state_counts_steps(self):
         X, y, h = make_instance(15, n=20, m=3)
         g, _ = stream_with_gradients(X, y, h, ModelSpec("vfe"), batch_size=5)
         assert g.k == 4
+
+
+class TestPerParameterOracle:
+    @pytest.mark.parametrize("mode", ["full", "ignore_history"])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.variant)
+    def test_agrees(self, spec, mode):
+        # The class-vectorized recursion against the per-parameter dense one
+        # of tests/conftest.py, state by state.
+        X, y, h = make_instance(13, n=30, m=5, d=2)
+        state = init_state(h, spec)
+        g, want = init_gradient_state(h, spec), oracle_init_gradient_state(h)
+        np.testing.assert_allclose(g.d_Lambda, want.d_Lambda, rtol=1e-9, atol=1e-12)
+        for idx in split_into_batches(y.size, 10):
+            b = MiniBatch(X[idx], y[idx])
+            state_new, km = update(state, b, h, spec)
+            adj = compute_adjoints(state, state_new, km, h, spec)
+            ignore = mode == "ignore_history"
+            want = oracle_propagate(want, adj, km.geometry, h, spec, b, ignore_history=ignore)
+            g = propagate(g, adj, km.geometry, h, spec, b, ignore_history=ignore)
+            for name in ("d_psi", "d_eta", "d_Lambda"):
+                np.testing.assert_allclose(
+                    getattr(g, name), getattr(want, name), rtol=1e-9, atol=1e-12, err_msg=name
+                )
+            state = state_new
 
 
 class TestIgnoreHistoryAblation:
@@ -257,9 +299,35 @@ class TestIgnoreHistoryAblation:
 
 class TestComplexityScaling:
     def test_cost_linear_in_tracked_parameters(self):
-        # propagate() time across subsets of 5 / 10 / 20 parameters at fixed
-        # B, M: fitted log-log slope within [0.5, 2] of linear.  Timed in a
-        # child process pinned to one BLAS thread (see tests/timing.py).
+        # propagate() time at D = 2 / 4 / 8 (P = 84 / 166 / 330) at fixed B, M:
+        # fitted log-log slope within [0.5, 2] of linear.  Timed in a child
+        # process pinned to one BLAS thread (see tests/timing.py).
         t = pinned("propagate_parameter_count")
         slope = np.polyfit(np.log(t["sizes_p"]), np.log(t["times_p"]), 1)[0]
         assert 0.5 <= slope <= 2.0, f"slope {slope:.2f}, times {t['times_p']}"
+
+    def test_memory_within_the_state_size(self):
+        # Peak allocation of one init_gradient_state and one propagate at
+        # P = 104: at most 1.5 times the derivative state, so neither keeps a
+        # second (P, M, M) array beside it (propagate advances it in place).
+        X, y, h = make_instance(31, n=100, m=50, d=2, lengthscale=0.4)
+        spec = ModelSpec("pep", alpha=0.5)
+        assert h.n_params >= 100
+        state = init_state(h, spec)  # builds the shared prior outside the measurement
+        tracemalloc.start()
+        try:
+            g = init_gradient_state(h, spec)
+            state_bytes = g.d_Lambda.nbytes + g.d_eta.nbytes
+            _, init_peak = tracemalloc.get_traced_memory()
+            b = MiniBatch(X, y)
+            state_new, km = update(state, b, h, spec)
+            adj = compute_adjoints(state, state_new, km, h, spec)
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            g_new = propagate(g, adj, km.geometry, h, spec, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g_new.d_Lambda is g.d_Lambda and g_new.d_psi is not g.d_psi
+        assert init_peak <= 1.5 * state_bytes, init_peak / state_bytes
+        assert peak - before <= 1.5 * state_bytes, (peak - before) / state_bytes

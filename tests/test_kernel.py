@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from streamgp import ContractViolationError, DataError, Hyperparameters
-from streamgp.kernel import kernel_diag, kernel_matrix, kernel_matrix_grad
+from streamgp.kernel import kernel_diag, kernel_matrix
 from streamgp.linalg import chol_with_jitter
 
-from conftest import make_instance, se_ard
+from conftest import kernel_matrix_grad, make_instance, se_ard
 
 
 def hyper_1d(sigma0=1.0, lengthscale=1.0, noise_std=0.1, R=None):

@@ -185,22 +185,32 @@ class TestBatchGeometry:
         np.testing.assert_array_equal(g_std.v, g_t.v)
 
 
-def record_prior_builds(monkeypatch) -> list[bytes]:
-    """Record, as parameter-vector bytes, every k(R, R) build that library
-    code outside ``streamgp.kernel`` makes from now on."""
-    builds: list[bytes] = []
+def record_kernel_calls(monkeypatch, record) -> None:
+    """Call ``record(A, B, h)`` for every kernel_matrix call that library code
+    outside ``streamgp.kernel`` makes from now on."""
     original = kernel_module.kernel_matrix
 
     def counting(A, B, h):
-        R = h.inducing_inputs
-        if np.shape(A) == np.shape(B) == R.shape and np.array_equal(A, R) and np.array_equal(B, R):
-            builds.append(h.to_vector().tobytes())
+        record(A, B, h)
         return original(A, B, h)
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("streamgp.") and name != "streamgp.kernel":
             if getattr(mod, "kernel_matrix", None) is original:
                 monkeypatch.setattr(mod, "kernel_matrix", counting)
+
+
+def record_prior_builds(monkeypatch) -> list[bytes]:
+    """Record, as parameter-vector bytes, every k(R, R) build that library
+    code outside ``streamgp.kernel`` makes from now on."""
+    builds: list[bytes] = []
+
+    def record(A, B, h):
+        R = h.inducing_inputs
+        if np.shape(A) == np.shape(B) == R.shape and np.array_equal(A, R) and np.array_equal(B, R):
+            builds.append(h.to_vector().tobytes())
+
+    record_kernel_calls(monkeypatch, record)
     return builds
 
 
@@ -225,6 +235,16 @@ class TestPrior:
         fresh = h.with_vector(h.to_vector())  # same values, new object
         predict(state, X[:5], fresh, spec)
         assert len(builds) == 2
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.variant)
+    def test_predict_builds_each_kernel_matrix_once(self, monkeypatch, spec):
+        # k(X_*, R) feeds both H_* and V_*; SoR has no V_* and so no k(X_*, X_*).
+        X, y, h = make_instance(23, n=30, m=4)
+        state = fixed_theta_pass(X, y, h, spec, 10)  # the prior is built and kept
+        calls = []
+        record_kernel_calls(monkeypatch, lambda A, B, h: calls.append((len(A), len(B))))
+        predict(state, X[:6], h, spec, with_noise=True)
+        assert calls == ([(6, 4)] if spec.variant == "sor" else [(6, 4), (6, 6)])
 
     def test_prior_is_kept_on_the_hyperparameters(self):
         _, _, h = make_instance(22, n=10, m=4)

@@ -57,8 +57,7 @@ def min_times(fns: list, reps: int) -> list[float]:
 
 def criterion_09() -> dict:
     """One full step (update, adjoints, propagate) at B = 100 / 400 / 1600
-    with M = 50, and dense-path ``propagate`` over 5 / 10 / 20 tracked
-    inducing coordinates at B = 400, M = 40."""
+    with M = 50, and ``propagate`` at P = 84 / 166 / 330 (B = 400, M = 40)."""
     import numpy as np
 
     import streamgp as sg
@@ -83,46 +82,31 @@ def criterion_09() -> dict:
 
     sizes_b = [100, 400, 1600]
     times_b = min_times([step_at(B) for B in sizes_b], reps=9)
-
-    X = rng.uniform(0.0, 1.0, (400, 2))
-    y = rng.standard_normal(400)
-    h = Hyperparameters(0.0, np.log([0.3, 0.3]), np.log(0.1), sg.init_inducing_subset(X, 40, rng))
-    return {
-        "sizes_b": sizes_b,
-        "times_b": times_b,
-        **_dense_propagate_times(h, MiniBatch(X, y), spec, sizes=[5, 10, 20], reps=15),
-    }
+    return {"sizes_b": sizes_b, "times_b": times_b, **propagate_parameter_count()}
 
 
 def propagate_parameter_count() -> dict:
-    """Dense-path ``propagate`` over 5 / 10 / 20 tracked inducing
-    coordinates at B = 400, M = 40, D = 2."""
+    """``propagate`` at D = 2 / 4 / 8 input dimensions, so P = D + 2 + M D =
+    84 / 166 / 330 parameters, at B = 400, M = 40 (PEP)."""
     from conftest import make_instance
 
-    from streamgp import MiniBatch, ModelSpec
-
-    X, y, h = make_instance(19, n=400, m=40, d=2, lengthscale=[0.3, 0.3])
-    return _dense_propagate_times(
-        h, MiniBatch(X, y), ModelSpec("pep", alpha=0.5), sizes=[5, 10, 20], reps=15
-    )
-
-
-def _dense_propagate_times(h, batch, spec, sizes: list[int], reps: int) -> dict:
-    import numpy as np
-
     import streamgp as sg
+    from streamgp import MiniBatch, ModelSpec
     from streamgp.gradients import compute_adjoints, init_gradient_state, propagate
 
-    st = sg.init_state(h, spec)
-    st2, km = sg.update(st, batch, h, spec)
-    adj = compute_adjoints(st, st2, km, h, spec)
-    base = h.input_dim + 2
+    spec = ModelSpec("pep", alpha=0.5)
 
-    def propagate_over(P: int):
-        g0 = init_gradient_state(h, spec, param_indices=np.arange(base, base + P), force_dense=True)
-        return lambda: propagate(g0, adj, km.geometry, h, spec, batch, force_dense=True)
+    def propagate_at(D: int):
+        X, y, h = make_instance(19, n=400, m=40, d=D, lengthscale=0.3)
+        batch = MiniBatch(X, y)
+        st = sg.init_state(h, spec)
+        st2, km = sg.update(st, batch, h, spec)
+        adj = compute_adjoints(st, st2, km, h, spec)
+        g = init_gradient_state(h, spec)  # advanced in place by every timed call
+        return h.n_params, lambda: propagate(g, adj, km.geometry, h, spec, batch)
 
-    return {"sizes_p": sizes, "times_p": min_times([propagate_over(P) for P in sizes], reps)}
+    sizes_p, fns = zip(*(propagate_at(D) for D in (2, 4, 8)))
+    return {"sizes_p": list(sizes_p), "times_p": min_times(list(fns), reps=15)}
 
 
 MEASUREMENTS = {
