@@ -61,7 +61,6 @@ from .model import (
     ModelSpec,
     basis,
     batch_geometry,
-    prediction_correction,
     regularizer,
 )
 from .optimizer import (
@@ -119,7 +118,6 @@ __all__ = [
     "kernel_matrix",
     "load_dataset",
     "predict",
-    "prediction_correction",
     "propagate",
     "regularizer",
     "rmse",

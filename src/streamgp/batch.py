@@ -68,7 +68,7 @@ def full_gp_predict(
     with_noise: bool = False,
     max_n: int = DENSE_SIZE_GUARD,
 ) -> PredictiveDistribution:
-    """Exact GP posterior predictive via Cholesky of K_XX + sigma_n^2 I."""
+    """Exact GP predictive marginals via Cholesky of K_XX + sigma_n^2 I."""
     X, y = _check_xy(X, y, h)
     X_star = _check_inputs(X_star, h, "X_star")
     _guard(X.shape[0], max_n, "full_gp_predict")
@@ -77,10 +77,10 @@ def full_gp_predict(
     K_sX = kernel_matrix(X_star, X, h)
     mean = K_sX @ factor.solve(y)
     half = tri_solve(factor.L, K_sX.T)
-    cov = symmetrize(kernel_matrix(X_star, X_star, h) - half.T @ half)
+    variance = kernel_diag(X_star, h) - np.sum(half * half, axis=0)
     if with_noise:
-        cov = cov + h.noise_variance * np.eye(cov.shape[0])
-    return PredictiveDistribution(mean=mean, cov=cov, includes_observation_noise=with_noise)
+        variance += h.noise_variance
+    return PredictiveDistribution(mean=mean, variance=variance, includes_observation_noise=with_noise)
 
 
 def full_gp_lml(

@@ -183,7 +183,7 @@ def compute_adjoints(
     s_inv_r, t = km.s_inv_r, km.t
     Sigma_prev, Sigma_new = state_prev.Sigma, state_new.Sigma
 
-    mu_prev = Sigma_prev @ state_prev.eta
+    mu_prev = state_prev.mu
     Sk_t = Sigma_new @ t  # Sigma_k H^T V^-1 r
     HSk = H @ Sigma_new
 

@@ -15,9 +15,14 @@ H = K_XR K_RR^-1 with prior precision Lambda_0 = K_RR^-1; the transformed
 one uses H = K_XR with Lambda_0 = K_RR, avoiding the per-batch solve.
 Predictions and the accumulated lower bound are identical in both.
 
+Predictions are per-row marginals only: each test row's mean H_* mu_k and
+variance H_* Sigma_k H_*^T + [V_*]_ii, computed in blocks of ``BLOCK`` rows,
+so memory is O(BLOCK * M) however many rows are predicted.
+
 Updates are functional (they return a fresh state), so a posterior is
 safe to hand between threads as long as a single stream of updates owns
-it; predictions and bound reads never mutate anything.
+it; predictions and bound reads change nothing but the cached posterior
+mean, which every reader computes identically.
 
 Each update also appends one term of the streaming collapsed lower bound
 
@@ -35,24 +40,21 @@ lower bound of the selected variant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ContractViolationError, DataError, IllConditionedError, NumericalError
-from .kernel import Hyperparameters, _check_inputs, kernel_matrix
+from .kernel import Hyperparameters, _check_inputs
 from .linalg import chol_with_jitter, symmetrize
-from .model import (
-    BatchGeometry,
-    ModelSpec,
-    batch_geometry,
-    prediction_correction,
-    prior,
-    regularizer,
-)
+from .model import BatchGeometry, ModelSpec, batch_geometry, prior, regularizer
 
 PARAM_STANDARD = "standard"
 PARAM_TRANSFORMED = "transformed"
 LOG_2PI = float(np.log(2.0 * np.pi))
+
+# Test rows per block of :func:`predict`, which bounds its working set.
+BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,9 @@ class PosteriorState:
     """Gaussian posterior over inducing outputs in natural parameters.
 
     ``Sigma`` caches Lambda^-1 (refreshed from a Cholesky factorization at
-    every update), ``psi`` is the accumulated streaming lower bound and
-    ``k`` counts absorbed mini-batches.
+    every update) and ``mu`` is Sigma @ eta, formed on first use and kept;
+    ``psi`` is the accumulated streaming lower bound and ``k`` counts
+    absorbed mini-batches.
     """
 
     eta: np.ndarray  # (M,)
@@ -98,7 +101,7 @@ class PosteriorState:
     k: int
     parametrization: str
 
-    @property
+    @cached_property
     def mu(self) -> np.ndarray:
         """Posterior mean Sigma @ eta in the state's parametrization."""
         return self.Sigma @ self.eta
@@ -126,13 +129,11 @@ class KalmanIntermediates:
 
 @dataclass(frozen=True)
 class PredictiveDistribution:
-    mean: np.ndarray  # (A,)
-    cov: np.ndarray  # (A, A)
-    includes_observation_noise: bool
+    """Predictive marginals of each test row; no joint covariance is formed."""
 
-    @property
-    def variance(self) -> np.ndarray:
-        return np.diag(self.cov).copy()
+    mean: np.ndarray  # (A,)
+    variance: np.ndarray  # (A,)
+    includes_observation_noise: bool
 
 
 def init_state(
@@ -200,7 +201,7 @@ def update_with_geometry(
     y = batch.y
     a_k = regularizer(geom.d, spec, h)
 
-    r = y - H @ (state.Sigma @ state.eta)
+    r = y - H @ state.mu
     eta_new = state.eta + H.T @ (y / v)
     Lambda_new = symmetrize(state.Lambda + (H.T / v[None, :]) @ H)
     try:
@@ -247,20 +248,27 @@ def predict(
     spec: ModelSpec,
     with_noise: bool = False,
 ) -> PredictiveDistribution:
-    """Predictive distribution of the latent function (or noisy targets).
+    """Predictive marginals of the latent function (or noisy targets).
 
-    mean = H_* mu_k, cov = H_* Sigma_k H_*^T + V_*, with H_* built to
-    match the state's parametrization so no back-transform is needed.
+    For each row, mean = H_* mu_k and variance = H_* Sigma_k H_*^T + d_*,
+    with H_* built to match the state's parametrization so no back-transform
+    is needed, and d_* the clamped Schur diagonal of
+    :func:`~streamgp.model.batch_geometry` (K_** - Q_** on the diagonal; left
+    out for SoR).  ``with_noise`` adds sigma_n^2.  Rows are taken ``BLOCK``
+    at a time, so memory is O(BLOCK * M).
     """
     X_star = _check_inputs(X_star, h, "X_star")
-    K_sR = kernel_matrix(X_star, h.inducing_inputs, h)  # shared by H_* and V_*
     transformed = state.parametrization == PARAM_TRANSFORMED
-    H_star = K_sR if transformed else prior(h).chol.solve(K_sR.T).T
-    mean = H_star @ (state.Sigma @ state.eta)
-    cov = symmetrize(H_star @ state.Sigma @ H_star.T) + prediction_correction(X_star, spec, h, K_sR)
+    mean = np.empty(X_star.shape[0])
+    variance = np.empty(X_star.shape[0])
+    for lo in range(0, X_star.shape[0], BLOCK):
+        g = batch_geometry(X_star[lo : lo + BLOCK], h, spec, transformed)
+        mean[lo : lo + BLOCK] = g.H @ state.mu
+        var = np.sum((g.H @ state.Sigma) * g.H, axis=1)
+        variance[lo : lo + BLOCK] = var if spec.variant == "sor" else var + g.d
     if with_noise:
-        cov = cov + h.noise_variance * np.eye(cov.shape[0])
-    return PredictiveDistribution(mean=mean, cov=symmetrize(cov), includes_observation_noise=with_noise)
+        variance += h.noise_variance
+    return PredictiveDistribution(mean=mean, variance=variance, includes_observation_noise=with_noise)
 
 
 def split_into_batches(n: int, batch_size: int, order: np.ndarray | None = None) -> list[np.ndarray]:

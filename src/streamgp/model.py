@@ -8,20 +8,22 @@ functions of the inducing outputs,
 where the variants differ only in three model-specific quantities:
 
 * the extra per-point observation noise  diag(Vbar_k)  added to sigma_n^2,
-* the prediction covariance correction  V_*,
+* the prediction variance correction  diag(V_*),
 * the regularizer  a_k  subtracted (times 1/2) from each term of the
   streaming lower bound.
 
-variant   diag(Vbar)   V_*            a_k
--------   ----------   ------------   -------------------------------------
-SoR       0            0              0
-DTC       0            K** - Q**      0
-FITC      d            K** - Q**      0
-VFE       0            K** - Q**      sum_i d_i / sigma_n^2
-PEP       alpha * d    K** - Q**      (1-alpha)/alpha * sum_i [log v_i - log sigma_n^2]
+variant   diag(Vbar)   diag(V_*)   a_k
+-------   ----------   ---------   -------------------------------------
+SoR       0            0           0
+DTC       0            d_*         0
+FITC      d            d_*         0
+VFE       0            d_*         sum_i d_i / sigma_n^2
+PEP       alpha * d    d_*         (1-alpha)/alpha * sum_i [log v_i - log sigma_n^2]
 
-with d = diag(K_XX - Q_XX) >= 0 and v = diag(Vbar) + sigma_n^2.  PEP
-interpolates between VFE (alpha -> 0) and FITC (alpha = 1).
+with d = diag(K_XX - Q_XX) >= 0 and v = diag(Vbar) + sigma_n^2; d_* is the
+same diagonal at the test inputs, which :func:`batch_geometry` computes for
+training and test rows alike.  PEP interpolates between VFE (alpha -> 0)
+and FITC (alpha = 1).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .kernel import Hyperparameters, kernel_diag, kernel_matrix, _check_inputs
-from .linalg import JITTER_START, CholFactor, chol_with_jitter, symmetrize, tri_solve
+from .linalg import JITTER_START, CholFactor, chol_with_jitter
 
 VARIANTS = ("sor", "dtc", "fitc", "vfe", "pep")
 
@@ -166,26 +168,6 @@ def regularizer(d: np.ndarray, spec: ModelSpec, h: Hyperparameters) -> float:
         v = a * d + h.noise_variance
         return float((1.0 - a) / a * (np.sum(np.log(v)) - d.size * np.log(h.noise_variance)))
     return 0.0
-
-
-def prediction_correction(
-    X_star: np.ndarray, spec: ModelSpec, h: Hyperparameters, K_sR: np.ndarray | None = None
-) -> np.ndarray:
-    """V_*: the correction added to the predictive covariance.
-
-    Zero for SoR (which is overconfident away from the data by design);
-    the full Schur complement K_** - Q_** for every other variant.
-    ``K_sR`` is k(X_star, R) when the caller has built it already.
-    """
-    X_star = _check_inputs(X_star, h, "X_star")
-    A = X_star.shape[0]
-    if spec.variant == "sor":
-        return np.zeros((A, A))
-    K_ss = kernel_matrix(X_star, X_star, h)
-    if K_sR is None:
-        K_sR = kernel_matrix(X_star, h.inducing_inputs, h)
-    half = tri_solve(prior(h).chol.L, K_sR.T)  # (M, A); Q_** = half.T half
-    return symmetrize(K_ss - half.T @ half)
 
 
 def batch_geometry(

@@ -40,7 +40,7 @@ class TestFullGP:
         denom = k_xx + h.noise_variance
         pred = full_gp_predict(X, y, X_star, h)
         assert pred.mean[0] == pytest.approx(k_star * y[0] / denom, rel=1e-12)
-        assert pred.cov[0, 0] == pytest.approx(h.sigma0 ** 2 - k_star ** 2 / denom, rel=1e-12)
+        assert pred.variance[0] == pytest.approx(h.sigma0 ** 2 - k_star ** 2 / denom, rel=1e-12)
 
     def test_lml_single_zero_observation(self):
         # k(x,x)=1, sigma_n^2=1, y=0: log N(0 | 0, 2) = -log(4 pi)/2

@@ -1,5 +1,7 @@
 """Recursive posterior updates, prediction, and the streaming bound."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from streamgp import (
     split_into_batches,
     update,
 )
+from streamgp import inference
 from streamgp.inference import PARAM_STANDARD, PARAM_TRANSFORMED
 from streamgp.linalg import rel_diff
 
@@ -180,7 +183,7 @@ class TestPredict:
         pred = predict(st, h.inducing_inputs, h, spec)
         np.testing.assert_allclose(pred.mean, 0.0, atol=1e-15)
         np.testing.assert_allclose(
-            pred.cov, kernel_matrix(h.inducing_inputs, h.inducing_inputs, h), atol=1e-8
+            pred.variance, np.diag(kernel_matrix(h.inducing_inputs, h.inducing_inputs, h)), atol=1e-8
         )
 
     def test_prior_prediction_recovers_kernel_vfe(self):
@@ -189,7 +192,7 @@ class TestPredict:
         st = init_state(h, spec)
         X_star = X[:8]
         pred = predict(st, X_star, h, spec)
-        np.testing.assert_allclose(pred.cov, kernel_matrix(X_star, X_star, h), atol=1e-10)
+        np.testing.assert_allclose(pred.variance, np.diag(kernel_matrix(X_star, X_star, h)), atol=1e-10)
 
     def test_noise_flag_adds_variance_floor(self):
         X, y, h = make_instance(13, n=25, m=4)
@@ -216,7 +219,7 @@ class TestPredict:
         pred = predict(st, X_star, h, spec)
         mean_o, cov_o = dense_predictive(X, y, X_star, h, spec)
         assert rel_diff(pred.mean, mean_o) < 1e-8
-        assert rel_diff(pred.cov, cov_o) < 1e-8
+        assert rel_diff(pred.variance, np.diag(cov_o)) < 1e-8
 
     def test_transformation_invariant_prediction(self):
         X, y, h = make_instance(15, n=50, m=8)
@@ -225,7 +228,43 @@ class TestPredict:
         p_std = predict(run_stream(X, y, h, spec, 10, PARAM_STANDARD), X_star, h, spec)
         p_t = predict(run_stream(X, y, h, spec, 10, PARAM_TRANSFORMED), X_star, h, spec)
         assert rel_diff(p_std.mean, p_t.mean) < 1e-8
-        assert rel_diff(p_std.cov, p_t.cov) < 1e-8
+        assert rel_diff(p_std.variance, p_t.variance) < 1e-8
+
+    @pytest.mark.parametrize(
+        "spec", [ModelSpec("sor"), ModelSpec("dtc")] + VARIANTS, ids=lambda s: s.variant
+    )
+    def test_blocks_match_one_block_and_dense_oracle(self, monkeypatch, spec):
+        X, y, h = make_instance(14, n=100, m=15, lengthscale=0.2)
+        X_star = np.random.default_rng(5).uniform(0, 1, (3 * 64 + 5, 1))
+        st = run_stream(X, y, h, spec, batch_size=10)
+        with monkeypatch.context() as m:
+            m.setattr(inference, "BLOCK", 64)
+            blocked = predict(st, X_star, h, spec)
+        whole = predict(st, X_star, h, spec)  # one block
+        np.testing.assert_array_equal(blocked.mean, whole.mean)
+        np.testing.assert_array_equal(blocked.variance, whole.variance)
+        mean_o, cov_o = dense_predictive(X, y, X_star, h, spec)
+        assert rel_diff(blocked.mean, mean_o) < 1e-8
+        assert rel_diff(blocked.variance, np.diag(cov_o)) < 1e-8
+
+    def test_memory_is_linear_in_the_rows(self, monkeypatch):
+        # 197 rows in blocks of 64: the working set is a few (64, M) arrays
+        # plus the two (197,) outputs, well below one (197, 197) matrix.
+        X, y, h = make_instance(6, n=100, m=15)
+        spec = ModelSpec("pep", alpha=0.5)
+        st = run_stream(X, y, h, spec, batch_size=50)
+        X_star = np.random.default_rng(0).uniform(0, 1, (3 * 64 + 5, 1))
+        monkeypatch.setattr(inference, "BLOCK", 64)
+        predict(st, X_star, h, spec)  # the prior and the posterior mean are kept
+        tracemalloc.start()
+        try:
+            predict(st, X_star, h, spec, with_noise=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 10 * 64 * 15 * 8 + 2 * X_star.shape[0] * 8
+        assert bound < X_star.shape[0] ** 2 * 8
+        assert peak < bound, peak
 
 
 class TestFullGPRecovery:
@@ -245,7 +284,7 @@ class TestFullGPRecovery:
         pred = predict(st, X_star, h, spec)
         exact = full_gp_predict(X, y, X_star, h)
         np.testing.assert_allclose(pred.mean, exact.mean, atol=1e-6)
-        np.testing.assert_allclose(pred.cov, exact.cov, atol=1e-6)
+        np.testing.assert_allclose(pred.variance, exact.variance, atol=1e-6)
 
 
 class TestCumulativeBound:

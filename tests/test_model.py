@@ -16,8 +16,9 @@ from streamgp import (
     predict,
     srgp_fit,
 )
+from streamgp import inference
 from streamgp import kernel as kernel_module
-from streamgp.model import basis, batch_geometry, prediction_correction, prior, regularizer
+from streamgp.model import basis, batch_geometry, prior, regularizer
 
 from conftest import dense_Q, make_instance
 
@@ -134,35 +135,55 @@ class TestRegularizer:
         assert regularizer(d, ModelSpec("pep", alpha=1.0), h) == 0.0
 
 
+def correction(state, X_star, h, spec) -> np.ndarray:
+    """diag(V_*) as ``predict`` adds it: the latent variance minus diag(H_* Sigma H_*^T)."""
+    H = basis(X_star, h)
+    return predict(state, X_star, h, spec).variance - np.diag(H @ state.Sigma @ H.T)
+
+
 class TestPredictionCorrection:
+    # diag(V_*) is the clamped Schur diagonal d of batch_geometry, which
+    # predict adds for every variant but SoR.
     def test_zero_at_inducing_inputs(self):
-        _, _, h = make_instance(12, n=20, m=5)
+        X, y, h = make_instance(12, n=20, m=5)
         for spec in ALL_SPECS:
-            V = prediction_correction(h.inducing_inputs, spec, h)
-            np.testing.assert_allclose(V, 0.0, atol=1e-9)
+            np.testing.assert_allclose(batch_geometry(h.inducing_inputs, h, spec).d, 0.0, atol=1e-9)
+            state = fixed_theta_pass(X, y, h, spec, 5)
+            np.testing.assert_allclose(correction(state, h.inducing_inputs, h, spec), 0.0, atol=1e-9)
 
     def test_sor_always_zero(self):
-        X, _, h = make_instance(13, n=10, m=3)
-        np.testing.assert_array_equal(prediction_correction(X, ModelSpec("sor"), h), np.zeros((10, 10)))
+        X, y, h = make_instance(13, n=10, m=3)
+        spec = ModelSpec("sor")
+        assert batch_geometry(X, h, spec).d.max() > 1e-3  # a diagonal SoR leaves out
+        state = fixed_theta_pass(X, y, h, spec, 5)
+        H = basis(X, h)
+        np.testing.assert_array_equal(
+            predict(state, X, h, spec).variance, np.sum((H @ state.Sigma) * H, axis=1)
+        )
 
     def test_far_from_inducing_recovers_prior_variance(self):
-        _, _, h = make_instance(14, n=10, d=1, m=3, lengthscale=0.1)
+        X, y, h = make_instance(14, n=10, d=1, m=3, lengthscale=0.1)
         X_far = np.array([[50.0], [60.0]])
-        V = prediction_correction(X_far, ModelSpec("vfe"), h)
-        np.testing.assert_allclose(np.diag(V), h.sigma0 ** 2, rtol=0.01)
+        spec = ModelSpec("vfe")
+        np.testing.assert_allclose(batch_geometry(X_far, h, spec).d, h.sigma0 ** 2, rtol=0.01)
+        state = fixed_theta_pass(X, y, h, spec, 5)
+        np.testing.assert_allclose(predict(state, X_far, h, spec).variance, h.sigma0 ** 2, rtol=0.01)
 
     def test_matches_dense_schur_complement(self):
-        X, _, h = make_instance(15, n=6, m=4, d=2)
-        expected = kernel_matrix(X, X, h) - dense_Q(X, X, h)
+        X, y, h = make_instance(15, n=6, m=4, d=2)
+        expected = np.diag(kernel_matrix(X, X, h) - dense_Q(X, X, h))
         for name in ("dtc", "fitc", "vfe"):
-            np.testing.assert_allclose(
-                prediction_correction(X, ModelSpec(name), h), expected, atol=1e-9
-            )
+            spec = ModelSpec(name)
+            np.testing.assert_allclose(batch_geometry(X, h, spec).d, expected, atol=1e-9)
+            state = fixed_theta_pass(X, y, h, spec, 3)
+            np.testing.assert_allclose(correction(state, X, h, spec), expected, atol=1e-9)
 
     def test_psd_up_to_jitter(self):
-        X, _, h = make_instance(16, n=12, m=4)
-        V = prediction_correction(X, ModelSpec("pep", alpha=0.5), h)
-        assert np.linalg.eigvalsh(V).min() >= -1e-10
+        X, y, h = make_instance(16, n=12, m=4)
+        spec = ModelSpec("pep", alpha=0.5)
+        assert batch_geometry(X, h, spec).d.min() >= 0.0
+        state = fixed_theta_pass(X, y, h, spec, 4)
+        assert correction(state, X, h, spec).min() >= -1e-10
 
 
 class TestBatchGeometry:
@@ -238,13 +259,18 @@ class TestPrior:
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.variant)
     def test_predict_builds_each_kernel_matrix_once(self, monkeypatch, spec):
-        # k(X_*, R) feeds both H_* and V_*; SoR has no V_* and so no k(X_*, X_*).
+        # One k(X_*, R) per block of rows feeds both H_* and diag(V_*); no
+        # k(X_*, X_*) is built for any variant.
         X, y, h = make_instance(23, n=30, m=4)
         state = fixed_theta_pass(X, y, h, spec, 10)  # the prior is built and kept
         calls = []
         record_kernel_calls(monkeypatch, lambda A, B, h: calls.append((len(A), len(B))))
         predict(state, X[:6], h, spec, with_noise=True)
-        assert calls == ([(6, 4)] if spec.variant == "sor" else [(6, 4), (6, 6)])
+        assert calls == [(6, 4)]
+        calls.clear()
+        monkeypatch.setattr(inference, "BLOCK", 4)
+        predict(state, X[:6], h, spec, with_noise=True)
+        assert calls == [(4, 4), (2, 4)]
 
     def test_prior_is_kept_on_the_hyperparameters(self):
         _, _, h = make_instance(22, n=10, m=4)

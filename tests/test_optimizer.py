@@ -1,5 +1,7 @@
 """ADAM steps and the interleaved training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,24 @@ class TestSrgpFit:
         reference = fixed_theta_pass(X, y, h, spec, 8)
         assert rel_diff(result.posterior.mu, reference.mu) == 0.0
         assert result.posterior.psi == reference.psi
+
+    def test_epoch_start_holds_one_derivative_state(self):
+        # Each epoch drops the finished epoch's states before building the
+        # next, so more epochs do not raise the allocation peak.
+        X, y, h = make_instance(5, n=200, m=30, d=2)
+        spec = ModelSpec("pep", alpha=0.5)
+
+        def peak(epochs):
+            tracemalloc.start()
+            try:
+                srgp_fit(X, y, h, spec, TrainConfig(epochs=epochs, batch_size=50, learning_rate=1e-3))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # the prior at the start is built and kept outside the measurement
+        one, three = peak(1), peak(3)
+        assert three <= 1.1 * one, three / one
 
     def test_gradient_step_count_is_epochs_times_batches(self):
         X, y, h = make_instance(3, n=30, m=4)
