@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--with-noise", action="store_true")
     p_pred.add_argument("--output", default=None, help="output file (default: stdout)")
 
-    p_eval = sub.add_parser("evaluate", help="RMSE and 95% coverage on a labelled file")
+    p_eval = sub.add_parser("evaluate", help="RMSE and 95%% coverage on a labelled file")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--target-col", default=None)

@@ -32,29 +32,44 @@ specific to it, so states built with the transformed parametrization are
 rejected.  Gradients of log sigma_n are taken directly in log space
 (dV/dlog sigma_n = 2 sigma_n^2 I).
 
+Every Lambda_dot_p is symmetric, so the state keeps only its upper
+triangle, packed row by row in ``np.triu_indices(M)`` order: d_Lambda is
+(P, M (M + 1) / 2), and <L, Lambda_dot_p> weighs each packed entry (i, j)
+by L_ij and, off the diagonal, also by L_ji.
+
 Each parameter class (log sigma0, the D log-lengthscales, log sigma_n, the
-M*D inducing coordinates) is one block of array code over all its members,
-and all share one tail: s = -vdot / v^2, the noise terms H^T diag(s) H, the
-carried terms as one contraction, and a finiteness check naming the first
-bad parameter.  ``tests/conftest.py`` keeps the per-parameter dense
-recursion as the reference.  The gradient state is single-writer alongside
-its posterior, so :func:`propagate` advances it in place.
+M*D inducing coordinates) is one block of array code over all its members.
+Every term of a step is a sum over batch rows, so :func:`propagate` walks
+the batch ``ROWS`` rows at a time: it accumulates the small right-hand
+factors of the symmetric products over the blocks and applies them once,
+and adds each block's noise terms H^T diag(s) H, with s = -vdot / v^2, as
+one matrix product into the state.  Its working memory is therefore
+bounded independently of the batch size.  ``tests/conftest.py`` keeps the
+per-parameter dense recursion as the reference.  The gradient state is
+single-writer alongside its posterior, so :func:`propagate` advances it in
+place.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .errors import ContractViolationError, NumericalError
 from .inference import PARAM_STANDARD, KalmanIntermediates, MiniBatch, PosteriorState
 from .kernel import Hyperparameters, kernel_diag
 from .model import BatchGeometry, ModelSpec, prior
 
-# Parameters per block of the in-place Lambda_dot updates, which bounds
-# their (BLOCK, M, M) temporaries.
+# Parameters per block of the symmetric products, which bounds their
+# (BLOCK, M, M) temporaries.
 BLOCK = 8
+# Batch rows per block of propagate's walk over the batch, which bounds its
+# (ROWS, M (M + 1) / 2) Khatri-Rao block and its (P, ROWS) and (ROWS, M, D)
+# temporaries.
+ROWS = 64
 
 
 @dataclass
@@ -62,13 +77,15 @@ class GradientState:
     """Running derivatives of (eta, Lambda, psi) for every parameter, in the
     order of :meth:`~streamgp.kernel.Hyperparameters.to_vector`.
 
-    :func:`propagate` advances ``d_eta`` and ``d_Lambda`` in place and
-    returns them in the new state; ``d_psi`` is a fresh array at every step,
-    so two successive states' ``d_psi`` differ by that step's gradient.
+    ``d_Lambda[p]`` is the upper triangle of the symmetric Lambda_dot_p,
+    packed row by row in ``np.triu_indices(M)`` order.  :func:`propagate`
+    advances ``d_eta`` and ``d_Lambda`` in place and returns them in the new
+    state; ``d_psi`` is a fresh array at every step, so two successive
+    states' ``d_psi`` differ by that step's gradient.
     """
 
     d_eta: np.ndarray  # (P, M)
-    d_Lambda: np.ndarray  # (P, M, M)
+    d_Lambda: np.ndarray  # (P, M (M + 1) / 2)
     d_psi: np.ndarray  # (P,)
     k: int = 0
 
@@ -102,6 +119,27 @@ def _require_standard(transformed: bool) -> None:
         )
 
 
+@functools.cache
+def _packing(M: int) -> tuple:
+    """Index arrays of the packed layout for M x M matrices, read-only.
+
+    Returns ``(iu, ju, upper, lower, diag)``: the row and column of every
+    packed entry (``np.triu_indices(M)``), the flat positions iu * M + ju of
+    the entries and ju * M + iu of their mirrors, and the packed positions
+    of the diagonal.
+    """
+    iu, ju = np.triu_indices(M)
+    arrays = (iu, ju, iu * M + ju, ju * M + iu, np.flatnonzero(iu == ju))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _row_blocks(n: int):
+    """Slices of ``ROWS`` consecutive rows covering ``range(n)``."""
+    return (slice(lo, lo + ROWS) for lo in range(0, n, ROWS))
+
+
 def _kernel_grads(A: np.ndarray, K_AR: np.ndarray, h: Hyperparameters) -> tuple:
     """Derivatives of K_AR = k(A, R), stacked over the input dimension d.
 
@@ -109,33 +147,59 @@ def _kernel_grads(A: np.ndarray, K_AR: np.ndarray, h: Hyperparameters) -> tuple:
     dK_AR/dR[m][d] (its only nonzero column unless A is R itself) and
     ``dl[..., d]`` is dK_AR/dlog l_d.
     """
-    diff = A[:, None, :] - h.inducing_inputs[None, :, :]
-    dR = K_AR[:, :, None] * diff / h.lengthscales**2
+    # Broadcasts over the short last axis (length D) are slow, so every
+    # operand with one is expanded to the full (M, D) or (n, M, D) first.
+    (n, M), D = K_AR.shape, A.shape[1]
+    diff = np.repeat(A, M, axis=0).reshape(n, M, D)
+    diff -= h.inducing_inputs
+    dR = np.repeat(K_AR, D, axis=1).reshape(n, M, D)
+    dR *= diff
+    dR /= np.repeat(h.lengthscales[None, :] ** 2, M, axis=0)
     return dR, dR * diff
 
 
-def _add_symmetric_products(dst: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
-    """dst[p] += X_p + X_p^T with X_p = left[p] @ right[p], in place.
+def _add_symmetrized(dst: np.ndarray, X: np.ndarray) -> None:
+    """dst[p] += packed(X_p + X_p^T) for (n, M, M) ``X``, in place."""
+    _, _, upper, lower, _ = _packing(X.shape[1])
+    flat = X.reshape(len(X), -1)
+    packed = np.take(flat, upper, axis=1)
+    packed += np.take(flat, lower, axis=1)
+    dst += packed
 
-    Adding X + X^T keeps a symmetric ``dst`` exactly symmetric.
-    """
+
+def _add_symmetric_products(dst: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+    """dst[p] += packed(X_p + X_p^T) with X_p = left[p] @ right[p], in place,
+    forming the X_p ``BLOCK`` parameters at a time."""
     for lo in range(0, len(dst), BLOCK):
-        X = left[lo : lo + BLOCK] @ right[lo : lo + BLOCK]
-        dst[lo : lo + BLOCK] += X + X.swapaxes(1, 2)
+        _add_symmetrized(dst[lo : lo + BLOCK], left[lo : lo + BLOCK] @ right[lo : lo + BLOCK])
+
+
+def _khatri_rao_t(H: np.ndarray) -> np.ndarray:
+    """The (M (M + 1) / 2, n) transpose of the packed Khatri-Rao product
+    KR[b, t] = H[b, iu_t] H[b, ju_t] of (n, M) ``H``, gathered from H^T.  The
+    second factor is gathered half the entries at a time, so its temporary
+    is half the size of the result."""
+    iu, ju = _packing(H.shape[1])[:2]
+    Ht = np.ascontiguousarray(H.T)
+    KR_t = np.take(Ht, iu, axis=0)
+    half = -(-iu.size // 2)
+    for lo in (0, half):
+        KR_t[lo : lo + half] *= np.take(Ht, ju[lo : lo + half], axis=0)
+    return KR_t
 
 
 def _add_noise_terms(dst: np.ndarray, s: np.ndarray, H: np.ndarray) -> None:
-    """dst[p] += H^T diag(s[p]) H for every row p of ``s``, in place.
+    """dst[p] += packed(H^T diag(s[p]) H) for every row p of ``s``, in place.
 
-    Row i of every parameter's term, from the diagonal on, is one matrix
-    product with the Khatri-Rao columns H_bi H_bj (j >= i), so no
-    (B, M (M + 1) / 2) array of them is ever held.  Each row is mirrored into
-    column i, so ``dst`` stays exactly symmetric.
+    For each block of ``ROWS`` batch rows, one gemm at beta = 1 adds
+    s_block @ KR, with KR the block's packed Khatri-Rao product, into
+    ``dst`` through its Fortran-ordered transpose.  ``dst`` must be a
+    C-contiguous row range of the state, so that BLAS writes into it
+    directly; no (P, M (M + 1) / 2) temporary is formed.
     """
-    for i in range(H.shape[1]):
-        row = s @ (H[:, i : i + 1] * H[:, i:])
-        dst[:, i, i:] += row
-        dst[:, i + 1 :, i] += row[:, 1:]
+    for rows in _row_blocks(H.shape[0]):
+        s_block = np.ascontiguousarray(s[:, rows])
+        dgemm(1.0, _khatri_rao_t(H[rows]).T, s_block.T, beta=1.0, c=dst.T, trans_a=1, overwrite_c=1)
 
 
 def init_gradient_state(h: Hyperparameters, spec: ModelSpec) -> GradientState:
@@ -149,16 +213,21 @@ def init_gradient_state(h: Hyperparameters, spec: ModelSpec) -> GradientState:
     P, M, D = h.n_params, h.num_inducing, h.input_dim
     p = prior(h)
     beta, dRR_l = _kernel_grads(h.inducing_inputs, p.K_RR, h)
-    d_Lambda = np.zeros((P, M, M))
-    d_Lambda[0] = -2.0 * p.inv  # Kdot_RR = 2 K_RR
+    upper = _packing(M)[2]
+    d_Lambda = np.zeros((P, upper.size))
+    d_Lambda[0] = -2.0 * np.take(p.inv, upper)  # Kdot_RR = 2 K_RR
     # K^-1 Kdot_d K^-1 for every lengthscale: two solves, D right-hand sides each.
     first = p.chol.solve(dRR_l.transpose(0, 2, 1).reshape(M, D * M)).reshape(M, D, M)
+    del dRR_l
     both = p.chol.solve(first.transpose(2, 1, 0).reshape(M, D * M)).reshape(M, D, M)
-    d_Lambda[1 : D + 1] = -0.5 * (both.transpose(1, 0, 2) + both.transpose(1, 2, 0))
+    del first
+    _add_symmetrized(d_Lambda[1 : D + 1], -0.5 * both.transpose(1, 0, 2))
+    del both
     # Inducing coordinates: -(w_m kb^T + kb w_m^T) with kb = K^-1 beta.
+    neg_kb = ((-p.inv) @ beta.reshape(M, M * D)).T
+    del beta
     w = np.repeat(p.inv, D, axis=0)  # row m*D + d holds w_m
-    kb = (p.inv @ beta.reshape(M, M * D)).T
-    _add_symmetric_products(d_Lambda[D + 2 :], -w[:, :, None], kb[:, None, :])
+    _add_symmetric_products(d_Lambda[D + 2 :], w[:, :, None], neg_kb[:, None, :])
     return GradientState(d_eta=np.zeros((P, M)), d_Lambda=d_Lambda, d_psi=np.zeros(P), k=0)
 
 
@@ -250,15 +319,22 @@ def propagate(
     first batch the carried state is the prior itself, not history, so
     both modes coincide there; the derivative state is never advanced in
     this mode.
+
+    A non-finite gradient raises :class:`NumericalError` naming its first
+    parameter.  Every non-finite carried value or adjoint already reaches
+    the terms formed before the walk over the batch (log sigma0's direct
+    term sums all of L_dK_XR * K_XR), so it raises with the state
+    untouched; only an overflow of the sums over the batch is found after
+    the walk.
     """
     _require_standard(geom.transformed)
     P, D = h.n_params, h.input_dim
     beta, dRR_l = _kernel_grads(h.inducing_inputs, geom.prior.K_RR, h)
-    gamma, dXR_l = _kernel_grads(geom.X, geom.K_XR, h)
 
     # Direct terms <L_dK_RR, Kdot_RR> + <L_dK_XR, Kdot_XR> + <L_dk_XX, kdot_XX>
     # and L_dsigma_n.  Lengthscales and inducing coordinates leave diag(K_XX)
-    # fixed; for R[m][d], Kdot_RR = e_m beta^T + beta e_m^T and Kdot_XR = gamma e_m^T.
+    # fixed; for R[m][d], Kdot_RR = e_m beta^T + beta e_m^T.  Their terms
+    # through K_XR are sums over the batch, taken by the walk below.
     L_RR, L_XR = adj.L_dK_RR, adj.L_dK_XR
     direct = np.empty(P)
     direct[0] = 2.0 * (
@@ -266,89 +342,131 @@ def propagate(
         + np.vdot(L_XR, geom.K_XR)
         + adj.L_dk_XX @ kernel_diag(geom.X, h)
     )
-    direct[1 : D + 1] = L_RR.ravel() @ dRR_l.reshape(-1, D) + L_XR.ravel() @ dXR_l.reshape(-1, D)
+    direct[1 : D + 1] = L_RR.ravel() @ dRR_l.reshape(-1, D)
     direct[D + 1] = adj.L_dsigman
-    direct[D + 2 :] = (
-        np.einsum("mj,jmd->md", L_RR + L_RR.T, beta) + np.einsum("bm,bmd->md", L_XR, gamma)
-    ).ravel()
+    direct[D + 2 :] = np.einsum("mj,jmd->md", L_RR + L_RR.T, beta).ravel()
 
     # The carried-sensitivity terms <L_deta, eta_dot> + <L_dLambda, Lambda_dot>
     # are dropped by the ablation as soon as the carried state holds data.
+    # On packed Lambda_dot the weights are L_ij and, off the diagonal, L_ji,
+    # in two columns: that sum cancels heavily, and pre-adding each pair
+    # would round every one of its terms once more.
     if ignore_history and gstate.k >= 1:
         carried = 0.0
     else:
-        carried = gstate.d_eta @ adj.L_deta + gstate.d_Lambda.reshape(P, -1) @ adj.L_dLambda.ravel()
+        L = adj.L_dLambda
+        _, _, upper, lower, diag = _packing(len(L))
+        mirror = np.take(L, lower)
+        mirror[diag] = 0.0
+        weights = np.stack([np.take(L, upper), mirror], axis=1)
+        carried = gstate.d_eta @ adj.L_deta + np.sum(gstate.d_Lambda @ weights, axis=1)
     d_psi = gstate.d_psi - 0.5 * (carried + direct)
-    bad = np.flatnonzero(~np.isfinite(d_psi))
-    if bad.size:
-        raise NumericalError(
-            f"non-finite gradient for {h.param_label(int(bad[0]))} at mini-batch {gstate.k + 1}"
-        )
-    if not ignore_history:
-        _advance(gstate, geom, h, spec, batch.y, beta, dRR_l, gamma, dXR_l)
+    _require_finite(d_psi, h, gstate.k)
+    d_psi -= 0.5 * _walk(gstate, L_XR, geom, h, spec, batch.y, beta, dRR_l, not ignore_history)
+    _require_finite(d_psi, h, gstate.k)
     return GradientState(d_eta=gstate.d_eta, d_Lambda=gstate.d_Lambda, d_psi=d_psi, k=gstate.k + 1)
 
 
-def _advance(
+def _require_finite(d_psi: np.ndarray, h: Hyperparameters, k: int) -> None:
+    bad = np.flatnonzero(~np.isfinite(d_psi))
+    if bad.size:
+        raise NumericalError(
+            f"non-finite gradient for {h.param_label(int(bad[0]))} at mini-batch {k + 1}"
+        )
+
+
+def _walk(
     gstate: GradientState,
+    L_XR: np.ndarray,
     geom: BatchGeometry,
     h: Hyperparameters,
     spec: ModelSpec,
     y: np.ndarray,
     beta: np.ndarray,
     dRR_l: np.ndarray,
-    gamma: np.ndarray,
-    dXR_l: np.ndarray,
-) -> None:
-    """Add one batch to eta_dot and Lambda_dot of every parameter, in place:
+    advance: bool,
+) -> np.ndarray:
+    """Walk the batch ``ROWS`` rows at a time.
+
+    Returns the direct terms <L_dK_XR, Kdot_XR> of the lengthscales and
+    inducing coordinates, zero for the other parameters (log sigma0's is
+    formed by :func:`propagate`).  With ``advance`` it also adds the batch
+    to eta_dot and Lambda_dot of every parameter, in place:
 
         eta_dot    += Hdot^T V^-1 y + H^T diag(s) y
         Lambda_dot += Hdot^T V^-1 H + H^T V^-1 Hdot + H^T diag(s) H
 
     with s = -vdot / v^2 the derivative of V^-1 and vdot = c ddot, plus
-    2 sigma_n^2 for log sigma_n.
+    2 sigma_n^2 for log sigma_n.  Each block adds its noise terms to the
+    state and its share of Hdot^T V^-1 [H, y] to small accumulators, whose
+    symmetric products are added once at the end.
     """
     H, v, chol, Kinv = geom.H, geom.v, geom.prior.chol, geom.prior.inv
-    B, M = H.shape
+    M = H.shape[1]
     P, D = h.n_params, h.input_dim
     lengthscales, inducing = slice(1, D + 1), slice(D + 2, P)
-    Vinv_y, VinvH = y / v, H / v[:, None]
-    eta_inc = np.zeros((P, M))
-    s = np.zeros((P, B))  # ddot, then -vdot / v^2
-
-    # log sigma0: Hdot = 0 and ddot = 2d.
-    s[0] = 2.0 * geom.d
-
-    # Lengthscales: Hdot_d^T = K^-1 (Kdot_XR - H Kdot_RR)^T, all d from one solve.
-    HK = (H @ dRR_l.reshape(M, M * D)).reshape(B, M, D)
-    s[lengthscales] = np.einsum("bm,bmd->db", H, HK - 2.0 * dXR_l)
-    rhs = (dXR_l - HK).transpose(1, 2, 0).reshape(M, D * B)
-    Hdot_T = chol.solve(rhs).reshape(M, D, B).transpose(1, 0, 2)
-    eta_inc[lengthscales] = Hdot_T @ Vinv_y
-    _add_symmetric_products(
-        gstate.d_Lambda[lengthscales], Hdot_T, np.broadcast_to(VinvH, (D, B, M))
-    )
-    del HK, rhs, Hdot_T
-
-    # Inducing coordinates: Hdot = u w_m^T - h_m kb^T with u = gamma - H beta,
-    # w_m = K^-1 e_m and kb = K^-1 beta; row m*D + d is coordinate R[m][d].
-    u = (gamma - (H @ beta.reshape(M, M * D)).reshape(B, M, D)).reshape(B, M * D)
-    s[inducing] = -2.0 * (np.repeat(H, D, axis=1) * u).T
-    w = np.repeat(Kinv, D, axis=0)
-    kb = (Kinv @ beta.reshape(M, M * D)).T
-    eta_inc[inducing] = w * (Vinv_y @ u)[:, None] - kb * np.repeat(H.T @ Vinv_y, D)[:, None]
-    left = np.stack([w, -kb], axis=2)
-    right = np.stack([u.T @ VinvH, np.repeat(H.T @ VinvH, D, axis=0)], axis=1)
-    del u
-    _add_symmetric_products(gstate.d_Lambda[inducing], left, right)
-
-    # log sigma_n, and the noise term every class shares.  Without the
-    # Schur-complement term (c = 0) only log sigma_n moves V.
+    through_XR = np.zeros(P)
+    dRR, beta_flat = dRR_l.reshape(M, M * D), beta.reshape(M, M * D)
+    # Without the Schur-complement term (c = 0) only log sigma_n moves V.
     c = spec.noise_scale
-    s *= c
-    s[D + 1] = 2.0 * h.noise_variance
-    s /= -(v**2)
     noisy = slice(0, P) if c != 0.0 else slice(D + 1, D + 2)
-    eta_inc[noisy] += s[noisy] @ (H * y[:, None])
+
+    eta_inc = np.zeros((P, M))
+    # Sums over the batch of Z^T V^-1 [H, y] for Z = Hdot_d (every
+    # lengthscale d), u and H: the last column holds Z^T V^-1 y.
+    HdV = np.zeros((D, M, M + 1))
+    uV = np.zeros((M * D, M + 1))
+    HV = np.zeros((M, M + 1))
+    for rows in _row_blocks(H.shape[0]):
+        gamma, dXR_l = _kernel_grads(geom.X[rows], geom.K_XR[rows], h)
+        # For R[m][d], Kdot_XR = gamma e_m^T.
+        through_XR[lengthscales] += L_XR[rows].ravel() @ dXR_l.reshape(-1, D)
+        L_block = L_XR[rows].T[:, None, :]
+        through_XR[inducing] += np.matmul(L_block, gamma.transpose(1, 0, 2)).ravel()
+        if not advance:
+            continue
+        Hb, vb, yb = H[rows], v[rows], y[rows]
+        n = Hb.shape[0]
+        VHy = np.concatenate([Hb, yb[:, None]], axis=1) / vb[:, None]  # V^-1 [H, y]
+
+        # Lengthscales: Hdot_d^T = K^-1 (Kdot_XR - H Kdot_RR)^T, all d from one solve.
+        HK = (Hb @ dRR).reshape(n, M, D)
+        rhs = (dXR_l - HK).transpose(1, 2, 0).reshape(M, D * n)
+        Hdot_T = chol.solve(rhs).reshape(M, D, n).transpose(1, 0, 2)
+        HdV += Hdot_T @ VHy
+        del rhs, Hdot_T
+
+        # Inducing coordinates: Hdot = u w_m^T - h_m kb^T with u = gamma - H beta,
+        # w_m = K^-1 e_m and kb = K^-1 beta; row m*D + d is coordinate R[m][d].
+        u = (gamma - (Hb @ beta_flat).reshape(n, M, D)).reshape(n, M * D)
+        uV += u.T @ VHy
+        HV += Hb.T @ VHy
+
+        # s of the noisy rows: vdot = c ddot, and 2 sigma_n^2 for log sigma_n,
+        # then -vdot / v^2.
+        if c != 0.0:
+            s = np.empty((P, n))
+            s[0] = 2.0 * geom.d[rows]  # log sigma0: Hdot = 0 and ddot = 2d
+            s[lengthscales] = np.matmul(Hb[:, None, :], HK - 2.0 * dXR_l)[:, 0, :].T
+            s[inducing] = -2.0 * (np.repeat(Hb, D, axis=1) * u).T
+            s *= c
+            s[D + 1] = 2.0 * h.noise_variance
+        else:
+            s = np.full((1, n), 2.0 * h.noise_variance)
+        del gamma, dXR_l, HK, u
+        s /= -(vb**2)
+        eta_inc[noisy] += s @ (Hb * yb[:, None])
+        _add_noise_terms(gstate.d_Lambda[noisy], s, Hb)
+
+    if not advance:
+        return through_XR
+    eta_inc[lengthscales] += HdV[..., M]
+    _add_symmetrized(gstate.d_Lambda[lengthscales], HdV[..., :M])
+    w = np.repeat(Kinv, D, axis=0)
+    kb = (Kinv @ beta_flat).T
+    eta_inc[inducing] += w * uV[:, M, None] - kb * np.repeat(HV[:, M], D)[:, None]
     gstate.d_eta += eta_inc
-    _add_noise_terms(gstate.d_Lambda[noisy], s[noisy], H)
+    left = np.stack([w, -kb], axis=2)
+    right = np.stack([uV[:, :M], np.repeat(HV[:, :M], D, axis=0)], axis=1)
+    _add_symmetric_products(gstate.d_Lambda[inducing], left, right)
+    return through_XR

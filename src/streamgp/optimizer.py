@@ -114,13 +114,12 @@ class TrainConfig:
 
 @dataclass
 class TraceRecord:
-    """One gradient step: per-batch bound term, gradient norm, parameters."""
+    """One gradient step: per-batch bound term, gradient norm, wall time."""
 
     epoch: int
     batch: int
     psi_k: float
     grad_norm: float
-    theta: np.ndarray
     wall_ms: float
 
     def as_record(self) -> dict:
@@ -235,7 +234,6 @@ def srgp_fit(
                     batch=k,
                     psi_k=float(psi_k),
                     grad_norm=float(np.linalg.norm(grad)),
-                    theta=theta.copy(),
                     wall_ms=(time.perf_counter() - t0) * 1e3,
                 )
             )

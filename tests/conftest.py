@@ -61,6 +61,37 @@ def make_instance(
     return X, y, h
 
 
+def unpack_d_Lambda(d_Lambda: np.ndarray) -> np.ndarray:
+    """The (P, M, M) symmetric matrices of a packed (P, M (M + 1) / 2)
+    ``GradientState.d_Lambda``, whose rows hold upper triangles in
+    ``np.triu_indices(M)`` order."""
+    M = int(round((np.sqrt(8 * d_Lambda.shape[1] + 1) - 1) / 2))
+    assert M * (M + 1) // 2 == d_Lambda.shape[1], d_Lambda.shape
+    iu, ju = np.triu_indices(M)
+    full = np.empty((d_Lambda.shape[0], M, M))
+    full[:, iu, ju] = d_Lambda
+    full[:, ju, iu] = d_Lambda
+    return full
+
+
+def record_adam_thetas(monkeypatch) -> list[np.ndarray]:
+    """Record a copy of the parameter vector of every gradient step that
+    ``srgp_fit`` takes from now on, in order, by wrapping
+    ``streamgp.optimizer.adam_step``."""
+    from streamgp import optimizer
+
+    thetas: list[np.ndarray] = []
+    adam_step = optimizer.adam_step
+
+    def recording(theta, grad, st):
+        theta, st = adam_step(theta, grad, st)
+        thetas.append(theta.copy())
+        return theta, st
+
+    monkeypatch.setattr(optimizer, "adam_step", recording)
+    return thetas
+
+
 # -- dense oracles -------------------------------------------------------------
 
 

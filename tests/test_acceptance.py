@@ -31,7 +31,7 @@ from streamgp.gradients import compute_adjoints, init_gradient_state, propagate
 from streamgp.inference import PARAM_STANDARD, PARAM_TRANSFORMED
 from streamgp.linalg import rel_diff
 
-from conftest import farthest_point_subset
+from conftest import farthest_point_subset, record_adam_thetas
 from timing import pinned
 
 
@@ -333,7 +333,7 @@ def test_criterion_09_complexity_smoke():
     report(9, f"batch-size exponent {slope_b:.2f} (<2.3), parameter exponent {slope_p:.2f}")
 
 
-def test_criterion_10_mini_batch_size_study():
+def test_criterion_10_mini_batch_size_study(monkeypatch):
     # N=1e4: the relative error between the per-epoch accumulated bound
     # and the batch bound decreases as B grows, and the across-repetition
     # spread of the late per-update error is larger at B=100 than B=5000.
@@ -345,6 +345,7 @@ def test_criterion_10_mini_batch_size_study():
         for seed in seeds
     }
     stats = {}
+    steps = record_adam_thetas(monkeypatch)
     for B in (100, 1000, 5000):
         final_errs, late_errs = [], []
         for seed in seeds:
@@ -353,6 +354,7 @@ def test_criterion_10_mini_batch_size_study():
             h0 = Hyperparameters(
                 0.0, np.log([1.0]), np.log(0.3), sg.init_inducing_subset(ds.X, 20, rng)
             )
+            steps.clear()
             fit = sg.srgp_fit(
                 ds.X,
                 ds.y,
@@ -365,9 +367,10 @@ def test_criterion_10_mini_batch_size_study():
             L_final = batch_bound(ds.X, ds.y, fit.hyper, spec, with_gradient=False).value
             final_errs.append(abs(psi_last_epoch - L_final) / abs(L_final))
             per_update = []
-            for t in fit.trace[-10:]:
+            assert len(steps) == len(fit.trace)
+            for t, theta in zip(fit.trace[-10:], steps[-10:]):
                 L_t = batch_bound(
-                    ds.X, ds.y, h0.with_vector(t.theta), spec, with_gradient=False
+                    ds.X, ds.y, h0.with_vector(theta), spec, with_gradient=False
                 ).value
                 per_update.append((K * t.psi_k - L_t) / abs(L_t))
             late_errs.append(float(np.mean(per_update)))

@@ -269,6 +269,13 @@ class TestExitCodes:
             main(["train"])  # missing --data
         assert exc.value.code == 2
 
+    def test_top_level_help_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: streamgp") and "RMSE and 95% coverage" in out
+
     def test_data_error_for_bad_file(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x0,y\n1,banana\n")

@@ -21,11 +21,16 @@ from streamgp import (
     split_into_batches,
     update,
 )
-from streamgp.gradients import GradientState
+from streamgp.gradients import ROWS, GradientState, _add_noise_terms
 from streamgp.inference import PARAM_TRANSFORMED
 from streamgp.linalg import rel_diff
 
-from conftest import make_instance, oracle_init_gradient_state, oracle_propagate
+from conftest import (
+    make_instance,
+    oracle_init_gradient_state,
+    oracle_propagate,
+    unpack_d_Lambda,
+)
 from timing import pinned
 
 ALL_SPECS = [
@@ -101,7 +106,7 @@ class TestInitGradientState:
             Lu = np.linalg.inv(kernel_matrix(hu.inducing_inputs, hu.inducing_inputs, hu))
             Ld = np.linalg.inv(kernel_matrix(hd.inducing_inputs, hd.inducing_inputs, hd))
             fd = (Lu - Ld) / (2 * step)
-            assert rel_diff(g.d_Lambda[i], fd, floor=1e-3) < 1e-5, h.param_label(i)
+            assert rel_diff(unpack_d_Lambda(g.d_Lambda)[i], fd, floor=1e-3) < 1e-5, h.param_label(i)
 
 
 class TestAdjoints:
@@ -225,8 +230,8 @@ class TestPropagateMatchesFiniteDifferences:
         X, y, h = make_instance(14, n=30, m=5)
         _, history = stream_with_gradients(X, y, h, ModelSpec("pep", alpha=0.5), batch_size=6)
         for g in history:
-            for p in range(g.n_params):
-                np.testing.assert_allclose(g.d_Lambda[p], g.d_Lambda[p].T, atol=1e-10)
+            for p, full in enumerate(unpack_d_Lambda(g.d_Lambda)):
+                np.testing.assert_array_equal(full, full.T, err_msg=h.param_label(p))
 
     def test_non_finite_gradient_names_the_first_bad_parameter(self):
         X, y, h = make_instance(19, n=10, m=3, d=2)
@@ -249,28 +254,40 @@ class TestPropagateMatchesFiniteDifferences:
         assert g.k == 4
 
 
+def assert_agrees_with_oracle(X, y, h, spec, batch_size, ignore_history=False):
+    """The class-vectorized recursion against the per-parameter dense one of
+    tests/conftest.py, state by state."""
+    state = init_state(h, spec)
+    g, want = init_gradient_state(h, spec), oracle_init_gradient_state(h)
+    np.testing.assert_allclose(unpack_d_Lambda(g.d_Lambda), want.d_Lambda, rtol=1e-9, atol=1e-12)
+    for idx in split_into_batches(y.size, batch_size):
+        b = MiniBatch(X[idx], y[idx])
+        state_new, km = update(state, b, h, spec)
+        adj = compute_adjoints(state, state_new, km, h, spec)
+        want = oracle_propagate(want, adj, km.geometry, h, spec, b, ignore_history=ignore_history)
+        g = propagate(g, adj, km.geometry, h, spec, b, ignore_history=ignore_history)
+        got = {"d_psi": g.d_psi, "d_eta": g.d_eta, "d_Lambda": unpack_d_Lambda(g.d_Lambda)}
+        for name in ("d_psi", "d_eta", "d_Lambda"):
+            np.testing.assert_allclose(
+                got[name], getattr(want, name), rtol=1e-9, atol=1e-12, err_msg=name
+            )
+        state = state_new
+
+
 class TestPerParameterOracle:
     @pytest.mark.parametrize("mode", ["full", "ignore_history"])
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.variant)
     def test_agrees(self, spec, mode):
-        # The class-vectorized recursion against the per-parameter dense one
-        # of tests/conftest.py, state by state.
         X, y, h = make_instance(13, n=30, m=5, d=2)
-        state = init_state(h, spec)
-        g, want = init_gradient_state(h, spec), oracle_init_gradient_state(h)
-        np.testing.assert_allclose(g.d_Lambda, want.d_Lambda, rtol=1e-9, atol=1e-12)
-        for idx in split_into_batches(y.size, 10):
-            b = MiniBatch(X[idx], y[idx])
-            state_new, km = update(state, b, h, spec)
-            adj = compute_adjoints(state, state_new, km, h, spec)
-            ignore = mode == "ignore_history"
-            want = oracle_propagate(want, adj, km.geometry, h, spec, b, ignore_history=ignore)
-            g = propagate(g, adj, km.geometry, h, spec, b, ignore_history=ignore)
-            for name in ("d_psi", "d_eta", "d_Lambda"):
-                np.testing.assert_allclose(
-                    getattr(g, name), getattr(want, name), rtol=1e-9, atol=1e-12, err_msg=name
-                )
-            state = state_new
+        assert_agrees_with_oracle(X, y, h, spec, 10, ignore_history=mode == "ignore_history")
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.variant)
+    def test_agrees_across_row_blocks(self, spec):
+        # Batches of 2 ROWS + 3 rows, so propagate walks three row blocks,
+        # the last one partial.
+        n = 2 * ROWS + 3
+        X, y, h = make_instance(42, n=2 * n, m=5, d=2)
+        assert_agrees_with_oracle(X, y, h, spec, n)
 
 
 class TestIgnoreHistoryAblation:
@@ -308,26 +325,74 @@ class TestComplexityScaling:
 
     def test_memory_within_the_state_size(self):
         # Peak allocation of one init_gradient_state and one propagate at
-        # P = 104: at most 1.5 times the derivative state, so neither keeps a
-        # second (P, M, M) array beside it (propagate advances it in place).
-        X, y, h = make_instance(31, n=100, m=50, d=2, lengthscale=0.4)
-        spec = ModelSpec("pep", alpha=0.5)
-        assert h.n_params >= 100
-        state = init_state(h, spec)  # builds the shared prior outside the measurement
+        # P = 104, for B = 100 and B = 400: each at most 1.5 times the packed
+        # derivative state, so neither keeps a second state beside it
+        # (propagate advances it in place) and propagate's working set does
+        # not grow with the batch.
+        for n in (100, 400):
+            X, y, h = make_instance(31, n=n, m=50, d=2, lengthscale=0.4)
+            spec = ModelSpec("pep", alpha=0.5)
+            assert h.n_params >= 100
+            state = init_state(h, spec)  # builds the shared prior outside the measurement
+            tracemalloc.start()
+            try:
+                g = init_gradient_state(h, spec)
+                state_bytes = g.d_Lambda.nbytes + g.d_eta.nbytes
+                _, init_peak = tracemalloc.get_traced_memory()
+                b = MiniBatch(X, y)
+                state_new, km = update(state, b, h, spec)
+                adj = compute_adjoints(state, state_new, km, h, spec)
+                tracemalloc.reset_peak()
+                before, _ = tracemalloc.get_traced_memory()
+                g_new = propagate(g, adj, km.geometry, h, spec, b)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert g.d_Lambda.shape == (h.n_params, 50 * 51 // 2)
+            assert g_new.d_Lambda is g.d_Lambda and g_new.d_psi is not g.d_psi
+            assert init_peak <= 1.5 * state_bytes, (n, init_peak / state_bytes)
+            assert peak - before <= 1.5 * state_bytes, (n, (peak - before) / state_bytes)
+
+
+class TestNoiseTerms:
+    """``_add_noise_terms`` adds packed H^T diag(s_p) H into the state, ROWS
+    batch rows at a time, through an in-place gemm."""
+
+    @pytest.mark.parametrize("B", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3])
+    @pytest.mark.parametrize("noisy_rows", ["all", "vfe"])
+    def test_matches_dense_products(self, B, noisy_rows):
+        rng = np.random.default_rng(B)
+        P, M = 7, 6
+        H = rng.standard_normal((B, M))
+        s = rng.standard_normal((P, B))
+        start = rng.standard_normal((P, M, M))
+        start = start + start.transpose(0, 2, 1)
+        iu, ju = np.triu_indices(M)
+        d_Lambda = np.ascontiguousarray(start[:, iu, ju])
+        # VFE's noise term moves log sigma_n alone: one row of the state.
+        rows = slice(0, P) if noisy_rows == "all" else slice(3, 4)
+        _add_noise_terms(d_Lambda[rows], s[rows], H)
+        want = start.copy()
+        for p in range(P)[rows]:
+            want[p] += (H.T * s[p]) @ H
+        np.testing.assert_allclose(unpack_d_Lambda(d_Lambda), want, rtol=1e-12, atol=1e-12)
+
+    def test_gemm_accumulates_into_the_state_without_a_copy(self):
+        _, _, h = make_instance(41, n=2 * ROWS + 3, m=30, d=10)  # P = 312
+        g = init_gradient_state(h, ModelSpec("pep", alpha=0.5))
+        H = np.random.default_rng(0).standard_normal((2 * ROWS + 3, 30))
+        s = np.random.default_rng(1).standard_normal((h.n_params, H.shape[0]))
+        buffer, before = g.d_Lambda, g.d_Lambda.copy()
         tracemalloc.start()
         try:
-            g = init_gradient_state(h, spec)
-            state_bytes = g.d_Lambda.nbytes + g.d_eta.nbytes
-            _, init_peak = tracemalloc.get_traced_memory()
-            b = MiniBatch(X, y)
-            state_new, km = update(state, b, h, spec)
-            adj = compute_adjoints(state, state_new, km, h, spec)
-            tracemalloc.reset_peak()
-            before, _ = tracemalloc.get_traced_memory()
-            g_new = propagate(g, adj, km.geometry, h, spec, b)
+            _add_noise_terms(g.d_Lambda, s, H)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert g_new.d_Lambda is g.d_Lambda and g_new.d_psi is not g.d_psi
-        assert init_peak <= 1.5 * state_bytes, init_peak / state_bytes
-        assert peak - before <= 1.5 * state_bytes, (peak - before) / state_bytes
+        assert g.d_Lambda is buffer and g.d_Lambda.flags.c_contiguous
+        iu, ju = np.triu_indices(30)
+        want = before + np.einsum("pb,bt->pt", s, H[:, iu] * H[:, ju])
+        np.testing.assert_allclose(g.d_Lambda, want, rtol=1e-12, atol=1e-12)
+        # One block's Khatri-Rao product and s columns (about 0.4 of the
+        # state here), never a state-sized copy for gemm to write into.
+        assert peak < g.d_Lambda.nbytes, peak / g.d_Lambda.nbytes

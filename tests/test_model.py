@@ -20,7 +20,7 @@ from streamgp import inference
 from streamgp import kernel as kernel_module
 from streamgp.model import basis, batch_geometry, prior, regularizer
 
-from conftest import dense_Q, make_instance
+from conftest import dense_Q, make_instance, record_adam_thetas
 
 ALL_SPECS = [
     ModelSpec("sor"),
@@ -240,9 +240,11 @@ class TestPrior:
         X, y, h0 = make_instance(20, n=40, m=5)
         spec = ModelSpec("pep", alpha=0.5)
         builds = record_prior_builds(monkeypatch)
+        steps = record_adam_thetas(monkeypatch)
         fit = srgp_fit(X, y, h0, spec, TrainConfig(epochs=2, batch_size=10, learning_rate=1e-3))
         predict(fit.posterior, X[:7], fit.hyper, spec, with_noise=True)
-        thetas = {h0.to_vector().tobytes()} | {t.theta.tobytes() for t in fit.trace}
+        assert len(steps) == len(fit.trace)
+        thetas = {h0.to_vector().tobytes()} | {theta.tobytes() for theta in steps}
         assert len(thetas) == 9  # the start and one per gradient step
         assert len(builds) == len(thetas)
         assert set(builds) == thetas

@@ -25,7 +25,7 @@ from streamgp import (
 from streamgp.linalg import rel_diff
 from streamgp.optimizer import ResumeState
 
-from conftest import make_instance
+from conftest import make_instance, record_adam_thetas
 
 
 class TestAdamStep:
@@ -156,15 +156,19 @@ class TestSrgpFit:
         expected, _ = adam_step(h.to_vector(), g.d_psi, AdamState.fresh(h.n_params, 1e-3))
         np.testing.assert_array_equal(result.hyper.to_vector(), expected)
 
-    def test_deterministic_trace_for_fixed_seed(self):
+    def test_deterministic_trace_for_fixed_seed(self, monkeypatch):
         X, y, h = make_instance(6, n=40, m=5)
         cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=1e-3, shuffle=True, seed=123)
+        steps = record_adam_thetas(monkeypatch)
         r1 = srgp_fit(X, y, h, ModelSpec("vfe"), cfg)
+        thetas1 = steps[:]
+        steps.clear()
         r2 = srgp_fit(X, y, h, ModelSpec("vfe"), cfg)
         assert [t.psi_k for t in r1.trace] == [t.psi_k for t in r2.trace]
         assert [t.grad_norm for t in r1.trace] == [t.grad_norm for t in r2.trace]
-        for a, b in zip(r1.trace, r2.trace):
-            np.testing.assert_array_equal(a.theta, b.theta)
+        assert len(thetas1) == len(steps) == len(r1.trace)
+        for a, b in zip(thetas1, steps):
+            np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(r1.hyper.to_vector(), r2.hyper.to_vector())
 
     def test_training_improves_bound(self):

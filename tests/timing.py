@@ -109,9 +109,44 @@ def propagate_parameter_count() -> dict:
     return {"sizes_p": list(sizes_p), "times_p": min_times(list(fns), reps=15)}
 
 
+def propagate_configs() -> dict:
+    """``propagate`` and ``init_gradient_state`` at the train-cstr shape
+    (D = 5, M = 50, B = 256, P = 257) and at config C (D = 8, M = 100,
+    B = 512, P = 810), for PEP and VFE: milliseconds, minimum of 15.
+
+    Not used by any test; run by hand for before/after layer tables.
+    """
+    from conftest import make_instance
+
+    import streamgp as sg
+    from streamgp import MiniBatch, ModelSpec
+    from streamgp.gradients import compute_adjoints, init_gradient_state, propagate
+
+    shapes = {"train-cstr": (5, 50, 256), "C": (8, 100, 512)}
+    specs = {"pep": ModelSpec("pep", alpha=0.5), "vfe": ModelSpec("vfe")}
+    names, fns = [], []
+    for shape, (D, M, B) in shapes.items():
+        X, y, h = make_instance(23, n=B, m=M, d=D, lengthscale=0.5)
+        batch = MiniBatch(X, y)
+        for variant, spec in specs.items():
+            st = sg.init_state(h, spec)
+            st2, km = sg.update(st, batch, h, spec)
+            adj = compute_adjoints(st, st2, km, h, spec)
+            g = init_gradient_state(h, spec)  # advanced in place by every timed call
+            names.append(f"propagate {variant} {shape} (P={h.n_params})")
+            fns.append(lambda g=g, adj=adj, km=km, h=h, spec=spec, batch=batch: propagate(
+                g, adj, km.geometry, h, spec, batch
+            ))
+        names.append(f"init_gradient_state {shape} (P={h.n_params})")
+        fns.append(lambda h=h, spec=spec: init_gradient_state(h, spec))
+    times = min_times(fns, reps=15)
+    return {name: round(t * 1e3, 3) for name, t in zip(names, times)}
+
+
 MEASUREMENTS = {
     "criterion_09": criterion_09,
     "propagate_parameter_count": propagate_parameter_count,
+    "propagate_configs": propagate_configs,
 }
 
 if __name__ == "__main__":
