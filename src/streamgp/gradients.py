@@ -193,13 +193,17 @@ def _add_noise_terms(dst: np.ndarray, s: np.ndarray, H: np.ndarray) -> None:
 
     For each block of ``ROWS`` batch rows, one gemm at beta = 1 adds
     s_block @ KR, with KR the block's packed Khatri-Rao product, into
-    ``dst`` through its Fortran-ordered transpose.  ``dst`` must be a
-    C-contiguous row range of the state, so that BLAS writes into it
-    directly; no (P, M (M + 1) / 2) temporary is formed.
+    ``dst`` through its Fortran-ordered transpose.  For a C-contiguous
+    float64 ``dst`` (a row range of the state) BLAS writes into it directly,
+    and no (P, M (M + 1) / 2) temporary is formed; any other ``dst`` is
+    given to gemm as a copy, which is written back.
     """
     for rows in _row_blocks(H.shape[0]):
         s_block = np.ascontiguousarray(s[:, rows])
-        dgemm(1.0, _khatri_rao_t(H[rows]).T, s_block.T, beta=1.0, c=dst.T, trans_a=1, overwrite_c=1)
+        KR = _khatri_rao_t(H[rows]).T
+        out = dgemm(1.0, KR, s_block.T, beta=1.0, c=dst.T, trans_a=1, overwrite_c=1)
+        if not np.may_share_memory(out, dst):
+            dst[...] = out.T
 
 
 def init_gradient_state(h: Hyperparameters, spec: ModelSpec) -> GradientState:
@@ -348,18 +352,17 @@ def propagate(
 
     # The carried-sensitivity terms <L_deta, eta_dot> + <L_dLambda, Lambda_dot>
     # are dropped by the ablation as soon as the carried state holds data.
-    # On packed Lambda_dot the weights are L_ij and, off the diagonal, L_ji,
-    # in two columns: that sum cancels heavily, and pre-adding each pair
-    # would round every one of its terms once more.
+    # On packed Lambda_dot the weights are L_ij + L_ji off the diagonal and
+    # L_ii on it.
     if ignore_history and gstate.k >= 1:
         carried = 0.0
     else:
         L = adj.L_dLambda
         _, _, upper, lower, diag = _packing(len(L))
-        mirror = np.take(L, lower)
-        mirror[diag] = 0.0
-        weights = np.stack([np.take(L, upper), mirror], axis=1)
-        carried = gstate.d_eta @ adj.L_deta + np.sum(gstate.d_Lambda @ weights, axis=1)
+        weights = np.take(L, lower)
+        weights[diag] = 0.0
+        weights += np.take(L, upper)
+        carried = gstate.d_eta @ adj.L_deta + gstate.d_Lambda @ weights
     d_psi = gstate.d_psi - 0.5 * (carried + direct)
     _require_finite(d_psi, h, gstate.k)
     d_psi -= 0.5 * _walk(gstate, L_XR, geom, h, spec, batch.y, beta, dRR_l, not ignore_history)
@@ -442,21 +445,18 @@ def _walk(
         uV += u.T @ VHy
         HV += Hb.T @ VHy
 
-        # s of the noisy rows: vdot = c ddot, and 2 sigma_n^2 for log sigma_n,
-        # then -vdot / v^2.
-        if c != 0.0:
-            s = np.empty((P, n))
-            s[0] = 2.0 * geom.d[rows]  # log sigma0: Hdot = 0 and ddot = 2d
-            s[lengthscales] = np.matmul(Hb[:, None, :], HK - 2.0 * dXR_l)[:, 0, :].T
-            s[inducing] = -2.0 * (np.repeat(Hb, D, axis=1) * u).T
-            s *= c
-            s[D + 1] = 2.0 * h.noise_variance
-        else:
-            s = np.full((1, n), 2.0 * h.noise_variance)
+        # s: ddot, then vdot = c ddot, and 2 sigma_n^2 for log sigma_n, then
+        # -vdot / v^2.
+        s = np.empty((P, n))
+        s[0] = 2.0 * geom.d[rows]  # log sigma0: Hdot = 0 and ddot = 2d
+        s[lengthscales] = np.matmul(Hb[:, None, :], HK - 2.0 * dXR_l)[:, 0, :].T
+        s[inducing] = -2.0 * (np.repeat(Hb, D, axis=1) * u).T
         del gamma, dXR_l, HK, u
+        s *= c
+        s[D + 1] = 2.0 * h.noise_variance
         s /= -(vb**2)
-        eta_inc[noisy] += s @ (Hb * yb[:, None])
-        _add_noise_terms(gstate.d_Lambda[noisy], s, Hb)
+        eta_inc[noisy] += s[noisy] @ (Hb * yb[:, None])
+        _add_noise_terms(gstate.d_Lambda[noisy], s[noisy], Hb)
 
     if not advance:
         return through_XR

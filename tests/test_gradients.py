@@ -377,6 +377,28 @@ class TestNoiseTerms:
             want[p] += (H.T * s[p]) @ H
         np.testing.assert_allclose(unpack_d_Lambda(d_Lambda), want, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "float32"])
+    def test_other_state_layouts_still_accumulate(self, layout):
+        # gemm works on a copy of any dst that is not C-contiguous float64;
+        # the sums must still reach dst.
+        rng = np.random.default_rng(5)
+        P, M, B = 5, 6, ROWS + 9
+        H = rng.standard_normal((B, M))
+        s = rng.standard_normal((P, B))
+        iu, ju = np.triu_indices(M)
+        before = rng.standard_normal((P, iu.size))
+        if layout == "fortran":
+            d_Lambda = np.asfortranarray(before)
+        elif layout == "strided":
+            d_Lambda = np.zeros((P, 2 * iu.size))[:, ::2]
+            d_Lambda[...] = before
+        else:
+            d_Lambda = before.astype(np.float32)
+        _add_noise_terms(d_Lambda, s, H)
+        want = before + s @ (H[:, iu] * H[:, ju])
+        rtol = 1e-5 if layout == "float32" else 1e-12
+        np.testing.assert_allclose(d_Lambda, want, rtol=rtol, atol=rtol)
+
     def test_gemm_accumulates_into_the_state_without_a_copy(self):
         _, _, h = make_instance(41, n=2 * ROWS + 3, m=30, d=10)  # P = 312
         g = init_gradient_state(h, ModelSpec("pep", alpha=0.5))
