@@ -8,14 +8,7 @@ steps on a recursively accumulated collapsed lower bound.
 
 __version__ = "0.1.0"
 
-from .batch import (
-    BatchBoundReport,
-    batch_bound,
-    batch_sparse_posterior,
-    fd_gradient,
-    full_gp_lml,
-    full_gp_predict,
-)
+from .batch import BatchBoundReport, batch_bound, fd_gradient
 from .data import (
     Dataset,
     coverage,
@@ -26,7 +19,6 @@ from .data import (
     rmse,
     save_dataset,
     simulate_cstr,
-    train_test_split,
 )
 from .errors import (
     ContractViolationError,
@@ -59,7 +51,6 @@ from .kernel import Hyperparameters, kernel_matrix
 from .model import (
     BatchGeometry,
     ModelSpec,
-    basis,
     batch_geometry,
     regularizer,
 )
@@ -99,17 +90,13 @@ __all__ = [
     "TraceRecord",
     "TrainConfig",
     "adam_step",
-    "basis",
     "batch_bound",
     "batch_geometry",
-    "batch_sparse_posterior",
     "compute_adjoints",
     "coverage",
     "default_hyperparameters",
     "fd_gradient",
     "fixed_theta_pass",
-    "full_gp_lml",
-    "full_gp_predict",
     "generate_gp_data",
     "init_gradient_state",
     "init_inducing_subset",
@@ -125,6 +112,5 @@ __all__ = [
     "simulate_cstr",
     "split_into_batches",
     "srgp_fit",
-    "train_test_split",
     "update",
 ]

@@ -1,18 +1,16 @@
 """Batch-mode reference computations.
 
-Full-GP prediction and log marginal likelihood, the one-shot sparse
-posterior, and the collapsed lower bounds of the sparse variants, all
-evaluated the classical way.  These are the oracles the streaming
-recursion is validated against; none of them share the recursion's code
-path beyond the kernel, the variant definitions and the prior (K_RR and
-its jittered factor, see :func:`streamgp.model.prior`), which defines
-the model they all share.
+The collapsed lower bounds of the sparse variants, evaluated the classical
+way, and central finite differences.  They check the streaming recursion
+(``streamgp validate-gradients`` and the benchmark's gates); they share
+none of its code path beyond the kernel, the variant definitions and the
+prior (K_RR and its jittered factor, see :func:`streamgp.model.prior`),
+which defines the model.
 
-Everything sparse goes through the M x M Woodbury route, so no N x N
-matrix is formed outside the size-guarded full-GP operations.  This
-module deliberately has no analytic gradients: the recursive propagation
-is the analytic path, and :func:`fd_gradient` supplies the independent
-numerical one.
+The bound goes through the M x M Woodbury route, so no N x N matrix is
+formed.  This module deliberately has no analytic gradients: the
+recursive propagation is the analytic path, and :func:`fd_gradient`
+supplies the independent numerical one.
 """
 
 from __future__ import annotations
@@ -23,13 +21,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractViolationError, NumericalError
-from .inference import LOG_2PI, PredictiveDistribution
+from .inference import LOG_2PI
 from .kernel import Hyperparameters, kernel_diag, kernel_matrix, _check_inputs
-from .linalg import chol_with_jitter, symmetrize, tri_solve
+from .linalg import chol_with_jitter, tri_solve
 from .model import ModelSpec, prior, regularizer
-
-DENSE_SIZE_GUARD = 5000
-
 
 @dataclass(frozen=True)
 class BatchBoundReport:
@@ -53,49 +48,6 @@ def _check_xy(X: np.ndarray, y: np.ndarray, h: Hyperparameters) -> tuple[np.ndar
     return X, y
 
 
-def _guard(n: int, max_n: int, what: str) -> None:
-    if n > max_n:
-        raise ContractViolationError(
-            f"{what} refused for N={n} > guard {max_n}; dense O(N^3) path only"
-        )
-
-
-def full_gp_predict(
-    X: np.ndarray,
-    y: np.ndarray,
-    X_star: np.ndarray,
-    h: Hyperparameters,
-    with_noise: bool = False,
-    max_n: int = DENSE_SIZE_GUARD,
-) -> PredictiveDistribution:
-    """Exact GP predictive marginals via Cholesky of K_XX + sigma_n^2 I."""
-    X, y = _check_xy(X, y, h)
-    X_star = _check_inputs(X_star, h, "X_star")
-    _guard(X.shape[0], max_n, "full_gp_predict")
-    Kyy = kernel_matrix(X, X, h) + h.noise_variance * np.eye(X.shape[0])
-    factor = chol_with_jitter(Kyy, "K_XX + sigma_n^2 I")
-    K_sX = kernel_matrix(X_star, X, h)
-    mean = K_sX @ factor.solve(y)
-    half = tri_solve(factor.L, K_sX.T)
-    variance = kernel_diag(X_star, h) - np.sum(half * half, axis=0)
-    if with_noise:
-        variance += h.noise_variance
-    return PredictiveDistribution(mean=mean, variance=variance, includes_observation_noise=with_noise)
-
-
-def full_gp_lml(
-    X: np.ndarray, y: np.ndarray, h: Hyperparameters, max_n: int = DENSE_SIZE_GUARD
-) -> float:
-    """Exact log marginal likelihood log N(y | 0, K_XX + sigma_n^2 I)."""
-    X, y = _check_xy(X, y, h)
-    n = y.size
-    _guard(n, max_n, "full_gp_lml")
-    Kyy = kernel_matrix(X, X, h) + h.noise_variance * np.eye(n)
-    factor = chol_with_jitter(Kyy, "K_XX + sigma_n^2 I")
-    alpha = factor.solve(y)
-    return -0.5 * (n * LOG_2PI + factor.logdet + float(y @ alpha))
-
-
 def _sparse_pieces(X: np.ndarray, h: Hyperparameters, spec: ModelSpec):
     """Shared Woodbury ingredients: A = L^-1 K_RX, d, v."""
     factor = prior(h).chol
@@ -104,23 +56,6 @@ def _sparse_pieces(X: np.ndarray, h: Hyperparameters, spec: ModelSpec):
     d = np.maximum(kernel_diag(X, h) - np.sum(A * A, axis=0), 0.0)
     v = spec.noise_scale * d + h.noise_variance
     return factor, A, d, v
-
-
-def batch_sparse_posterior(
-    X: np.ndarray, y: np.ndarray, h: Hyperparameters, spec: ModelSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-shot posterior over inducing outputs (standard parametrization):
-
-        Sigma_K = (K_RR^-1 + H^T V^-1 H)^-1,   mu_K = Sigma_K H^T V^-1 y.
-    """
-    X, y = _check_xy(X, y, h)
-    factor, A, d, v = _sparse_pieces(X, h, spec)
-    H = tri_solve(factor.L, A, trans=True).T  # K_XR K_RR^-1, (N, M)
-    Lambda = symmetrize(factor.inverse() + (H.T / v[None, :]) @ H)
-    post = chol_with_jitter(Lambda, "batch Lambda")
-    Sigma_K = post.inverse()
-    mu_K = Sigma_K @ (H.T @ (y / v))
-    return mu_K, Sigma_K
 
 
 def batch_bound(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -275,7 +276,11 @@ def _read_table(path: str, delimiter: str) -> tuple[list[str], np.ndarray]:
     """Header and (rows, columns) values of a delimited file with one header row.
 
     Ragged rows and non-numeric or non-finite cells are rejected with
-    row/column diagnostics.
+    row/column diagnostics.  ``np.loadtxt`` parses the body in bulk, each
+    number as ``float`` does, and rejects ragged lines; unless that gives
+    one finite value per header column, the cells are parsed one by one,
+    which words the error (or accepts what loadtxt does not, such as quoted
+    cells).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -283,28 +288,34 @@ def _read_table(path: str, delimiter: str) -> tuple[list[str], np.ndarray]:
             header = [c.strip() for c in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
+        body = fh.read()
+    if body.strip():
+        try:
+            data = np.loadtxt(io.StringIO(body), delimiter=delimiter, comments=None, ndmin=2)
+        except ValueError:
+            data = None
+        if data is not None and data.shape[1] == len(header) and np.all(np.isfinite(data)):
+            return header, data
+    rows = []
+    for lineno, row in enumerate(csv.reader(io.StringIO(body), delimiter=delimiter), start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {lineno} has {len(row)} cells, header has {len(header)}")
+        parsed = []
+        for name, cell in zip(header, row):
+            try:
+                val = float(cell)
+            except ValueError:
                 raise DataError(
-                    f"{path}: row {lineno} has {len(row)} cells, header has {len(header)}"
+                    f"{path}: non-numeric value {cell!r} at row {lineno}, column {name!r}"
+                ) from None
+            if not np.isfinite(val):
+                raise DataError(
+                    f"{path}: non-finite value {cell!r} at row {lineno}, column {name!r}"
                 )
-            parsed = []
-            for name, cell in zip(header, row):
-                try:
-                    val = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: non-numeric value {cell!r} at row {lineno}, column {name!r}"
-                    ) from None
-                if not np.isfinite(val):
-                    raise DataError(
-                        f"{path}: non-finite value {cell!r} at row {lineno}, column {name!r}"
-                    )
-                parsed.append(val)
-            rows.append(parsed)
+            parsed.append(val)
+        rows.append(parsed)
     if not rows:
         raise DataError(f"{path}: no data rows")
     return header, np.asarray(rows)
@@ -340,20 +351,3 @@ def save_dataset(ds: Dataset, path: str, delimiter: str = ",") -> None:
         writer.writerow(ds.column_names)
         for xi, yi in zip(ds.X, ds.y):
             writer.writerow([repr(float(v)) for v in xi] + [repr(float(yi))])
-
-
-def train_test_split(ds: Dataset, test_fraction: float) -> tuple[Dataset, Dataset]:
-    """Chronological split: the last ``test_fraction`` of rows is the test set."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ContractViolationError("test_fraction must be in (0, 1)")
-    n_test = max(1, int(round(ds.n * test_fraction)))
-    n_train = ds.n - n_test
-    if n_train < 1:
-        raise ContractViolationError("split leaves no training rows")
-    mk = lambda sl, tag: Dataset(
-        X=ds.X[sl],
-        y=ds.y[sl],
-        column_names=list(ds.column_names),
-        provenance=f"{ds.provenance}[{tag}]",
-    )
-    return mk(slice(0, n_train), "train"), mk(slice(n_train, None), "test")

@@ -40,14 +40,21 @@ by L_ij and, off the diagonal, also by L_ji.
 Each parameter class (log sigma0, the D log-lengthscales, log sigma_n, the
 M*D inducing coordinates) is one block of array code over all its members.
 Every term of a step is a sum over batch rows, so :func:`propagate` walks
-the batch ``ROWS`` rows at a time: it accumulates the small right-hand
-factors of the symmetric products over the blocks and applies them once,
-and adds each block's noise terms H^T diag(s) H, with s = -vdot / v^2, as
-one matrix product into the state.  Its working memory is therefore
-bounded independently of the batch size.  ``tests/conftest.py`` keeps the
+the batch in blocks of rows: it sums the kernel derivatives against
+V^-1 [H, y] over the blocks, applies K_RR^-1 and the K_RR derivatives to
+the sums once to form the symmetric products, and adds the noise terms
+H^T diag(s) H, with s = -vdot / v^2, as one matrix product per ``ROWS``
+rows into the state.  Its working memory is therefore bounded
+independently of the batch size.  ``tests/conftest.py`` keeps the
 per-parameter dense recursion as the reference.  The gradient state is
 single-writer alongside its posterior, so :func:`propagate` advances it in
 place.
+
+Products K_RR^-1 B are taken as L^-T (L^-1 B) with the prior's inverse
+Cholesky factor (:meth:`streamgp.model.Prior.solve`), whose accuracy, unlike
+that of a product with the dense K_RR^-1, stays near a solve's when K_RR is
+badly conditioned.  The dense inverse serves only Lambda_0 and the
+inducing coordinates' w_m = K^-1 e_m and kb = K^-1 beta.
 """
 
 from __future__ import annotations
@@ -66,9 +73,9 @@ from .model import BatchGeometry, ModelSpec, prior
 # Parameters per block of the symmetric products, which bounds their
 # (BLOCK, M, M) temporaries.
 BLOCK = 8
-# Batch rows per block of propagate's walk over the batch, which bounds its
-# (ROWS, M (M + 1) / 2) Khatri-Rao block and its (P, ROWS) and (ROWS, M, D)
-# temporaries.
+# Batch rows per Khatri-Rao block of the noise terms, which bounds that
+# (ROWS, M (M + 1) / 2) temporary.  propagate walks the batch 2 ROWS rows
+# at a time, which bounds its (2 ROWS, P) and (2 ROWS, 2 M D + M) buffers.
 ROWS = 64
 
 
@@ -135,27 +142,29 @@ def _packing(M: int) -> tuple:
     return arrays
 
 
-def _row_blocks(n: int):
-    """Slices of ``ROWS`` consecutive rows covering ``range(n)``."""
-    return (slice(lo, lo + ROWS) for lo in range(0, n, ROWS))
+def _row_blocks(n: int, rows: int = ROWS):
+    """Slices of ``rows`` consecutive rows covering ``range(n)``."""
+    return (slice(lo, lo + rows) for lo in range(0, n, rows))
 
 
-def _kernel_grads(A: np.ndarray, K_AR: np.ndarray, h: Hyperparameters) -> tuple:
-    """Derivatives of K_AR = k(A, R), stacked over the input dimension d.
-
-    Returns ``(dR, dl)``, both (n, M, D): ``dR[:, m, d]`` is column m of
-    dK_AR/dR[m][d] (its only nonzero column unless A is R itself) and
-    ``dl[..., d]`` is dK_AR/dlog l_d.
+def _kernel_grads(
+    A: np.ndarray, K_AR: np.ndarray, h: Hyperparameters, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Derivatives of K_AR = k(A, R), transposed and stacked over the input
+    dimension d, as (2, M, D, n), written into ``out`` when given:
+    ``[0, m, d]`` is column m of dK_AR/dR[m][d] (its only nonzero column
+    unless A is R itself) and ``[1, :, d]`` is (dK_AR/dlog l_d)^T.  The rows
+    of A run along the last axis, so every broadcast is over a long axis.
     """
-    # Broadcasts over the short last axis (length D) are slow, so every
-    # operand with one is expanded to the full (M, D) or (n, M, D) first.
     (n, M), D = K_AR.shape, A.shape[1]
-    diff = np.repeat(A, M, axis=0).reshape(n, M, D)
-    diff -= h.inducing_inputs
-    dR = np.repeat(K_AR, D, axis=1).reshape(n, M, D)
-    dR *= diff
-    dR /= np.repeat(h.lengthscales[None, :] ** 2, M, axis=0)
-    return dR, dR * diff
+    if out is None:
+        out = np.empty((2, M, D, n))
+    dR, dl = out
+    np.subtract(np.ascontiguousarray(A.T), h.inducing_inputs[:, :, None], out=dl)
+    np.multiply(np.ascontiguousarray(K_AR.T)[:, None, :], dl, out=dR)
+    dR /= (h.lengthscales**2)[:, None]
+    dl *= dR
+    return out
 
 
 def _add_symmetrized(dst: np.ndarray, X: np.ndarray) -> None:
@@ -167,24 +176,29 @@ def _add_symmetrized(dst: np.ndarray, X: np.ndarray) -> None:
     dst += packed
 
 
-def _add_symmetric_products(dst: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
-    """dst[p] += packed(X_p + X_p^T) with X_p = left[p] @ right[p], in place,
-    forming the X_p ``BLOCK`` parameters at a time."""
+def _add_symmetric_products(dst: np.ndarray, A: np.ndarray) -> None:
+    """dst[p] += packed(A_p J A_p^T) in place for (n, M, 2 r) ``A``, with J
+    the exchange matrix: A_p = [a_1 .. a_2r] adds the symmetric sum of
+    a_k a_(2r+1-k)^T over k.  The products are formed ``BLOCK`` parameters
+    at a time."""
+    upper = _packing(A.shape[1])[2]
+    right = A[:, :, ::-1].transpose(0, 2, 1)
     for lo in range(0, len(dst), BLOCK):
-        _add_symmetrized(dst[lo : lo + BLOCK], left[lo : lo + BLOCK] @ right[lo : lo + BLOCK])
+        X = A[lo : lo + BLOCK] @ right[lo : lo + BLOCK]
+        dst[lo : lo + BLOCK] += np.take(X.reshape(len(X), -1), upper, axis=1)
 
 
 def _khatri_rao_t(H: np.ndarray) -> np.ndarray:
     """The (M (M + 1) / 2, n) transpose of the packed Khatri-Rao product
     KR[b, t] = H[b, iu_t] H[b, ju_t] of (n, M) ``H``, gathered from H^T.  The
-    second factor is gathered half the entries at a time, so its temporary
-    is half the size of the result."""
+    second factor is gathered a quarter of the entries at a time, so its
+    temporary is a quarter of the size of the result."""
     iu, ju = _packing(H.shape[1])[:2]
     Ht = np.ascontiguousarray(H.T)
     KR_t = np.take(Ht, iu, axis=0)
-    half = -(-iu.size // 2)
-    for lo in (0, half):
-        KR_t[lo : lo + half] *= np.take(Ht, ju[lo : lo + half], axis=0)
+    step = -(-iu.size // 4)
+    for lo in range(0, iu.size, step):
+        KR_t[lo : lo + step] *= np.take(Ht, ju[lo : lo + step], axis=0)
     return KR_t
 
 
@@ -204,6 +218,7 @@ def _add_noise_terms(dst: np.ndarray, s: np.ndarray, H: np.ndarray) -> None:
         out = dgemm(1.0, KR, s_block.T, beta=1.0, c=dst.T, trans_a=1, overwrite_c=1)
         if not np.may_share_memory(out, dst):
             dst[...] = out.T
+        del KR, out  # before the next block's is formed
 
 
 def init_gradient_state(h: Hyperparameters, spec: ModelSpec) -> GradientState:
@@ -216,22 +231,24 @@ def init_gradient_state(h: Hyperparameters, spec: ModelSpec) -> GradientState:
     """
     P, M, D = h.n_params, h.num_inducing, h.input_dim
     p = prior(h)
-    beta, dRR_l = _kernel_grads(h.inducing_inputs, p.K_RR, h)
+    KG = _kernel_grads(h.inducing_inputs, p.K_RR, h)
     upper = _packing(M)[2]
     d_Lambda = np.zeros((P, upper.size))
     d_Lambda[0] = -2.0 * np.take(p.inv, upper)  # Kdot_RR = 2 K_RR
-    # K^-1 Kdot_d K^-1 for every lengthscale: two solves, D right-hand sides each.
-    first = p.chol.solve(dRR_l.transpose(0, 2, 1).reshape(M, D * M)).reshape(M, D, M)
-    del dRR_l
-    both = p.chol.solve(first.transpose(2, 1, 0).reshape(M, D * M)).reshape(M, D, M)
+    # K^-1 Kdot_d K^-1 for every lengthscale: K^-1 applied to D right-hand
+    # sides at once, twice.
+    first = p.solve(KG[1].reshape(M, D * M)).reshape(M, D, M)
+    both = p.solve(first.transpose(2, 1, 0).reshape(M, D * M)).reshape(M, D, M)
     del first
     _add_symmetrized(d_Lambda[1 : D + 1], -0.5 * both.transpose(1, 0, 2))
     del both
-    # Inducing coordinates: -(w_m kb^T + kb w_m^T) with kb = K^-1 beta.
-    neg_kb = ((-p.inv) @ beta.reshape(M, M * D)).T
-    del beta
-    w = np.repeat(p.inv, D, axis=0)  # row m*D + d holds w_m
-    _add_symmetric_products(d_Lambda[D + 2 :], w[:, :, None], neg_kb[:, None, :])
+    # Inducing coordinates: -(w_m kb^T + kb w_m^T) with kb = K^-1 beta and
+    # w_m = K^-1 e_m (row m*D + d).
+    w_kb = np.empty((M * D, M, 2))
+    w_kb[:, :, 0] = np.repeat(p.inv, D, axis=0)
+    w_kb[:, :, 1] = KG[0].reshape(M * D, M) @ (-p.inv)
+    del KG
+    _add_symmetric_products(d_Lambda[D + 2 :], w_kb)
     return GradientState(d_eta=np.zeros((P, M)), d_Lambda=d_Lambda, d_psi=np.zeros(P), k=0)
 
 
@@ -273,7 +290,7 @@ def compute_adjoints(
     if spec.variant == "vfe":
         L_dd = L_dd + 1.0 / h.noise_variance
 
-    A2 = geom.prior.chol.solve(L_dH.T).T  # L_dH K_RR^-1
+    A2 = geom.prior.solve(L_dH.T).T  # L_dH K_RR^-1
     inner = A2 - L_dd[:, None] * H
     L_dK_XR = A2 - 2.0 * L_dd[:, None] * H
     L_dK_RR = -H.T @ inner
@@ -333,7 +350,7 @@ def propagate(
     """
     _require_standard(geom.transformed)
     P, D = h.n_params, h.input_dim
-    beta, dRR_l = _kernel_grads(h.inducing_inputs, geom.prior.K_RR, h)
+    KG = _kernel_grads(h.inducing_inputs, geom.prior.K_RR, h)
 
     # Direct terms <L_dK_RR, Kdot_RR> + <L_dK_XR, Kdot_XR> + <L_dk_XX, kdot_XX>
     # and L_dsigma_n.  Lengthscales and inducing coordinates leave diag(K_XX)
@@ -346,9 +363,9 @@ def propagate(
         + np.vdot(L_XR, geom.K_XR)
         + adj.L_dk_XX @ kernel_diag(geom.X, h)
     )
-    direct[1 : D + 1] = L_RR.ravel() @ dRR_l.reshape(-1, D)
+    direct[1 : D + 1] = np.matmul(KG[1], L_RR.T[:, :, None]).sum(axis=0)[:, 0]
     direct[D + 1] = adj.L_dsigman
-    direct[D + 2 :] = np.einsum("mj,jmd->md", L_RR + L_RR.T, beta).ravel()
+    direct[D + 2 :] = np.matmul(KG[0], (L_RR + L_RR.T)[:, :, None]).ravel()
 
     # The carried-sensitivity terms <L_deta, eta_dot> + <L_dLambda, Lambda_dot>
     # are dropped by the ablation as soon as the carried state holds data.
@@ -365,7 +382,7 @@ def propagate(
         carried = gstate.d_eta @ adj.L_deta + gstate.d_Lambda @ weights
     d_psi = gstate.d_psi - 0.5 * (carried + direct)
     _require_finite(d_psi, h, gstate.k)
-    d_psi -= 0.5 * _walk(gstate, L_XR, geom, h, spec, batch.y, beta, dRR_l, not ignore_history)
+    d_psi -= 0.5 * _walk(gstate, L_XR, geom, h, spec, batch.y, KG, not ignore_history)
     _require_finite(d_psi, h, gstate.k)
     return GradientState(d_eta=gstate.d_eta, d_Lambda=gstate.d_Lambda, d_psi=d_psi, k=gstate.k + 1)
 
@@ -385,88 +402,107 @@ def _walk(
     h: Hyperparameters,
     spec: ModelSpec,
     y: np.ndarray,
-    beta: np.ndarray,
-    dRR_l: np.ndarray,
+    KG: np.ndarray,
     advance: bool,
 ) -> np.ndarray:
-    """Walk the batch ``ROWS`` rows at a time.
+    """Walk the batch 2 ``ROWS`` rows at a time; ``KG`` is
+    :func:`_kernel_grads` of K_RR (beta = dK_RR/dR and Kdot_RR).
 
     Returns the direct terms <L_dK_XR, Kdot_XR> of the lengthscales and
-    inducing coordinates, zero for the other parameters (log sigma0's is
-    formed by :func:`propagate`).  With ``advance`` it also adds the batch
-    to eta_dot and Lambda_dot of every parameter, in place:
+    inducing coordinates (log sigma0's is formed by :func:`propagate`).
+    With ``advance`` it also adds the batch to eta_dot and Lambda_dot of
+    every parameter, in place:
 
         eta_dot    += Hdot^T V^-1 y + H^T diag(s) y
         Lambda_dot += Hdot^T V^-1 H + H^T V^-1 Hdot + H^T diag(s) H
 
-    with s = -vdot / v^2 the derivative of V^-1 and vdot = c ddot, plus
-    2 sigma_n^2 for log sigma_n.  Each block adds its noise terms to the
-    state and its share of Hdot^T V^-1 [H, y] to small accumulators, whose
-    symmetric products are added once at the end.
+    with s = -vdot / v^2, vdot = c ddot (plus 2 sigma_n^2 for log sigma_n).
+    Each block adds its noise terms to the state.  Hdot is never formed:
+
+        lengthscale d:      Hdot = (Kdot_XR - H Kdot_RR) K^-1
+        coordinate R[m][d]: Hdot = u w_m^T - h_m kb^T,  u = gamma - H beta,
+
+    with gamma = dK_XR/dR, w_m = K^-1 e_m, kb = K^-1 beta and h_m column m
+    of H, so the blocks only sum [gamma, Kdot_XR, H]^T V^-1 [H, y], and
+    K^-1, beta and Kdot_RR are applied to the sums once at the end.  Rows
+    run along the last axis of the per-block buffers.  Every gemm target is
+    the transpose of a C-contiguous buffer, so BLAS updates it in place.
     """
-    H, v, chol, Kinv = geom.H, geom.v, geom.prior.chol, geom.prior.inv
-    M = H.shape[1]
-    P, D = h.n_params, h.input_dim
+    H, v, Kinv = geom.H, geom.v, geom.prior.inv
+    (B, M), (P, D) = H.shape, (h.n_params, h.input_dim)
+    MD = M * D
     lengthscales, inducing = slice(1, D + 1), slice(D + 2, P)
     through_XR = np.zeros(P)
-    dRR, beta_flat = dRR_l.reshape(M, M * D), beta.reshape(M, M * D)
+    # Row m*D + d of KG_T holds beta[:, m, d], row MD + m*D + d column m of
+    # Kdot_RR for lengthscale d.
+    KG_T = KG.reshape(2 * MD, M)
     # Without the Schur-complement term (c = 0) only log sigma_n moves V.
     c = spec.noise_scale
     noisy = slice(0, P) if c != 0.0 else slice(D + 1, D + 2)
+    # s = -c ddot / v^2, and -2 sigma_n^2 / v^2 for log sigma_n, where ddot
+    # is 2d for log sigma0, H (H Kdot_RR - 2 Kdot_XR)^T for the lengthscales
+    # and -2 h_m u for R[m][d].  g = 2 c / v^2 scales the per-block ones.
+    g = 2.0 * c / v**2
+    s_sigma0 = -g * geom.d
+    s_sigma_n = -2.0 * h.noise_variance / v**2
 
+    # Buffers for [gamma, Kdot_XR, H^T] and s of a block, rows along the last
+    # axis; a shorter last block takes the front of each buffer.
+    n_G, n_max = 2 * MD + M, min(B, 2 * ROWS)
+    G_buf = np.empty(n_G * n_max)
+    s_buf = np.empty(P * n_max)
     eta_inc = np.zeros((P, M))
-    # Sums over the batch of Z^T V^-1 [H, y] for Z = Hdot_d (every
-    # lengthscale d), u and H: the last column holds Z^T V^-1 y.
-    HdV = np.zeros((D, M, M + 1))
-    uV = np.zeros((M * D, M + 1))
-    HV = np.zeros((M, M + 1))
-    for rows in _row_blocks(H.shape[0]):
-        gamma, dXR_l = _kernel_grads(geom.X[rows], geom.K_XR[rows], h)
+    # Sums over the batch of Z V^-1 [H, y] for Z = gamma^T, Kdot_XR^T (rows
+    # m*D + d of each) and H^T: the last column holds Z V^-1 y.
+    GV = np.zeros((n_G, M + 1))
+    for rows in _row_blocks(B, 2 * ROWS):
+        Hb, vb, yb = H[rows], v[rows], y[rows, None]
+        n = Hb.shape[0]
+        G = G_buf[: n_G * n].reshape(n_G, n)
+        Gk = _kernel_grads(geom.X[rows], geom.K_XR[rows], h, out=G[: 2 * MD].reshape(2, M, D, n))
         # For R[m][d], Kdot_XR = gamma e_m^T.
-        through_XR[lengthscales] += L_XR[rows].ravel() @ dXR_l.reshape(-1, D)
-        L_block = L_XR[rows].T[:, None, :]
-        through_XR[inducing] += np.matmul(L_block, gamma.transpose(1, 0, 2)).ravel()
+        lg = np.matmul(Gk, L_XR[rows].T[:, :, None])
+        through_XR[inducing] += lg[0].ravel()
+        through_XR[lengthscales] += lg[1].sum(axis=0)[:, 0]
         if not advance:
             continue
-        Hb, vb, yb = H[rows], v[rows], y[rows]
-        n = Hb.shape[0]
-        VHy = np.concatenate([Hb, yb[:, None]], axis=1) / vb[:, None]  # V^-1 [H, y]
+        G[2 * MD :] = Hb.T
+        VHy = np.concatenate([Hb, yb], axis=1) / vb[:, None]  # V^-1 [H, y]
+        dgemm(1.0, VHy.T, G.T, beta=1.0, c=GV.T, overwrite_c=1)
+        del VHy
+        # In place, [gamma, Kdot_XR] -= [beta, Kdot_RR / 2]^T H^T gives
+        # [u, Kdot_XR - H Kdot_RR / 2], so that s = g H [u, (.)^T].
+        for part, alpha in ((slice(0, MD), -1.0), (slice(MD, 2 * MD), -0.5)):
+            dgemm(alpha, Hb.T, KG_T[part].T, beta=1.0, c=G[part].T, trans_a=1, overwrite_c=1)
 
-        # Lengthscales: Hdot_d^T = K^-1 (Kdot_XR - H Kdot_RR)^T, all d from one solve.
-        HK = (Hb @ dRR).reshape(n, M, D)
-        rhs = (dXR_l - HK).transpose(1, 2, 0).reshape(M, D * n)
-        Hdot_T = chol.solve(rhs).reshape(M, D, n).transpose(1, 0, 2)
-        HdV += Hdot_T @ VHy
-        del rhs, Hdot_T
-
-        # Inducing coordinates: Hdot = u w_m^T - h_m kb^T with u = gamma - H beta,
-        # w_m = K^-1 e_m and kb = K^-1 beta; row m*D + d is coordinate R[m][d].
-        u = (gamma - (Hb @ beta_flat).reshape(n, M, D)).reshape(n, M * D)
-        uV += u.T @ VHy
-        HV += Hb.T @ VHy
-
-        # s: ddot, then vdot = c ddot, and 2 sigma_n^2 for log sigma_n, then
-        # -vdot / v^2.
-        s = np.empty((P, n))
-        s[0] = 2.0 * geom.d[rows]  # log sigma0: Hdot = 0 and ddot = 2d
-        s[lengthscales] = np.matmul(Hb[:, None, :], HK - 2.0 * dXR_l)[:, 0, :].T
-        s[inducing] = -2.0 * (np.repeat(Hb, D, axis=1) * u).T
-        del gamma, dXR_l, HK, u
-        s *= c
-        s[D + 1] = 2.0 * h.noise_variance
-        s /= -(vb**2)
-        eta_inc[noisy] += s[noisy] @ (Hb * yb[:, None])
-        _add_noise_terms(gstate.d_Lambda[noisy], s[noisy], Hb)
+        s = s_buf[: P * n].reshape(P, n)
+        s[0] = s_sigma0[rows]
+        s[D + 1] = s_sigma_n[rows]
+        Hg = Hb.T * g[rows]
+        s[lengthscales] = np.einsum("mb,mdb->db", Hg, Gk[1])
+        np.multiply(Hg[:, None, :], Gk[0], out=s[inducing].reshape(M, D, n))
+        dgemm(1.0, (Hb * yb).T, s[noisy].T, beta=1.0, c=eta_inc[noisy].T, overwrite_c=1)
+        _add_noise_terms(gstate.d_Lambda[noisy], s[noisy], G[2 * MD :].T)
 
     if not advance:
         return through_XR
-    eta_inc[lengthscales] += HdV[..., M]
-    _add_symmetrized(gstate.d_Lambda[lengthscales], HdV[..., :M])
+    # [u, Kdot_XR - H Kdot_RR]^T V^-1 [H, y], summed over the batch.
+    HV = GV[2 * MD :]
+    GV[: 2 * MD] -= KG_T @ HV
+    uV = GV[:MD]
+    # Lengthscale d: Hdot_d^T V^-1 [H, y] = K^-1 (GV rows m*D + d), all d at once.
+    HdV = geom.prior.solve(GV[MD : 2 * MD].reshape(M, D * (M + 1))).reshape(M, D, M + 1)
+    eta_inc[lengthscales] += HdV[:, :, M].T
+    _add_symmetrized(gstate.d_Lambda[lengthscales], HdV[:, :, :M].transpose(1, 0, 2))
+    # Inducing coordinates: Hdot^T V^-1 [H, y] = w_m uV - kb hV_m, with hV_m
+    # row m of H^T V^-1 [H, y]; row m*D + d of each holds coordinate R[m][d].
     w = np.repeat(Kinv, D, axis=0)
-    kb = (Kinv @ beta_flat).T
-    eta_inc[inducing] += w * uV[:, M, None] - kb * np.repeat(HV[:, M], D)[:, None]
+    neg_kb = KG_T[:MD] @ (-Kinv)
+    hV = np.repeat(HV, D, axis=0)
+    eta_inc[inducing] += w * uV[:, M, None] + neg_kb * hV[:, M, None]
     gstate.d_eta += eta_inc
-    left = np.stack([w, -kb], axis=2)
-    right = np.stack([uV[:, :M], np.repeat(HV[:, :M], D, axis=0)], axis=1)
-    _add_symmetric_products(gstate.d_Lambda[inducing], left, right)
+    del eta_inc
+    A = np.stack([w, neg_kb, hV[:, :M], uV[:, :M]], axis=2)
+    del w, neg_kb, hV
+    _add_symmetric_products(gstate.d_Lambda[inducing], A)
     return through_XR

@@ -2,9 +2,12 @@
 
 Every matrix inversion in the package goes through a Cholesky factor
 obtained from :func:`chol_with_jitter`, which escalates a trace-scaled
-diagonal jitter from 1e-8 up to 1e-4 before giving up.  Explicit inverses
-are formed only where a full inverse matrix is genuinely required
-(posterior covariance from precision); solves are used everywhere else.
+diagonal jitter from 1e-8 up to 1e-4 before giving up.  A dense inverse
+(LAPACK ``dpotri``: L^-T L^-1 from the factor) is formed only where the
+inverse matrix itself is the result, such as a posterior covariance from
+its precision.  Products with K_RR^-1 go through the prior's inverse
+factor L^-1 instead (see :class:`streamgp.model.Prior`), and the batch
+bound and the data generator use triangular solves (:func:`tri_solve`).
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve as _cho_solve
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotri
 
 from .errors import IllConditionedError
 
@@ -24,7 +27,9 @@ JITTER_MAX = 1e-4
 
 @dataclass(frozen=True)
 class CholFactor:
-    """Lower Cholesky factor of a symmetric positive definite matrix."""
+    """Lower Cholesky factor L of a symmetric positive definite matrix A,
+    with log det(A) and the dense A^-1.  Products with K_RR^-1 go through
+    the inverse factor L^-1 that :class:`streamgp.model.Prior` keeps."""
 
     L: np.ndarray
     jitter: float  # absolute jitter that was added to the diagonal
@@ -34,14 +39,12 @@ class CholFactor:
         """Log-determinant of the factored matrix."""
         return 2.0 * float(np.sum(np.log(np.diag(self.L))))
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve A x = b for the factored matrix A."""
-        return _cho_solve((self.L, True), b, check_finite=False)
-
     def inverse(self) -> np.ndarray:
-        """Dense inverse of the factored matrix (symmetrized)."""
-        inv = self.solve(np.eye(self.L.shape[0]))
-        return symmetrize(inv)
+        """Dense inverse of the factored matrix, exactly symmetric: LAPACK
+        ``dpotri`` forms its lower triangle as L^-T L^-1, which is mirrored."""
+        inv, _ = dpotri(self.L, lower=1)
+        inv = np.tril(inv)
+        return inv + np.tril(inv, -1).T
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -80,21 +83,6 @@ def chol_with_jitter(a: np.ndarray, name: str = "matrix") -> CholFactor:
             factor *= 10.0
 
 
-def tri_solve(L: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
-    """Solve L x = b (or L.T x = b when ``trans``) for lower-triangular L."""
-    return solve_triangular(L, b, lower=True, trans=1 if trans else 0, check_finite=False)
-
-
-def max_abs(a: np.ndarray) -> float:
-    """max |a_ij|, 0.0 for empty arrays."""
-    return float(np.max(np.abs(a))) if a.size else 0.0
-
-
-def rel_diff(a: np.ndarray, b: np.ndarray, floor: float = 1.0) -> float:
-    """Max absolute difference scaled by max(|b|, floor).
-
-    Used throughout the tests as the "relative difference" between a
-    computed quantity ``a`` and its reference ``b``.
-    """
-    denom = max(max_abs(np.asarray(b)), floor)
-    return max_abs(np.asarray(a) - np.asarray(b)) / denom
+def tri_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L x = b for lower-triangular L."""
+    return solve_triangular(L, b, lower=True, check_finite=False)

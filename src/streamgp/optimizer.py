@@ -207,7 +207,8 @@ def srgp_fit(
     for epoch in range(start_epoch, cfg.epochs):
         if state is None or cfg.reset_each_epoch:
             # Release the finished epoch's states first, so that only one
-            # (P, M, M) derivative state is alive while the next is built.
+            # packed (P, M (M + 1) / 2) derivative state is alive while the
+            # next is built.
             state = gstate = state_new = gstate_new = None
             state = init_state(h, spec)
             gstate = init_gradient_state(h, spec)

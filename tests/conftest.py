@@ -8,8 +8,19 @@ recursive code paths, so they stay independent of what they check.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import cho_solve as _cho_solve
+from scipy.linalg import solve_triangular
 
-from streamgp import ContractViolationError, Hyperparameters, MiniBatch, ModelSpec, kernel_matrix
+from streamgp import (
+    ContractViolationError,
+    Dataset,
+    Hyperparameters,
+    MiniBatch,
+    ModelSpec,
+    PredictiveDistribution,
+    kernel_matrix,
+)
+from streamgp.batch import _check_xy, _sparse_pieces
 from streamgp.gradients import GradientState
 from streamgp.kernel import (
     CLASS_INDUCING,
@@ -18,10 +29,122 @@ from streamgp.kernel import (
     _check_inputs,
     kernel_diag,
 )
-from streamgp.linalg import chol_with_jitter, symmetrize
+from streamgp.linalg import CholFactor, chol_with_jitter, symmetrize
 from streamgp.model import batch_geometry, prior, regularizer
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+DENSE_SIZE_GUARD = 5000
+
+
+def max_abs(a: np.ndarray) -> float:
+    """max |a_ij|, 0.0 for empty arrays."""
+    return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def rel_diff(a: np.ndarray, b: np.ndarray, floor: float = 1.0) -> float:
+    """Max absolute difference scaled by max(|b|, floor): the "relative
+    difference" between a computed quantity ``a`` and its reference ``b``."""
+    denom = max(max_abs(np.asarray(b)), floor)
+    return max_abs(np.asarray(a) - np.asarray(b)) / denom
+
+
+def cho_solve(factor: CholFactor, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b for the matrix A that ``factor`` factors (LAPACK solve)."""
+    return _cho_solve((factor.L, True), b, check_finite=False)
+
+
+def train_test_split(ds: Dataset, test_fraction: float) -> tuple[Dataset, Dataset]:
+    """Chronological split: the last ``test_fraction`` of rows is the test set."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ContractViolationError("test_fraction must be in (0, 1)")
+    n_test = max(1, int(round(ds.n * test_fraction)))
+    n_train = ds.n - n_test
+    if n_train < 1:
+        raise ContractViolationError("split leaves no training rows")
+    mk = lambda sl, tag: Dataset(
+        X=ds.X[sl],
+        y=ds.y[sl],
+        column_names=list(ds.column_names),
+        provenance=f"{ds.provenance}[{tag}]",
+    )
+    return mk(slice(0, n_train), "train"), mk(slice(n_train, None), "test")
+
+
+def basis(X: np.ndarray, h: Hyperparameters, transformed: bool = False) -> np.ndarray:
+    """Basis functions of the inducing outputs for inputs ``X``.
+
+    Untransformed: H = K_XR K_RR^-1, applied through the shared prior's
+    inverse factor exactly as :func:`streamgp.model.batch_geometry` does, so
+    the two agree bit for bit.  Transformed: simply K_XR.
+    """
+    X = _check_inputs(X, h, "X")
+    K_XR = kernel_matrix(X, h.inducing_inputs, h)
+    if transformed:
+        return K_XR
+    return prior(h).solve(K_XR.T).T
+
+
+# -- batch oracles: full GP and the one-shot sparse posterior -------------------
+
+
+def _guard(n: int, max_n: int, what: str) -> None:
+    if n > max_n:
+        raise ContractViolationError(
+            f"{what} refused for N={n} > guard {max_n}; dense O(N^3) path only"
+        )
+
+
+def full_gp_predict(
+    X: np.ndarray,
+    y: np.ndarray,
+    X_star: np.ndarray,
+    h: Hyperparameters,
+    with_noise: bool = False,
+    max_n: int = DENSE_SIZE_GUARD,
+) -> PredictiveDistribution:
+    """Exact GP predictive marginals via Cholesky of K_XX + sigma_n^2 I."""
+    X, y = _check_xy(X, y, h)
+    X_star = _check_inputs(X_star, h, "X_star")
+    _guard(X.shape[0], max_n, "full_gp_predict")
+    Kyy = kernel_matrix(X, X, h) + h.noise_variance * np.eye(X.shape[0])
+    factor = chol_with_jitter(Kyy, "K_XX + sigma_n^2 I")
+    K_sX = kernel_matrix(X_star, X, h)
+    mean = K_sX @ cho_solve(factor, y)
+    half = solve_triangular(factor.L, K_sX.T, lower=True, check_finite=False)
+    variance = kernel_diag(X_star, h) - np.sum(half * half, axis=0)
+    if with_noise:
+        variance += h.noise_variance
+    return PredictiveDistribution(mean=mean, variance=variance, includes_observation_noise=with_noise)
+
+
+def full_gp_lml(
+    X: np.ndarray, y: np.ndarray, h: Hyperparameters, max_n: int = DENSE_SIZE_GUARD
+) -> float:
+    """Exact log marginal likelihood log N(y | 0, K_XX + sigma_n^2 I)."""
+    X, y = _check_xy(X, y, h)
+    n = y.size
+    _guard(n, max_n, "full_gp_lml")
+    Kyy = kernel_matrix(X, X, h) + h.noise_variance * np.eye(n)
+    factor = chol_with_jitter(Kyy, "K_XX + sigma_n^2 I")
+    alpha = cho_solve(factor, y)
+    return -0.5 * (n * LOG_2PI + factor.logdet + float(y @ alpha))
+
+
+def batch_sparse_posterior(
+    X: np.ndarray, y: np.ndarray, h: Hyperparameters, spec: ModelSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """One-shot posterior over inducing outputs (standard parametrization):
+
+        Sigma_K = (K_RR^-1 + H^T V^-1 H)^-1,   mu_K = Sigma_K H^T V^-1 y.
+    """
+    X, y = _check_xy(X, y, h)
+    factor, A, d, v = _sparse_pieces(X, h, spec)
+    H = solve_triangular(factor.L, A, lower=True, trans=1, check_finite=False).T  # K_XR K_RR^-1
+    Lambda = symmetrize(factor.inverse() + (H.T / v[None, :]) @ H)
+    post = chol_with_jitter(Lambda, "batch Lambda")
+    Sigma_K = post.inverse()
+    mu_K = Sigma_K @ (H.T @ (y / v))
+    return mu_K, Sigma_K
 
 
 def farthest_point_subset(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -199,11 +322,11 @@ def kf_update_moments(
     r = batch.y - H @ mu
     S = symmetrize(H @ Sigma @ H.T) + np.diag(v)
     factor = chol_with_jitter(S, "S")
-    G = factor.solve(H @ Sigma).T
+    G = cho_solve(factor, H @ Sigma).T
     mu_new = mu + G @ r
     Sigma_new = symmetrize(Sigma - G @ S @ G.T)
     a_k = regularizer(geom.d, spec, h)
-    psi_inc = -0.5 * (batch.size * LOG_2PI + factor.logdet + float(r @ factor.solve(r)) + a_k)
+    psi_inc = -0.5 * (batch.size * LOG_2PI + factor.logdet + float(r @ cho_solve(factor, r)) + a_k)
     return mu_new, Sigma_new, psi_inc
 
 
@@ -276,7 +399,7 @@ def oracle_init_gradient_state(h: Hyperparameters) -> GradientState:
     d_Lambda = np.zeros((h.n_params, M, M))
     for i in range(h.n_params):
         if h.param_class(i)[0] != CLASS_LOG_SIGMA_N:
-            d_Lambda[i] = -symmetrize(factor.solve(factor.solve(_kdot_RR(h, i)).T).T)
+            d_Lambda[i] = -symmetrize(cho_solve(factor, cho_solve(factor, _kdot_RR(h, i)).T).T)
     return GradientState(
         d_eta=np.zeros((h.n_params, M)), d_Lambda=d_Lambda, d_psi=np.zeros(h.n_params)
     )
@@ -323,7 +446,7 @@ def oracle_propagate(gstate, adj, geom, h, spec, batch, ignore_history=False) ->
         d_psi[i] += -0.5 * (carried + direct)
         if not ignore_history:
             HKdot = H @ Kdot_RR
-            Hdot = geom.prior.chol.solve((Kdot_XR - HKdot).T).T
+            Hdot = cho_solve(geom.prior.chol, (Kdot_XR - HKdot).T).T
             d_eta[i] += Hdot.T @ Vinv_y
             cross = Hdot.T @ VinvH
             d_Lambda[i] += cross + cross.T

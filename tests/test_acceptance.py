@@ -17,9 +17,6 @@ from streamgp import (
     MiniBatch,
     ModelSpec,
     batch_bound,
-    batch_sparse_posterior,
-    full_gp_lml,
-    full_gp_predict,
     init_state,
     kernel_matrix,
     predict,
@@ -29,9 +26,16 @@ from streamgp import (
 from streamgp.cli import main as cli_main
 from streamgp.gradients import compute_adjoints, init_gradient_state, propagate
 from streamgp.inference import PARAM_STANDARD, PARAM_TRANSFORMED
-from streamgp.linalg import rel_diff
 
-from conftest import farthest_point_subset, record_adam_thetas
+from conftest import (
+    batch_sparse_posterior,
+    farthest_point_subset,
+    full_gp_lml,
+    full_gp_predict,
+    record_adam_thetas,
+    rel_diff,
+    train_test_split,
+)
 from timing import pinned
 
 
@@ -398,7 +402,7 @@ def test_criterion_11_cstr_pipeline(tmp_path):
     ) == 0
     ds = sg.load_dataset(str(data_file))
     assert ds.n >= 9_999
-    train_ds, test_ds = sg.train_test_split(ds, 0.2)
+    train_ds, test_ds = train_test_split(ds, 0.2)
     train_file, test_file = tmp_path / "train.csv", tmp_path / "test.csv"
     sg.save_dataset(train_ds, str(train_file))
     sg.save_dataset(test_ds, str(test_file))

@@ -9,13 +9,16 @@ from streamgp import (
     ModelSpec,
     NumericalError,
     batch_bound,
-    batch_sparse_posterior,
     fd_gradient,
-    full_gp_lml,
-    full_gp_predict,
 )
 
-from conftest import dense_bound, make_instance
+from conftest import (
+    batch_sparse_posterior,
+    dense_bound,
+    full_gp_lml,
+    full_gp_predict,
+    make_instance,
+)
 
 
 class TestFullGP:

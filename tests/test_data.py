@@ -14,9 +14,10 @@ from streamgp import (
     rmse,
     save_dataset,
     simulate_cstr,
-    train_test_split,
 )
 from streamgp.data import default_hyperparameters, load_inputs
+
+from conftest import train_test_split
 
 
 class TestGenerateGpData:
@@ -151,6 +152,22 @@ class TestDatasetIO:
         path.write_text("x0,y\n0.1,0.2,0.3\n")
         with pytest.raises(DataError, match="row 2"):
             load_dataset(str(path))
+
+    def test_blank_looking_row_rejected(self, tmp_path):
+        # np.loadtxt skips a line of blanks; the row-by-row reading it falls
+        # back to sees a row of one cell, as before the bulk parse existed.
+        path = tmp_path / "blank.csv"
+        path.write_text("x0,y\n0.1,0.2\n   \n0.3,0.4\n")
+        with pytest.raises(DataError, match="row 3 has 1 cells"):
+            load_dataset(str(path))
+
+    def test_quoted_cells_load(self, tmp_path):
+        # The bulk parse rejects quotes; the row-by-row reading accepts them.
+        path = tmp_path / "quoted.csv"
+        path.write_text('x0,y\n"0.1",0.2\n0.3,"0.4"\n')
+        ds = load_dataset(str(path))
+        np.testing.assert_array_equal(ds.X, [[0.1], [0.3]])
+        np.testing.assert_array_equal(ds.y, [0.2, 0.4])
 
     def test_missing_target_rejected(self, tmp_path):
         path = tmp_path / "cols.csv"

@@ -23,12 +23,12 @@ from streamgp import (
 )
 from streamgp.gradients import ROWS, GradientState, _add_noise_terms
 from streamgp.inference import PARAM_TRANSFORMED
-from streamgp.linalg import rel_diff
 
 from conftest import (
     make_instance,
     oracle_init_gradient_state,
     oracle_propagate,
+    rel_diff,
     unpack_d_Lambda,
 )
 from timing import pinned

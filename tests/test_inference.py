@@ -11,9 +11,6 @@ from streamgp import (
     MiniBatch,
     ModelSpec,
     batch_bound,
-    batch_sparse_posterior,
-    full_gp_lml,
-    full_gp_predict,
     init_state,
     kernel_matrix,
     predict,
@@ -22,9 +19,18 @@ from streamgp import (
 )
 from streamgp import inference
 from streamgp.inference import PARAM_STANDARD, PARAM_TRANSFORMED
-from streamgp.linalg import rel_diff
 
-from conftest import dense_predictive, innovation_cov, kalman_gain, kf_update_moments, make_instance
+from conftest import (
+    batch_sparse_posterior,
+    dense_predictive,
+    full_gp_lml,
+    full_gp_predict,
+    innovation_cov,
+    kalman_gain,
+    kf_update_moments,
+    make_instance,
+    rel_diff,
+)
 
 VARIANTS = [ModelSpec("vfe"), ModelSpec("fitc"), ModelSpec("pep", alpha=0.5)]
 

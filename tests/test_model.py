@@ -8,6 +8,7 @@ import pytest
 from streamgp import (
     ContractViolationError,
     Hyperparameters,
+    MiniBatch,
     ModelSpec,
     TrainConfig,
     fixed_theta_pass,
@@ -15,12 +16,15 @@ from streamgp import (
     kernel_matrix,
     predict,
     srgp_fit,
+    update,
 )
 from streamgp import inference
 from streamgp import kernel as kernel_module
-from streamgp.model import basis, batch_geometry, prior, regularizer
+from streamgp import model as model_module
+from streamgp.gradients import compute_adjoints, init_gradient_state, propagate
+from streamgp.model import batch_geometry, prior, regularizer
 
-from conftest import dense_Q, make_instance, record_adam_thetas
+from conftest import basis, dense_Q, make_instance, record_adam_thetas
 
 ALL_SPECS = [
     ModelSpec("sor"),
@@ -205,6 +209,20 @@ class TestBatchGeometry:
         np.testing.assert_array_equal(g_std.d, g_t.d)
         np.testing.assert_array_equal(g_std.v, g_t.v)
 
+    def test_basis_residual_at_a_badly_conditioned_prior(self):
+        # K_RR^-1 goes through the inverse Cholesky factor, which keeps the
+        # basis about as accurate as a solve: ||H K_RR - K_XR|| / ||K_XR||
+        # stays at round-off where cond(K_RR) is about 1e9.  A product with
+        # the dense inverse misses the bound by orders of magnitude there.
+        X, _, h = make_instance(3, n=300, m=30, d=2, lengthscale=0.65)
+        p = prior(h)
+        assert p.chol.jitter == 0.0
+        assert 1e8 <= np.linalg.cond(p.K_RR) <= 1e10
+        g = batch_geometry(X, h, ModelSpec("vfe"))
+        scale = np.linalg.norm(g.K_XR)
+        assert np.linalg.norm(g.H @ p.K_RR - g.K_XR) <= 1e-13 * scale
+        assert np.linalg.norm(g.K_XR @ p.inv @ p.K_RR - g.K_XR) > 1e-13 * scale
+
 
 def record_kernel_calls(monkeypatch, record) -> None:
     """Call ``record(A, B, h)`` for every kernel_matrix call that library code
@@ -283,6 +301,30 @@ class TestPrior:
         np.testing.assert_array_equal(p.K_RR, kernel_matrix(h.inducing_inputs, h.inducing_inputs, h))
         for a in (p.K_RR, p.chol.L, p.inv, h.log_lengthscales, h.inducing_inputs):
             assert not a.flags.writeable
+
+    def test_inverse_factor_is_built_once_and_read_only(self, monkeypatch):
+        # One L^-1 per parameter value, shared by every product with K_RR^-1
+        # (basis, adjoints, gradients, prediction); read-only because the
+        # prior is shared, and Fortran-ordered for BLAS.
+        X, y, h = make_instance(24, n=40, m=6, d=2)
+        spec = ModelSpec("pep", alpha=0.5)
+        builds = []
+        dtrtri = model_module.dtrtri
+        monkeypatch.setattr(model_module, "dtrtri", lambda *a, **k: builds.append(1) or dtrtri(*a, **k))
+        batch = MiniBatch(X, y)
+        st, g = init_state(h, spec), init_gradient_state(h, spec)
+        st2, km = update(st, batch, h, spec)
+        propagate(g, compute_adjoints(st, st2, km, h, spec), km.geometry, h, spec, batch)
+        predict(st2, X[:7], h, spec)
+        assert len(builds) == 1
+        p = prior(h)
+        assert p.L_inv is p.L_inv
+        assert not p.L_inv.flags.writeable and p.L_inv.flags.f_contiguous
+        np.testing.assert_allclose(p.L_inv @ p.chol.L, np.eye(6), atol=1e-12)
+        h_same = h.with_vector(h.to_vector())  # same values, new object
+        for _ in range(2):
+            batch_geometry(X, h_same, spec)
+        assert len(builds) == 2
 
     def test_hyperparameters_copy_their_arrays(self):
         R = np.array([[0.1], [0.6]])

@@ -22,10 +22,9 @@ from streamgp import (
     srgp_fit,
     update,
 )
-from streamgp.linalg import rel_diff
 from streamgp.optimizer import ResumeState
 
-from conftest import make_instance, record_adam_thetas
+from conftest import make_instance, record_adam_thetas, rel_diff
 
 
 class TestAdamStep:

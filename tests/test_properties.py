@@ -19,9 +19,8 @@ from streamgp import (
     predict,
     update,
 )
-from streamgp.linalg import rel_diff
 
-from conftest import make_instance
+from conftest import make_instance, rel_diff
 
 N = 40
 SPECS = [ModelSpec("vfe"), ModelSpec("fitc"), ModelSpec("pep", alpha=0.5), ModelSpec("dtc")]

@@ -143,10 +143,51 @@ def propagate_configs() -> dict:
     return {name: round(t * 1e3, 3) for name, t in zip(names, times)}
 
 
+def propagate_vs_noise_gemm() -> dict:
+    """``propagate`` against its noise terms alone (``_add_noise_terms`` over
+    the whole batch, Khatri-Rao blocks included) at the train-cstr shape
+    (PEP, D = 5, M = 50, B = 256, P = 257): milliseconds, minimum of 30
+    interleaved rounds, and their ratio.
+
+    Not used by any test; run by hand to see how far the rest of
+    ``propagate`` sits above its noise GEMM.
+    """
+    from conftest import make_instance
+
+    import numpy as np
+
+    import streamgp as sg
+    from streamgp import MiniBatch, ModelSpec
+    from streamgp.gradients import _add_noise_terms, compute_adjoints, init_gradient_state, propagate
+
+    spec = ModelSpec("pep", alpha=0.5)
+    X, y, h = make_instance(23, n=256, m=50, d=5, lengthscale=0.5)
+    batch = MiniBatch(X, y)
+    st = sg.init_state(h, spec)
+    st2, km = sg.update(st, batch, h, spec)
+    adj = compute_adjoints(st, st2, km, h, spec)
+    g = init_gradient_state(h, spec)  # advanced in place by every timed call
+    s = np.random.default_rng(0).standard_normal((h.n_params, batch.size))
+    dst = g.d_Lambda.copy()
+    prop, noise = min_times(
+        [
+            lambda: propagate(g, adj, km.geometry, h, spec, batch),
+            lambda: _add_noise_terms(dst, s, km.geometry.H),
+        ],
+        reps=30,
+    )
+    return {
+        "propagate_ms": round(prop * 1e3, 3),
+        "noise_terms_ms": round(noise * 1e3, 3),
+        "ratio": round(prop / noise, 3),
+    }
+
+
 MEASUREMENTS = {
     "criterion_09": criterion_09,
     "propagate_parameter_count": propagate_parameter_count,
     "propagate_configs": propagate_configs,
+    "propagate_vs_noise_gemm": propagate_vs_noise_gemm,
 }
 
 if __name__ == "__main__":
