@@ -1,34 +1,51 @@
 """Versioned checkpoint container.
 
-Checkpoints are NPZ archives: a zip of named ``.npy`` members, each of
-which is self-describing (format-versioned text header carrying dtype
-with an explicit endianness tag and row-major layout, followed by the
-binary payload).  Scalars and strings ride along as 0-d arrays; RNG and
-config state are JSON strings.  Loading restores the exact float64 bit
-patterns, which is what makes resumed training reproduce an
-uninterrupted run bit for bit.
+Checkpoints are NPZ archives: a zip of named, self-describing ``.npy``
+members (dtype with an explicit endianness tag, then the binary payload).
+Loading restores the exact float64 bit patterns, which is what makes
+resumed training reproduce an uninterrupted run bit for bit.
+
+Format 2 stores each init field of the ``hyper``, ``spec``, ``state`` and
+``adam`` objects as the member ``<section>/<field>`` (scalars as 0-d
+arrays), and reads them back by walking the same fields.  Beside them are
+``train/epochs_done``, the JSON strings ``train/rng_state``,
+``train/config`` and ``train/trace_tail``, and the ``standardize/mean`` and
+``standardize/scale`` input transform.  Format 1 still loads; its extra
+``adam/beta1``, ``adam/beta2`` and ``adam/epsilon`` must equal the fixed
+constants of :mod:`streamgp.optimizer`.  An archive the reader cannot use
+(a missing, mistyped, non-finite or misshapen member, an unknown
+parametrization, bad JSON, half a standardize pair) raises
+:class:`DataError` naming the file.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+import zipfile
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DataError
-from .inference import PosteriorState
+from .errors import ContractViolationError, DataError
+from .inference import PARAM_STANDARD, PARAM_TRANSFORMED, PosteriorState
 from .kernel import Hyperparameters
 from .model import ModelSpec
-from .optimizer import AdamState
+from .optimizer import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+SECTIONS = {"hyper": Hyperparameters, "spec": ModelSpec, "state": PosteriorState, "adam": AdamState}
+# dtype kinds and conversion of each scalar field type; other fields are arrays.
+SCALARS = {"float": ("if", float), "int": ("i", int), "str": ("U", str)}
+FORMAT_1_ADAM = {"adam/beta1": ADAM_BETA1, "adam/beta2": ADAM_BETA2, "adam/epsilon": ADAM_EPSILON}
+STANDARDIZE = ("standardize/mean", "standardize/scale")
 
 
 @dataclass
 class Checkpoint:
-    version: int
+    """What a checkpoint holds; ``version`` is the format of the archive it
+    was read from (the writer always writes ``FORMAT_VERSION``)."""
+
     hyper: Hyperparameters
     spec: ModelSpec
     state: PosteriorState
@@ -39,49 +56,22 @@ class Checkpoint:
     standardize_mean: np.ndarray | None = None
     standardize_scale: np.ndarray | None = None
     trace_tail: list[dict] | None = None
+    version: int = FORMAT_VERSION
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     """Write ``ckpt`` atomically to exactly ``path``, whatever its suffix."""
-    payload: dict[str, np.ndarray] = {
-        "format_version": np.asarray(FORMAT_VERSION),
-        "hyper/log_sigma0": np.asarray(ckpt.hyper.log_sigma0),
-        "hyper/log_lengthscales": ckpt.hyper.log_lengthscales,
-        "hyper/log_sigma_n": np.asarray(ckpt.hyper.log_sigma_n),
-        "hyper/inducing_inputs": ckpt.hyper.inducing_inputs,
-        "hyper/min_separation": np.asarray(ckpt.hyper.min_separation),
-        "spec/variant": np.asarray(ckpt.spec.variant),
-        "spec/alpha": np.asarray(ckpt.spec.alpha),
-        "state/eta": ckpt.state.eta,
-        "state/Lambda": ckpt.state.Lambda,
-        "state/Sigma": ckpt.state.Sigma,
-        "state/logdet_Lambda": np.asarray(ckpt.state.logdet_Lambda),
-        "state/psi": np.asarray(ckpt.state.psi),
-        "state/k": np.asarray(ckpt.state.k),
-        "state/parametrization": np.asarray(ckpt.state.parametrization),
-        "train/epochs_done": np.asarray(ckpt.epochs_done),
-    }
-    if ckpt.adam is not None:
-        payload.update(
-            {
-                "adam/first_moment": ckpt.adam.first_moment,
-                "adam/second_moment": ckpt.adam.second_moment,
-                "adam/step_count": np.asarray(ckpt.adam.step_count),
-                "adam/learning_rate": np.asarray(ckpt.adam.learning_rate),
-                "adam/beta1": np.asarray(ckpt.adam.beta1),
-                "adam/beta2": np.asarray(ckpt.adam.beta2),
-                "adam/epsilon": np.asarray(ckpt.adam.epsilon),
-            }
-        )
-    if ckpt.rng_state is not None:
-        payload["train/rng_state"] = np.asarray(json.dumps(ckpt.rng_state))
-    if ckpt.config is not None:
-        payload["train/config"] = np.asarray(json.dumps(ckpt.config))
+    payload = {"format_version": np.asarray(FORMAT_VERSION)}
+    for section, cls in SECTIONS.items():
+        obj = getattr(ckpt, section)
+        if obj is not None:
+            payload.update({f"{section}/{name}": np.asarray(getattr(obj, name)) for name in _fields(cls)})
+    payload["train/epochs_done"] = np.asarray(ckpt.epochs_done)
+    texts = {"rng_state": ckpt.rng_state, "config": ckpt.config, "trace_tail": ckpt.trace_tail or None}
+    payload.update({f"train/{k}": np.asarray(json.dumps(v)) for k, v in texts.items() if v is not None})
     if ckpt.standardize_mean is not None:
-        payload["standardize/mean"] = np.asarray(ckpt.standardize_mean)
-        payload["standardize/scale"] = np.asarray(ckpt.standardize_scale)
-    if ckpt.trace_tail:
-        payload["train/trace_tail"] = np.asarray(json.dumps(ckpt.trace_tail))
+        payload[STANDARDIZE[0]] = np.asarray(ckpt.standardize_mean)
+        payload[STANDARDIZE[1]] = np.asarray(ckpt.standardize_scale)
     # Write a sibling temp file and rename it over ``path``: readers see the
     # old checkpoint or the new one, never a partial file, and writing to an
     # open file keeps np.savez from appending ".npz" to the name.
@@ -98,59 +88,90 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read the checkpoint at ``path``; :class:`DataError` if it is unusable."""
     try:
         with np.load(path, allow_pickle=False) as data:
             arrays = {k: data[k] for k in data.files}
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, TypeError, zipfile.BadZipFile) as err:
         raise DataError(f"cannot read checkpoint {path}: {err}") from None
     if "format_version" not in arrays:
         raise DataError(f"{path} is not a checkpoint (missing format_version)")
-    version = int(arrays["format_version"])
-    if version > FORMAT_VERSION:
-        raise DataError(f"checkpoint format {version} is newer than supported {FORMAT_VERSION}")
-    hyper = Hyperparameters(
-        log_sigma0=float(arrays["hyper/log_sigma0"]),
-        log_lengthscales=arrays["hyper/log_lengthscales"],
-        log_sigma_n=float(arrays["hyper/log_sigma_n"]),
-        inducing_inputs=arrays["hyper/inducing_inputs"],
-        min_separation=float(arrays["hyper/min_separation"]),
-    )
-    spec = ModelSpec(variant=str(arrays["spec/variant"]), alpha=float(arrays["spec/alpha"]))
-    state = PosteriorState(
-        eta=arrays["state/eta"],
-        Lambda=arrays["state/Lambda"],
-        Sigma=arrays["state/Sigma"],
-        logdet_Lambda=float(arrays["state/logdet_Lambda"]),
-        psi=float(arrays["state/psi"]),
-        k=int(arrays["state/k"]),
-        parametrization=str(arrays["state/parametrization"]),
-    )
-    adam = None
-    if "adam/first_moment" in arrays:
-        adam = AdamState(
-            first_moment=arrays["adam/first_moment"],
-            second_moment=arrays["adam/second_moment"],
-            step_count=int(arrays["adam/step_count"]),
-            learning_rate=float(arrays["adam/learning_rate"]),
-            beta1=float(arrays["adam/beta1"]),
-            beta2=float(arrays["adam/beta2"]),
-            epsilon=float(arrays["adam/epsilon"]),
-        )
-    rng_state = json.loads(str(arrays["train/rng_state"])) if "train/rng_state" in arrays else None
-    config = json.loads(str(arrays["train/config"])) if "train/config" in arrays else None
-    trace_tail = (
-        json.loads(str(arrays["train/trace_tail"])) if "train/trace_tail" in arrays else None
-    )
+    try:
+        return _from_members(arrays)
+    except (ContractViolationError, DataError) as err:
+        raise DataError(f"checkpoint {path}: {err}") from None
+
+
+def _from_members(arrays: dict[str, np.ndarray]) -> Checkpoint:
+    version = _member(arrays, "format_version", "int")
+    if not 1 <= version <= FORMAT_VERSION:
+        raise DataError(f"format {version} is not supported (1 to {FORMAT_VERSION})")
+    has_adam = any(key.startswith("adam/") for key in arrays)
+    sections = {s: _build(cls, s, arrays) for s, cls in SECTIONS.items() if s != "adam" or has_adam}
+    hyper, state = sections["hyper"], sections["state"]
+    M, D, P = hyper.num_inducing, hyper.input_dim, hyper.n_params
+    if state.parametrization not in (PARAM_STANDARD, PARAM_TRANSFORMED):
+        raise DataError(f"unknown state/parametrization {state.parametrization!r}")
+    shapes = {"state/eta": (M,), "state/Lambda": (M, M), "state/Sigma": (M, M)}
+    if "adam" in sections:
+        shapes.update({"adam/first_moment": (P,), "adam/second_moment": (P,)})
+        if version == 1 and any(_member(arrays, k, "float") != v for k, v in FORMAT_1_ADAM.items()):
+            raise DataError(f"format 1 ADAM constants differ from the fixed {FORMAT_1_ADAM}")
+    present = [key for key in STANDARDIZE if key in arrays]
+    if len(present) == 1:
+        raise DataError(f"{present[0]} without the rest of the standardize pair")
+    mean, scale = (_member(arrays, key, "ndarray") for key in present) if present else (None, None)
+    shapes.update(dict.fromkeys(present, (D,)))
+    for key, shape in shapes.items():
+        if arrays[key].shape != shape:
+            raise DataError(f"{key} has shape {arrays[key].shape}, expected {shape} (M={M}, D={D})")
+    if scale is not None and not np.all(scale > 0.0):
+        raise DataError("standardize/scale must be positive")
+    rng_state = _json(arrays, "train/rng_state", dict)
+    if rng_state is not None:
+        try:
+            np.random.PCG64().state = rng_state
+        except (KeyError, TypeError, ValueError) as err:
+            raise DataError(f"train/rng_state is not a generator state: {err!r}") from None
     return Checkpoint(
-        version=version,
-        hyper=hyper,
-        spec=spec,
-        state=state,
-        adam=adam,
-        rng_state=rng_state,
-        epochs_done=int(arrays["train/epochs_done"]),
-        config=config,
-        standardize_mean=arrays.get("standardize/mean"),
-        standardize_scale=arrays.get("standardize/scale"),
-        trace_tail=trace_tail,
+        **sections, rng_state=rng_state, epochs_done=_member(arrays, "train/epochs_done", "int"),
+        config=_json(arrays, "train/config", dict), standardize_mean=mean, standardize_scale=scale,
+        trace_tail=_json(arrays, "train/trace_tail", list), version=version,
     )
+
+
+def _fields(cls) -> dict[str, str]:
+    """Name and type name of each init field of the dataclass ``cls``."""
+    return {f.name: getattr(f.type, "__name__", f.type) for f in fields(cls) if f.init}
+
+
+def _build(cls, section: str, arrays: dict[str, np.ndarray]):
+    """``cls`` from its init fields, each read from ``<section>/<field>``."""
+    return cls(**{name: _member(arrays, f"{section}/{name}", t) for name, t in _fields(cls).items()})
+
+
+def _member(arrays: dict[str, np.ndarray], key: str, kind: str):
+    """Member ``key`` as a field of type ``kind``: a Python scalar for
+    "float", "int" and "str", a finite numeric array otherwise."""
+    if key not in arrays:
+        raise DataError(f"missing member {key!r}")
+    value = arrays[key]
+    kinds, cast = SCALARS.get(kind, ("if", None))
+    if value.dtype.kind not in kinds or (cast is not None and value.ndim != 0):
+        raise DataError(f"member {key!r} is {value.dtype} of shape {value.shape}, not a {kind}")
+    if value.dtype.kind == "f" and not np.all(np.isfinite(value)):
+        raise DataError(f"member {key!r} holds non-finite values")
+    return value if cast is None else cast(value)
+
+
+def _json(arrays: dict[str, np.ndarray], key: str, kind: type):
+    """The JSON member ``key`` decoded to a ``kind``, or None if absent."""
+    if key not in arrays:
+        return None
+    try:
+        value = json.loads(str(arrays[key]))
+    except ValueError as err:
+        raise DataError(f"member {key!r} is not valid JSON: {err}") from None
+    if not isinstance(value, kind):
+        raise DataError(f"member {key!r} holds a {type(value).__name__}, not a {kind.__name__}")
+    return value

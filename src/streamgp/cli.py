@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -147,10 +148,8 @@ def _standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, scale
 
 
-def _apply_standardize(X: np.ndarray, ckpt_mean, ckpt_scale) -> np.ndarray:
-    if ckpt_mean is None:
-        return X
-    return (X - np.asarray(ckpt_mean)) / np.asarray(ckpt_scale)
+def _apply_standardize(X: np.ndarray, mean, scale) -> np.ndarray:
+    return X if mean is None else (X - mean) / scale
 
 
 def _train_settings(args, n: int, stored: dict) -> dict:
@@ -258,12 +257,11 @@ def cmd_train(args) -> int:
     if args.trace_out and trace:
         with open(args.trace_out, "a") as fh:
             for rec in trace:
-                fh.write(json.dumps(rec.as_record()) + "\n")
+                fh.write(json.dumps(asdict(rec)) + "\n")
 
     save_checkpoint(
         args.checkpoint_out,
         Checkpoint(
-            version=1,
             hyper=hyper,
             spec=spec,
             state=posterior,
@@ -273,7 +271,7 @@ def cmd_train(args) -> int:
             config=config_record,
             standardize_mean=std_mean,
             standardize_scale=std_scale,
-            trace_tail=[t.as_record() for t in trace[-16:]],
+            trace_tail=[asdict(t) for t in trace[-16:]],
         ),
     )
     print(

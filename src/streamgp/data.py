@@ -12,7 +12,10 @@ from .errors import ContractViolationError, DataError
 from .kernel import Hyperparameters, kernel_diag, kernel_matrix
 from .linalg import chol_with_jitter, tri_solve
 
+# generate_gp_data draws exactly up to this many samples, and above it
+# through this many random inducing points.
 DENSE_SAMPLING_GUARD = 5000
+SPARSE_SAMPLING_INDUCING = 512
 
 
 @dataclass
@@ -68,21 +71,15 @@ def default_hyperparameters(
 
 
 def generate_gp_data(
-    seed: int,
-    n: int,
-    d: int = 1,
-    h: Hyperparameters | None = None,
-    mode: str = "auto",
-    dense_guard: int = DENSE_SAMPLING_GUARD,
-    sparse_inducing: int = 512,
+    seed: int, n: int, d: int = 1, h: Hyperparameters | None = None, mode: str = "auto"
 ) -> Dataset:
     """Draw a regression dataset from a GP prior plus observation noise.
 
-    Inputs are uniform on [0, 1]^D.  Up to ``dense_guard`` samples the
-    latent function is an exact joint draw; above it (or with
-    mode="sparse") the draw factorizes through ``sparse_inducing`` random
-    inducing points: u ~ N(0, K_RR), then f_i | u independently with the
-    exact conditional mean and variance, which preserves the marginal
+    Inputs are uniform on [0, 1]^D.  Up to ``DENSE_SAMPLING_GUARD`` samples
+    the latent function is an exact joint draw; above it (or with
+    mode="sparse") the draw factorizes through ``SPARSE_SAMPLING_INDUCING``
+    random inducing points: u ~ N(0, K_RR), then f_i | u independently with
+    the exact conditional mean and variance, which preserves the marginal
     variance sigma0^2 at every input.
     """
     if n < 1:
@@ -93,19 +90,19 @@ def generate_gp_data(
         h = default_hyperparameters(d=d)
     if h.input_dim != d:
         raise ContractViolationError(f"h has D={h.input_dim}, requested d={d}")
-    if mode == "dense" and n > dense_guard:
+    if mode == "dense" and n > DENSE_SAMPLING_GUARD:
         raise ContractViolationError(
-            f"dense sampling refused for n={n} > guard {dense_guard}; use mode='sparse'"
+            f"dense sampling refused for n={n} > guard {DENSE_SAMPLING_GUARD}; use mode='sparse'"
         )
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.0, 1.0, size=(n, d))
-    use_dense = mode == "dense" or (mode == "auto" and n <= dense_guard)
+    use_dense = mode == "dense" or (mode == "auto" and n <= DENSE_SAMPLING_GUARD)
     if use_dense:
         K = kernel_matrix(X, X, h)
         factor = chol_with_jitter(K, "K_XX")
         f = factor.L @ rng.standard_normal(n)
     else:
-        m = min(sparse_inducing, n)
+        m = min(SPARSE_SAMPLING_INDUCING, n)
         R = rng.uniform(0.0, 1.0, size=(m, d))
         K_RR = kernel_matrix(R, R, h)
         factor = chol_with_jitter(K_RR, "K_RR (sampling)")
@@ -215,14 +212,7 @@ def random_step_signal(rng: np.random.Generator, duration: float):
     return w1
 
 
-def simulate_cstr(
-    seed: int,
-    duration: float,
-    lag: int = 2,
-    noise_std: float = 0.1,
-    dt_sample: float = 0.2,
-    substeps: int = 10,
-) -> Dataset:
+def simulate_cstr(seed: int, duration: float, lag: int = 2, noise_std: float = 0.1) -> Dataset:
     """Simulate the tank under a random step input and emit regression rows.
 
     Target y_t is the noisy product concentration; features stack the
@@ -233,7 +223,7 @@ def simulate_cstr(
         raise ContractViolationError("lag must be >= 1")
     rng = np.random.default_rng(seed)
     w1_fn = random_step_signal(rng, duration)
-    _, _, cb, w = integrate_cstr(w1_fn, duration, dt_sample=dt_sample, substeps=substeps)
+    _, _, cb, w = integrate_cstr(w1_fn, duration)
     y_obs = cb + noise_std * rng.standard_normal(cb.size)
     p = lag
     rows = []

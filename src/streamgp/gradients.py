@@ -53,8 +53,10 @@ place.
 Products K_RR^-1 B are taken as L^-T (L^-1 B) with the prior's inverse
 Cholesky factor (:meth:`streamgp.model.Prior.solve`), whose accuracy, unlike
 that of a product with the dense K_RR^-1, stays near a solve's when K_RR is
-badly conditioned.  The dense inverse serves only Lambda_0 and the
-inducing coordinates' w_m = K^-1 e_m and kb = K^-1 beta.
+badly conditioned; that includes the inducing coordinates' kb = K^-1 beta.
+The dense inverse serves only where K^-1 itself is wanted: Lambda_0, its
+log sigma0 derivative -2 K^-1 and the inducing coordinates' w_m = K^-1 e_m,
+its rows.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from scipy.linalg.blas import dgemm
 from .errors import ContractViolationError, NumericalError
 from .inference import PARAM_STANDARD, KalmanIntermediates, MiniBatch, PosteriorState
 from .kernel import Hyperparameters, kernel_diag
-from .model import BatchGeometry, ModelSpec, prior
+from .model import BatchGeometry, ModelSpec, Prior, prior
 
 # Parameters per block of the symmetric products, which bounds their
 # (BLOCK, M, M) temporaries.
@@ -221,6 +223,16 @@ def _add_noise_terms(dst: np.ndarray, s: np.ndarray, H: np.ndarray) -> None:
         del KR, out  # before the next block's is formed
 
 
+def _inducing_directions(p: Prior, KG: np.ndarray, D: int) -> tuple[np.ndarray, np.ndarray]:
+    """w_m = K^-1 e_m and -kb = -K^-1 beta (through the inverse factor) of
+    each inducing coordinate R[m][d], as row m*D + d of two (M D, M) arrays;
+    ``KG`` is :func:`_kernel_grads` of K_RR."""
+    M = len(p.K_RR)
+    neg_kb = p.solve(KG[0].reshape(M * D, M).T).T
+    np.negative(neg_kb, out=neg_kb)
+    return np.repeat(p.inv, D, axis=0), neg_kb
+
+
 def init_gradient_state(h: Hyperparameters, spec: ModelSpec) -> GradientState:
     """Derivatives of the prior state: eta_dot = 0, psi_dot = 0 and
 
@@ -242,13 +254,10 @@ def init_gradient_state(h: Hyperparameters, spec: ModelSpec) -> GradientState:
     del first
     _add_symmetrized(d_Lambda[1 : D + 1], -0.5 * both.transpose(1, 0, 2))
     del both
-    # Inducing coordinates: -(w_m kb^T + kb w_m^T) with kb = K^-1 beta and
-    # w_m = K^-1 e_m (row m*D + d).
-    w_kb = np.empty((M * D, M, 2))
-    w_kb[:, :, 0] = np.repeat(p.inv, D, axis=0)
-    w_kb[:, :, 1] = KG[0].reshape(M * D, M) @ (-p.inv)
+    # Inducing coordinates: -(w_m kb^T + kb w_m^T).
+    w, neg_kb = _inducing_directions(p, KG, D)
     del KG
-    _add_symmetric_products(d_Lambda[D + 2 :], w_kb)
+    _add_symmetric_products(d_Lambda[D + 2 :], np.stack([w, neg_kb], axis=2))
     return GradientState(d_eta=np.zeros((P, M)), d_Lambda=d_Lambda, d_psi=np.zeros(P), k=0)
 
 
@@ -428,7 +437,7 @@ def _walk(
     run along the last axis of the per-block buffers.  Every gemm target is
     the transpose of a C-contiguous buffer, so BLAS updates it in place.
     """
-    H, v, Kinv = geom.H, geom.v, geom.prior.inv
+    H, v = geom.H, geom.v
     (B, M), (P, D) = H.shape, (h.n_params, h.input_dim)
     MD = M * D
     lengthscales, inducing = slice(1, D + 1), slice(D + 2, P)
@@ -496,8 +505,7 @@ def _walk(
     _add_symmetrized(gstate.d_Lambda[lengthscales], HdV[:, :, :M].transpose(1, 0, 2))
     # Inducing coordinates: Hdot^T V^-1 [H, y] = w_m uV - kb hV_m, with hV_m
     # row m of H^T V^-1 [H, y]; row m*D + d of each holds coordinate R[m][d].
-    w = np.repeat(Kinv, D, axis=0)
-    neg_kb = KG_T[:MD] @ (-Kinv)
+    w, neg_kb = _inducing_directions(geom.prior, KG, D)
     hV = np.repeat(HV, D, axis=0)
     eta_inc[inducing] += w * uV[:, M, None] + neg_kb * hV[:, M, None]
     gstate.d_eta += eta_inc

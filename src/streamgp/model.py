@@ -84,9 +84,10 @@ class Prior:
     and 14; Du Croz and Higham, IMA J. Numer. Anal. 12, 1992).  A product
     with the dense K_RR^-1 is not: at cond(K_RR) = 1.3e9 the basis residual
     ||H K_RR - K_XR|| / ||K_XR|| is about 1e-15 one way and 1e-8 the other.
-    So :attr:`inv` serves only the prior precision and the inducing
-    coordinates' gradients.  Both are formed on first use; all arrays are
-    read-only because the prior is shared.
+    So :attr:`inv` serves only where K_RR^-1 itself is wanted: the prior
+    precision, its log sigma0 derivative, and the inducing coordinates'
+    w_m = K_RR^-1 e_m, its rows.  Both are formed on first use; all arrays
+    are read-only because the prior is shared.
     """
 
     K_RR: np.ndarray  # (M, M)

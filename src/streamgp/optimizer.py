@@ -32,38 +32,26 @@ from .kernel import Hyperparameters
 from .model import ModelSpec
 
 GRADIENT_MODES = ("full", "ignore_history")
+# ADAM's decay rates of the first and second moments and its denominator
+# offset (Kingma and Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
 class AdamState:
-    """Bias-corrected adaptive-moment accumulator."""
+    """Bias-corrected adaptive-moment accumulator, with the fixed
+    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPSILON``."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
-    def fresh(
-        cls,
-        n_params: int,
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ) -> "AdamState":
-        return cls(
-            first_moment=np.zeros(n_params),
-            second_moment=np.zeros(n_params),
-            step_count=0,
-            learning_rate=learning_rate,
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
-        )
+    def fresh(cls, n_params: int, learning_rate: float) -> "AdamState":
+        return cls(np.zeros(n_params), np.zeros(n_params), 0, learning_rate)
 
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, st: AdamState) -> tuple[np.ndarray, AdamState]:
@@ -77,11 +65,11 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, st: AdamState) -> tuple[np.nd
     if not np.all(np.isfinite(grad)):
         raise DataError("adam_step received a non-finite gradient")
     t = st.step_count + 1
-    m = st.beta1 * st.first_moment + (1.0 - st.beta1) * grad
-    v = st.beta2 * st.second_moment + (1.0 - st.beta2) * grad**2
-    m_hat = m / (1.0 - st.beta1**t)
-    v_hat = v / (1.0 - st.beta2**t)
-    theta_new = theta + st.learning_rate * m_hat / (np.sqrt(v_hat) + st.epsilon)
+    m = ADAM_BETA1 * st.first_moment + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * st.second_moment + (1.0 - ADAM_BETA2) * grad**2
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    theta_new = theta + st.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     if not np.all(np.isfinite(theta_new)):
         bad = int(np.argmax(~np.isfinite(theta_new)))
         raise NumericalError(
@@ -93,15 +81,15 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, st: AdamState) -> tuple[np.nd
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Settings of :func:`srgp_fit`; ADAM's other constants are the fixed
+    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPSILON``."""
+
     epochs: int
     batch_size: int
     learning_rate: float = 1e-3
     shuffle: bool = False
     seed: int = 0
     psi_rel_tolerance: float = 0.0  # 0 disables early stopping
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     gradient_mode: str = "full"
     reset_each_epoch: bool = True
 
@@ -121,15 +109,6 @@ class TraceRecord:
     psi_k: float
     grad_norm: float
     wall_ms: float
-
-    def as_record(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "batch": self.batch,
-            "psi_k": self.psi_k,
-            "grad_norm": self.grad_norm,
-            "wall_ms": self.wall_ms,
-        }
 
 
 @dataclass
@@ -188,7 +167,7 @@ def srgp_fit(
     h = theta0
     theta = h.to_vector()
     if resume_from is None:
-        adam = AdamState.fresh(theta.size, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
+        adam = AdamState.fresh(theta.size, cfg.learning_rate)
         rng = np.random.default_rng(cfg.seed)
         start_epoch = 0
     else:

@@ -59,7 +59,7 @@ class TestGenerateGpData:
         generate_gp_data(0, 50, mode="dense")
 
     def test_auto_switches_to_sparse(self):
-        ds = generate_gp_data(0, 5001, dense_guard=5000)
+        ds = generate_gp_data(0, 5001)
         assert "mode=sparse" in ds.provenance
 
 

@@ -21,7 +21,13 @@ from streamgp import (
 from streamgp import inference
 from streamgp import kernel as kernel_module
 from streamgp import model as model_module
-from streamgp.gradients import compute_adjoints, init_gradient_state, propagate
+from streamgp.gradients import (
+    _inducing_directions,
+    _kernel_grads,
+    compute_adjoints,
+    init_gradient_state,
+    propagate,
+)
 from streamgp.model import batch_geometry, prior, regularizer
 
 from conftest import basis, dense_Q, make_instance, record_adam_thetas
@@ -222,6 +228,11 @@ class TestBatchGeometry:
         scale = np.linalg.norm(g.K_XR)
         assert np.linalg.norm(g.H @ p.K_RR - g.K_XR) <= 1e-13 * scale
         assert np.linalg.norm(g.K_XR @ p.inv @ p.K_RR - g.K_XR) > 1e-13 * scale
+        # So does the inducing coordinates' kb = K_RR^-1 beta, beta = dK_RR/dR.
+        KG = _kernel_grads(h.inducing_inputs, p.K_RR, h)
+        beta = KG[0].reshape(-1, h.num_inducing)
+        _, neg_kb = _inducing_directions(p, KG, h.input_dim)
+        assert np.linalg.norm(neg_kb @ p.K_RR + beta) <= 1e-13 * np.linalg.norm(beta)
 
 
 def record_kernel_calls(monkeypatch, record) -> None:

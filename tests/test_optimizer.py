@@ -22,7 +22,7 @@ from streamgp import (
     srgp_fit,
     update,
 )
-from streamgp.optimizer import ResumeState
+from streamgp.optimizer import ADAM_BETA1, ADAM_BETA2, ResumeState
 
 from conftest import make_instance, record_adam_thetas, rel_diff
 
@@ -36,8 +36,8 @@ class TestAdamStep:
         # from a warmed-up state, zero gradient decays both moments
         _, warm = adam_step(theta, np.array([1.0, -2.0, 0.5]), fresh)
         _, decayed = adam_step(theta, np.zeros(3), warm)
-        np.testing.assert_allclose(decayed.first_moment, warm.beta1 * warm.first_moment, rtol=1e-15)
-        np.testing.assert_allclose(decayed.second_moment, warm.beta2 * warm.second_moment, rtol=1e-15)
+        np.testing.assert_allclose(decayed.first_moment, ADAM_BETA1 * warm.first_moment, rtol=1e-15)
+        np.testing.assert_allclose(decayed.second_moment, ADAM_BETA2 * warm.second_moment, rtol=1e-15)
 
     def test_constant_gradient_step_approaches_lr_times_sign(self):
         # ADAM fixed point: m_hat -> g, v_hat -> g^2, step -> lr * sign(g).

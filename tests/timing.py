@@ -12,10 +12,18 @@ disturbed by other work.
 
 Run directly to see the numbers:  ``python tests/timing.py criterion_09``
 (with ``src`` and ``tests`` on ``PYTHONPATH``) prints one JSON object.
+
+``python tests/timing.py --against OTHER/src`` compares this tree with
+another checkout of the package: both are imported side by side in one
+pinned child and timed round by round (see :func:`against`).  One process
+per tree cannot resolve a layer change of 15-20% on a busy machine, because
+the speed of a process drifts by more than that from one run to the next.
 """
 
 from __future__ import annotations
 
+import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -28,12 +36,13 @@ PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
 WARMUP = 2
 
 
-def pinned(name: str) -> dict:
-    """Run measurement ``name`` in a one-BLAS-thread child; its JSON result."""
+def pinned(name: str, *args: str) -> dict:
+    """Run measurement ``name`` in a one-BLAS-thread child, with ``args``
+    after it on the child's command line; its JSON result."""
     path = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, **PINNED_ENV, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     proc = subprocess.run(
-        [sys.executable, __file__, name], env=env, capture_output=True, text=True, timeout=600
+        [sys.executable, __file__, name, *args], env=env, capture_output=True, text=True, timeout=600
     )
     if proc.returncode != 0:
         raise RuntimeError(f"timing child {name!r} failed:\n{proc.stderr}")
@@ -183,6 +192,83 @@ def propagate_vs_noise_gemm() -> dict:
     }
 
 
+def load_tree(src: str, name: str = "streamgp_against"):
+    """The ``streamgp`` package under the directory ``src``, imported as
+    ``name`` beside the one on the path; its modules import each other
+    relatively, so they load as ``name.<module>``."""
+    package = Path(src).resolve() / "streamgp"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _train_step_calls(sg, X, y, h0) -> tuple:
+    """``propagate`` and one training step of the package ``sg`` at the
+    parameters of ``h0``, as two calls.  The step is the body of the
+    training loop: update, adjoints and propagate at a new parameter value
+    (so the prior is built anew), then the ADAM step."""
+    spec = sg.ModelSpec("pep", alpha=0.5)
+    h = sg.Hyperparameters(h0.log_sigma0, h0.log_lengthscales, h0.log_sigma_n, h0.inducing_inputs)
+    theta, batch = h.to_vector(), sg.MiniBatch(X, y)
+    st = sg.init_state(h, spec)
+    st2, km = sg.update(st, batch, h, spec)
+    adj = sg.compute_adjoints(st, st2, km, h, spec)
+    g = sg.init_gradient_state(h, spec)  # advanced in place by every timed call
+    adam = sg.AdamState.fresh(h.n_params, 1e-3)
+
+    def step():
+        hk = h.with_vector(theta)
+        st2, km = sg.update(st, batch, hk, spec)
+        g2 = sg.propagate(g, sg.compute_adjoints(st, st2, km, hk, spec), km.geometry, hk, spec, batch)
+        sg.adam_step(theta, g2.d_psi - g.d_psi, adam)
+
+    return lambda: sg.propagate(g, adj, km.geometry, h, spec, batch), step
+
+
+def against(src: str, reps: int = 100) -> dict:
+    """``propagate`` and one training step at the train-cstr shape (PEP,
+    D = 5, M = 50, B = 256), of this tree and of the package under ``src``.
+
+    Both trees are loaded in this process.  Each of ``reps`` rounds times
+    every call of both once, the two trees in alternating order, so that a
+    change of machine speed reaches both alike.  Reports each tree's
+    minimum in milliseconds, the ratio this / other of the minima, and the
+    quartiles of the per-round ratios, which show the spread.
+
+    Not used by any test; run by hand.
+    """
+    from conftest import make_instance
+
+    import numpy as np
+
+    import streamgp
+
+    X, y, h0 = make_instance(23, n=256, m=50, d=5, lengthscale=0.5)
+    calls = [_train_step_calls(sg, X, y, h0) for sg in (streamgp, load_tree(src))]
+    times = {name: ([], []) for name in ("propagate", "step")}
+    for r in range(WARMUP + reps):
+        for tree in (0, 1) if r % 2 == 0 else (1, 0):
+            for name, fn in zip(times, calls[tree]):
+                t0 = time.perf_counter()
+                fn()
+                if r >= WARMUP:
+                    times[name][tree].append(time.perf_counter() - t0)
+    result = {"against": str(Path(src).resolve()), "rounds": reps}
+    for name, (this, other) in times.items():
+        per_round = np.asarray(this) / np.asarray(other)
+        result[name] = {
+            "this_ms": round(min(this) * 1e3, 3),
+            "other_ms": round(min(other) * 1e3, 3),
+            "ratio_of_minima": round(min(this) / min(other), 4),
+            "round_ratio_quartiles": [round(q, 4) for q in np.quantile(per_round, [0.25, 0.5, 0.75])],
+        }
+    return result
+
+
 MEASUREMENTS = {
     "criterion_09": criterion_09,
     "propagate_parameter_count": propagate_parameter_count,
@@ -191,4 +277,21 @@ MEASUREMENTS = {
 }
 
 if __name__ == "__main__":
-    print(json.dumps(MEASUREMENTS[sys.argv[1]]()))
+    parser = argparse.ArgumentParser(description="Print one timing measurement as JSON.")
+    parser.add_argument("measurement", nargs="?", choices=[*MEASUREMENTS, "against"])
+    parser.add_argument(
+        "--against",
+        metavar="SRC",
+        dest="src",
+        help="time this tree against the streamgp package under SRC (a src directory), "
+        "both in one pinned child",
+    )
+    args = parser.parse_args()
+    if args.measurement == "against":
+        print(json.dumps(against(args.src)))
+    elif args.src is not None:
+        print(json.dumps(pinned("against", "--against", str(Path(args.src).resolve()))))
+    elif args.measurement is not None:
+        print(json.dumps(MEASUREMENTS[args.measurement]()))
+    else:
+        parser.error("name a measurement or give --against SRC")
