@@ -54,7 +54,15 @@ EXIT_TOLERANCE = 5
 
 # Training settings a resumed run must share with its checkpoint, with their
 # defaults for a fresh run.  An omitted flag takes the checkpoint's value.
-RESUMED_SETTINGS = {"lr": 1e-3, "batch_size": 256, "shuffle": False, "gradient_mode": "full"}
+RESUMED_SETTINGS = {
+    "lr": 1e-3,
+    "batch_size": 256,
+    "shuffle": False,
+    "gradient_mode": "full",
+    "standardize": False,
+    "num_inducing": 20,
+    "seed": 0,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,17 +77,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", required=True, help="training data file (header + rows)")
     p_train.add_argument("--model", default="vfe", choices=["sor", "dtc", "fitc", "vfe", "pep"])
     p_train.add_argument("--alpha", type=float, default=0.5, help="PEP power (ignored otherwise)")
-    p_train.add_argument("--num-inducing", type=int, default=20, metavar="M")
+    p_train.add_argument("--num-inducing", type=int, default=None, metavar="M", help="default 20")
     p_train.add_argument("--batch-size", type=int, default=None, metavar="B", help="default 256")
     p_train.add_argument("--epochs", type=int, default=50, metavar="E")
     p_train.add_argument("--lr", type=float, default=None, help="default 1e-3")
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--seed", type=int, default=None, help="default 0")
     p_train.add_argument("--checkpoint-out", default="model.npz")
     p_train.add_argument("--trace-out", default=None, help="append one JSON record per step")
     p_train.add_argument("--target-col", default=None)
     p_train.add_argument("--delimiter", default=",")
     p_train.add_argument("--shuffle", action="store_true", default=None)
-    p_train.add_argument("--standardize", action="store_true", help="z-score input columns")
+    p_train.add_argument(
+        "--standardize", action="store_true", default=None, help="z-score input columns"
+    )
     p_train.add_argument(
         "--gradient-mode", default=None, choices=["full", "ignore_history"], help="default full"
     )
@@ -88,8 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument(
         "--resume",
         default=None,
-        help="checkpoint to continue training from; --lr, --batch-size, --shuffle and "
-        "--gradient-mode default to its values and may not differ from them",
+        help="checkpoint to continue training from; --lr, --batch-size, --shuffle, "
+        "--gradient-mode, --standardize, --num-inducing and --seed default to its values "
+        "and may not differ from them",
     )
 
     p_pred = sub.add_parser("predict", help="predict from a checkpoint")
@@ -161,7 +172,7 @@ def _train_settings(args, n: int, stored: dict) -> dict:
     for key, default in RESUMED_SETTINGS.items():
         given = getattr(args, key)
         value = stored.get(key, default) if given is None else given
-        if key == "batch_size":
+        if key in ("batch_size", "num_inducing"):
             value = min(value, n)
         if given is not None and key in stored and value != stored[key]:
             raise ContractViolationError(
@@ -185,7 +196,7 @@ def cmd_train(args) -> int:
             raise ContractViolationError(
                 f"resume model {ckpt.spec} differs from requested {spec}"
             )
-        stored = ckpt.config or {}
+        stored = dict(ckpt.config or {})
         if args.no_epoch_reset or stored.get("epoch_reset") is False:
             raise ContractViolationError(
                 "cannot resume without epoch resets: the checkpoint holds the fixed-parameter "
@@ -193,12 +204,15 @@ def cmd_train(args) -> int:
             )
         hyper = ckpt.hyper
         std_mean, std_scale = ckpt.standardize_mean, ckpt.standardize_scale
+        # The checkpoint's own arrays say these two, whatever its config holds.
+        stored["num_inducing"] = hyper.num_inducing
+        stored["standardize"] = std_mean is not None
         if ckpt.adam is None or ckpt.rng_state is None:
             raise DataError(f"{args.resume} lacks optimizer/RNG state; cannot resume")
         resume = ResumeState(adam=ckpt.adam, rng_state=ckpt.rng_state, epochs_done=ckpt.epochs_done)
-    elif args.standardize:
-        std_mean, std_scale = _standardize_fit(ds.X)
     settings = _train_settings(args, ds.n, stored)
+    if resume is None and settings["standardize"]:
+        std_mean, std_scale = _standardize_fit(ds.X)
     if resume is not None and resume.epochs_done >= args.epochs:
         print(
             f"nothing to do: checkpoint already trained {resume.epochs_done} epochs "
@@ -210,13 +224,12 @@ def cmd_train(args) -> int:
     y = ds.y
 
     if args.resume is None:
-        rng = np.random.default_rng(args.seed)
-        m = min(args.num_inducing, ds.n)
+        rng = np.random.default_rng(settings["seed"])
         hyper = Hyperparameters(
             log_sigma0=0.0,
             log_lengthscales=np.zeros(ds.input_dim),
             log_sigma_n=0.0,
-            inducing_inputs=init_inducing_subset(X, m, rng),
+            inducing_inputs=init_inducing_subset(X, settings["num_inducing"], rng),
         )
 
     config_record = {
@@ -224,19 +237,17 @@ def cmd_train(args) -> int:
         "target_col": args.target_col if args.target_col is not None else ds.column_names[-1],
         "model": args.model,
         "alpha": args.alpha,
-        "num_inducing": int(hyper.num_inducing),
         "epochs": args.epochs,
-        "seed": args.seed,
-        "standardize": std_mean is not None,
         "epoch_reset": not args.no_epoch_reset,
         **settings,
+        "num_inducing": int(hyper.num_inducing),
     }
 
     if args.epochs == 0:
         # No training: checkpoint the prior posterior at the initial parameters.
         posterior = init_state(hyper, spec, PARAM_STANDARD)
         adam = AdamState.fresh(hyper.n_params, settings["lr"])
-        rng_state = np.random.default_rng(args.seed).bit_generator.state
+        rng_state = np.random.default_rng(settings["seed"]).bit_generator.state
         trace = []
         epochs_run = 0
     else:
@@ -245,7 +256,7 @@ def cmd_train(args) -> int:
             batch_size=settings["batch_size"],
             learning_rate=settings["lr"],
             shuffle=settings["shuffle"],
-            seed=args.seed,
+            seed=settings["seed"],
             psi_rel_tolerance=args.psi_tol,
             gradient_mode=settings["gradient_mode"],
             reset_each_epoch=not args.no_epoch_reset,

@@ -16,8 +16,11 @@ one uses H = K_XR with Lambda_0 = K_RR, avoiding the per-batch solve.
 Predictions and the accumulated lower bound are identical in both.
 
 Predictions are per-row marginals only: each test row's mean H_* mu_k and
-variance H_* Sigma_k H_*^T + [V_*]_ii, computed in blocks of ``BLOCK`` rows,
-so memory is O(BLOCK * M) however many rows are predicted.
+variance H_* Sigma_k H_*^T + [V_*]_ii.  They are taken through the whitened
+rows A_* = K_*R L^-T of :func:`~streamgp.model.whiten_rows` (K_RR = L L^T),
+as H_* = A_* W for a fixed M x M matrix W of the parametrization, so the
+basis itself is never formed (see :func:`predict`).  Rows go in blocks of
+``BLOCK``, so memory is O(BLOCK * M) however many rows are predicted.
 
 Updates are functional (they return a fresh state), so a posterior is
 safe to hand between threads as long as a single stream of updates owns
@@ -47,14 +50,19 @@ import numpy as np
 from .errors import ContractViolationError, DataError, IllConditionedError, NumericalError
 from .kernel import Hyperparameters, _check_inputs
 from .linalg import chol_with_jitter, symmetrize
-from .model import BatchGeometry, ModelSpec, batch_geometry, prior, regularizer
+from .model import BatchGeometry, ModelSpec, batch_geometry, prior, regularizer, whiten_rows
 
 PARAM_STANDARD = "standard"
 PARAM_TRANSFORMED = "transformed"
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# Test rows per block of :func:`predict`, which bounds its working set.
-BLOCK = 4096
+# Test rows per block of :func:`predict`, which bounds its working set: at
+# M = 50 a block's (rows, M) arrays take about 400 KB, and at most two are
+# alive at once, little enough for the allocator to keep between calls.  At
+# 4,096 rows the freed 1.6 MB temporaries were handed back to the system
+# after every call and faulted in anew on the next, at more cost than the
+# arithmetic.
+BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -251,21 +259,37 @@ def predict(
     """Predictive marginals of the latent function (or noisy targets).
 
     For each row, mean = H_* mu_k and variance = H_* Sigma_k H_*^T + d_*,
-    with H_* built to match the state's parametrization so no back-transform
-    is needed, and d_* the clamped Schur diagonal of
-    :func:`~streamgp.model.batch_geometry` (K_** - Q_** on the diagonal; left
-    out for SoR).  ``with_noise`` adds sigma_n^2.  Rows are taken ``BLOCK``
-    at a time, so memory is O(BLOCK * M).
+    with d_* the clamped Schur diagonal (K_** - Q_** on the diagonal; left
+    out for SoR) and ``with_noise`` adding sigma_n^2.  The basis is written
+    as H_* = A_* W in the whitened rows A_* = K_*R L^-T, with W = L^-1 for
+    the standard parametrization (H_* = K_*R K_RR^-1) and W = L^T for the
+    transformed one (H_* = K_*R).  So once per call
+
+        m = W mu_k,    C = W Sigma_k W^T,
+
+    and per block of rows, after the one triangular product that forms
+    A_*^T (:func:`~streamgp.model.whiten_rows`, which also gives d_*),
+
+        mean = A_* m,    variance = rowsum((A_* C) * A_*) [+ d_*],
+
+    one GEMM and one GEMV.  Rows are taken ``BLOCK`` at a time, so memory is
+    O(BLOCK * M).
     """
     X_star = _check_inputs(X_star, h, "X_star")
-    transformed = state.parametrization == PARAM_TRANSFORMED
+    p = prior(h)
+    W = p.chol.L.T if state.parametrization == PARAM_TRANSFORMED else p.L_inv
+    m = W @ state.mu
+    C = W @ state.Sigma @ W.T
     mean = np.empty(X_star.shape[0])
     variance = np.empty(X_star.shape[0])
     for lo in range(0, X_star.shape[0], BLOCK):
-        g = batch_geometry(X_star[lo : lo + BLOCK], h, spec, transformed)
-        mean[lo : lo + BLOCK] = g.H @ state.mu
-        var = np.sum((g.H @ state.Sigma) * g.H, axis=1)
-        variance[lo : lo + BLOCK] = var if spec.variant == "sor" else var + g.d
+        _, K, A_T, d = whiten_rows(X_star[lo : lo + BLOCK], h)
+        A = A_T.T  # (rows, M), C-ordered
+        mean[lo : lo + BLOCK] = A @ m
+        # A C goes into the buffer of K_*R, which is not needed again.
+        var = np.einsum("ij,ij->i", np.matmul(A, C, out=K), A)
+        variance[lo : lo + BLOCK] = var if spec.variant == "sor" else var + d
+        del K, A_T, A  # before the next block allocates its own
     if with_noise:
         variance += h.noise_variance
     return PredictiveDistribution(mean=mean, variance=variance, includes_observation_noise=with_noise)

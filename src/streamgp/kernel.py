@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .errors import ContractViolationError, DataError
 
@@ -171,16 +172,6 @@ class Hyperparameters:
         return cls[0]
 
 
-def _pairwise_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Expanded form ||a||^2 + ||b||^2 - 2 a.b, clamped at 0 against round-off.
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    return np.maximum(sq, 0.0)
-
-
 def _check_inputs(a: np.ndarray, h: Hyperparameters, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
@@ -193,12 +184,29 @@ def _check_inputs(a: np.ndarray, h: Hyperparameters, name: str) -> np.ndarray:
 
 
 def kernel_matrix(A: np.ndarray, B: np.ndarray, h: Hyperparameters) -> np.ndarray:
-    """Cross-covariance matrix with entries k(a_i, b_j)."""
+    """Cross-covariance matrix with entries k(a_i, b_j), C-ordered.
+
+    With a, b the inputs scaled by 1 / l, the exponent -sq / 2 is built in
+    the one output buffer in expanded form: filled with -(|a_i|^2 +
+    |b_j|^2) / 2, then one GEMM adds the cross term a_i . b_j, and the clamp
+    (sq >= 0 against round-off), ``exp`` and the scale by sigma0^2 run in
+    place.  Halving is exact, so each entry is bit for bit the one of
+    sigma0^2 exp(-0.5 max(|a|^2 + |b|^2 - 2 a.b, 0)) taken with a temporary
+    per operation (for the same dot products a.b), and k(A, A) is exactly
+    symmetric.
+    """
     A = _check_inputs(A, h, "A")
     B = _check_inputs(B, h, "B")
     inv_l = 1.0 / h.lengthscales
-    sq = _pairwise_sqdist(A * inv_l, B * inv_l)
-    return h.sigma0 ** 2 * np.exp(-0.5 * sq)
+    a, b = A * inv_l, B * inv_l
+    K = np.add.outer(-0.5 * np.sum(a * a, axis=1), -0.5 * np.sum(b * b, axis=1))
+    if K.size:  # BLAS refuses empty operands
+        # K^T is Fortran-ordered, so BLAS adds b a^T to it in place.
+        K = dgemm(1.0, b.T, a.T, beta=1.0, c=K.T, trans_a=1, overwrite_c=1).T
+    np.minimum(K, 0.0, out=K)
+    np.exp(K, out=K)
+    K *= h.sigma0 ** 2
+    return K
 
 
 def kernel_diag(A: np.ndarray, h: Hyperparameters) -> np.ndarray:

@@ -21,7 +21,7 @@ VFE       0            d_*         sum_i d_i / sigma_n^2
 PEP       alpha * d    d_*         (1-alpha)/alpha * sum_i [log v_i - log sigma_n^2]
 
 with d = diag(K_XX - Q_XX) >= 0 and v = diag(Vbar) + sigma_n^2; d_* is the
-same diagonal at the test inputs, which :func:`batch_geometry` computes for
+same diagonal at the test inputs, which :func:`whiten_rows` computes for
 training and test rows alike.  PEP interpolates between VFE (alpha -> 0)
 and FITC (alpha = 1).
 """
@@ -76,18 +76,20 @@ class Prior:
     consumer (prior state, basis, gradients, prediction) therefore sees one
     and the same matrix.
 
-    Products K_RR^-1 B are taken as L^-T (L^-1 B) by :meth:`solve`, two
-    BLAS triangular products (``dtrmm``) with the inverse factor L^-1.  That
-    is several times faster than a LAPACK solve at these sizes and nearly
-    as accurate, as triangular inversion has small componentwise residuals
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, chs. 8
-    and 14; Du Croz and Higham, IMA J. Numer. Anal. 12, 1992).  A product
-    with the dense K_RR^-1 is not: at cond(K_RR) = 1.3e9 the basis residual
+    Products K_RR^-1 B are taken as L^-T (L^-1 B): :meth:`whiten` forms
+    L^-1 B and :meth:`solve_whitened` applies L^-T, each one BLAS triangular
+    product (``dtrmm``) with the inverse factor L^-1.  That is several times
+    faster than a LAPACK solve at these sizes and nearly as accurate, as
+    triangular inversion has small componentwise residuals (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, chs. 8 and 14;
+    Du Croz and Higham, IMA J. Numer. Anal. 12, 1992).  A product with the
+    dense K_RR^-1 is not: at cond(K_RR) = 1.3e9 the basis residual
     ||H K_RR - K_XR|| / ||K_XR|| is about 1e-15 one way and 1e-8 the other.
-    So :attr:`inv` serves only where K_RR^-1 itself is wanted: the prior
-    precision, its log sigma0 derivative, and the inducing coordinates'
-    w_m = K_RR^-1 e_m, its rows.  Both are formed on first use; all arrays
-    are read-only because the prior is shared.
+    Prediction needs only the whitened half L^-1 K_RX (see
+    :func:`whiten_rows`).  So :attr:`inv` serves only where K_RR^-1 itself
+    is wanted: the prior precision, its log sigma0 derivative, and the
+    inducing coordinates' w_m = K_RR^-1 e_m, its rows.  Both are formed on
+    first use; all arrays are read-only because the prior is shared.
     """
 
     K_RR: np.ndarray  # (M, M)
@@ -108,15 +110,22 @@ class Prior:
         L_inv.flags.writeable = False
         return L_inv
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """K_RR^-1 b for (M, n) ``b``, as a new Fortran-ordered array.
+    def whiten(self, b: np.ndarray) -> np.ndarray:
+        """L^-1 b for (M, n) ``b``, as a new Fortran-ordered array.
 
         ``b`` is copied once (a C-ordered (n, M) array's transpose is
-        already in the right order), and both triangular products then
-        write into the copy.
+        already in the right order) and the product written into the copy.
         """
-        half = dtrmm(1.0, self.L_inv, b, lower=1)
-        return dtrmm(1.0, self.L_inv, half, lower=1, trans_a=1, overwrite_b=1)
+        return dtrmm(1.0, self.L_inv, b, lower=1)
+
+    def solve_whitened(self, a: np.ndarray) -> np.ndarray:
+        """K_RR^-1 b from its whitened form ``a`` = L^-1 b: L^-T a, written
+        into a Fortran-ordered ``a``."""
+        return dtrmm(1.0, self.L_inv, a, lower=1, trans_a=1, overwrite_b=1)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """K_RR^-1 b for (M, n) ``b``, as a new Fortran-ordered array."""
+        return self.solve_whitened(self.whiten(b))
 
 
 def prior(h: Hyperparameters) -> Prior:
@@ -150,6 +159,22 @@ def prior(h: Hyperparameters) -> Prior:
         chol.L.flags.writeable = False
         object.__setattr__(h, "_prior", Prior(K_RR=K_RR, chol=chol))
     return h._prior
+
+
+def whiten_rows(X: np.ndarray, h: Hyperparameters) -> tuple[np.ndarray, ...]:
+    """The whitening step shared by training and prediction: for rows ``X``,
+    ``(X, K_XR, A_T, d)``.
+
+    A_T = L^-1 K_RX (M, B), Fortran-ordered, is one triangular product on
+    the prior factor K_RR = L L^T, and Q_XX = A A^T.  So the Schur diagonal
+    d = diag(K_XX - Q_XX) = k - colsum(A_T * A_T) needs no B x B matrix
+    and no second triangular product; it is clamped at 0 against round-off.
+    """
+    X = _check_inputs(X, h, "X")
+    K_XR = kernel_matrix(X, h.inducing_inputs, h)
+    A_T = prior(h).whiten(K_XR.T)
+    d = np.maximum(kernel_diag(X, h) - np.einsum("ij,ij->j", A_T, A_T), 0.0)
+    return X, K_XR, A_T, d
 
 
 @dataclass
@@ -194,17 +219,15 @@ def batch_geometry(
 ) -> BatchGeometry:
     """Assemble all per-batch quantities on the shared prior factor.
 
-    diag(V) = c d + sigma_n^2 with c = ``spec.noise_scale``.
+    Built on :func:`whiten_rows`; the standard basis is then
+    H = (L^-T A_T)^T = K_XR K_RR^-1, the same two triangular products as
+    :meth:`Prior.solve`.  diag(V) = c d + sigma_n^2 with
+    c = ``spec.noise_scale``.
     """
-    X = _check_inputs(X, h, "X")
+    X, K_XR, A_T, d = whiten_rows(X, h)
     p = prior(h)
-    K_XR = kernel_matrix(X, h.inducing_inputs, h)
-    H_std = p.solve(K_XR.T).T
-    # d = diag(K_XX - Q_XX), with diag(Q_XX) as row sums of H_std * K_XR (no
-    # B x B matrix), clamped at 0 against round-off.
-    d = np.maximum(kernel_diag(X, h) - np.sum(H_std * K_XR, axis=1), 0.0)
     return BatchGeometry(
-        H=K_XR if transformed else H_std,
+        H=K_XR if transformed else p.solve_whitened(A_T).T,
         d=d,
         v=spec.noise_scale * d + h.noise_variance,
         transformed=transformed,

@@ -166,6 +166,30 @@ class TestTrain:
         assert flag[0] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [("--standardize",), ("--num-inducing", "6"), ("--seed", "4")])
+    def test_resume_refuses_changed_model_setting(self, gp_file, tmp_path, capsys, flag):
+        # The inputs' scaling, M and the seed are fixed by the checkpoint; a
+        # resumed run that asks for others would silently not get them.
+        common = ("train", "--data", gp_file, "--num-inducing", "5", "--batch-size", "40")
+        ckpt, out = tmp_path / "m.npz", tmp_path / "out.npz"
+        assert run_cli(*common, "--epochs", "1", "--seed", "3", "--checkpoint-out", str(ckpt)) == 0
+        code = run_cli(*common, "--epochs", "2", "--resume", str(ckpt), "--checkpoint-out", str(out), *flag)
+        assert code == 2
+        assert flag[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resume_records_the_checkpoints_own_settings(self, gp_file, tmp_path):
+        common = ("train", "--data", gp_file, "--batch-size", "40")
+        first = ("--seed", "3", "--num-inducing", "6", "--standardize")
+        ckpt, out, again = tmp_path / "m.npz", tmp_path / "out.npz", tmp_path / "again.npz"
+        assert run_cli(*common, *first, "--epochs", "1", "--checkpoint-out", str(ckpt)) == 0
+        assert run_cli(*common, "--epochs", "2", "--resume", str(ckpt), "--checkpoint-out", str(out)) == 0
+        config = load_checkpoint(str(out)).config
+        assert (config["seed"], config["num_inducing"], config["standardize"]) == (3, 6, True)
+        # Giving the checkpoint's own values again is no change.
+        assert run_cli(*common, *first, "--epochs", "3", "--resume", str(out), "--checkpoint-out", str(again)) == 0
+        assert load_checkpoint(str(again)).config == {**config, "epochs": 3}
+
     def test_resume_takes_omitted_settings_from_checkpoint(self, gp_file, tmp_path):
         common = ("train", "--data", gp_file, "--num-inducing", "5", "--seed", "3")
         settings = ("--lr", "0.01", "--batch-size", "20", "--shuffle", "--gradient-mode", "ignore_history")

@@ -18,9 +18,12 @@ from streamgp import (
     update,
 )
 from streamgp import inference
+from streamgp import model as model_module
 from streamgp.inference import PARAM_STANDARD, PARAM_TRANSFORMED
+from streamgp.model import Prior, batch_geometry, prior
 
 from conftest import (
+    basis,
     batch_sparse_posterior,
     dense_predictive,
     full_gp_lml,
@@ -252,6 +255,53 @@ class TestPredict:
         mean_o, cov_o = dense_predictive(X, y, X_star, h, spec)
         assert rel_diff(blocked.mean, mean_o) < 1e-8
         assert rel_diff(blocked.variance, np.diag(cov_o)) < 1e-8
+
+    @pytest.mark.parametrize("parametrization", [PARAM_STANDARD, PARAM_TRANSFORMED])
+    def test_whitened_form_matches_basis_form_at_a_badly_conditioned_prior(self, parametrization):
+        # predict never forms H_*; at cond(K_RR) of about 1e9 its mean and
+        # variance still agree with mean = H_* mu and variance =
+        # rowsum((H_* Sigma) * H_*) + d, H_* built through Prior.solve.
+        X, y, h = make_instance(3, n=300, m=30, d=2, lengthscale=0.65)
+        p = prior(h)
+        assert 1e8 <= np.linalg.cond(p.K_RR) <= 1e10
+        spec = ModelSpec("pep", alpha=0.5)
+        st = run_stream(X, y, h, spec, batch_size=50, parametrization=parametrization)
+        X_star = np.random.default_rng(4).uniform(0, 1, (150, 2))
+        K_XR = kernel_matrix(X_star, h.inducing_inputs, h)
+        H = K_XR if parametrization == PARAM_TRANSFORMED else p.solve(K_XR.T).T
+        quad = np.sum((H @ st.Sigma) * H, axis=1)
+        pred = predict(st, X_star, h, spec)
+        assert rel_diff(pred.mean, H @ st.mu, floor=0.0) <= 1e-10
+        latent = pred.variance - batch_geometry(X_star, h, spec).d
+        if parametrization == PARAM_STANDARD:
+            np.testing.assert_allclose(latent, quad, rtol=1e-10, atol=0)
+        else:
+            # The transformed Sigma holds entries of about 1e7 here, so the
+            # basis form is itself only as exact as the round-off bound of a
+            # quadratic form, M eps (|H| |Sigma| |H|^T)_ii, which reaches 1e-2
+            # of the variance; the whitened form differs from it by less.
+            bound = 30 * np.finfo(float).eps * np.sum((abs(H) @ abs(st.Sigma)) * abs(H), axis=1)
+            assert np.all(np.abs(latent - quad) <= bound)
+
+    def test_never_solves_with_the_prior(self, monkeypatch):
+        # Prediction goes through the whitened rows L^-1 K_RX alone: no
+        # product with K_RR^-1 and no basis H_*.
+        X, y, h = make_instance(6, n=60, m=8, d=2)
+        spec = ModelSpec("vfe")
+        states = [run_stream(X, y, h, spec, 20, par) for par in (PARAM_STANDARD, PARAM_TRANSFORMED)]
+        calls = []
+        solve, dtrmm = Prior.solve, model_module.dtrmm
+        monkeypatch.setattr(Prior, "solve", lambda self, b: calls.append("solve") or solve(self, b))
+        monkeypatch.setattr(
+            model_module,
+            "dtrmm",
+            lambda *a, **k: (k.get("trans_a") and calls.append("L^-T")) or dtrmm(*a, **k),
+        )
+        for st in states:
+            predict(st, X[:25], h, spec, with_noise=True)
+        assert calls == []
+        basis(X[:25], h)  # the patches are live
+        assert calls == ["solve", "L^-T"]
 
     def test_memory_is_linear_in_the_rows(self, monkeypatch):
         # 197 rows in blocks of 64: the working set is a few (64, M) arrays

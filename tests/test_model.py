@@ -167,9 +167,12 @@ class TestPredictionCorrection:
         assert batch_geometry(X, h, spec).d.max() > 1e-3  # a diagonal SoR leaves out
         state = fixed_theta_pass(X, y, h, spec, 5)
         H = basis(X, h)
-        np.testing.assert_array_equal(
-            predict(state, X, h, spec).variance, np.sum((H @ state.Sigma) * H, axis=1)
-        )
+        sor = predict(state, X, h, spec).variance
+        np.testing.assert_allclose(sor, np.sum((H @ state.Sigma) * H, axis=1), rtol=1e-12, atol=0)
+        # DTC shares SoR's Vbar = 0, hence its posterior; it adds d and SoR does not.
+        dtc_spec = ModelSpec("dtc")
+        dtc = predict(fixed_theta_pass(X, y, h, dtc_spec, 5), X, h, dtc_spec).variance
+        np.testing.assert_allclose(dtc - sor, batch_geometry(X, h, dtc_spec).d, rtol=0, atol=1e-12)
 
     def test_far_from_inducing_recovers_prior_variance(self):
         X, y, h = make_instance(14, n=10, d=1, m=3, lengthscale=0.1)

@@ -192,6 +192,61 @@ def propagate_vs_noise_gemm() -> dict:
     }
 
 
+# The serve-eval shape: held-out rows scored against a D = 5, M = 50 model.
+PREDICT_ROWS = 3999
+
+
+def _predict_call(sg, X, y, h0):
+    """``predict`` with noise, by the package ``sg``, of ``PREDICT_ROWS``
+    rows from a PEP (alpha 0.5) posterior that has absorbed ``X``, ``y`` at
+    the parameters of ``h0``, as one call."""
+    import numpy as np
+
+    spec = sg.ModelSpec("pep", alpha=0.5)
+    h = sg.Hyperparameters(h0.log_sigma0, h0.log_lengthscales, h0.log_sigma_n, h0.inducing_inputs)
+    state, _ = sg.update(sg.init_state(h, spec), sg.MiniBatch(X, y), h, spec)
+    X_star = np.random.default_rng(1).uniform(0.0, 1.0, (PREDICT_ROWS, X.shape[1]))
+    return lambda: sg.predict(state, X_star, h, spec, with_noise=True)
+
+
+def predict(reps: int = 200) -> dict:
+    """``predict`` at the serve-eval shape (3,999 rows, D = 5, M = 50, PEP
+    0.5, with noise): the minimum CPU time of one evaluation over ``reps``,
+    in milliseconds, and the minor page faults per evaluation, both from
+    ``resource.getrusage`` after the warm-up.
+
+    Not used by any test; run by hand.  Faults per evaluation show whether
+    the allocator hands back and maps anew the block temporaries each call.
+    """
+    import resource
+
+    from conftest import make_instance
+
+    import streamgp
+
+    X, y, h0 = make_instance(23, n=256, m=50, d=5, lengthscale=0.5)
+    fn = _predict_call(streamgp, X, y, h0)
+    for _ in range(WARMUP):
+        fn()
+
+    def usage() -> tuple[float, int]:
+        r = resource.getrusage(resource.RUSAGE_SELF)
+        return r.ru_utime + r.ru_stime, r.ru_minflt
+
+    best = float("inf")
+    _, faults0 = usage()
+    for _ in range(reps):
+        cpu0, _ = usage()
+        fn()
+        best = min(best, usage()[0] - cpu0)
+    return {
+        "rows": PREDICT_ROWS,
+        "evaluations": reps,
+        "cpu_ms_min": round(best * 1e3, 3),
+        "minor_faults_per_evaluation": round((usage()[1] - faults0) / reps, 1),
+    }
+
+
 def load_tree(src: str, name: str = "streamgp_against"):
     """The ``streamgp`` package under the directory ``src``, imported as
     ``name`` beside the one on the path; its modules import each other
@@ -231,7 +286,8 @@ def _train_step_calls(sg, X, y, h0) -> tuple:
 
 def against(src: str, reps: int = 100) -> dict:
     """``propagate`` and one training step at the train-cstr shape (PEP,
-    D = 5, M = 50, B = 256), of this tree and of the package under ``src``.
+    D = 5, M = 50, B = 256), and ``predict`` at the serve-eval shape (see
+    :func:`predict`), of this tree and of the package under ``src``.
 
     Both trees are loaded in this process.  Each of ``reps`` rounds times
     every call of both once, the two trees in alternating order, so that a
@@ -248,8 +304,11 @@ def against(src: str, reps: int = 100) -> dict:
     import streamgp
 
     X, y, h0 = make_instance(23, n=256, m=50, d=5, lengthscale=0.5)
-    calls = [_train_step_calls(sg, X, y, h0) for sg in (streamgp, load_tree(src))]
-    times = {name: ([], []) for name in ("propagate", "step")}
+    calls = [
+        (*_train_step_calls(sg, X, y, h0), _predict_call(sg, X, y, h0))
+        for sg in (streamgp, load_tree(src))
+    ]
+    times = {name: ([], []) for name in ("propagate", "step", "predict")}
     for r in range(WARMUP + reps):
         for tree in (0, 1) if r % 2 == 0 else (1, 0):
             for name, fn in zip(times, calls[tree]):
@@ -274,6 +333,7 @@ MEASUREMENTS = {
     "propagate_parameter_count": propagate_parameter_count,
     "propagate_configs": propagate_configs,
     "propagate_vs_noise_gemm": propagate_vs_noise_gemm,
+    "predict": predict,
 }
 
 if __name__ == "__main__":
