@@ -65,8 +65,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 
+from ._lapack import dgemm
 from .errors import ContractViolationError, NumericalError
 from .inference import PARAM_STANDARD, KalmanIntermediates, MiniBatch, PosteriorState
 from .kernel import Hyperparameters, kernel_diag

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 
+from ._lapack import dgemm
 from .errors import ContractViolationError, DataError
 
 # Parameter-class names used in reports and error messages.

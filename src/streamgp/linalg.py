@@ -7,7 +7,9 @@ diagonal jitter from 1e-8 up to 1e-4 before giving up.  A dense inverse
 inverse matrix itself is the result, such as a posterior covariance from
 its precision.  Products with K_RR^-1 go through the prior's inverse
 factor L^-1 instead (see :class:`streamgp.model.Prior`), and the batch
-bound and the data generator use triangular solves (:func:`tri_solve`).
+bound and the data generator use triangular solves (:func:`tri_solve`,
+LAPACK ``dtrtrs``).  Both LAPACK routines are SciPy's f2py wrappers,
+loaded by :mod:`streamgp._lapack` without importing ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotri
 
+from ._lapack import dpotri, dtrtrs
 from .errors import IllConditionedError
 
 # Escalation ladder for the diagonal jitter, as multiples of mean(diag).
@@ -84,5 +85,16 @@ def chol_with_jitter(a: np.ndarray, name: str = "matrix") -> CholFactor:
 
 
 def tri_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L x = b for lower-triangular L."""
-    return solve_triangular(L, b, lower=True, check_finite=False)
+    """Solve L x = b for lower-triangular L with LAPACK ``dtrtrs``, called as
+    ``scipy.linalg.solve_triangular(L, b, lower=True)`` calls it: a C-ordered
+    L goes in as the upper-triangular Fortran array L^T, solved transposed."""
+    L, b = np.asarray(L), np.asarray(b)
+    if b.size == 0:
+        return np.empty_like(b, dtype=float)
+    if L.flags.f_contiguous:
+        x, info = dtrtrs(L, b, lower=1)
+    else:
+        x, info = dtrtrs(L.T, b, lower=0, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x

@@ -24,6 +24,10 @@ with d = diag(K_XX - Q_XX) >= 0 and v = diag(Vbar) + sigma_n^2; d_* is the
 same diagonal at the test inputs, which :func:`whiten_rows` computes for
 training and test rows alike.  PEP interpolates between VFE (alpha -> 0)
 and FITC (alpha = 1).
+
+The prior's inverse factor and its products with it are LAPACK ``dtrtri``
+and BLAS ``dtrmm``: SciPy's f2py routines, loaded by :mod:`streamgp._lapack`
+without importing ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -32,9 +36,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dtrtri
 
+from ._lapack import dtrmm, dtrtri
 from .errors import ContractViolationError
 from .kernel import Hyperparameters, kernel_diag, kernel_matrix, _check_inputs
 from .linalg import JITTER_START, CholFactor, chol_with_jitter

@@ -2,6 +2,9 @@
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import streamgp
@@ -23,3 +26,42 @@ def test_benchmark_layers_exist():
         module_name, function_name = layer.split(".")
         module = importlib.import_module(f"streamgp.{module_name}")
         assert callable(getattr(module, function_name, None)), layer
+
+
+# Run in a fresh interpreter: the training, scoring, bound, generator and CLI
+# paths of the library, then a check that none of them imported SciPy's
+# packages (their BLAS and LAPACK routines come through ``streamgp._lapack``).
+NO_SCIPY_SCRIPT = """
+import sys
+from pathlib import Path
+
+import numpy as np
+import streamgp
+from streamgp.cli import main
+
+out = Path(sys.argv[1])
+ds = streamgp.generate_gp_data(0, 60, 2)
+sparse = streamgp.generate_gp_data(0, 60, 2, mode="sparse")
+h = streamgp.default_hyperparameters(2, inducing_inputs=ds.X[:5])
+spec = streamgp.ModelSpec("pep", 0.5)
+res = streamgp.srgp_fit(ds.X, ds.y, h, spec, streamgp.TrainConfig(epochs=1, batch_size=20))
+dist = streamgp.predict(res.posterior, sparse.X, res.hyper, spec, with_noise=True)
+bound = streamgp.batch_bound(ds.X, ds.y, res.hyper, spec)
+streamgp.save_dataset(ds, str(out / "data.csv"))
+assert main(["train", "--data", str(out / "data.csv"), "--num-inducing", "5", "--epochs", "1",
+             "--checkpoint-out", str(out / "model.npz")]) == 0
+assert main(["evaluate", "--checkpoint", str(out / "model.npz"), "--data", str(out / "data.csv")]) == 0
+assert np.all(np.isfinite(dist.mean)) and np.isfinite(bound.value)
+print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
+"""
+
+
+def test_library_does_not_import_scipy_packages(tmp_path):
+    src = str(Path(streamgp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

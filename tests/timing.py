@@ -247,6 +247,58 @@ def predict(reps: int = 200) -> dict:
     }
 
 
+def import_cost(reps: int = 5) -> dict:
+    """CPU seconds and peak resident memory of a fresh one-BLAS-thread
+    ``python -c "import streamgp"`` and of one ``streamgp evaluate`` of a
+    PEP (alpha 0.5, M = 50) checkpoint on a 3,999-row CSTR file, the
+    serve-eval shape: the minimum of each over ``reps`` interleaved runs.
+
+    Every command runs in its own child, read through ``os.wait4``, so the
+    numbers cover interpreter start, imports and, for ``evaluate``, reading
+    both files and scoring.  The files are made by the CLI in children too:
+    a child's peak RSS starts at its parent's, so this process must not
+    load numpy.  The package is the one ``PYTHONPATH`` finds.
+
+    Not used by any test; run by hand.
+    """
+    import tempfile
+
+    cli = ["-c", "import sys; from streamgp.cli import main; sys.exit(main())"]
+    env = {**os.environ, **PINNED_ENV}
+
+    def run(args: list[str]) -> tuple[float, float]:
+        child = subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        if child.returncode != 0:
+            raise RuntimeError(f"{args} exited with {child.returncode}")
+        return usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0
+
+    with tempfile.TemporaryDirectory() as tmp:
+        train, heldout, model = (str(Path(tmp) / f) for f in ("train.csv", "heldout.csv", "model.npz"))
+        run([*cli, "simulate", "cstr", "--duration", "400", "--seed", "1", "--out", train])
+        run([*cli, "simulate", "cstr", "--duration", "800", "--seed", "2", "--out", heldout])
+        run([
+            *cli, "train", "--data", train, "--model", "pep", "--alpha", "0.5", "--num-inducing", "50",
+            "--batch-size", "256", "--epochs", "1", "--checkpoint-out", model,
+        ])
+        commands = {
+            "import streamgp": ["-c", "import streamgp"],
+            "streamgp evaluate": [*cli, "evaluate", "--checkpoint", model, "--data", heldout],
+        }
+        runs = {name: [] for name in commands}
+        for _ in range(reps):
+            for name, args in commands.items():
+                runs[name].append(run(args))
+        with open(heldout) as f:
+            rows = sum(1 for _ in f) - 1
+    result = {"rows": rows, "reps": reps}
+    for name, samples in runs.items():
+        cpu, rss = zip(*samples)
+        result[name] = {"cpu_s_min": round(min(cpu), 3), "peak_rss_mb_min": round(min(rss), 1)}
+    return result
+
+
 def load_tree(src: str, name: str = "streamgp_against"):
     """The ``streamgp`` package under the directory ``src``, imported as
     ``name`` beside the one on the path; its modules import each other
@@ -334,6 +386,7 @@ MEASUREMENTS = {
     "propagate_configs": propagate_configs,
     "propagate_vs_noise_gemm": propagate_vs_noise_gemm,
     "predict": predict,
+    "import_cost": import_cost,
 }
 
 if __name__ == "__main__":
