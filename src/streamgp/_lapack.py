@@ -1,41 +1,295 @@
-"""SciPy's BLAS and LAPACK wrappers, loaded without ``import scipy.linalg``.
+"""The five BLAS and LAPACK routines the library calls, bound with ctypes to
+numpy's own OpenBLAS.
 
-The library calls five f2py routines: ``dgemm`` and ``dtrmm`` from SciPy's
-``_fblas`` extension, ``dtrtri``, ``dpotri`` and ``dtrtrs`` from its
-``_flapack``.  ``import scipy.linalg`` would also run ``scipy/__init__``
-and ``scipy/linalg/__init__``, which pull in ``numpy.f2py``,
-``numpy.testing`` and ``numpy.ma``: about 0.25 s of CPU and 24 MB per
-process on a 2-CPU x86-64 machine, where the two extension files load in a
-few milliseconds.  They are loaded here straight from SciPy's ``linalg``
-directory, as ``streamgp._lapack._fblas`` and ``streamgp._lapack._flapack``,
-with no SciPy package module imported; only if a file is not there does
-this fall back to the ordinary import, whose modules hold the same
-routines.
+``dgemm`` and ``dtrmm`` (BLAS), ``dtrtri``, ``dpotri`` and ``dtrtrs``
+(LAPACK) take the arguments and keywords of SciPy's f2py wrappers in
+``scipy.linalg.blas``/``lapack`` that the library uses, and return what
+those return.  Operands are float64 and Fortran-ordered.  An input operand
+that is not goes in as its Fortran-ordered transpose, with its trans flag
+(and, for a triangular one, its triangle) flipped, when it is C-ordered,
+and as a Fortran-ordered copy otherwise.  An output operand (``c``, ``b``)
+is written in place only when its ``overwrite_*`` flag is set and it is a
+writeable Fortran-ordered float64 array; otherwise a copy is written and
+returned.
+
+numpy >= 2 wheels link OpenBLAS with 64-bit integers and export its
+routines as ``scipy_<name>_64_``.  Binding those, ``@``,
+``np.linalg.cholesky`` and these routines share one library and one thread
+pool, sized by ``OPENBLAS_NUM_THREADS``.  :data:`LIBRARIES` lists where the
+routines are looked up, in order; its second row is the 32-bit copy that
+SciPy bundles, found without importing SciPy, for a numpy that exports
+none of them.
+
+The routines may be called from several threads at once: a call shares
+only read-only argument objects with other calls, and ctypes releases the
+GIL while it runs.
 """
 
 from __future__ import annotations
 
-import importlib
+import ctypes
 import importlib.machinery
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 
-def _load(name: str):
-    """SciPy's extension module ``scipy.linalg.<name>``."""
+NAMES = ("dgemm", "dtrmm", "dtrtri", "dpotri", "dtrtrs")
+
+
+def _numpy_library() -> str | None:
+    """numpy's core extension file, which links numpy's OpenBLAS."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        return None
+    return _multiarray_umath.__file__
+
+
+def _scipy_library() -> str | None:
+    """SciPy's ``linalg/_fblas`` extension file, which links SciPy's OpenBLAS,
+    located without importing SciPy."""
     spec = importlib.util.find_spec("scipy")
     for location in (spec and spec.submodule_search_locations) or ():
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = Path(location) / "linalg" / f"{name}{suffix}"
+            path = Path(location) / "linalg" / f"_fblas{suffix}"
             if path.is_file():
-                ext = importlib.util.spec_from_file_location(f"{__name__}.{name}", path)
-                module = importlib.util.module_from_spec(ext)
-                ext.loader.exec_module(module)
-                return module
-    return importlib.import_module(f"scipy.linalg.{name}")
+                return str(path)
+    return None
 
 
-_fblas = _load("_fblas")
-_flapack = _load("_flapack")
-dgemm, dtrmm = _fblas.dgemm, _fblas.dtrmm
-dtrtri, dpotri, dtrtrs = _flapack.dtrtri, _flapack.dpotri, _flapack.dtrtrs
+# (file whose dependencies define the routines, symbol pattern, integer
+# type, thread-count getter), tried in order.
+LIBRARIES = (
+    (_numpy_library, "scipy_{}_64_", ctypes.c_int64, "scipy_openblas_get_num_threads64_"),
+    (_scipy_library, "scipy_{}_", ctypes.c_int32, "scipy_openblas_get_num_threads"),
+)
+
+_OP = (b"N", b"T", b"T")  # trans = 0, 1, 2 ('C' is 'T' for real data)
+_UPLO = (b"U", b"L")
+# Fortran's hidden string lengths, passed after the other arguments; a C
+# implementation of the routine ignores them.
+_LEN = ctypes.c_size_t(1)
+_byref = ctypes.byref
+_CONSTANTS = 256  # scalar argument objects kept per type
+_FLOAT64 = np.dtype(np.float64)
+
+# numpy's array object holds its data pointer right after the object header
+# (``PyArrayObject_fields`` in numpy/ndarraytypes.h).  Reading it there costs
+# a tenth of ``a.ctypes.data``, which is paid on every operand of every call;
+# it is checked once here, and the slow path kept for any build that differs.
+_DATA_OFFSET = object.__basicsize__
+_void_p_at = ctypes.c_void_p.from_address
+
+
+def _fast_pointer(a: np.ndarray):
+    return _void_p_at(id(a) + _DATA_OFFSET)
+
+
+def _slow_pointer(a: np.ndarray):
+    return ctypes.c_void_p(a.__array_interface__["data"][0])
+
+
+_probe = np.empty((3, 2))[1:]
+_pointer = (
+    _fast_pointer
+    if _fast_pointer(_probe).value == _probe.__array_interface__["data"][0]
+    else _slow_pointer
+)
+del _probe
+
+
+def _operand(a, trans) -> tuple[np.ndarray, bool, bool]:
+    """2-D ``a`` as a Fortran-ordered float64 array, the trans flag that
+    applies op(a) to that array, and whether it is ``a``'s transpose."""
+    if type(a) is not np.ndarray or a.dtype is not _FLOAT64:
+        a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-D operand, got shape {a.shape}")
+    flags = a.flags
+    if flags.f_contiguous:
+        return a, bool(trans), False
+    if flags.c_contiguous:
+        return a.T, not trans, True
+    return np.asfortranarray(a), bool(trans), False
+
+
+def _output(a, overwrite) -> np.ndarray:
+    """``a`` itself when ``overwrite`` is set and BLAS can write into it,
+    else a Fortran-ordered float64 copy."""
+    if overwrite and type(a) is np.ndarray and a.dtype is _FLOAT64:
+        flags = a.flags
+        if flags.f_contiguous and flags.writeable:
+            return a
+    return np.array(a, dtype=np.float64, order="F")
+
+
+class _Constants(dict):
+    """By-reference scalar arguments of one C type, one object per value,
+    made on first use.  The routines read their integer and scalar inputs
+    and never write them, so one object serves every call in every thread;
+    building them anew took most of the cost of a call.  Two threads that
+    meet a new value at once may each store one; either object is valid,
+    and a call holds its own reference to the one it passes."""
+
+    def __init__(self, ctype):
+        super().__init__()
+        self.ctype = ctype
+
+    def __missing__(self, value):
+        ref = _byref(self.ctype(value))
+        if value and len(self) < _CONSTANTS:  # zero is left out: -0.0 == 0.0
+            self[value] = ref
+        return ref
+
+
+class Routines:
+    """The five routines bound from one library, with the signatures of
+    SciPy's f2py wrappers; ``library`` is the file that defines them."""
+
+    def __init__(self, lib: ctypes.CDLL, pattern: str, int_t, getter: str, source: str):
+        def bind(name: str):
+            # No argtypes: every argument goes in as an object of its exact C
+            # type (bytes for a char*, a by-reference ``int_t`` or double, a
+            # void* for an array), so ctypes converts nothing; declaring them
+            # cost about 2 us more per call, half of the binding's overhead.
+            fn = getattr(lib, pattern.format(name))
+            fn.restype = None
+            return fn
+
+        self._gemm, self._trmm, self._trtri, self._potri, self._trtrs = map(bind, NAMES)
+        self._get_num_threads = getattr(lib, getter)
+        self._get_num_threads.restype = ctypes.c_int
+        self._int_t = int_t
+        self._int = _Constants(int_t)
+        self._double = _Constants(ctypes.c_double)
+        self.library = _shared_object(self._gemm) or source
+
+    def num_threads(self) -> int:
+        """The library's current thread count."""
+        return int(self._get_num_threads())
+
+    def dgemm(self, alpha, a, b, beta=0.0, c=None, trans_a=0, trans_b=0, overwrite_c=0):
+        """c = alpha op(a) op(b) + beta c."""
+        a, ta, _ = _operand(a, trans_a)
+        b, tb, _ = _operand(b, trans_b)
+        m, k = a.shape[::-1] if ta else a.shape
+        kb, n = b.shape[::-1] if tb else b.shape
+        if k != kb:
+            raise ValueError(f"dgemm: inner dimensions {k} and {kb} differ")
+        if c is None:
+            c = np.zeros((m, n), order="F")
+        else:
+            c = _output(c, overwrite_c)
+            if c.shape != (m, n):
+                raise ValueError(f"dgemm: c has shape {c.shape}, expected {(m, n)}")
+        i, d = self._int, self._double
+        self._gemm(
+            _OP[ta], _OP[tb], i[m], i[n], i[k], d[alpha], _pointer(a), i[a.shape[0] or 1],
+            _pointer(b), i[b.shape[0] or 1], d[beta], _pointer(c), i[m or 1], _LEN, _LEN,
+        )
+        return c
+
+    def dtrmm(self, alpha, a, b, overwrite_b=0, lower=0, trans_a=0):
+        """b = alpha op(a) b for triangular ``a``."""
+        a, ta, flipped = _operand(a, trans_a)
+        b = _output(b, overwrite_b)
+        m, n = b.shape if b.ndim == 2 else (-1, -1)
+        if m < 0 or a.shape != (m, m):
+            raise ValueError(f"dtrmm: shapes {a.shape} and {b.shape} do not match")
+        i = self._int
+        self._trmm(
+            b"L", _UPLO[bool(lower) != flipped], _OP[ta], b"N", i[m], i[n], self._double[alpha],
+            _pointer(a), i[m or 1], _pointer(b), i[m or 1], _LEN, _LEN, _LEN, _LEN,
+        )
+        return b
+
+    def dtrtri(self, c, lower=0):
+        """(inverse of triangular ``c``, in its triangle of a copy; info)."""
+        c = _square(c, "dtrtri")
+        n, info = c.shape[0], self._int_t(0)
+        self._trtri(
+            _UPLO[bool(lower)], b"N", self._int[n], _pointer(c), self._int[n or 1], _byref(info),
+            _LEN, _LEN,
+        )
+        return c, info.value
+
+    def dpotri(self, c, lower=0):
+        """(one triangle of (L L^T)^-1, in a copy of the Cholesky factor L in
+        ``c``; info)."""
+        c = _square(c, "dpotri")
+        n, info = c.shape[0], self._int_t(0)
+        self._potri(
+            _UPLO[bool(lower)], self._int[n], _pointer(c), self._int[n or 1], _byref(info), _LEN
+        )
+        return c, info.value
+
+    def dtrtrs(self, a, b, lower=0, trans=0):
+        """(x solving op(a) x = b for triangular ``a``, 1-D for 1-D ``b``;
+        info)."""
+        a, ta, flipped = _operand(a, trans)
+        b = _output(b, 0)
+        n = a.shape[0]
+        if a.shape != (n, n) or b.ndim not in (1, 2) or b.shape[0] != n:
+            raise ValueError(f"dtrtrs: shapes {a.shape} and {b.shape} do not match")
+        i, info = self._int, self._int_t(0)
+        self._trtrs(
+            _UPLO[bool(lower) != flipped], _OP[ta], b"N", i[n],
+            i[b.shape[1] if b.ndim == 2 else 1], _pointer(a), i[n or 1], _pointer(b),
+            i[n or 1], _byref(info), _LEN, _LEN, _LEN,
+        )
+        return b, info.value
+
+
+def _square(c, routine: str) -> np.ndarray:
+    """A Fortran-ordered float64 copy of square ``c``, for a routine that
+    overwrites it."""
+    c = _output(c, 0)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ValueError(f"{routine}: c has shape {c.shape}, expected a square matrix")
+    return c
+
+
+class _DlInfo(ctypes.Structure):
+    _fields_ = [
+        ("dli_fname", ctypes.c_char_p),
+        ("dli_fbase", ctypes.c_void_p),
+        ("dli_sname", ctypes.c_char_p),
+        ("dli_saddr", ctypes.c_void_p),
+    ]
+
+
+def _shared_object(fn) -> str | None:
+    """The file of the shared object that defines ``fn``, where ``dladdr``
+    can tell."""
+    try:
+        dladdr = ctypes.CDLL(None).dladdr
+    except (AttributeError, OSError, TypeError):
+        return None
+    info = _DlInfo()
+    if not dladdr(ctypes.cast(fn, ctypes.c_void_p), ctypes.byref(info)) or not info.dli_fname:
+        return None
+    return str(Path(info.dli_fname.decode()).resolve())
+
+
+def bind(table=LIBRARIES) -> Routines:
+    """The routines from the first row of ``table`` whose file defines all
+    of them and the thread-count getter."""
+    searched = []
+    for locate, pattern, int_t, getter in table:
+        source = locate()
+        searched.append(f"{pattern.format('<name>')} in {source or locate.__name__ + ' (no file)'}")
+        if source is not None:
+            try:
+                return Routines(ctypes.CDLL(source), pattern, int_t, getter, source)
+            except (OSError, AttributeError):
+                pass
+    raise ImportError(
+        f"no library defines BLAS/LAPACK {', '.join(NAMES)}; "
+        f"searched: {'; '.join(searched) or 'nothing'}"
+    )
+
+
+ROUTINES = bind()
+dgemm, dtrmm = ROUTINES.dgemm, ROUTINES.dtrmm
+dtrtri, dpotri, dtrtrs = ROUTINES.dtrtri, ROUTINES.dpotri, ROUTINES.dtrtrs

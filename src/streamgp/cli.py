@@ -14,6 +14,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
+from ._lapack import ROUTINES
 from .batch import batch_bound
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import (
@@ -69,8 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="streamgp",
         description="Streaming sparse Gaussian process regression",
+        formatter_class=argparse.RawDescriptionHelpFormatter,  # keeps --version's lines
     )
-    parser.add_argument("--version", action="version", version=f"streamgp {__version__}")
+    parser.add_argument(
+        "--version",
+        action="version",
+        version=f"streamgp {__version__}\nBLAS: {ROUTINES.library}\nBLAS threads: {ROUTINES.num_threads()}",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="fit a model on a delimited data file")
@@ -241,6 +247,7 @@ def cmd_train(args) -> int:
         "epoch_reset": not args.no_epoch_reset,
         **settings,
         "num_inducing": int(hyper.num_inducing),
+        "blas_threads": ROUTINES.num_threads(),
     }
 
     if args.epochs == 0:

@@ -8,8 +8,9 @@ inverse matrix itself is the result, such as a posterior covariance from
 its precision.  Products with K_RR^-1 go through the prior's inverse
 factor L^-1 instead (see :class:`streamgp.model.Prior`), and the batch
 bound and the data generator use triangular solves (:func:`tri_solve`,
-LAPACK ``dtrtrs``).  Both LAPACK routines are SciPy's f2py wrappers,
-loaded by :mod:`streamgp._lapack` without importing ``scipy.linalg``.
+LAPACK ``dtrtrs``).  Both LAPACK routines come from numpy's own OpenBLAS,
+bound by :mod:`streamgp._lapack`, so they share one thread pool, sized by
+``OPENBLAS_NUM_THREADS``, with ``np.linalg.cholesky``.
 """
 
 from __future__ import annotations

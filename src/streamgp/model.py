@@ -26,8 +26,9 @@ training and test rows alike.  PEP interpolates between VFE (alpha -> 0)
 and FITC (alpha = 1).
 
 The prior's inverse factor and its products with it are LAPACK ``dtrtri``
-and BLAS ``dtrmm``: SciPy's f2py routines, loaded by :mod:`streamgp._lapack`
-without importing ``scipy.linalg``.
+and BLAS ``dtrmm`` from numpy's own OpenBLAS, bound by
+:mod:`streamgp._lapack`: one library and one thread pool, sized by
+``OPENBLAS_NUM_THREADS``, for these and numpy's ``@``.
 """
 
 from __future__ import annotations

@@ -2,10 +2,13 @@
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import streamgp
 
@@ -30,8 +33,12 @@ def test_benchmark_layers_exist():
 
 # Run in a fresh interpreter: the training, scoring, bound, generator and CLI
 # paths of the library, then a check that none of them imported SciPy's
-# packages (their BLAS and LAPACK routines come through ``streamgp._lapack``).
+# packages (their BLAS and LAPACK routines come through ``streamgp._lapack``)
+# and, where ``/proc/self/maps`` lists the mapped files, that the process maps
+# one OpenBLAS and no SciPy extension file.
 NO_SCIPY_SCRIPT = """
+import json
+import os
 import sys
 from pathlib import Path
 
@@ -53,6 +60,13 @@ assert main(["train", "--data", str(out / "data.csv"), "--num-inducing", "5", "-
 assert main(["evaluate", "--checkpoint", str(out / "model.npz"), "--data", str(out / "data.csv")]) == 0
 assert np.all(np.isfinite(dist.mean)) and np.isfinite(bound.value)
 print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as maps:
+        files = {line.split(maxsplit=5)[-1].strip() for line in maps if "/" in line}
+    print(json.dumps({
+        "openblas": sorted(f for f in files if "openblas" in os.path.basename(f).lower()),
+        "scipy_extensions": sorted(f for f in files if f"{os.sep}scipy{os.sep}" in f),
+    }))
 """
 
 
@@ -64,4 +78,11 @@ def test_library_does_not_import_scipy_packages(tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    lines = proc.stdout.strip().splitlines()
+    if not sys.platform.startswith("linux"):
+        assert lines[-1] == "[]"
+        pytest.skip("the mapped-library check reads /proc/self/maps, which only Linux has")
+    assert lines[-2] == "[]"
+    mapped = json.loads(lines[-1])
+    assert len(mapped["openblas"]) == 1, mapped
+    assert mapped["scipy_extensions"] == [], mapped

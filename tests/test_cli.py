@@ -1,12 +1,14 @@
 """End-to-end command-line flows and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from streamgp._lapack import ROUTINES
 from streamgp.checkpoint import load_checkpoint
 from streamgp.cli import main
 
@@ -340,3 +342,20 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "streamgp" in proc.stdout
+
+
+def test_version_names_the_blas_library_and_its_threads():
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "streamgp.cli", "--version"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0
+    _, library, threads = proc.stdout.strip().splitlines()
+    assert library == f"BLAS: {ROUTINES.library}"
+    assert threads == "BLAS threads: 1"
+
+
+def test_checkpoint_config_records_blas_threads(gp_file, tmp_path):
+    out = tmp_path / "m.npz"
+    assert run_cli("train", "--data", gp_file, "--epochs", "1", "--checkpoint-out", str(out)) == 0
+    assert load_checkpoint(str(out)).config["blas_threads"] == ROUTINES.num_threads()

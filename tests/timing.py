@@ -13,6 +13,10 @@ disturbed by other work.
 Run directly to see the numbers:  ``python tests/timing.py criterion_09``
 (with ``src`` and ``tests`` on ``PYTHONPATH``) prints one JSON object.
 
+``python tests/timing.py default_threads`` runs ``streamgp train`` at the
+train-cstr shape in children with and without ``OPENBLAS_NUM_THREADS=1``,
+interleaved, and prints the wall and CPU seconds of each run.
+
 ``python tests/timing.py --against OTHER/src`` compares this tree with
 another checkout of the package: both are imported side by side in one
 pinned child and timed round by round (see :func:`against`).  One process
@@ -247,6 +251,23 @@ def predict(reps: int = 200) -> dict:
     }
 
 
+CLI = ["-c", "import sys; from streamgp.cli import main; sys.exit(main())"]
+
+
+def run_child(args: list[str], env: dict) -> tuple[float, float, float]:
+    """Wall seconds, CPU seconds and peak resident MB of ``python *args`` run
+    to completion in a child with environment ``env``, read through
+    ``os.wait4``."""
+    t0 = time.perf_counter()
+    child = subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - t0
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode != 0:
+        raise RuntimeError(f"{args} exited with {child.returncode}")
+    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0
+
+
 def import_cost(reps: int = 5) -> dict:
     """CPU seconds and peak resident memory of a fresh one-BLAS-thread
     ``python -c "import streamgp"`` and of one ``streamgp evaluate`` of a
@@ -263,28 +284,22 @@ def import_cost(reps: int = 5) -> dict:
     """
     import tempfile
 
-    cli = ["-c", "import sys; from streamgp.cli import main; sys.exit(main())"]
     env = {**os.environ, **PINNED_ENV}
 
     def run(args: list[str]) -> tuple[float, float]:
-        child = subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.DEVNULL)
-        _, status, usage = os.wait4(child.pid, 0)
-        child.returncode = os.waitstatus_to_exitcode(status)
-        if child.returncode != 0:
-            raise RuntimeError(f"{args} exited with {child.returncode}")
-        return usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0
+        return run_child(args, env)[1:]
 
     with tempfile.TemporaryDirectory() as tmp:
         train, heldout, model = (str(Path(tmp) / f) for f in ("train.csv", "heldout.csv", "model.npz"))
-        run([*cli, "simulate", "cstr", "--duration", "400", "--seed", "1", "--out", train])
-        run([*cli, "simulate", "cstr", "--duration", "800", "--seed", "2", "--out", heldout])
+        run([*CLI, "simulate", "cstr", "--duration", "400", "--seed", "1", "--out", train])
+        run([*CLI, "simulate", "cstr", "--duration", "800", "--seed", "2", "--out", heldout])
         run([
-            *cli, "train", "--data", train, "--model", "pep", "--alpha", "0.5", "--num-inducing", "50",
+            *CLI, "train", "--data", train, "--model", "pep", "--alpha", "0.5", "--num-inducing", "50",
             "--batch-size", "256", "--epochs", "1", "--checkpoint-out", model,
         ])
         commands = {
             "import streamgp": ["-c", "import streamgp"],
-            "streamgp evaluate": [*cli, "evaluate", "--checkpoint", model, "--data", heldout],
+            "streamgp evaluate": [*CLI, "evaluate", "--checkpoint", model, "--data", heldout],
         }
         runs = {name: [] for name in commands}
         for _ in range(reps):
@@ -296,6 +311,48 @@ def import_cost(reps: int = 5) -> dict:
     for name, samples in runs.items():
         cpu, rss = zip(*samples)
         result[name] = {"cpu_s_min": round(min(cpu), 3), "peak_rss_mb_min": round(min(rss), 1)}
+    return result
+
+
+def default_threads(reps: int = 5) -> dict:
+    """``streamgp train`` at the train-cstr shape (a 2,000 s CSTR rollout,
+    N = 9,999, D = 5; PEP 0.5, M = 50, B = 256, 3 epochs), ``reps`` times
+    with no thread variable set, so OpenBLAS sizes its pool to the machine,
+    and ``reps`` times with ``OPENBLAS_NUM_THREADS=1``, interleaved.  Reports
+    the wall and child CPU seconds of each run and the median wall time of
+    each setting.
+
+    Two BLAS pools in one process that fight over the cores show up as an
+    unpinned wall time well above the pinned one.  Not used by any test;
+    run by hand.  The package is the one ``PYTHONPATH`` finds.
+    """
+    import statistics
+    import tempfile
+
+    unpinned = {k: v for k, v in os.environ.items() if k not in (*PINNED_ENV, "GOTO_NUM_THREADS")}
+    envs = {"unpinned": unpinned, "pinned": {**unpinned, **PINNED_ENV}}
+    runs = {name: [] for name in envs}
+    with tempfile.TemporaryDirectory() as tmp:
+        data, model = str(Path(tmp) / "train.csv"), str(Path(tmp) / "model.npz")
+        simulate = [*CLI, "simulate", "cstr", "--duration", "2000", "--seed", "0", "--out", data]
+        run_child(simulate, envs["pinned"])
+        train = [
+            *CLI, "train", "--data", data, "--model", "pep", "--alpha", "0.5", "--num-inducing", "50",
+            "--batch-size", "256", "--epochs", "3", "--checkpoint-out", model,
+        ]
+        for _ in range(reps):
+            for name, env in envs.items():
+                wall, cpu, _ = run_child(train, env)
+                runs[name].append({"wall_s": round(wall, 3), "cpu_s": round(cpu, 3)})
+    result = {"cpus": os.cpu_count(), "reps": reps}
+    for name, samples in runs.items():
+        result[name] = {
+            "median_wall_s": round(statistics.median(r["wall_s"] for r in samples), 3),
+            "runs": samples,
+        }
+    result["unpinned_over_pinned"] = round(
+        result["unpinned"]["median_wall_s"] / result["pinned"]["median_wall_s"], 3
+    )
     return result
 
 
@@ -387,6 +444,7 @@ MEASUREMENTS = {
     "propagate_vs_noise_gemm": propagate_vs_noise_gemm,
     "predict": predict,
     "import_cost": import_cost,
+    "default_threads": default_threads,
 }
 
 if __name__ == "__main__":
