@@ -16,9 +16,12 @@ numpy >= 2 wheels link OpenBLAS with 64-bit integers and export its
 routines as ``scipy_<name>_64_``.  Binding those, ``@``,
 ``np.linalg.cholesky`` and these routines share one library and one thread
 pool, sized by ``OPENBLAS_NUM_THREADS``.  :data:`LIBRARIES` lists where the
-routines are looked up, in order; its second row is the 32-bit copy that
-SciPy bundles, found without importing SciPy, for a numpy that exports
-none of them.
+routines are looked up with ctypes.  A numpy that exports none of them (on
+Windows, a macOS build against Accelerate, a conda or distribution build
+against a system BLAS) gets SciPy's own f2py wrappers from
+``scipy.linalg._fblas``/``_flapack`` instead, which link SciPy's BLAS; the
+package requires SciPy off Linux for this.  With neither, the import raises
+``ImportError``.
 
 The routines may be called from several threads at once: a call shares
 only read-only argument objects with other calls, and ctypes releases the
@@ -28,8 +31,8 @@ GIL while it runs.
 from __future__ import annotations
 
 import ctypes
-import importlib.machinery
-import importlib.util
+import importlib
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -46,23 +49,10 @@ def _numpy_library() -> str | None:
     return _multiarray_umath.__file__
 
 
-def _scipy_library() -> str | None:
-    """SciPy's ``linalg/_fblas`` extension file, which links SciPy's OpenBLAS,
-    located without importing SciPy."""
-    spec = importlib.util.find_spec("scipy")
-    for location in (spec and spec.submodule_search_locations) or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = Path(location) / "linalg" / f"_fblas{suffix}"
-            if path.is_file():
-                return str(path)
-    return None
-
-
 # (file whose dependencies define the routines, symbol pattern, integer
 # type, thread-count getter), tried in order.
 LIBRARIES = (
     (_numpy_library, "scipy_{}_64_", ctypes.c_int64, "scipy_openblas_get_num_threads64_"),
-    (_scipy_library, "scipy_{}_", ctypes.c_int32, "scipy_openblas_get_num_threads"),
 )
 
 _OP = (b"N", b"T", b"T")  # trans = 0, 1, 2 ('C' is 'T' for real data)
@@ -78,6 +68,7 @@ _FLOAT64 = np.dtype(np.float64)
 # (``PyArrayObject_fields`` in numpy/ndarraytypes.h).  Reading it there costs
 # a tenth of ``a.ctypes.data``, which is paid on every operand of every call;
 # it is checked once here, and the slow path kept for any build that differs.
+# Only CPython's ``id`` is an address, so no other interpreter reads there.
 _DATA_OFFSET = object.__basicsize__
 _void_p_at = ctypes.c_void_p.from_address
 
@@ -93,7 +84,8 @@ def _slow_pointer(a: np.ndarray):
 _probe = np.empty((3, 2))[1:]
 _pointer = (
     _fast_pointer
-    if _fast_pointer(_probe).value == _probe.__array_interface__["data"][0]
+    if sys.implementation.name == "cpython"
+    and _fast_pointer(_probe).value == _probe.__array_interface__["data"][0]
     else _slow_pointer
 )
 del _probe
@@ -272,9 +264,27 @@ def _shared_object(fn) -> str | None:
     return str(Path(info.dli_fname.decode()).resolve())
 
 
-def bind(table=LIBRARIES) -> Routines:
+class SciPyRoutines:
+    """SciPy's f2py wrappers of the five routines, for a numpy that exports
+    none of them; ``library`` is SciPy's ``_fblas`` extension file, which
+    links SciPy's BLAS.  The ordinary import runs ``scipy/__init__``, which
+    on Windows makes SciPy's bundled DLLs findable."""
+
+    def __init__(self):
+        fblas = importlib.import_module("scipy.linalg._fblas")
+        flapack = importlib.import_module("scipy.linalg._flapack")
+        self.dgemm, self.dtrmm = fblas.dgemm, fblas.dtrmm
+        self.dtrtri, self.dpotri, self.dtrtrs = flapack.dtrtri, flapack.dpotri, flapack.dtrtrs
+        self.library = str(Path(fblas.__file__).resolve())
+
+    def num_threads(self) -> None:
+        """None: SciPy's wrappers do not report their library's threads."""
+        return None
+
+
+def bind(table=LIBRARIES) -> Routines | SciPyRoutines:
     """The routines from the first row of ``table`` whose file defines all
-    of them and the thread-count getter."""
+    of them and the thread-count getter, else SciPy's f2py wrappers."""
     searched = []
     for locate, pattern, int_t, getter in table:
         source = locate()
@@ -284,9 +294,13 @@ def bind(table=LIBRARIES) -> Routines:
                 return Routines(ctypes.CDLL(source), pattern, int_t, getter, source)
             except (OSError, AttributeError):
                 pass
+    try:
+        return SciPyRoutines()
+    except ImportError as exc:
+        searched.append(f"scipy.linalg._fblas/_flapack ({exc})")
     raise ImportError(
-        f"no library defines BLAS/LAPACK {', '.join(NAMES)}; "
-        f"searched: {'; '.join(searched) or 'nothing'}"
+        f"no library defines BLAS/LAPACK {', '.join(NAMES)}; searched: {'; '.join(searched)}. "
+        "Install SciPy to use the BLAS it bundles."
     )
 
 

@@ -3,12 +3,14 @@
 The library's BLAS and LAPACK routines are ctypes bindings to the OpenBLAS
 that numpy links.  Each call the library makes must give bit for bit what
 the same call through ``scipy.linalg`` gives, and the binding must come
-from numpy's library, fall back to SciPy's copy, or fail at import.
+from numpy's library, fall back to SciPy's f2py wrappers, or fail at
+import.
 """
 
 import ctypes
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,27 +47,24 @@ def test_each_routine_resolves_in_numpys_library():
     assert "openblas" in bound.library and bound.num_threads() >= 1
 
 
-def test_fallback_row_binds_when_numpys_names_are_hidden():
-    numpy_row, scipy_row = _lapack.LIBRARIES
+def test_scipy_wrappers_bind_when_numpys_names_are_hidden():
+    (numpy_row,) = _lapack.LIBRARIES
     hidden = (numpy_row[0], "hidden_{}_64_", *numpy_row[2:])
-    routines = _lapack.bind((hidden, scipy_row))
-    assert routines.library != _lapack.ROUTINES.library
-    scipy_lib = ctypes.CDLL(_lapack._scipy_library())
-    assert address(routines._gemm) == address(scipy_lib.scipy_dgemm_)
-    assert routines.num_threads() >= 1
-    # The 32-bit binding computes what SciPy's own wrappers compute.
-    L = lower_factor(6)
-    b = np.random.default_rng(5).standard_normal((6, 4))
-    assert_bitwise(routines.dgemm(1.0, L, b), blas.dgemm(1.0, L, b))
-    assert_bitwise(routines.dpotri(L, lower=1)[0], lapack.dpotri(L, lower=1)[0])
-    assert_bitwise(routines.dtrtrs(L, b, lower=1)[0], lapack.dtrtrs(L, b, lower=1)[0])
+    routines = _lapack.bind((hidden,))
+    assert isinstance(routines, _lapack.SciPyRoutines)
+    assert routines.dgemm is blas.dgemm and routines.dtrmm is blas.dtrmm
+    for name in ("dtrtri", "dpotri", "dtrtrs"):
+        assert getattr(routines, name) is getattr(lapack, name), name
+    assert routines.library.startswith(str(Path(scipy.__file__).parent))
+    assert routines.num_threads() is None
 
 
-def test_empty_table_raises_import_error():
+def test_no_library_and_no_scipy_raises_import_error(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy.linalg._fblas", None)
     with pytest.raises(ImportError, match="dgemm, dtrmm, dtrtri, dpotri, dtrtrs"):
         _lapack.bind(())
     nowhere = ((lambda: None, "scipy_{}_64_", ctypes.c_int64, "getter"),)
-    with pytest.raises(ImportError, match="no file"):
+    with pytest.raises(ImportError, match="no file.*scipy.linalg._fblas"):
         _lapack.bind(nowhere)
 
 
