@@ -14,7 +14,6 @@ from .data import (
     coverage,
     default_hyperparameters,
     generate_gp_data,
-    integrate_cstr,
     load_dataset,
     rmse,
     save_dataset,
@@ -28,17 +27,10 @@ from .errors import (
     StreamGPError,
     ToleranceError,
 )
-from .gradients import (
-    AdjointIntermediates,
-    GradientState,
-    compute_adjoints,
-    init_gradient_state,
-    propagate,
-)
+from .gradients import GradientState
 from .inference import (
     PARAM_STANDARD,
     PARAM_TRANSFORMED,
-    KalmanIntermediates,
     MiniBatch,
     PosteriorState,
     PredictiveDistribution,
@@ -47,13 +39,8 @@ from .inference import (
     split_into_batches,
     update,
 )
-from .kernel import Hyperparameters, kernel_matrix
-from .model import (
-    BatchGeometry,
-    ModelSpec,
-    batch_geometry,
-    regularizer,
-)
+from .kernel import Hyperparameters
+from .model import ModelSpec
 from .optimizer import (
     AdamState,
     FitResult,
@@ -67,9 +54,7 @@ from .optimizer import (
 
 __all__ = [
     "AdamState",
-    "AdjointIntermediates",
     "BatchBoundReport",
-    "BatchGeometry",
     "ContractViolationError",
     "DataError",
     "Dataset",
@@ -77,7 +62,6 @@ __all__ = [
     "GradientState",
     "Hyperparameters",
     "IllConditionedError",
-    "KalmanIntermediates",
     "MiniBatch",
     "ModelSpec",
     "NumericalError",
@@ -91,22 +75,15 @@ __all__ = [
     "TrainConfig",
     "adam_step",
     "batch_bound",
-    "batch_geometry",
-    "compute_adjoints",
     "coverage",
     "default_hyperparameters",
     "fd_gradient",
     "fixed_theta_pass",
     "generate_gp_data",
-    "init_gradient_state",
     "init_inducing_subset",
     "init_state",
-    "integrate_cstr",
-    "kernel_matrix",
     "load_dataset",
     "predict",
-    "propagate",
-    "regularizer",
     "rmse",
     "save_dataset",
     "simulate_cstr",

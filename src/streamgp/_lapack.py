@@ -4,24 +4,28 @@ numpy's own OpenBLAS.
 ``dgemm`` and ``dtrmm`` (BLAS), ``dtrtri``, ``dpotri`` and ``dtrtrs``
 (LAPACK) take the arguments and keywords of SciPy's f2py wrappers in
 ``scipy.linalg.blas``/``lapack`` that the library uses, and return what
-those return.  Operands are float64 and Fortran-ordered.  An input operand
-that is not goes in as its Fortran-ordered transpose, with its trans flag
-(and, for a triangular one, its triangle) flipped, when it is C-ordered,
-and as a Fortran-ordered copy otherwise.  An output operand (``c``, ``b``)
-is written in place only when its ``overwrite_*`` flag is set and it is a
-writeable Fortran-ordered float64 array; otherwise a copy is written and
-returned.
+those return.  Their one operand contract is Fortran order:
+
+* an input operand (``a`` and ``b`` of ``dgemm``, ``a`` of ``dtrmm`` and
+  ``dtrtrs``) must be a 2-D Fortran-contiguous float64 array, or the call
+  raises ``ValueError``.  A caller holding a C-ordered array passes its
+  transpose with the trans flag (and, for a triangle, ``lower``) flipped;
+* an output operand passed with its ``overwrite_*`` flag (``c`` of
+  ``dgemm``, ``b`` of ``dtrmm``) must be a writeable Fortran-contiguous
+  float64 array, and is written in place, or the call raises
+  ``ValueError``.  Without the flag it is copied to a new Fortran-ordered
+  float64 array, which is written and returned, as are the ``c`` of
+  ``dtrtri`` and ``dpotri`` and the ``b`` of ``dtrtrs``.
 
 numpy >= 2 wheels link OpenBLAS with 64-bit integers and export its
-routines as ``scipy_<name>_64_``.  Binding those, ``@``,
-``np.linalg.cholesky`` and these routines share one library and one thread
-pool, sized by ``OPENBLAS_NUM_THREADS``.  :data:`LIBRARIES` lists where the
-routines are looked up with ctypes.  A numpy that exports none of them (on
-Windows, a macOS build against Accelerate, a conda or distribution build
-against a system BLAS) gets SciPy's own f2py wrappers from
-``scipy.linalg._fblas``/``_flapack`` instead, which link SciPy's BLAS; the
-package requires SciPy off Linux for this.  With neither, the import raises
-``ImportError``.
+routines as ``scipy_<name>_64_``, found through numpy's core extension
+file.  Binding those, ``@``, ``np.linalg.cholesky`` and these routines
+share one library and one thread pool, sized by ``OPENBLAS_NUM_THREADS``.
+A numpy that exports none of them (on Windows, a macOS build against
+Accelerate, a conda or distribution build against a system BLAS) gets
+SciPy's own f2py wrappers from ``scipy.linalg._fblas``/``_flapack``
+instead, which link SciPy's BLAS; the package requires SciPy off Linux for
+this.  With neither, the import raises ``ImportError``.
 
 The routines may be called from several threads at once: a call shares
 only read-only argument objects with other calls, and ctypes releases the
@@ -38,22 +42,8 @@ from pathlib import Path
 import numpy as np
 
 NAMES = ("dgemm", "dtrmm", "dtrtri", "dpotri", "dtrtrs")
-
-
-def _numpy_library() -> str | None:
-    """numpy's core extension file, which links numpy's OpenBLAS."""
-    try:
-        from numpy._core import _multiarray_umath
-    except ImportError:  # numpy < 2
-        return None
-    return _multiarray_umath.__file__
-
-
-# (file whose dependencies define the routines, symbol pattern, integer
-# type, thread-count getter), tried in order.
-LIBRARIES = (
-    (_numpy_library, "scipy_{}_64_", ctypes.c_int64, "scipy_openblas_get_num_threads64_"),
-)
+SYMBOL = "scipy_{}_64_"  # with 64-bit integers
+NUM_THREADS = "scipy_openblas_get_num_threads64_"
 
 _OP = (b"N", b"T", b"T")  # trans = 0, 1, 2 ('C' is 'T' for real data)
 _UPLO = (b"U", b"L")
@@ -91,29 +81,19 @@ _pointer = (
 del _probe
 
 
-def _operand(a, trans) -> tuple[np.ndarray, bool, bool]:
-    """2-D ``a`` as a Fortran-ordered float64 array, the trans flag that
-    applies op(a) to that array, and whether it is ``a``'s transpose."""
-    if type(a) is not np.ndarray or a.dtype is not _FLOAT64:
-        a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D operand, got shape {a.shape}")
-    flags = a.flags
-    if flags.f_contiguous:
-        return a, bool(trans), False
-    if flags.c_contiguous:
-        return a.T, not trans, True
-    return np.asfortranarray(a), bool(trans), False
-
-
-def _output(a, overwrite) -> np.ndarray:
-    """``a`` itself when ``overwrite`` is set and BLAS can write into it,
-    else a Fortran-ordered float64 copy."""
-    if overwrite and type(a) is np.ndarray and a.dtype is _FLOAT64:
-        flags = a.flags
-        if flags.f_contiguous and flags.writeable:
-            return a
-    return np.array(a, dtype=np.float64, order="F")
+def _operand(a, routine: str, in_place: bool = False) -> np.ndarray:
+    """``a`` itself, which must be a 2-D Fortran-contiguous float64 array,
+    and writeable if the routine writes into it in place."""
+    if (
+        type(a) is np.ndarray and a.dtype == _FLOAT64 and a.ndim == 2 and a.flags.f_contiguous
+        and (not in_place or a.flags.writeable)
+    ):
+        return a
+    a = np.asarray(a)
+    raise ValueError(
+        f"{routine}: operands must be 2-D Fortran-contiguous float64 arrays, writeable if written "
+        f"in place; got {a.dtype} {a.shape}, strides {a.strides}, writeable {a.flags.writeable}"
+    )
 
 
 class _Constants(dict):
@@ -136,24 +116,25 @@ class _Constants(dict):
 
 
 class Routines:
-    """The five routines bound from one library, with the signatures of
+    """The five routines bound from ``source``, with the signatures of
     SciPy's f2py wrappers; ``library`` is the file that defines them."""
 
-    def __init__(self, lib: ctypes.CDLL, pattern: str, int_t, getter: str, source: str):
+    def __init__(self, source: str):
+        lib = ctypes.CDLL(source)
+
         def bind(name: str):
             # No argtypes: every argument goes in as an object of its exact C
-            # type (bytes for a char*, a by-reference ``int_t`` or double, a
+            # type (bytes for a char*, a by-reference int64 or double, a
             # void* for an array), so ctypes converts nothing; declaring them
             # cost about 2 us more per call, half of the binding's overhead.
-            fn = getattr(lib, pattern.format(name))
+            fn = getattr(lib, SYMBOL.format(name))
             fn.restype = None
             return fn
 
         self._gemm, self._trmm, self._trtri, self._potri, self._trtrs = map(bind, NAMES)
-        self._get_num_threads = getattr(lib, getter)
+        self._get_num_threads = getattr(lib, NUM_THREADS)
         self._get_num_threads.restype = ctypes.c_int
-        self._int_t = int_t
-        self._int = _Constants(int_t)
+        self._int = _Constants(ctypes.c_int64)
         self._double = _Constants(ctypes.c_double)
         self.library = _shared_object(self._gemm) or source
 
@@ -163,35 +144,35 @@ class Routines:
 
     def dgemm(self, alpha, a, b, beta=0.0, c=None, trans_a=0, trans_b=0, overwrite_c=0):
         """c = alpha op(a) op(b) + beta c."""
-        a, ta, _ = _operand(a, trans_a)
-        b, tb, _ = _operand(b, trans_b)
-        m, k = a.shape[::-1] if ta else a.shape
-        kb, n = b.shape[::-1] if tb else b.shape
+        a, b = _operand(a, "dgemm"), _operand(b, "dgemm")
+        m, k = a.shape[::-1] if trans_a else a.shape
+        kb, n = b.shape[::-1] if trans_b else b.shape
         if k != kb:
             raise ValueError(f"dgemm: inner dimensions {k} and {kb} differ")
         if c is None:
             c = np.zeros((m, n), order="F")
         else:
-            c = _output(c, overwrite_c)
+            c = _operand(c, "dgemm", True) if overwrite_c else np.array(c, np.float64, order="F")
             if c.shape != (m, n):
                 raise ValueError(f"dgemm: c has shape {c.shape}, expected {(m, n)}")
         i, d = self._int, self._double
         self._gemm(
-            _OP[ta], _OP[tb], i[m], i[n], i[k], d[alpha], _pointer(a), i[a.shape[0] or 1],
-            _pointer(b), i[b.shape[0] or 1], d[beta], _pointer(c), i[m or 1], _LEN, _LEN,
+            _OP[trans_a], _OP[trans_b], i[m], i[n], i[k], d[alpha], _pointer(a),
+            i[a.shape[0] or 1], _pointer(b), i[b.shape[0] or 1], d[beta], _pointer(c), i[m or 1],
+            _LEN, _LEN,
         )
         return c
 
     def dtrmm(self, alpha, a, b, overwrite_b=0, lower=0, trans_a=0):
         """b = alpha op(a) b for triangular ``a``."""
-        a, ta, flipped = _operand(a, trans_a)
-        b = _output(b, overwrite_b)
+        a = _operand(a, "dtrmm")
+        b = _operand(b, "dtrmm", True) if overwrite_b else np.array(b, np.float64, order="F")
         m, n = b.shape if b.ndim == 2 else (-1, -1)
         if m < 0 or a.shape != (m, m):
             raise ValueError(f"dtrmm: shapes {a.shape} and {b.shape} do not match")
         i = self._int
         self._trmm(
-            b"L", _UPLO[bool(lower) != flipped], _OP[ta], b"N", i[m], i[n], self._double[alpha],
+            b"L", _UPLO[bool(lower)], _OP[trans_a], b"N", i[m], i[n], self._double[alpha],
             _pointer(a), i[m or 1], _pointer(b), i[m or 1], _LEN, _LEN, _LEN, _LEN,
         )
         return b
@@ -199,7 +180,7 @@ class Routines:
     def dtrtri(self, c, lower=0):
         """(inverse of triangular ``c``, in its triangle of a copy; info)."""
         c = _square(c, "dtrtri")
-        n, info = c.shape[0], self._int_t(0)
+        n, info = c.shape[0], ctypes.c_int64(0)
         self._trtri(
             _UPLO[bool(lower)], b"N", self._int[n], _pointer(c), self._int[n or 1], _byref(info),
             _LEN, _LEN,
@@ -210,7 +191,7 @@ class Routines:
         """(one triangle of (L L^T)^-1, in a copy of the Cholesky factor L in
         ``c``; info)."""
         c = _square(c, "dpotri")
-        n, info = c.shape[0], self._int_t(0)
+        n, info = c.shape[0], ctypes.c_int64(0)
         self._potri(
             _UPLO[bool(lower)], self._int[n], _pointer(c), self._int[n or 1], _byref(info), _LEN
         )
@@ -219,16 +200,15 @@ class Routines:
     def dtrtrs(self, a, b, lower=0, trans=0):
         """(x solving op(a) x = b for triangular ``a``, 1-D for 1-D ``b``;
         info)."""
-        a, ta, flipped = _operand(a, trans)
-        b = _output(b, 0)
+        a = _operand(a, "dtrtrs")
+        b = np.array(b, np.float64, order="F")
         n = a.shape[0]
         if a.shape != (n, n) or b.ndim not in (1, 2) or b.shape[0] != n:
             raise ValueError(f"dtrtrs: shapes {a.shape} and {b.shape} do not match")
-        i, info = self._int, self._int_t(0)
+        i, info = self._int, ctypes.c_int64(0)
         self._trtrs(
-            _UPLO[bool(lower) != flipped], _OP[ta], b"N", i[n],
-            i[b.shape[1] if b.ndim == 2 else 1], _pointer(a), i[n or 1], _pointer(b),
-            i[n or 1], _byref(info), _LEN, _LEN, _LEN,
+            _UPLO[bool(lower)], _OP[trans], b"N", i[n], i[b.shape[1] if b.ndim == 2 else 1],
+            _pointer(a), i[n or 1], _pointer(b), i[n or 1], _byref(info), _LEN, _LEN, _LEN,
         )
         return b, info.value
 
@@ -236,7 +216,7 @@ class Routines:
 def _square(c, routine: str) -> np.ndarray:
     """A Fortran-ordered float64 copy of square ``c``, for a routine that
     overwrites it."""
-    c = _output(c, 0)
+    c = np.array(c, np.float64, order="F")
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"{routine}: c has shape {c.shape}, expected a square matrix")
     return c
@@ -282,26 +262,24 @@ class SciPyRoutines:
         return None
 
 
-def bind(table=LIBRARIES) -> Routines | SciPyRoutines:
-    """The routines from the first row of ``table`` whose file defines all
-    of them and the thread-count getter, else SciPy's f2py wrappers."""
-    searched = []
-    for locate, pattern, int_t, getter in table:
-        source = locate()
-        searched.append(f"{pattern.format('<name>')} in {source or locate.__name__ + ' (no file)'}")
-        if source is not None:
-            try:
-                return Routines(ctypes.CDLL(source), pattern, int_t, getter, source)
-            except (OSError, AttributeError):
-                pass
+def bind(source: str | None = None) -> Routines | SciPyRoutines:
+    """The routines from ``source``, by default numpy's core extension file,
+    which links numpy's OpenBLAS; else SciPy's f2py wrappers."""
+    if source is None:
+        from numpy._core import _multiarray_umath
+
+        source = _multiarray_umath.__file__
+    try:
+        return Routines(source)
+    except (OSError, AttributeError) as exc:
+        searched = f"{SYMBOL.format('<name>')} in {source} ({exc})"
     try:
         return SciPyRoutines()
     except ImportError as exc:
-        searched.append(f"scipy.linalg._fblas/_flapack ({exc})")
-    raise ImportError(
-        f"no library defines BLAS/LAPACK {', '.join(NAMES)}; searched: {'; '.join(searched)}. "
-        "Install SciPy to use the BLAS it bundles."
-    )
+        raise ImportError(
+            f"no library defines BLAS/LAPACK {', '.join(NAMES)}; searched: {searched}; "
+            f"scipy.linalg._fblas/_flapack ({exc}). Install SciPy to use the BLAS it bundles."
+        ) from None
 
 
 ROUTINES = bind()

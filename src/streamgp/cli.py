@@ -203,6 +203,14 @@ def cmd_train(args) -> int:
                 f"resume model {ckpt.spec} differs from requested {spec}"
             )
         stored = dict(ckpt.config or {})
+        # Results depend on the BLAS thread count, so another one would not
+        # continue the stored run bit for bit.
+        threads = ROUTINES.num_threads()
+        if stored.get("blas_threads", threads) != threads:
+            raise ContractViolationError(
+                f"this run has {threads} BLAS threads and the resumed checkpoint was trained with "
+                f"{stored['blas_threads']}; a resumed run keeps its settings (OPENBLAS_NUM_THREADS)"
+            )
         if args.no_epoch_reset or stored.get("epoch_reset") is False:
             raise ContractViolationError(
                 "cannot resume without epoch resets: the checkpoint holds the fixed-parameter "

@@ -90,7 +90,9 @@ class GradientState:
     packed row by row in ``np.triu_indices(M)`` order.  :func:`propagate`
     advances ``d_eta`` and ``d_Lambda`` in place and returns them in the new
     state; ``d_psi`` is a fresh array at every step, so two successive
-    states' ``d_psi`` differ by that step's gradient.
+    states' ``d_psi`` differ by that step's gradient.  ``d_Lambda`` is
+    C-contiguous float64, as :func:`init_gradient_state` builds it, so that
+    BLAS adds the noise terms into its rows in place.
     """
 
     d_eta: np.ndarray  # (P, M)
@@ -209,18 +211,15 @@ def _add_noise_terms(dst: np.ndarray, s: np.ndarray, H: np.ndarray) -> None:
 
     For each block of ``ROWS`` batch rows, one gemm at beta = 1 adds
     s_block @ KR, with KR the block's packed Khatri-Rao product, into
-    ``dst`` through its Fortran-ordered transpose.  For a C-contiguous
-    float64 ``dst`` (a row range of the state) BLAS writes into it directly,
-    and no (P, M (M + 1) / 2) temporary is formed; any other ``dst`` is
-    given to gemm as a copy, which is written back.
+    ``dst`` through its Fortran-ordered transpose, so ``dst`` must be
+    C-contiguous float64 (a row range of the state).  BLAS writes into it
+    directly, and no (P, M (M + 1) / 2) temporary is formed.
     """
     for rows in _row_blocks(H.shape[0]):
         s_block = np.ascontiguousarray(s[:, rows])
         KR = _khatri_rao_t(H[rows]).T
-        out = dgemm(1.0, KR, s_block.T, beta=1.0, c=dst.T, trans_a=1, overwrite_c=1)
-        if not np.may_share_memory(out, dst):
-            dst[...] = out.T
-        del KR, out  # before the next block's is formed
+        dgemm(1.0, KR, s_block.T, beta=1.0, c=dst.T, trans_a=1, overwrite_c=1)
+        del KR  # before the next block's is formed
 
 
 def _inducing_directions(p: Prior, KG: np.ndarray, D: int) -> tuple[np.ndarray, np.ndarray]:
@@ -434,8 +433,9 @@ def _walk(
     with gamma = dK_XR/dR, w_m = K^-1 e_m, kb = K^-1 beta and h_m column m
     of H, so the blocks only sum [gamma, Kdot_XR, H]^T V^-1 [H, y], and
     K^-1, beta and Kdot_RR are applied to the sums once at the end.  Rows
-    run along the last axis of the per-block buffers.  Every gemm target is
-    the transpose of a C-contiguous buffer, so BLAS updates it in place.
+    run along the last axis of the per-block buffers.  Every gemm operand
+    and target is the transpose of a C-contiguous buffer, so BLAS reads the
+    operands and updates the targets in place.
     """
     H, v = geom.H, geom.v
     (B, M), (P, D) = H.shape, (h.n_params, h.input_dim)

@@ -88,7 +88,8 @@ def chol_with_jitter(a: np.ndarray, name: str = "matrix") -> CholFactor:
 def tri_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L x = b for lower-triangular L with LAPACK ``dtrtrs``, called as
     ``scipy.linalg.solve_triangular(L, b, lower=True)`` calls it: a C-ordered
-    L goes in as the upper-triangular Fortran array L^T, solved transposed."""
+    L (as ``np.linalg.cholesky`` returns it) goes in as the upper-triangular
+    Fortran array L^T, solved transposed."""
     L, b = np.asarray(L), np.asarray(b)
     if b.size == 0:
         return np.empty_like(b, dtype=float)

@@ -115,16 +115,13 @@ class Prior:
         return L_inv
 
     def whiten(self, b: np.ndarray) -> np.ndarray:
-        """L^-1 b for (M, n) ``b``, as a new Fortran-ordered array.
-
-        ``b`` is copied once (a C-ordered (n, M) array's transpose is
-        already in the right order) and the product written into the copy.
-        """
+        """L^-1 b for (M, n) ``b``, as a new Fortran-ordered array."""
         return dtrmm(1.0, self.L_inv, b, lower=1)
 
     def solve_whitened(self, a: np.ndarray) -> np.ndarray:
         """K_RR^-1 b from its whitened form ``a`` = L^-1 b: L^-T a, written
-        into a Fortran-ordered ``a``."""
+        in place into ``a``, which is Fortran-ordered as :meth:`whiten`
+        returns it."""
         return dtrmm(1.0, self.L_inv, a, lower=1, trans_a=1, overwrite_b=1)
 
     def solve(self, b: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from streamgp import (
     MiniBatch,
     ModelSpec,
     PredictiveDistribution,
-    kernel_matrix,
 )
 from streamgp.batch import _check_xy, _sparse_pieces
 from streamgp.gradients import GradientState
@@ -28,6 +27,7 @@ from streamgp.kernel import (
     CLASS_LOG_SIGMA_N,
     _check_inputs,
     kernel_diag,
+    kernel_matrix,
 )
 from streamgp.linalg import CholFactor, chol_with_jitter, symmetrize
 from streamgp.model import batch_geometry, prior, regularizer

@@ -18,14 +18,15 @@ from streamgp import (
     ModelSpec,
     batch_bound,
     init_state,
-    kernel_matrix,
     predict,
     split_into_batches,
     update,
 )
 from streamgp.cli import main as cli_main
+from streamgp.data import integrate_cstr
 from streamgp.gradients import compute_adjoints, init_gradient_state, propagate
 from streamgp.inference import PARAM_STANDARD, PARAM_TRANSFORMED
+from streamgp.kernel import kernel_matrix
 
 from conftest import (
     batch_sparse_posterior,
@@ -392,7 +393,7 @@ def test_criterion_11_cstr_pipeline(tmp_path):
     # Tank-level fixed point under constant inflow, then an end-to-end
     # simulate/train/evaluate run through the CLI on 1e4 samples that must
     # beat the predict-train-mean baseline.
-    _, level, _, _ = sg.integrate_cstr(lambda t: 0.0, duration=120.0)
+    _, level, _, _ = integrate_cstr(lambda t: 0.0, duration=120.0)
     fp_err = abs(level[-1] - 0.25)
     assert fp_err < 1e-3
 

@@ -21,6 +21,25 @@ def test_every_exported_name_resolves():
     assert not missing
 
 
+INTERNALS = {
+    "gradients": ("AdjointIntermediates", "compute_adjoints", "propagate", "init_gradient_state"),
+    "inference": ("KalmanIntermediates",),
+    "model": ("BatchGeometry", "regularizer", "batch_geometry"),
+    "kernel": ("kernel_matrix",),
+    "data": ("integrate_cstr",),
+}
+
+
+def test_recursion_internals_are_not_exported():
+    # The recursion's internals stay in their modules, under their names.
+    for module_name, names in INTERNALS.items():
+        module = importlib.import_module(f"streamgp.{module_name}")
+        for name in names:
+            assert name not in streamgp.__all__ and not hasattr(streamgp, name), name
+            assert hasattr(module, name), f"{module_name}.{name}"
+    assert len(streamgp.__all__) == 37
+
+
 def test_benchmark_layers_exist():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)

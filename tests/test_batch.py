@@ -71,7 +71,7 @@ class TestBatchSparsePosterior:
         np.testing.assert_array_equal(mu, np.zeros(5))
 
     def test_covariance_shrinks_from_prior(self):
-        from streamgp import kernel_matrix
+        from streamgp.kernel import kernel_matrix
 
         X, y, h = make_instance(4, n=40, m=6)
         _, Sigma = batch_sparse_posterior(X, y, h, ModelSpec("pep", alpha=0.5))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from streamgp._lapack import ROUTINES
-from streamgp.checkpoint import load_checkpoint
+from streamgp.checkpoint import load_checkpoint, save_checkpoint
 from streamgp.cli import main
 
 
@@ -359,3 +359,19 @@ def test_checkpoint_config_records_blas_threads(gp_file, tmp_path):
     out = tmp_path / "m.npz"
     assert run_cli("train", "--data", gp_file, "--epochs", "1", "--checkpoint-out", str(out)) == 0
     assert load_checkpoint(str(out)).config["blas_threads"] == ROUTINES.num_threads()
+
+
+def test_resume_refuses_another_blas_thread_count(gp_file, tmp_path, capsys):
+    # Results depend on the thread count, so a resumed run under another
+    # one would not continue the stored run bit for bit.
+    common = ("train", "--data", gp_file, "--batch-size", "40", "--num-inducing", "5")
+    ckpt, out = tmp_path / "m.npz", tmp_path / "out.npz"
+    assert run_cli(*common, "--epochs", "1", "--checkpoint-out", str(ckpt)) == 0
+    stored = load_checkpoint(str(ckpt))
+    stored.config["blas_threads"] = ROUTINES.num_threads() + 1
+    save_checkpoint(str(ckpt), stored)
+    capsys.readouterr()
+    assert run_cli(*common, "--epochs", "2", "--resume", str(ckpt), "--checkpoint-out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "BLAS threads" in err
+    assert not out.exists()

@@ -9,13 +9,12 @@ from streamgp import (
     Dataset,
     coverage,
     generate_gp_data,
-    integrate_cstr,
     load_dataset,
     rmse,
     save_dataset,
     simulate_cstr,
 )
-from streamgp.data import default_hyperparameters, load_inputs
+from streamgp.data import default_hyperparameters, integrate_cstr, load_inputs
 
 from conftest import train_test_split
 

@@ -13,15 +13,19 @@ from streamgp import (
     ModelSpec,
     NumericalError,
     batch_bound,
-    compute_adjoints,
     fd_gradient,
-    init_gradient_state,
     init_state,
-    propagate,
     split_into_batches,
     update,
 )
-from streamgp.gradients import ROWS, GradientState, _add_noise_terms
+from streamgp.gradients import (
+    ROWS,
+    GradientState,
+    _add_noise_terms,
+    compute_adjoints,
+    init_gradient_state,
+    propagate,
+)
 from streamgp.inference import PARAM_TRANSFORMED
 
 from conftest import (
@@ -96,7 +100,7 @@ class TestInitGradientState:
         g = init_gradient_state(h, ModelSpec("vfe"))
         theta = h.to_vector()
         step = 1e-6
-        from streamgp import kernel_matrix
+        from streamgp.kernel import kernel_matrix
 
         for i in [0, 1, h.input_dim + 2, h.n_params - 1]:
             up, dn = theta.copy(), theta.copy()
@@ -378,14 +382,14 @@ class TestNoiseTerms:
         np.testing.assert_allclose(unpack_d_Lambda(d_Lambda), want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("layout", ["fortran", "strided", "float32"])
-    def test_other_state_layouts_still_accumulate(self, layout):
-        # gemm works on a copy of any dst that is not C-contiguous float64;
-        # the sums must still reach dst.
+    def test_other_state_layouts_are_refused(self, layout):
+        # gemm writes into the state in place, which BLAS can do only for a
+        # C-contiguous float64 dst; any other is refused, and left as it was.
         rng = np.random.default_rng(5)
         P, M, B = 5, 6, ROWS + 9
         H = rng.standard_normal((B, M))
         s = rng.standard_normal((P, B))
-        iu, ju = np.triu_indices(M)
+        iu, _ = np.triu_indices(M)
         before = rng.standard_normal((P, iu.size))
         if layout == "fortran":
             d_Lambda = np.asfortranarray(before)
@@ -394,10 +398,9 @@ class TestNoiseTerms:
             d_Lambda[...] = before
         else:
             d_Lambda = before.astype(np.float32)
-        _add_noise_terms(d_Lambda, s, H)
-        want = before + s @ (H[:, iu] * H[:, ju])
-        rtol = 1e-5 if layout == "float32" else 1e-12
-        np.testing.assert_allclose(d_Lambda, want, rtol=rtol, atol=rtol)
+        with pytest.raises(ValueError, match="Fortran-contiguous float64"):
+            _add_noise_terms(d_Lambda, s, H)
+        np.testing.assert_array_equal(d_Lambda, before.astype(d_Lambda.dtype))
 
     def test_gemm_accumulates_into_the_state_without_a_copy(self):
         _, _, h = make_instance(41, n=2 * ROWS + 3, m=30, d=10)  # P = 312

@@ -7,19 +7,22 @@ import pytest
 
 from streamgp import (
     DataError,
+    Dataset,
     Hyperparameters,
     MiniBatch,
     ModelSpec,
     batch_bound,
     init_state,
-    kernel_matrix,
+    load_dataset,
     predict,
+    save_dataset,
     split_into_batches,
     update,
 )
 from streamgp import inference
 from streamgp import model as model_module
 from streamgp.inference import PARAM_STANDARD, PARAM_TRANSFORMED
+from streamgp.kernel import kernel_matrix
 from streamgp.model import Prior, batch_geometry, prior
 
 from conftest import (
@@ -321,6 +324,23 @@ class TestPredict:
         bound = 10 * 64 * 15 * 8 + 2 * X_star.shape[0] * 8
         assert bound < X_star.shape[0] ** 2 * 8
         assert peak < bound, peak
+
+    def test_inputs_as_loaded_from_a_file_predict_as_c_ordered_ones(self, monkeypatch, tmp_path):
+        # The serve path scores load_dataset's inputs, a column selection
+        # that is not C-ordered; predict must give them bit for bit what it
+        # gives their C-ordered copy.
+        X, y, h = make_instance(8, n=120, d=3, m=10)
+        spec = ModelSpec("pep", alpha=0.5)
+        st = run_stream(X, y, h, spec, batch_size=40)
+        path = tmp_path / "heldout.csv"
+        save_dataset(Dataset(X=X[:70], y=y[:70]), str(path))
+        X_file = load_dataset(str(path)).X
+        assert not X_file.flags.c_contiguous
+        monkeypatch.setattr(inference, "BLOCK", 32)  # several blocks, the last one short
+        a = predict(st, X_file, h, spec, with_noise=True)
+        b = predict(st, np.ascontiguousarray(X_file), h, spec, with_noise=True)
+        assert a.mean.tobytes() == b.mean.tobytes()
+        assert a.variance.tobytes() == b.variance.tobytes()
 
 
 class TestFullGPRecovery:

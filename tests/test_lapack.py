@@ -1,18 +1,21 @@
 """``streamgp._lapack`` and ``tri_solve`` against SciPy's public wrappers.
 
 The library's BLAS and LAPACK routines are ctypes bindings to the OpenBLAS
-that numpy links.  Each call the library makes must give bit for bit what
-the same call through ``scipy.linalg`` gives, and the binding must come
-from numpy's library, fall back to SciPy's f2py wrappers, or fail at
+that numpy links.  Each call the library makes, on the Fortran-ordered
+operands it passes, must give bit for bit what the same call through
+``scipy.linalg`` gives; any other operand is refused.  The binding must
+come from numpy's library, fall back to SciPy's f2py wrappers, or fail at
 import.
 """
 
+import _ctypes
 import ctypes
 import sys
 import threading
 from pathlib import Path
 
 import numpy as np
+from numpy._core import _multiarray_umath
 import pytest
 import scipy.linalg
 from scipy.linalg import blas, lapack
@@ -22,9 +25,14 @@ from streamgp.linalg import tri_solve
 
 
 def lower_factor(m: int, seed: int = 0) -> np.ndarray:
+    """A C-ordered lower Cholesky factor, as ``np.linalg.cholesky`` gives."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, m + 3))
     return np.linalg.cholesky(a @ a.T)
+
+
+def fortran_normal(rng, shape) -> np.ndarray:
+    return np.asfortranarray(rng.standard_normal(shape))
 
 
 def assert_bitwise(a, b):
@@ -38,7 +46,7 @@ def address(fn) -> int:
 
 
 def test_each_routine_resolves_in_numpys_library():
-    numpy_lib = ctypes.CDLL(_lapack._numpy_library())
+    numpy_lib = ctypes.CDLL(_multiarray_umath.__file__)
     bound = _lapack.ROUTINES
     routines = (bound._gemm, bound._trmm, bound._trtri, bound._potri, bound._trtrs)
     for name, fn in zip(_lapack.NAMES, routines):
@@ -47,10 +55,12 @@ def test_each_routine_resolves_in_numpys_library():
     assert "openblas" in bound.library and bound.num_threads() >= 1
 
 
+# A library that defines none of the routines.
+NO_ROUTINES = _ctypes.__file__
+
+
 def test_scipy_wrappers_bind_when_numpys_names_are_hidden():
-    (numpy_row,) = _lapack.LIBRARIES
-    hidden = (numpy_row[0], "hidden_{}_64_", *numpy_row[2:])
-    routines = _lapack.bind((hidden,))
+    routines = _lapack.bind(NO_ROUTINES)
     assert isinstance(routines, _lapack.SciPyRoutines)
     assert routines.dgemm is blas.dgemm and routines.dtrmm is blas.dtrmm
     for name in ("dtrtri", "dpotri", "dtrtrs"):
@@ -59,21 +69,21 @@ def test_scipy_wrappers_bind_when_numpys_names_are_hidden():
     assert routines.num_threads() is None
 
 
-def test_no_library_and_no_scipy_raises_import_error(monkeypatch):
+def test_no_library_and_no_scipy_raises_import_error(monkeypatch, tmp_path):
     monkeypatch.setitem(sys.modules, "scipy.linalg._fblas", None)
     with pytest.raises(ImportError, match="dgemm, dtrmm, dtrtri, dpotri, dtrtrs"):
-        _lapack.bind(())
-    nowhere = ((lambda: None, "scipy_{}_64_", ctypes.c_int64, "getter"),)
-    with pytest.raises(ImportError, match="no file.*scipy.linalg._fblas"):
+        _lapack.bind(NO_ROUTINES)
+    nowhere = str(tmp_path / "no-such-library.so")
+    with pytest.raises(ImportError, match="no-such-library.*scipy.linalg._fblas"):
         _lapack.bind(nowhere)
 
 
 @pytest.mark.parametrize("trans_a", [0, 1])
 def test_dgemm_in_place_accumulation_matches_scipy(trans_a):
     rng = np.random.default_rng(1)
-    a = rng.standard_normal((7, 5) if trans_a else (5, 7))
-    b = rng.standard_normal((7, 9))
-    c0 = np.asfortranarray(rng.standard_normal((5, 9)))
+    a = fortran_normal(rng, (7, 5) if trans_a else (5, 7))
+    b = fortran_normal(rng, (7, 9))
+    c0 = fortran_normal(rng, (5, 9))
     ours, theirs = c0.copy(order="F"), c0.copy(order="F")
     out = _lapack.dgemm(0.5, a, b, beta=1.0, c=ours, trans_a=trans_a, overwrite_c=1)
     ref = blas.dgemm(0.5, a, b, beta=1.0, c=theirs, trans_a=trans_a, overwrite_c=1)
@@ -83,7 +93,7 @@ def test_dgemm_in_place_accumulation_matches_scipy(trans_a):
 
 @pytest.mark.parametrize("flags", [{}, {"trans_a": 1, "overwrite_b": 1}])
 def test_dtrmm_matches_scipy(flags):
-    L = lower_factor(6)
+    L = np.asfortranarray(lower_factor(6))
     b = np.random.default_rng(2).standard_normal((6, 4))
     ours, theirs = np.asfortranarray(b), np.asfortranarray(b)
     assert_bitwise(
@@ -102,15 +112,15 @@ def test_factor_inverses_match_scipy(name):
 
 @pytest.mark.parametrize("trans", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_dgemm_of_any_layout_matches_matmul(trans):
-    """C-ordered operands go in as transposes, strided ones as copies; the
-    inputs are left as they were and ``c`` is not written without
-    ``overwrite_c``."""
+    """Each operand stored as itself or as its transpose, Fortran-ordered
+    either way and chosen by its trans flag; the inputs are left as they
+    were and ``c`` is not written without ``overwrite_c``."""
     rng = np.random.default_rng(6)
-    a = rng.standard_normal((8, 12))[:, ::2]  # (8, 6), strided
-    b = rng.standard_normal((6, 5))  # C-ordered
-    a_arg = np.ascontiguousarray(a.T) if trans[0] else a
-    b_arg = np.asfortranarray(b.T) if trans[1] else b
-    c = np.ones((8, 5))
+    a = rng.standard_normal((8, 6))
+    b = rng.standard_normal((6, 5))
+    a_arg = np.asfortranarray(a.T if trans[0] else a)
+    b_arg = np.asfortranarray(b.T if trans[1] else b)
+    c = np.ones((8, 5), order="F")
     before = [x.copy() for x in (a_arg, b_arg, c)]
     out = _lapack.dgemm(2.0, a_arg, b_arg, beta=-1.0, c=c, trans_a=trans[0], trans_b=trans[1])
     np.testing.assert_allclose(out, 2.0 * a @ b - 1.0, rtol=1e-13, atol=1e-13)
@@ -121,24 +131,85 @@ def test_dgemm_of_any_layout_matches_matmul(trans):
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_triangular_operand_of_either_order(order):
+    """A Fortran-ordered lower factor goes in as is.  A C-ordered one is
+    refused; its caller passes the transpose instead, an upper-triangular
+    Fortran-ordered array, with the trans flag flipped, as ``tri_solve``
+    does."""
     L = np.asarray(lower_factor(7), order=order)
     b = np.random.default_rng(7).standard_normal((7, 3))
-    np.testing.assert_allclose(_lapack.dtrmm(1.0, L, b, lower=1), L @ b, rtol=1e-13, atol=1e-13)
+    if order == "C":
+        for call in (lambda: _lapack.dtrmm(1.0, L, b, lower=1), lambda: _lapack.dtrtrs(L, b, lower=1)):
+            with pytest.raises(ValueError, match="Fortran-contiguous"):
+                call()
+        a, lower, flip = L.T, 0, 1
+    else:
+        a, lower, flip = L, 1, 0
     np.testing.assert_allclose(
-        _lapack.dtrmm(1.0, L, b, lower=1, trans_a=1), L.T @ b, rtol=1e-13, atol=1e-13
+        _lapack.dtrmm(1.0, a, b, lower=lower, trans_a=flip), L @ b, rtol=1e-13, atol=1e-13
     )
-    x, info = _lapack.dtrtrs(L, b, lower=1, trans=1)
+    np.testing.assert_allclose(
+        _lapack.dtrmm(1.0, a, b, lower=lower, trans_a=1 - flip), L.T @ b, rtol=1e-13, atol=1e-13
+    )
+    x, info = _lapack.dtrtrs(a, b, lower=lower, trans=1 - flip)
     assert info == 0
     np.testing.assert_allclose(L.T @ x, b, rtol=1e-12, atol=1e-12)
 
 
+def _refused_calls():
+    """Calls off the operand contract, and the arrays they pass: C-ordered,
+    strided, float32 and 1-D inputs, and in-place outputs that are
+    C-ordered, strided, float32 or read-only."""
+    rng = np.random.default_rng(9)
+    x = {
+        "a": fortran_normal(rng, (4, 3)),
+        "b": fortran_normal(rng, (3, 5)),
+        "b_C": rng.standard_normal((3, 5)),
+        "b_strided": fortran_normal(rng, (3, 10))[:, ::2],
+        "b32": fortran_normal(rng, (3, 5)).astype(np.float32, order="F"),
+        "L": np.asfortranarray(lower_factor(4)),
+        "c_C": np.ones((4, 5)),
+        "c_strided": np.ones((8, 5), order="F")[::2],
+        "c32": np.ones((4, 5), np.float32, order="F"),
+        "c_read_only": np.ones((4, 5), order="F"),
+    }
+    x["c_read_only"].flags.writeable = False
+    dgemm, dtrmm = _lapack.ROUTINES.dgemm, _lapack.ROUTINES.dtrmm
+    a, b = x["a"], x["b"]
+    calls = {
+        "C-ordered input": lambda: dgemm(1.0, a, x["b_C"]),
+        "strided input": lambda: dgemm(1.0, a, x["b_strided"]),
+        "float32 input": lambda: dgemm(1.0, a, x["b32"]),
+        "1-D input": lambda: dgemm(1.0, a, b[:, 0]),
+        "C-ordered c in place": lambda: dgemm(1.0, a, b, beta=1.0, c=x["c_C"], overwrite_c=1),
+        "strided c in place": lambda: dgemm(1.0, a, b, c=x["c_strided"], overwrite_c=1),
+        "float32 c in place": lambda: dgemm(1.0, a, b, c=x["c32"], overwrite_c=1),
+        "read-only c in place": lambda: dgemm(1.0, a, b, c=x["c_read_only"], overwrite_c=1),
+        "C-ordered b in place": lambda: dtrmm(1.0, x["L"], x["c_C"], overwrite_b=1),
+    }
+    return calls, x
+
+
+@pytest.mark.parametrize("case", list(_refused_calls()[0]))
+def test_operands_off_the_contract_are_refused(case):
+    """The ctypes binding takes 2-D Fortran-contiguous float64 operands only,
+    and writes in place only into writeable ones: anything else raises
+    before any array is written."""
+    calls, arrays = _refused_calls()
+    before = {name: x.copy() for name, x in arrays.items()}
+    with pytest.raises(ValueError, match="Fortran-contiguous float64"):
+        calls[case]()
+    for name, x in arrays.items():
+        assert_bitwise(x, before[name])
+
+
 def test_mismatched_shapes_are_refused():
+    a = np.ones((3, 4), order="F")
     with pytest.raises(ValueError, match="inner dimensions"):
-        _lapack.dgemm(1.0, np.ones((3, 4)), np.ones((3, 4)))
+        _lapack.dgemm(1.0, a, a)
     with pytest.raises(ValueError, match="dtrmm"):
-        _lapack.dtrmm(1.0, np.eye(3), np.ones((4, 2)))
+        _lapack.dtrmm(1.0, np.ones((3, 3), order="F"), np.ones((4, 2)))
     with pytest.raises(ValueError, match="square"):
-        _lapack.dpotri(np.ones((3, 4)))
+        _lapack.dpotri(a)
 
 
 def test_dgemm_from_several_threads_at_once():
@@ -148,8 +219,8 @@ def test_dgemm_from_several_threads_at_once():
     rng = np.random.default_rng(8)
     jobs = []
     for m, k, n, alpha in ((20, 30, 40, 0.5), (33, 7, 25, -1.5), (5, 50, 9, 2.0), (41, 3, 17, -0.25)):
-        a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
-        c = np.asfortranarray(rng.standard_normal((m, n)))
+        a, b = fortran_normal(rng, (m, k)), fortran_normal(rng, (k, n))
+        c = fortran_normal(rng, (m, n))
         serial = _lapack.dgemm(alpha, a, b, beta=1.0, c=c), _lapack.dgemm(alpha, a, b)
         jobs.append((alpha, a, b, c, *serial))
     mismatches = []

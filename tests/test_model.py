@@ -13,7 +13,6 @@ from streamgp import (
     TrainConfig,
     fixed_theta_pass,
     init_state,
-    kernel_matrix,
     predict,
     srgp_fit,
     update,
@@ -28,6 +27,7 @@ from streamgp.gradients import (
     init_gradient_state,
     propagate,
 )
+from streamgp.kernel import kernel_matrix
 from streamgp.model import batch_geometry, prior, regularizer
 
 from conftest import basis, dense_Q, make_instance, record_adam_thetas

@@ -13,15 +13,13 @@ from streamgp import (
     ModelSpec,
     TrainConfig,
     adam_step,
-    compute_adjoints,
     fixed_theta_pass,
-    init_gradient_state,
     init_inducing_subset,
     init_state,
-    propagate,
     srgp_fit,
     update,
 )
+from streamgp.gradients import compute_adjoints, init_gradient_state, propagate
 from streamgp.optimizer import ADAM_BETA1, ADAM_BETA2, ResumeState
 
 from conftest import make_instance, record_adam_thetas, rel_diff

@@ -375,22 +375,23 @@ def _train_step_calls(sg, X, y, h0) -> tuple:
     parameters of ``h0``, as two calls.  The step is the body of the
     training loop: update, adjoints and propagate at a new parameter value
     (so the prior is built anew), then the ADAM step."""
+    gr = sg.gradients
     spec = sg.ModelSpec("pep", alpha=0.5)
     h = sg.Hyperparameters(h0.log_sigma0, h0.log_lengthscales, h0.log_sigma_n, h0.inducing_inputs)
     theta, batch = h.to_vector(), sg.MiniBatch(X, y)
     st = sg.init_state(h, spec)
     st2, km = sg.update(st, batch, h, spec)
-    adj = sg.compute_adjoints(st, st2, km, h, spec)
-    g = sg.init_gradient_state(h, spec)  # advanced in place by every timed call
+    adj = gr.compute_adjoints(st, st2, km, h, spec)
+    g = gr.init_gradient_state(h, spec)  # advanced in place by every timed call
     adam = sg.AdamState.fresh(h.n_params, 1e-3)
 
     def step():
         hk = h.with_vector(theta)
         st2, km = sg.update(st, batch, hk, spec)
-        g2 = sg.propagate(g, sg.compute_adjoints(st, st2, km, hk, spec), km.geometry, hk, spec, batch)
+        g2 = gr.propagate(g, gr.compute_adjoints(st, st2, km, hk, spec), km.geometry, hk, spec, batch)
         sg.adam_step(theta, g2.d_psi - g.d_psi, adam)
 
-    return lambda: sg.propagate(g, adj, km.geometry, h, spec, batch), step
+    return lambda: gr.propagate(g, adj, km.geometry, h, spec, batch), step
 
 
 def against(src: str, reps: int = 100) -> dict:
