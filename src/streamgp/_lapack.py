@@ -3,19 +3,23 @@ numpy's own OpenBLAS.
 
 ``dgemm`` and ``dtrmm`` (BLAS), ``dtrtri``, ``dpotri`` and ``dtrtrs``
 (LAPACK) take the arguments and keywords of SciPy's f2py wrappers in
-``scipy.linalg.blas``/``lapack`` that the library uses, and return what
+``scipy.linalg.blas``/``lapack`` that the library passes, and return what
 those return.  Their one operand contract is Fortran order:
 
 * an input operand (``a`` and ``b`` of ``dgemm``, ``a`` of ``dtrmm`` and
   ``dtrtrs``) must be a 2-D Fortran-contiguous float64 array, or the call
   raises ``ValueError``.  A caller holding a C-ordered array passes its
   transpose with the trans flag (and, for a triangle, ``lower``) flipped;
-* an output operand passed with its ``overwrite_*`` flag (``c`` of
-  ``dgemm``, ``b`` of ``dtrmm``) must be a writeable Fortran-contiguous
-  float64 array, and is written in place, or the call raises
-  ``ValueError``.  Without the flag it is copied to a new Fortran-ordered
-  float64 array, which is written and returned, as are the ``c`` of
-  ``dtrtri`` and ``dpotri`` and the ``b`` of ``dtrtrs``.
+  ``dgemm`` has a trans flag for ``a`` only;
+* ``dgemm`` writes only in place: ``c`` must be given, with
+  ``overwrite_c=1``, as a writeable Fortran-contiguous float64 array, or
+  the call raises ``ValueError``.  ``dtrmm`` writes ``b`` in place under
+  ``overwrite_b`` on the same condition; without the flag it copies ``b``
+  to a new Fortran-ordered float64 array, which is written and returned,
+  as are the ``c`` of ``dtrtri`` and ``dpotri`` and the ``b`` of
+  ``dtrtrs``.
+
+SciPy's wrappers, the fallback below, accept these calls and more.
 
 numpy >= 2 wheels link OpenBLAS with 64-bit integers and export its
 routines as ``scipy_<name>_64_``, found through numpy's core extension
@@ -142,24 +146,23 @@ class Routines:
         """The library's current thread count."""
         return int(self._get_num_threads())
 
-    def dgemm(self, alpha, a, b, beta=0.0, c=None, trans_a=0, trans_b=0, overwrite_c=0):
-        """c = alpha op(a) op(b) + beta c."""
+    def dgemm(self, alpha, a, b, beta=0.0, c=None, trans_a=0, overwrite_c=0):
+        """c = alpha op(a) b + beta c, in place: ``c`` is required, with
+        ``overwrite_c`` set."""
         a, b = _operand(a, "dgemm"), _operand(b, "dgemm")
         m, k = a.shape[::-1] if trans_a else a.shape
-        kb, n = b.shape[::-1] if trans_b else b.shape
-        if k != kb:
-            raise ValueError(f"dgemm: inner dimensions {k} and {kb} differ")
-        if c is None:
-            c = np.zeros((m, n), order="F")
-        else:
-            c = _operand(c, "dgemm", True) if overwrite_c else np.array(c, np.float64, order="F")
-            if c.shape != (m, n):
-                raise ValueError(f"dgemm: c has shape {c.shape}, expected {(m, n)}")
+        if k != b.shape[0]:
+            raise ValueError(f"dgemm: inner dimensions {k} and {b.shape[0]} differ")
+        if c is None or not overwrite_c:
+            raise ValueError("dgemm: writes only in place, into a c passed with overwrite_c=1")
+        c = _operand(c, "dgemm", True)
+        n = b.shape[1]
+        if c.shape != (m, n):
+            raise ValueError(f"dgemm: c has shape {c.shape}, expected {(m, n)}")
         i, d = self._int, self._double
         self._gemm(
-            _OP[trans_a], _OP[trans_b], i[m], i[n], i[k], d[alpha], _pointer(a),
-            i[a.shape[0] or 1], _pointer(b), i[b.shape[0] or 1], d[beta], _pointer(c), i[m or 1],
-            _LEN, _LEN,
+            _OP[trans_a], b"N", i[m], i[n], i[k], d[alpha], _pointer(a), i[a.shape[0] or 1],
+            _pointer(b), i[k or 1], d[beta], _pointer(c), i[m or 1], _LEN, _LEN,
         )
         return c
 

@@ -131,6 +131,10 @@ CSTR_CB2 = 0.1  # diluted feed
 CSTR_K1 = 1.0
 CSTR_K2 = 1.0
 CSTR_W2 = 0.1  # fixed diluted-feed flow rate
+CSTR_H0 = 1.0  # initial tank level
+CSTR_CB0 = 20.0  # initial product concentration
+CSTR_DT_SAMPLE = 0.2  # seconds between samples
+CSTR_SUBSTEPS = 10  # RK4 steps per sample, before any refinement
 
 
 def _cstr_rhs(state: np.ndarray, w1: float) -> np.ndarray:
@@ -144,34 +148,28 @@ def _cstr_rhs(state: np.ndarray, w1: float) -> np.ndarray:
     return np.array([dh, dcb])
 
 
-def integrate_cstr(
-    w1_fn,
-    duration: float,
-    dt_sample: float = 0.2,
-    substeps: int = 10,
-    h0: float = 1.0,
-    cb0: float = 20.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed-step RK4 integration of the two-state tank dynamics.
+def integrate_cstr(w1_fn, duration: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fixed-step RK4 integration of the two-state tank dynamics from level
+    ``CSTR_H0`` and concentration ``CSTR_CB0``.
 
-    Samples every ``dt_sample`` seconds with ``substeps`` internal RK4
-    steps per sample (0.02 s at the defaults).  If the level ever goes
+    Samples every ``CSTR_DT_SAMPLE`` seconds with ``CSTR_SUBSTEPS``
+    internal RK4 steps per sample (0.02 s).  If the level ever goes
     negative the step size is refined; persistent failure is an error.
 
     Returns (t, level, cb, w1) at the sample instants.
     """
     if duration <= 0:
         raise ContractViolationError("duration must be positive")
-    n_samples = int(round(duration / dt_sample))
+    n_samples = int(round(duration / CSTR_DT_SAMPLE))
     for refine in range(4):
-        steps = substeps * 2**refine
-        dt = dt_sample / steps
-        state = np.array([h0, cb0], dtype=float)
+        steps = CSTR_SUBSTEPS * 2**refine
+        dt = CSTR_DT_SAMPLE / steps
+        state = np.array([CSTR_H0, CSTR_CB0], dtype=float)
         t_out = np.empty(n_samples + 1)
         h_out = np.empty(n_samples + 1)
         cb_out = np.empty(n_samples + 1)
         w_out = np.empty(n_samples + 1)
-        t_out[0], h_out[0], cb_out[0] = 0.0, h0, cb0
+        t_out[0], h_out[0], cb_out[0] = 0.0, CSTR_H0, CSTR_CB0
         w_out[0] = w1_fn(0.0)
         t = 0.0
         ok = True

@@ -113,7 +113,6 @@ class AdjointIntermediates:
     enter psi_dot through -1/2 <L, dot-quantity>.
     """
 
-    L_dH: np.ndarray  # (B, M)
     L_dv: np.ndarray  # (B,)
     L_dK_XR: np.ndarray  # (B, M)
     L_dK_RR: np.ndarray  # (M, M)
@@ -315,7 +314,6 @@ def compute_adjoints(
         L_dsigman -= 2.0 * float(np.sum(d)) / h.noise_variance
 
     return AdjointIntermediates(
-        L_dH=L_dH,
         L_dv=L_dv,
         L_dK_XR=L_dK_XR,
         L_dK_RR=L_dK_RR,

@@ -193,18 +193,20 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray, h: Hyperparameters) -> np.ndarra
     place.  Halving is exact, so each entry is bit for bit the one of
     sigma0^2 exp(-0.5 max(|a|^2 + |b|^2 - 2 a.b, 0)) taken with a temporary
     per operation (for the same dot products a.b), and k(A, A) is exactly
-    symmetric.
+    symmetric.  The scaled inputs are Fortran-ordered, as ``load_dataset``
+    rows are, whatever the layout of A and B, so the row sums, and with them
+    K, are the same bits for C- and F-ordered inputs.
     """
     A = _check_inputs(A, h, "A")
     B = _check_inputs(B, h, "B")
     inv_l = 1.0 / h.lengthscales
-    a, b = A * inv_l, B * inv_l
+    a, b = np.multiply(A, inv_l, order="F"), np.multiply(B, inv_l, order="F")
     K = np.add.outer(-0.5 * np.sum(a * a, axis=1), -0.5 * np.sum(b * b, axis=1))
     if K.size:  # BLAS refuses empty operands
         # BLAS adds b a^T to the Fortran-ordered K^T in place, and takes a^T
-        # and b^T Fortran-ordered.  The row sums above stay on the inputs'
-        # own layout: over a C-ordered (1024, 5) block they take 3.5 times as
-        # long as over the F-ordered rows that load_dataset gives.
+        # and b^T Fortran-ordered.  The row sums above run over Fortran-
+        # ordered rows: over a C-ordered (1024, 5) block they take 3.5 times
+        # as long.
         a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
         K = dgemm(1.0, b.T, a.T, beta=1.0, c=K.T, trans_a=1, overwrite_c=1).T
     np.minimum(K, 0.0, out=K)

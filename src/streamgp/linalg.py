@@ -86,17 +86,15 @@ def chol_with_jitter(a: np.ndarray, name: str = "matrix") -> CholFactor:
 
 
 def tri_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L x = b for lower-triangular L with LAPACK ``dtrtrs``, called as
-    ``scipy.linalg.solve_triangular(L, b, lower=True)`` calls it: a C-ordered
-    L (as ``np.linalg.cholesky`` returns it) goes in as the upper-triangular
-    Fortran array L^T, solved transposed."""
+    """Solve L x = b for a C-ordered lower-triangular L, as
+    ``np.linalg.cholesky`` returns it, with LAPACK ``dtrtrs``: L goes in as
+    the upper-triangular Fortran array L^T, solved transposed, as
+    ``scipy.linalg.solve_triangular(L, b, lower=True)`` calls it.  numpy's
+    binding refuses a Fortran-ordered L (``ValueError`` naming ``dtrtrs``)."""
     L, b = np.asarray(L), np.asarray(b)
     if b.size == 0:
         return np.empty_like(b, dtype=float)
-    if L.flags.f_contiguous:
-        x, info = dtrtrs(L, b, lower=1)
-    else:
-        x, info = dtrtrs(L.T, b, lower=0, trans=1)
+    x, info = dtrtrs(L.T, b, lower=0, trans=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     return x

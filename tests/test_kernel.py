@@ -95,6 +95,21 @@ class TestKernelMatrix:
             K = kernel_matrix(A, A, h)
             np.linalg.cholesky(K + 1e-8 * np.mean(np.diag(K)) * np.eye(12))
 
+    @pytest.mark.parametrize("d", [5, 8, 12])
+    def test_same_bits_for_either_input_layout(self, d):
+        # numpy sums the rows of a C-ordered (n, D) array pairwise once
+        # D >= 8, but those of an F-ordered one column by column; K must not
+        # depend on which layout the caller holds.
+        rng = np.random.default_rng(14)
+        X = rng.uniform(size=(300, d))
+        h = Hyperparameters(0.2, np.log(np.full(d, 0.5)), np.log(0.1), rng.uniform(size=(20, d)))
+        K = kernel_matrix(X, h.inducing_inputs, h)
+        X_F = np.asfortranarray(X)
+        for rows in (slice(None), slice(10, 250)):  # the whole array and a block of its rows
+            assert kernel_matrix(X_F[rows], h.inducing_inputs, h).tobytes() == K[rows].tobytes()
+        R_F = np.asfortranarray(h.inducing_inputs)
+        assert kernel_matrix(X, R_F, h).tobytes() == K.tobytes()
+
     def test_diag_helper(self):
         h = hyper_1d(sigma0=1.3)
         A = np.random.default_rng(1).uniform(size=(5, 1))

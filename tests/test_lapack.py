@@ -112,21 +112,43 @@ def test_factor_inverses_match_scipy(name):
 
 @pytest.mark.parametrize("trans", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_dgemm_of_any_layout_matches_matmul(trans):
-    """Each operand stored as itself or as its transpose, Fortran-ordered
-    either way and chosen by its trans flag; the inputs are left as they
-    were and ``c`` is not written without ``overwrite_c``."""
+    """``a`` stored as itself or as its transpose, chosen by ``trans_a``
+    (``trans[0]``); both operands given as Fortran-ordered arrays, or as the
+    transposed views of C-ordered arrays that the library passes
+    (``trans[1]``).  ``c`` is written in place and the inputs are left as
+    they were."""
     rng = np.random.default_rng(6)
     a = rng.standard_normal((8, 6))
     b = rng.standard_normal((6, 5))
-    a_arg = np.asfortranarray(a.T if trans[0] else a)
-    b_arg = np.asfortranarray(b.T if trans[1] else b)
+    a_stored = a.T if trans[0] else a
+    if trans[1]:
+        a_arg, b_arg = np.ascontiguousarray(a_stored.T).T, np.ascontiguousarray(b.T).T
+    else:
+        a_arg, b_arg = np.asfortranarray(a_stored), np.asfortranarray(b)
     c = np.ones((8, 5), order="F")
-    before = [x.copy() for x in (a_arg, b_arg, c)]
-    out = _lapack.dgemm(2.0, a_arg, b_arg, beta=-1.0, c=c, trans_a=trans[0], trans_b=trans[1])
-    np.testing.assert_allclose(out, 2.0 * a @ b - 1.0, rtol=1e-13, atol=1e-13)
-    assert out.flags.f_contiguous and not np.shares_memory(out, c)
-    for x, x0 in zip((a_arg, b_arg, c), before):
+    before = [x.copy() for x in (a_arg, b_arg)]
+    out = _lapack.dgemm(2.0, a_arg, b_arg, beta=-1.0, c=c, trans_a=trans[0], overwrite_c=1)
+    assert out is c
+    np.testing.assert_allclose(c, 2.0 * a @ b - 1.0, rtol=1e-13, atol=1e-13)
+    for x, x0 in zip((a_arg, b_arg), before):
         assert_bitwise(x, x0)
+
+
+def test_dgemm_writes_only_in_place():
+    """numpy's binding has no ``c=None`` product, no copy of ``c`` without
+    ``overwrite_c`` and no ``trans_b``: such calls raise and write
+    nothing."""
+    dgemm = _lapack.ROUTINES.dgemm
+    rng = np.random.default_rng(10)
+    a, b = fortran_normal(rng, (4, 3)), fortran_normal(rng, (3, 5))
+    c = np.ones((4, 5), order="F")
+    with pytest.raises(ValueError, match="dgemm: writes only in place"):
+        dgemm(1.0, a, b)
+    with pytest.raises(ValueError, match="dgemm: writes only in place"):
+        dgemm(1.0, a, b, beta=1.0, c=c)
+    with pytest.raises(TypeError, match="trans_b"):
+        dgemm(1.0, a, b.T, c=c, trans_b=1, overwrite_c=1)
+    assert_bitwise(c, np.ones((4, 5), order="F"))
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -221,18 +243,22 @@ def test_dgemm_from_several_threads_at_once():
     for m, k, n, alpha in ((20, 30, 40, 0.5), (33, 7, 25, -1.5), (5, 50, 9, 2.0), (41, 3, 17, -0.25)):
         a, b = fortran_normal(rng, (m, k)), fortran_normal(rng, (k, n))
         c = fortran_normal(rng, (m, n))
-        serial = _lapack.dgemm(alpha, a, b, beta=1.0, c=c), _lapack.dgemm(alpha, a, b)
-        jobs.append((alpha, a, b, c, *serial))
+        with_c, without_c = c.copy(order="F"), np.zeros((m, n), order="F")
+        _lapack.dgemm(alpha, a, b, beta=1.0, c=with_c, overwrite_c=1)
+        _lapack.dgemm(alpha, a, b, c=without_c, overwrite_c=1)
+        jobs.append((alpha, a, b, c, with_c, without_c))
     mismatches = []
     start = threading.Barrier(len(jobs))
 
     def work(alpha, a, b, c, with_c, without_c):
+        out = np.empty_like(c, order="F")  # this thread's own target
         start.wait()
         for _ in range(300):
-            if _lapack.dgemm(alpha, a, b, beta=1.0, c=c).tobytes() != with_c.tobytes():
+            out[...] = c
+            if _lapack.dgemm(alpha, a, b, beta=1.0, c=out, overwrite_c=1).tobytes() != with_c.tobytes():
                 mismatches.append("with c")
-            if _lapack.dgemm(alpha, a, b).tobytes() != without_c.tobytes():
-                mismatches.append("without c")
+            if _lapack.dgemm(alpha, a, b, c=out, overwrite_c=1).tobytes() != without_c.tobytes():
+                mismatches.append("beta 0")
 
     threads = [threading.Thread(target=work, args=job) for job in jobs]
     interval = sys.getswitchinterval()
@@ -248,11 +274,11 @@ def test_dgemm_from_several_threads_at_once():
     assert not mismatches
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("order", ["C", "F"])  # the layout of a 2-D b
 @pytest.mark.parametrize("b_shape", [(6,), (6, 3), (6, 0), (0,)])
 def test_tri_solve_matches_solve_triangular(order, b_shape):
-    L = np.asarray(lower_factor(6 if b_shape[0] else 0), order=order)
-    b = np.random.default_rng(3).standard_normal(b_shape)
+    L = lower_factor(6 if b_shape[0] else 0)
+    b = np.asarray(np.random.default_rng(3).standard_normal(b_shape), order=order)
     expected = scipy.linalg.solve_triangular(L, b, lower=True, check_finite=False)
     assert_bitwise(tri_solve(L, b), expected)
 
@@ -263,9 +289,17 @@ def test_tri_solve_of_transposed_view_matches_solve_triangular():
     assert_bitwise(tri_solve(L, b), scipy.linalg.solve_triangular(L, b, lower=True))
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("order", ["C", "F"])  # the layout of b
 def test_tri_solve_zero_pivot_raises(order):
-    L = np.asarray(lower_factor(4), order=order)
+    L = lower_factor(4)
     L[2, 2] = 0.0
     with pytest.raises(np.linalg.LinAlgError, match="diagonal 2"):
+        tri_solve(L, np.ones((4, 2), order=order))
+
+
+def test_tri_solve_refuses_a_fortran_ordered_factor():
+    """Its callers pass the C-ordered factor ``np.linalg.cholesky`` returns;
+    numpy's binding refuses the Fortran-ordered one."""
+    L = np.asfortranarray(lower_factor(4))
+    with pytest.raises(ValueError, match="dtrtrs: operands must be 2-D Fortran-contiguous"):
         tri_solve(L, np.ones(4))

@@ -38,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 WARMUP = 2
+CRITERION_09_REPS = 15  # rounds of propagate_parameter_count
 
 
 def pinned(name: str, *args: str) -> dict:
@@ -98,28 +99,36 @@ def criterion_09() -> dict:
     return {"sizes_b": sizes_b, "times_b": times_b, **propagate_parameter_count()}
 
 
-def propagate_parameter_count() -> dict:
-    """``propagate`` at D = 2 / 4 / 8 input dimensions, so P = D + 2 + M D =
-    84 / 166 / 330 parameters, at B = 400, M = 40 (PEP)."""
+def _propagate_by_parameter_count(sg) -> tuple[list[int], list]:
+    """``propagate`` of the package ``sg`` at D = 2 / 4 / 8 input dimensions,
+    so P = D + 2 + M D = 84 / 166 / 330 parameters, at B = 400, M = 40
+    (PEP): the parameter counts, and one call for each."""
     from conftest import make_instance
 
-    import streamgp as sg
-    from streamgp import MiniBatch, ModelSpec
-    from streamgp.gradients import compute_adjoints, init_gradient_state, propagate
-
-    spec = ModelSpec("pep", alpha=0.5)
+    gr = sg.gradients
+    spec = sg.ModelSpec("pep", alpha=0.5)
 
     def propagate_at(D: int):
-        X, y, h = make_instance(19, n=400, m=40, d=D, lengthscale=0.3)
-        batch = MiniBatch(X, y)
+        X, y, h0 = make_instance(19, n=400, m=40, d=D, lengthscale=0.3)
+        h = sg.Hyperparameters(h0.log_sigma0, h0.log_lengthscales, h0.log_sigma_n, h0.inducing_inputs)
+        batch = sg.MiniBatch(X, y)
         st = sg.init_state(h, spec)
         st2, km = sg.update(st, batch, h, spec)
-        adj = compute_adjoints(st, st2, km, h, spec)
-        g = init_gradient_state(h, spec)  # advanced in place by every timed call
-        return h.n_params, lambda: propagate(g, adj, km.geometry, h, spec, batch)
+        adj = gr.compute_adjoints(st, st2, km, h, spec)
+        g = gr.init_gradient_state(h, spec)  # advanced in place by every timed call
+        return h.n_params, lambda: gr.propagate(g, adj, km.geometry, h, spec, batch)
 
     sizes_p, fns = zip(*(propagate_at(D) for D in (2, 4, 8)))
-    return {"sizes_p": list(sizes_p), "times_p": min_times(list(fns), reps=15)}
+    return list(sizes_p), list(fns)
+
+
+def propagate_parameter_count() -> dict:
+    """``propagate`` at criterion 09's parameter counts (see
+    :func:`_propagate_by_parameter_count`), minimum of 15 rounds."""
+    import streamgp
+
+    sizes_p, fns = _propagate_by_parameter_count(streamgp)
+    return {"sizes_p": sizes_p, "times_p": min_times(fns, reps=CRITERION_09_REPS)}
 
 
 def propagate_configs() -> dict:
@@ -202,14 +211,17 @@ PREDICT_ROWS = 3999
 
 def _predict_call(sg, X, y, h0):
     """``predict`` with noise, by the package ``sg``, of ``PREDICT_ROWS``
-    rows from a PEP (alpha 0.5) posterior that has absorbed ``X``, ``y`` at
+    rows laid out as ``load_dataset`` gives them, from a PEP (alpha 0.5) posterior that has absorbed ``X``, ``y`` at
     the parameters of ``h0``, as one call."""
     import numpy as np
 
     spec = sg.ModelSpec("pep", alpha=0.5)
     h = sg.Hyperparameters(h0.log_sigma0, h0.log_lengthscales, h0.log_sigma_n, h0.inducing_inputs)
     state, _ = sg.update(sg.init_state(h, spec), sg.MiniBatch(X, y), h, spec)
-    X_star = np.random.default_rng(1).uniform(0.0, 1.0, (PREDICT_ROWS, X.shape[1]))
+    # The feature columns of a table whose last column is the target,
+    # selected as load_dataset selects them: Fortran-ordered, as served.
+    table = np.random.default_rng(1).uniform(0.0, 1.0, (PREDICT_ROWS, X.shape[1] + 1))
+    X_star = table[:, np.arange(table.shape[1]) != X.shape[1]]
     return lambda: sg.predict(state, X_star, h, spec, with_noise=True)
 
 
@@ -394,16 +406,29 @@ def _train_step_calls(sg, X, y, h0) -> tuple:
     return lambda: gr.propagate(g, adj, km.geometry, h, spec, batch), step
 
 
+def _exponent(sizes, times) -> float:
+    """Slope of log time against log size, as criterion 09 fits it."""
+    import numpy as np
+
+    return float(np.polyfit(np.log(sizes), np.log(times), 1)[0])
+
+
 def against(src: str, reps: int = 100) -> dict:
     """``propagate`` and one training step at the train-cstr shape (PEP,
-    D = 5, M = 50, B = 256), and ``predict`` at the serve-eval shape (see
-    :func:`predict`), of this tree and of the package under ``src``.
+    D = 5, M = 50, B = 256), ``predict`` at the serve-eval shape (see
+    :func:`predict`), and ``propagate`` at criterion 09's parameter counts
+    (see :func:`_propagate_by_parameter_count`), of this tree and of the
+    package under ``src``.
 
     Both trees are loaded in this process.  Each of ``reps`` rounds times
     every call of both once, the two trees in alternating order, so that a
     change of machine speed reaches both alike.  Reports each tree's
     minimum in milliseconds, the ratio this / other of the minima, and the
-    quartiles of the per-round ratios, which show the spread.
+    quartiles of the per-round ratios, which show the spread.  For each
+    tree it also fits criterion 09's parameter exponent, from the minima
+    over all rounds and from those of each run of 15 rounds, the count the
+    test takes its minima over, so a change's effect on that test's floor
+    reads beside the other tree's.
 
     Not used by any test; run by hand.
     """
@@ -414,14 +439,16 @@ def against(src: str, reps: int = 100) -> dict:
     import streamgp
 
     X, y, h0 = make_instance(23, n=256, m=50, d=5, lengthscale=0.5)
-    calls = [
-        (*_train_step_calls(sg, X, y, h0), _predict_call(sg, X, y, h0))
-        for sg in (streamgp, load_tree(src))
-    ]
-    times = {name: ([], []) for name in ("propagate", "step", "predict")}
+    names = ["propagate", "step", "predict"]
+    calls = []
+    for sg in (streamgp, load_tree(src)):
+        sizes_p, p_calls = _propagate_by_parameter_count(sg)
+        calls.append((*_train_step_calls(sg, X, y, h0), _predict_call(sg, X, y, h0), *p_calls))
+    names += [f"propagate P={p}" for p in sizes_p]
+    times = {name: ([], []) for name in names}
     for r in range(WARMUP + reps):
         for tree in (0, 1) if r % 2 == 0 else (1, 0):
-            for name, fn in zip(times, calls[tree]):
+            for name, fn in zip(names, calls[tree]):
                 t0 = time.perf_counter()
                 fn()
                 if r >= WARMUP:
@@ -435,6 +462,16 @@ def against(src: str, reps: int = 100) -> dict:
             "ratio_of_minima": round(min(this) / min(other), 4),
             "round_ratio_quartiles": [round(q, 4) for q in np.quantile(per_round, [0.25, 0.5, 0.75])],
         }
+    exponents = {"sizes_p": sizes_p}
+    for tree, label in enumerate(("this", "other")):
+        runs = np.array([times[f"propagate P={p}"][tree] for p in sizes_p])  # (sizes, rounds)
+        groups = range(0, reps - CRITERION_09_REPS + 1, CRITERION_09_REPS)
+        per_group = [_exponent(sizes_p, runs[:, lo : lo + CRITERION_09_REPS].min(axis=1)) for lo in groups]
+        exponents[label] = {
+            "of_minima": round(_exponent(sizes_p, runs.min(axis=1)), 3),
+            f"per_{CRITERION_09_REPS}_rounds": [round(e, 3) for e in per_group],
+        }
+    result["propagate_parameter_exponent"] = exponents
     return result
 
 
