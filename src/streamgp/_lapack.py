@@ -4,13 +4,17 @@ numpy's own OpenBLAS.
 ``dgemm`` and ``dtrmm`` (BLAS), ``dtrtri``, ``dpotri`` and ``dtrtrs``
 (LAPACK) take the arguments and keywords of SciPy's f2py wrappers in
 ``scipy.linalg.blas``/``lapack`` that the library passes, and return what
-those return.  Their one operand contract is Fortran order:
+those return.  The flags that every library call passes with one value are
+fixed: ``dgemm``'s ``b`` is not transposed, ``dtrmm``, ``dtrtri`` and
+``dpotri`` take a lower triangle (``lower=1``), and ``dtrtrs`` solves with
+the transpose of an upper triangle (``lower=0, trans=1``).  Their one
+operand contract is Fortran order:
 
 * an input operand (``a`` and ``b`` of ``dgemm``, ``a`` of ``dtrmm`` and
   ``dtrtrs``) must be a 2-D Fortran-contiguous float64 array, or the call
   raises ``ValueError``.  A caller holding a C-ordered array passes its
-  transpose with the trans flag (and, for a triangle, ``lower``) flipped;
-  ``dgemm`` has a trans flag for ``a`` only;
+  transpose with the trans flag flipped; ``dgemm`` and ``dtrmm`` have a
+  trans flag for ``a``;
 * ``dgemm`` writes only in place: ``c`` must be given, with
   ``overwrite_c=1``, as a writeable Fortran-contiguous float64 array, or
   the call raises ``ValueError``.  ``dtrmm`` writes ``b`` in place under
@@ -19,7 +23,7 @@ those return.  Their one operand contract is Fortran order:
   as are the ``c`` of ``dtrtri`` and ``dpotri`` and the ``b`` of
   ``dtrtrs``.
 
-SciPy's wrappers, the fallback below, accept these calls and more.
+SciPy's wrappers, the fallback below, take these calls and more.
 
 numpy >= 2 wheels link OpenBLAS with 64-bit integers and export its
 routines as ``scipy_<name>_64_``, found through numpy's core extension
@@ -41,6 +45,7 @@ from __future__ import annotations
 import ctypes
 import importlib
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +55,6 @@ SYMBOL = "scipy_{}_64_"  # with 64-bit integers
 NUM_THREADS = "scipy_openblas_get_num_threads64_"
 
 _OP = (b"N", b"T", b"T")  # trans = 0, 1, 2 ('C' is 'T' for real data)
-_UPLO = (b"U", b"L")
 # Fortran's hidden string lengths, passed after the other arguments; a C
 # implementation of the routine ignores them.
 _LEN = ctypes.c_size_t(1)
@@ -166,8 +170,8 @@ class Routines:
         )
         return c
 
-    def dtrmm(self, alpha, a, b, overwrite_b=0, lower=0, trans_a=0):
-        """b = alpha op(a) b for triangular ``a``."""
+    def dtrmm(self, alpha, a, b, overwrite_b=0, trans_a=0):
+        """b = alpha op(a) b for lower-triangular ``a``."""
         a = _operand(a, "dtrmm")
         b = _operand(b, "dtrmm", True) if overwrite_b else np.array(b, np.float64, order="F")
         m, n = b.shape if b.ndim == 2 else (-1, -1)
@@ -175,33 +179,29 @@ class Routines:
             raise ValueError(f"dtrmm: shapes {a.shape} and {b.shape} do not match")
         i = self._int
         self._trmm(
-            b"L", _UPLO[bool(lower)], _OP[trans_a], b"N", i[m], i[n], self._double[alpha],
+            b"L", b"L", _OP[trans_a], b"N", i[m], i[n], self._double[alpha],
             _pointer(a), i[m or 1], _pointer(b), i[m or 1], _LEN, _LEN, _LEN, _LEN,
         )
         return b
 
-    def dtrtri(self, c, lower=0):
-        """(inverse of triangular ``c``, in its triangle of a copy; info)."""
+    def dtrtri(self, c):
+        """(inverse of lower-triangular ``c``, in the lower triangle of a copy;
+        info)."""
         c = _square(c, "dtrtri")
         n, info = c.shape[0], ctypes.c_int64(0)
-        self._trtri(
-            _UPLO[bool(lower)], b"N", self._int[n], _pointer(c), self._int[n or 1], _byref(info),
-            _LEN, _LEN,
-        )
+        self._trtri(b"L", b"N", self._int[n], _pointer(c), self._int[n or 1], _byref(info), _LEN, _LEN)
         return c, info.value
 
-    def dpotri(self, c, lower=0):
-        """(one triangle of (L L^T)^-1, in a copy of the Cholesky factor L in
-        ``c``; info)."""
+    def dpotri(self, c):
+        """(the lower triangle of (L L^T)^-1, in a copy of the lower Cholesky
+        factor L in ``c``; info)."""
         c = _square(c, "dpotri")
         n, info = c.shape[0], ctypes.c_int64(0)
-        self._potri(
-            _UPLO[bool(lower)], self._int[n], _pointer(c), self._int[n or 1], _byref(info), _LEN
-        )
+        self._potri(b"L", self._int[n], _pointer(c), self._int[n or 1], _byref(info), _LEN)
         return c, info.value
 
-    def dtrtrs(self, a, b, lower=0, trans=0):
-        """(x solving op(a) x = b for triangular ``a``, 1-D for 1-D ``b``;
+    def dtrtrs(self, a, b):
+        """(x solving a^T x = b for upper-triangular ``a``, 1-D for 1-D ``b``;
         info)."""
         a = _operand(a, "dtrtrs")
         b = np.array(b, np.float64, order="F")
@@ -210,7 +210,7 @@ class Routines:
             raise ValueError(f"dtrtrs: shapes {a.shape} and {b.shape} do not match")
         i, info = self._int, ctypes.c_int64(0)
         self._trtrs(
-            _UPLO[bool(lower)], _OP[trans], b"N", i[n], i[b.shape[1] if b.ndim == 2 else 1],
+            b"U", b"T", b"N", i[n], i[b.shape[1] if b.ndim == 2 else 1],
             _pointer(a), i[n or 1], _pointer(b), i[n or 1], _byref(info), _LEN, _LEN, _LEN,
         )
         return b, info.value
@@ -248,16 +248,18 @@ def _shared_object(fn) -> str | None:
 
 
 class SciPyRoutines:
-    """SciPy's f2py wrappers of the five routines, for a numpy that exports
-    none of them; ``library`` is SciPy's ``_fblas`` extension file, which
-    links SciPy's BLAS.  The ordinary import runs ``scipy/__init__``, which
-    on Windows makes SciPy's bundled DLLs findable."""
+    """SciPy's f2py wrappers of the five routines, with the flags that
+    :class:`Routines` fixes, for a numpy that exports none of them;
+    ``library`` is SciPy's ``_fblas`` extension file, which links SciPy's
+    BLAS.  The ordinary import runs ``scipy/__init__``, which on Windows
+    makes SciPy's bundled DLLs findable."""
 
     def __init__(self):
         fblas = importlib.import_module("scipy.linalg._fblas")
         flapack = importlib.import_module("scipy.linalg._flapack")
-        self.dgemm, self.dtrmm = fblas.dgemm, fblas.dtrmm
-        self.dtrtri, self.dpotri, self.dtrtrs = flapack.dtrtri, flapack.dpotri, flapack.dtrtrs
+        self.dgemm, self.dtrmm = fblas.dgemm, partial(fblas.dtrmm, lower=1)
+        self.dtrtri, self.dpotri = partial(flapack.dtrtri, lower=1), partial(flapack.dpotri, lower=1)
+        self.dtrtrs = partial(flapack.dtrtrs, lower=0, trans=1)
         self.library = str(Path(fblas.__file__).resolve())
 
     def num_threads(self) -> None:

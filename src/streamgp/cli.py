@@ -56,6 +56,8 @@ EXIT_TOLERANCE = 5
 # Training settings a resumed run must share with its checkpoint, with their
 # defaults for a fresh run.  An omitted flag takes the checkpoint's value.
 RESUMED_SETTINGS = {
+    "model": "vfe",
+    "alpha": 0.5,
     "lr": 1e-3,
     "batch_size": 256,
     "shuffle": False,
@@ -81,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="fit a model on a delimited data file")
     p_train.add_argument("--data", required=True, help="training data file (header + rows)")
-    p_train.add_argument("--model", default="vfe", choices=["sor", "dtc", "fitc", "vfe", "pep"])
-    p_train.add_argument("--alpha", type=float, default=0.5, help="PEP power (ignored otherwise)")
+    p_train.add_argument("--model", choices=["sor", "dtc", "fitc", "vfe", "pep"], help="default vfe")
+    p_train.add_argument("--alpha", type=float, help="PEP power (ignored otherwise), default 0.5")
     p_train.add_argument("--num-inducing", type=int, default=None, metavar="M", help="default 20")
     p_train.add_argument("--batch-size", type=int, default=None, metavar="B", help="default 256")
     p_train.add_argument("--epochs", type=int, default=50, metavar="E")
@@ -104,9 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument(
         "--resume",
         default=None,
-        help="checkpoint to continue training from; --lr, --batch-size, --shuffle, "
-        "--gradient-mode, --standardize, --num-inducing and --seed default to its values "
-        "and may not differ from them",
+        help="checkpoint to continue training from; --model, --alpha, --lr, --batch-size, "
+        "--shuffle, --gradient-mode, --standardize, --num-inducing and --seed default to its "
+        "values and may not differ from them",
     )
 
     p_pred = sub.add_parser("predict", help="predict from a checkpoint")
@@ -191,17 +193,12 @@ def _train_settings(args, n: int, stored: dict) -> dict:
 
 def cmd_train(args) -> int:
     ds = load_dataset(args.data, target_col=args.target_col, delimiter=args.delimiter)
-    spec = ModelSpec(variant=args.model, alpha=args.alpha)
     std_mean = std_scale = None
     resume = None
     stored: dict = {}
 
     if args.resume is not None:
         ckpt = load_checkpoint(args.resume)
-        if ckpt.spec != spec:
-            raise ContractViolationError(
-                f"resume model {ckpt.spec} differs from requested {spec}"
-            )
         stored = dict(ckpt.config or {})
         # Results depend on the BLAS thread count, so another one would not
         # continue the stored run bit for bit.
@@ -218,13 +215,15 @@ def cmd_train(args) -> int:
             )
         hyper = ckpt.hyper
         std_mean, std_scale = ckpt.standardize_mean, ckpt.standardize_scale
-        # The checkpoint's own arrays say these two, whatever its config holds.
+        # The checkpoint's own arrays say these four, whatever its config holds.
+        stored["model"], stored["alpha"] = ckpt.spec.variant, ckpt.spec.alpha
         stored["num_inducing"] = hyper.num_inducing
         stored["standardize"] = std_mean is not None
         if ckpt.adam is None or ckpt.rng_state is None:
             raise DataError(f"{args.resume} lacks optimizer/RNG state; cannot resume")
         resume = ResumeState(adam=ckpt.adam, rng_state=ckpt.rng_state, epochs_done=ckpt.epochs_done)
     settings = _train_settings(args, ds.n, stored)
+    spec = ModelSpec(variant=settings["model"], alpha=settings["alpha"])
     if resume is None and settings["standardize"]:
         std_mean, std_scale = _standardize_fit(ds.X)
     if resume is not None and resume.epochs_done >= args.epochs:
@@ -249,8 +248,6 @@ def cmd_train(args) -> int:
     config_record = {
         "data": args.data,
         "target_col": args.target_col if args.target_col is not None else ds.column_names[-1],
-        "model": args.model,
-        "alpha": args.alpha,
         "epochs": args.epochs,
         "epoch_reset": not args.no_epoch_reset,
         **settings,

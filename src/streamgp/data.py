@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-import io
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,58 +263,60 @@ def coverage(y: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> float:
 def _read_table(path: str, delimiter: str) -> tuple[list[str], np.ndarray]:
     """Header and (rows, columns) values of a delimited file with one header row.
 
-    Ragged rows and non-numeric or non-finite cells are rejected with
-    row/column diagnostics.  ``np.loadtxt`` parses the body in bulk, each
-    number as ``float`` does, and rejects ragged lines; unless that gives
-    one finite value per header column, the cells are parsed one by one,
-    which words the error (or accepts what loadtxt does not, such as quoted
-    cells).
+    ``np.loadtxt`` parses the body straight from the open file, after the
+    header line: each cell an ASCII number, with surrounding blanks and one
+    pair of double quotes allowed; blank lines are skipped.  If it refuses
+    the file, or the values are not one finite number per header column, a
+    second pass over the rows words why: the first ragged row, non-numeric
+    or non-finite cell, or the lack of data rows.
     """
+    failure = "no data rows"
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = [c.strip() for c in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        body = fh.read()
-    if body.strip():
         try:
-            data = np.loadtxt(io.StringIO(body), delimiter=delimiter, comments=None, ndmin=2)
-        except ValueError:
-            data = None
-        if data is not None and data.shape[1] == len(header) and np.all(np.isfinite(data)):
-            return header, data
-    rows = []
-    for lineno, row in enumerate(csv.reader(io.StringIO(body), delimiter=delimiter), start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {lineno} has {len(row)} cells, header has {len(header)}")
-        parsed = []
-        for name, cell in zip(header, row):
-            try:
-                val = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric value {cell!r} at row {lineno}, column {name!r}"
-                ) from None
-            if not np.isfinite(val):
-                raise DataError(
-                    f"{path}: non-finite value {cell!r} at row {lineno}, column {name!r}"
-                )
-            parsed.append(val)
-        rows.append(parsed)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return header, np.asarray(rows)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a file with no data rows
+                data = np.loadtxt(fh, delimiter=delimiter, comments=None, quotechar='"', ndmin=2)
+            if data.size and data.shape[1] == len(header) and np.all(np.isfinite(data)):
+                return header, data
+        except ValueError as err:
+            failure = str(err)
+        fh.seek(0)
+        next(reader)
+        rows = 0
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}: row {lineno} has {len(row)} cells, header has {len(header)}")
+            for name, cell in zip(header, row):
+                try:  # as np.loadtxt reads a cell: an ASCII number between blanks
+                    if not cell.strip().isascii() or "_" in cell:
+                        raise ValueError
+                    val = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: non-numeric value {cell!r} at row {lineno}, column {name!r}"
+                    ) from None
+                if not np.isfinite(val):
+                    raise DataError(
+                        f"{path}: non-finite value {cell!r} at row {lineno}, column {name!r}"
+                    )
+            rows += 1
+    raise DataError(f"{path}: {failure}" if rows else f"{path}: no data rows")
 
 
 def load_dataset(path: str, target_col: str | None = None, delimiter: str = ",") -> Dataset:
     """Read a delimiter-separated file with one header row.
 
-    The target column is selected by name (default: last column).
-    Non-numeric or non-finite cells are rejected with row/column
-    diagnostics.
+    The target column is selected by name (default: last column).  Cells
+    are read as :func:`_read_table` reads them; a ragged row, a non-numeric
+    or non-finite cell or a file without data rows is rejected with
+    row/column diagnostics.
     """
     header, data = _read_table(path, delimiter)
     target = target_col if target_col is not None else header[-1]

@@ -41,7 +41,7 @@ import numpy as np
 from ._lapack import dtrmm, dtrtri
 from .errors import ContractViolationError
 from .kernel import Hyperparameters, kernel_diag, kernel_matrix, _check_inputs
-from .linalg import JITTER_START, CholFactor, chol_with_jitter
+from .linalg import CholFactor, chol_with_jitter
 
 VARIANTS = ("sor", "dtc", "fitc", "vfe", "pep")
 
@@ -110,19 +110,19 @@ class Prior:
     def L_inv(self) -> np.ndarray:
         """L^-1 of the factor K_RR = L L^T, Fortran-ordered for BLAS,
         computed once."""
-        L_inv, _ = dtrtri(self.chol.L, lower=1)
+        L_inv, _ = dtrtri(self.chol.L)
         L_inv.flags.writeable = False
         return L_inv
 
     def whiten(self, b: np.ndarray) -> np.ndarray:
         """L^-1 b for (M, n) ``b``, as a new Fortran-ordered array."""
-        return dtrmm(1.0, self.L_inv, b, lower=1)
+        return dtrmm(1.0, self.L_inv, b)
 
     def solve_whitened(self, a: np.ndarray) -> np.ndarray:
         """K_RR^-1 b from its whitened form ``a`` = L^-1 b: L^-T a, written
         in place into ``a``, which is Fortran-ordered as :meth:`whiten`
         returns it."""
-        return dtrmm(1.0, self.L_inv, a, lower=1, trans_a=1, overwrite_b=1)
+        return dtrmm(1.0, self.L_inv, a, trans_a=1, overwrite_b=1)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """K_RR^-1 b for (M, n) ``b``, as a new Fortran-ordered array."""
@@ -134,28 +134,19 @@ def prior(h: Hyperparameters) -> Prior:
 
     ``Hyperparameters`` is frozen with read-only arrays, so the kept prior
     stays valid for the object's lifetime and every consumer at one
-    parameter value shares a single K_RR build and factorization.
-
-    A K_RR that factors without jitter but whose smallest squared pivot is
-    within 100x of the factorization's backward error M * eps * mean(diag)
-    is singular to all but two digits; it gets the jitter ladder's first
-    rung like a K_RR that fails to factor.  Otherwise a small parameter step
-    can swing the prior precision between about 1 / rung and the round-off
-    limit, and the posterior carried from the previous training step no
-    longer fits the new basis.
+    parameter value shares a single K_RR build and factorization.  A K_RR
+    that is singular to working precision gets the jitter ladder's rungs
+    (see :func:`chol_with_jitter`); otherwise a small parameter step could
+    swing the prior precision between about 1 / rung and the round-off
+    limit, and the posterior carried from the previous training step would
+    no longer fit the new basis.
     """
     if h._prior is None:
-        R, M = h.inducing_inputs, h.num_inducing
+        R = h.inducing_inputs
         K_RR = kernel_matrix(R, R, h)
         chol = chol_with_jitter(K_RR, "K_RR")
-        scale = float(np.mean(np.diag(K_RR)))
-        floor = 100.0 * M * np.finfo(float).eps * scale
-        if chol.jitter == 0.0 and np.min(np.diag(chol.L)) ** 2 < floor:
-            first_rung = JITTER_START * scale
-            chol = chol_with_jitter(K_RR + first_rung * np.eye(M), "K_RR")
-            chol = CholFactor(L=chol.L, jitter=first_rung + chol.jitter)
         if chol.jitter:
-            K_RR = K_RR + chol.jitter * np.eye(M)
+            K_RR = K_RR + chol.jitter * np.eye(h.num_inducing)
         K_RR.flags.writeable = False
         chol.L.flags.writeable = False
         object.__setattr__(h, "_prior", Prior(K_RR=K_RR, chol=chol))

@@ -157,7 +157,11 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flag", [("--lr", "0.5"), ("--batch-size", "20"), ("--shuffle",), ("--gradient-mode", "ignore_history")]
+        "flag",
+        [
+            ("--lr", "0.5"), ("--batch-size", "20"), ("--shuffle",), ("--gradient-mode", "ignore_history"),
+            ("--model", "pep"), ("--alpha", "0.7"),
+        ],
     )
     def test_resume_refuses_changed_setting(self, gp_file, tmp_path, capsys, flag):
         common = ("train", "--data", gp_file, "--num-inducing", "5")
@@ -191,6 +195,20 @@ class TestTrain:
         # Giving the checkpoint's own values again is no change.
         assert run_cli(*common, *first, "--epochs", "3", "--resume", str(out), "--checkpoint-out", str(again)) == 0
         assert load_checkpoint(str(again)).config == {**config, "epochs": 3}
+
+    def test_resume_keeps_the_checkpoints_model(self, gp_file, tmp_path):
+        # A PEP checkpoint resumed with no --model or --alpha continues as
+        # PEP with its own alpha, not as the fresh run's default VFE.
+        common = ("train", "--data", gp_file, "--num-inducing", "5", "--batch-size", "40")
+        model = ("--model", "pep", "--alpha", "0.3")
+        full, half, resumed = tmp_path / "full.npz", tmp_path / "half.npz", tmp_path / "resumed.npz"
+        assert run_cli(*common, *model, "--epochs", "2", "--checkpoint-out", str(full)) == 0
+        assert run_cli(*common, *model, "--epochs", "1", "--checkpoint-out", str(half)) == 0
+        assert run_cli(*common, "--epochs", "2", "--resume", str(half), "--checkpoint-out", str(resumed)) == 0
+        a, b = load_checkpoint(str(full)), load_checkpoint(str(resumed))
+        assert b.spec == a.spec and (b.config["model"], b.config["alpha"]) == ("pep", 0.3)
+        np.testing.assert_array_equal(a.hyper.to_vector(), b.hyper.to_vector())
+        assert a.config == b.config
 
     def test_resume_takes_omitted_settings_from_checkpoint(self, gp_file, tmp_path):
         common = ("train", "--data", gp_file, "--num-inducing", "5", "--seed", "3")

@@ -137,36 +137,91 @@ class TestDatasetIO:
     def test_non_numeric_cell_diagnostics(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x0,y\n0.1,0.2\n0.3,oops\n")
-        with pytest.raises(DataError, match=r"row 3.*column 'y'"):
+        with pytest.raises(DataError) as err:
             load_dataset(str(path))
+        assert str(err.value) == f"{path}: non-numeric value 'oops' at row 3, column 'y'"
 
     def test_non_finite_cell_rejected(self, tmp_path):
         path = tmp_path / "inf.csv"
         path.write_text("x0,y\n0.1,inf\n")
-        with pytest.raises(DataError, match="non-finite"):
+        with pytest.raises(DataError) as err:
             load_dataset(str(path))
+        assert str(err.value) == f"{path}: non-finite value 'inf' at row 2, column 'y'"
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("x0,y\n0.1,0.2,0.3\n")
-        with pytest.raises(DataError, match="row 2"):
+        with pytest.raises(DataError) as err:
             load_dataset(str(path))
+        assert str(err.value) == f"{path}: row 2 has 3 cells, header has 2"
+
+    @pytest.mark.parametrize("body", ["", "\n\n"], ids=["header-only", "blank-lines-only"])
+    def test_file_without_data_rows_rejected(self, tmp_path, body):
+        path = tmp_path / "header.csv"
+        path.write_text("x0,y\n" + body)
+        with pytest.raises(DataError) as err:
+            load_dataset(str(path))
+        assert str(err.value) == f"{path}: no data rows"
 
     def test_blank_looking_row_rejected(self, tmp_path):
-        # np.loadtxt skips a line of blanks; the row-by-row reading it falls
-        # back to sees a row of one cell, as before the bulk parse existed.
+        # np.loadtxt refuses a line of blanks as a row of one cell; the pass
+        # that words its refusals sees the same.
         path = tmp_path / "blank.csv"
         path.write_text("x0,y\n0.1,0.2\n   \n0.3,0.4\n")
         with pytest.raises(DataError, match="row 3 has 1 cells"):
             load_dataset(str(path))
 
     def test_quoted_cells_load(self, tmp_path):
-        # The bulk parse rejects quotes; the row-by-row reading accepts them.
         path = tmp_path / "quoted.csv"
         path.write_text('x0,y\n"0.1",0.2\n0.3,"0.4"\n')
         ds = load_dataset(str(path))
         np.testing.assert_array_equal(ds.X, [[0.1], [0.3]])
         np.testing.assert_array_equal(ds.y, [0.2, 0.4])
+
+    @pytest.mark.parametrize(
+        "text",
+        ['x0,y\r\n"0.1",0.2\r\n0.3,"0.4"\r\n', 'x0,y\n 0.1 ,\t0.2\n"0.3" , 0.4 \n'],
+        ids=["crlf", "padded"],
+    )
+    def test_crlf_and_padded_cells_load(self, tmp_path, text):
+        path = tmp_path / "cells.csv"
+        path.write_bytes(text.encode())
+        ds = load_dataset(str(path))
+        np.testing.assert_array_equal(ds.X, [[0.1], [0.3]])
+        np.testing.assert_array_equal(ds.y, [0.2, 0.4])
+        assert ds.column_names == ["x0", "y"]
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662"], ids=["underscore", "arabic-indic-digits"])
+    def test_python_only_number_spellings_are_rejected(self, tmp_path, cell):
+        # float() reads these; np.loadtxt, the one parser, does not, and the
+        # error pass words them like any other non-numeric cell.
+        path = tmp_path / "spelling.csv"
+        path.write_text(f"x0,y\n0.1,{cell}\n", encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            load_dataset(str(path))
+        assert str(err.value) == f"{path}: non-numeric value {cell!r} at row 2, column 'y'"
+
+    def test_reading_peaks_below_twice_the_file(self, tmp_path):
+        # A train-cstr-sized file (9,999 rows, 6 columns of repr floats, about
+        # 1.1 MB) is parsed from the open file: no copy of its text is held
+        # beside the arrays.
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        ds = Dataset(X=rng.standard_normal((9999, 5)), y=rng.standard_normal(9999))
+        path = tmp_path / "large.csv"
+        save_dataset(ds, str(path))
+        size = path.stat().st_size
+        assert size > 1_000_000
+        tracemalloc.start()
+        try:
+            back = load_dataset(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * size, f"peak {peak} B for a {size} B file"
+        np.testing.assert_array_equal(back.X, ds.X)
+        np.testing.assert_array_equal(back.y, ds.y)
 
     def test_missing_target_rejected(self, tmp_path):
         path = tmp_path / "cols.csv"

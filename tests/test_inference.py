@@ -1,5 +1,9 @@
 """Recursive posterior updates, prediction, and the streaming bound."""
 
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -324,6 +328,32 @@ class TestPredict:
         bound = 10 * 64 * 15 * 8 + 2 * X_star.shape[0] * 8
         assert bound < X_star.shape[0] ** 2 * 8
         assert peak < bound, peak
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
+    def test_block_memory_is_reused_in_a_fresh_process(self):
+        # predict's (1024, M) block temporaries come from the heap, so a
+        # repeated evaluation faults in no new pages: glibc would otherwise
+        # map and unmap each one on every call, unless something larger had
+        # happened to be freed before (653 faults per call here without).
+        child = """
+import resource
+import numpy as np
+import streamgp as sg
+rng = np.random.default_rng(0)
+h = sg.Hyperparameters(0.0, np.zeros(5), np.log(0.1), rng.uniform(0.0, 1.0, (50, 5)))
+spec = sg.ModelSpec("pep", alpha=0.5)
+state, X = sg.init_state(h, spec), rng.uniform(0.0, 1.0, (3999, 5))
+for _ in range(3):
+    sg.predict(state, X, h, spec, with_noise=True)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    sg.predict(state, X, h, spec, with_noise=True)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert float(out.stdout) < 20.0
 
     def test_inputs_as_loaded_from_a_file_predict_as_c_ordered_ones(self, monkeypatch, tmp_path):
         # The serve path scores load_dataset's inputs, a column selection

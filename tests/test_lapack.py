@@ -60,11 +60,23 @@ NO_ROUTINES = _ctypes.__file__
 
 
 def test_scipy_wrappers_bind_when_numpys_names_are_hidden():
+    """SciPy's wrappers, with the flags numpy's binding fixes: each of the
+    library's calls gives the same bits through either binding."""
     routines = _lapack.bind(NO_ROUTINES)
     assert isinstance(routines, _lapack.SciPyRoutines)
-    assert routines.dgemm is blas.dgemm and routines.dtrmm is blas.dtrmm
+    assert routines.dgemm is blas.dgemm and routines.dtrmm.func is blas.dtrmm
     for name in ("dtrtri", "dpotri", "dtrtrs"):
-        assert getattr(routines, name) is getattr(lapack, name), name
+        assert getattr(routines, name).func is getattr(lapack, name), name
+    fixed = {name: getattr(routines, name).keywords for name in ("dtrmm", "dtrtri", "dpotri", "dtrtrs")}
+    assert fixed == {
+        "dtrmm": {"lower": 1}, "dtrtri": {"lower": 1}, "dpotri": {"lower": 1},
+        "dtrtrs": {"lower": 0, "trans": 1},
+    }
+    L = lower_factor(6)
+    L_f, b = np.asfortranarray(L), np.random.default_rng(5).standard_normal((6, 3))
+    assert_bitwise(_lapack.dtrmm(1.0, L_f, b, trans_a=1), routines.dtrmm(1.0, L_f, b, trans_a=1))
+    for name, args in (("dtrtri", (L,)), ("dpotri", (L,)), ("dtrtrs", (L.T, b))):
+        assert_bitwise(getattr(_lapack, name)(*args)[0], getattr(routines, name)(*args)[0])
     assert routines.library.startswith(str(Path(scipy.__file__).parent))
     assert routines.num_threads() is None
 
@@ -96,15 +108,13 @@ def test_dtrmm_matches_scipy(flags):
     L = np.asfortranarray(lower_factor(6))
     b = np.random.default_rng(2).standard_normal((6, 4))
     ours, theirs = np.asfortranarray(b), np.asfortranarray(b)
-    assert_bitwise(
-        _lapack.dtrmm(1.0, L, ours, lower=1, **flags), blas.dtrmm(1.0, L, theirs, lower=1, **flags)
-    )
+    assert_bitwise(_lapack.dtrmm(1.0, L, ours, **flags), blas.dtrmm(1.0, L, theirs, lower=1, **flags))
 
 
 @pytest.mark.parametrize("name", ["dtrtri", "dpotri"])
 def test_factor_inverses_match_scipy(name):
     L = lower_factor(8)
-    ours, info = getattr(_lapack, name)(L, lower=1)
+    ours, info = getattr(_lapack, name)(L)
     theirs, ref_info = getattr(lapack, name)(L, lower=1)
     assert info == ref_info == 0
     assert_bitwise(ours, theirs)
@@ -153,28 +163,22 @@ def test_dgemm_writes_only_in_place():
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_triangular_operand_of_either_order(order):
-    """A Fortran-ordered lower factor goes in as is.  A C-ordered one is
-    refused; its caller passes the transpose instead, an upper-triangular
-    Fortran-ordered array, with the trans flag flipped, as ``tri_solve``
-    does."""
+    """``dtrmm`` takes the lower factor L and ``dtrtrs`` its transpose L^T,
+    each as a Fortran-ordered array.  A C-ordered L is refused by ``dtrmm``;
+    its transpose goes into ``dtrtrs`` as it is, as ``tri_solve`` passes it.
+    The transpose of a Fortran-ordered L is C-ordered and refused by
+    ``dtrtrs``."""
     L = np.asarray(lower_factor(7), order=order)
     b = np.random.default_rng(7).standard_normal((7, 3))
-    if order == "C":
-        for call in (lambda: _lapack.dtrmm(1.0, L, b, lower=1), lambda: _lapack.dtrtrs(L, b, lower=1)):
-            with pytest.raises(ValueError, match="Fortran-contiguous"):
-                call()
-        a, lower, flip = L.T, 0, 1
-    else:
-        a, lower, flip = L, 1, 0
-    np.testing.assert_allclose(
-        _lapack.dtrmm(1.0, a, b, lower=lower, trans_a=flip), L @ b, rtol=1e-13, atol=1e-13
-    )
-    np.testing.assert_allclose(
-        _lapack.dtrmm(1.0, a, b, lower=lower, trans_a=1 - flip), L.T @ b, rtol=1e-13, atol=1e-13
-    )
-    x, info = _lapack.dtrtrs(a, b, lower=lower, trans=1 - flip)
+    refused = (lambda: _lapack.dtrmm(1.0, L, b)) if order == "C" else (lambda: _lapack.dtrtrs(L.T, b))
+    with pytest.raises(ValueError, match="Fortran-contiguous"):
+        refused()
+    L_f, LT_f = np.asfortranarray(L), np.asfortranarray(L.T)
+    np.testing.assert_allclose(_lapack.dtrmm(1.0, L_f, b), L @ b, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(_lapack.dtrmm(1.0, L_f, b, trans_a=1), L.T @ b, rtol=1e-13, atol=1e-13)
+    x, info = _lapack.dtrtrs(L.T if order == "C" else LT_f, b)
     assert info == 0
-    np.testing.assert_allclose(L.T @ x, b, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(L @ x, b, rtol=1e-12, atol=1e-12)
 
 
 def _refused_calls():

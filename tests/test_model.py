@@ -17,7 +17,7 @@ from streamgp import (
     srgp_fit,
     update,
 )
-from streamgp import inference
+from streamgp import batch, data, inference
 from streamgp import kernel as kernel_module
 from streamgp import model as model_module
 from streamgp.gradients import (
@@ -28,6 +28,7 @@ from streamgp.gradients import (
     propagate,
 )
 from streamgp.kernel import kernel_matrix
+from streamgp.linalg import JITTER_START
 from streamgp.model import batch_geometry, prior, regularizer
 
 from conftest import basis, dense_Q, make_instance, record_adam_thetas
@@ -365,3 +366,43 @@ class TestPrior:
             scale = np.linalg.norm(st.Sigma, 2) * np.linalg.norm(st.Lambda, 2)
             residual = np.max(np.abs(st.Sigma @ st.Lambda - np.eye(4)))
             assert residual <= 1e-10 * scale, (residual, scale)
+
+
+def _factor_at_the_pivot_floor(case: str, monkeypatch) -> tuple[np.ndarray, object]:
+    """The matrix one library factorization receives, and the factor it
+    returns, where that matrix factors without jitter but its smallest
+    squared pivot is below the floor: a prior with two inducing inputs 5e-8
+    apart, Lambda and the batch bound's Woodbury core after one row at
+    sigma_n = 1e-8 with M = 3 (SoR), and a dense GP draw of 30 points."""
+    if case == "K_RR":
+        R = np.array([[0.0], [5e-8], [0.5]])
+        h = Hyperparameters(0.0, np.log([0.3]), np.log(0.1), R)
+        return kernel_matrix(R, R, h), prior(h).chol
+    module = {"Lambda": inference, "Woodbury core": batch, "K_XX": data}[case]
+    seen = []
+    chol = module.chol_with_jitter
+    monkeypatch.setattr(
+        module, "chol_with_jitter", lambda a, name: seen.append((a, chol(a, name))) or seen[-1][1]
+    )
+    h = Hyperparameters(0.0, np.log([0.3]), np.log(1e-8), np.array([[0.1], [0.5], [0.9]]))
+    spec, X, y = ModelSpec("sor"), np.array([[0.3]]), np.array([0.2])
+    if case == "Lambda":
+        update(init_state(h, spec), MiniBatch(X, y), h, spec)
+    elif case == "Woodbury core":
+        batch.batch_bound(X, y, h, spec, with_gradient=False)
+    else:
+        data.generate_gp_data(1, 30)
+    return seen[-1]
+
+
+@pytest.mark.parametrize("case", ["K_RR", "Lambda", "Woodbury core", "K_XX"])
+def test_factor_below_the_pivot_floor_gets_the_first_rung(case, monkeypatch):
+    # A factor whose smallest squared pivot is within 100x of the backward
+    # error n * eps * mean(diag) is singular to all but two digits: every
+    # factorization moves on to the jitter ladder's first rung, as for a
+    # matrix that does not factor at all.
+    a, factor = _factor_at_the_pivot_floor(case, monkeypatch)
+    n, scale = a.shape[0], np.mean(np.diag(a))
+    assert np.min(np.diag(np.linalg.cholesky(a))) ** 2 < 100.0 * n * np.finfo(float).eps * scale
+    assert factor.jitter == JITTER_START * scale
+    np.testing.assert_array_equal(factor.L, np.linalg.cholesky(a + factor.jitter * np.eye(n)))

@@ -17,6 +17,12 @@ Run directly to see the numbers:  ``python tests/timing.py criterion_09``
 train-cstr shape in children with and without ``OPENBLAS_NUM_THREADS=1``,
 interleaved, and prints the wall and CPU seconds of each run.
 
+``python tests/timing.py exponents [--runs N] [--against OTHER/src]``
+runs criterion 09's pinned ``propagate_parameter_count`` child N times
+(default 20), alternating with as many children of the other tree when one
+is given, and prints each child's parameter exponent, fitted as the test
+fits it, with the counts below 0.70 (the test's floor) and 0.75.
+
 ``python tests/timing.py --against OTHER/src`` compares this tree with
 another checkout of the package: both are imported side by side in one
 pinned child and timed round by round (see :func:`against`).  One process
@@ -41,10 +47,11 @@ WARMUP = 2
 CRITERION_09_REPS = 15  # rounds of propagate_parameter_count
 
 
-def pinned(name: str, *args: str) -> dict:
+def pinned(name: str, *args: str, src: Path = ROOT / "src") -> dict:
     """Run measurement ``name`` in a one-BLAS-thread child, with ``args``
-    after it on the child's command line; its JSON result."""
-    path = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
+    after it on the child's command line and the package under ``src``
+    first on its path; its JSON result."""
+    path = [str(src), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, **PINNED_ENV, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     proc = subprocess.run(
         [sys.executable, __file__, name, *args], env=env, capture_output=True, text=True, timeout=600
@@ -129,6 +136,38 @@ def propagate_parameter_count() -> dict:
 
     sizes_p, fns = _propagate_by_parameter_count(streamgp)
     return {"sizes_p": sizes_p, "times_p": min_times(fns, reps=CRITERION_09_REPS)}
+
+
+def exponents(runs: int = 20, src: str | None = None) -> dict:
+    """Criterion 09's parameter exponent from ``runs`` pinned children of
+    :func:`propagate_parameter_count`, each fitted as the test fits it.
+    With ``src``, as many children import the package under ``src``; the
+    two trees alternate, each going first in every other pair.  Reports
+    every exponent of each tree, its median, and how many fall below 0.70,
+    the test's floor, and below 0.75.
+
+    Not used by any test; run by hand.
+    """
+    import statistics
+
+    trees = {"this": ROOT / "src"}
+    if src is not None:
+        trees["other"] = Path(src).resolve()
+    found = {label: [] for label in trees}
+    for r in range(runs):
+        for label in list(trees)[:: 1 if r % 2 == 0 else -1]:
+            t = pinned("propagate_parameter_count", src=trees[label])
+            found[label].append(_exponent(t["sizes_p"], t["times_p"]))
+    result = {"runs": runs}
+    for label, values in found.items():
+        result[label] = {
+            "src": str(trees[label]),
+            "exponents": [round(e, 3) for e in values],
+            "median": round(statistics.median(values), 3),
+            "below_0.70": sum(e < 0.70 for e in values),
+            "below_0.75": sum(e < 0.75 for e in values),
+        }
+    return result
 
 
 def propagate_configs() -> dict:
@@ -487,16 +526,19 @@ MEASUREMENTS = {
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Print one timing measurement as JSON.")
-    parser.add_argument("measurement", nargs="?", choices=[*MEASUREMENTS, "against"])
+    parser.add_argument("measurement", nargs="?", choices=[*MEASUREMENTS, "against", "exponents"])
     parser.add_argument(
         "--against",
         metavar="SRC",
         dest="src",
         help="time this tree against the streamgp package under SRC (a src directory), "
-        "both in one pinned child",
+        "both in one pinned child; with exponents, alternate its children with this tree's",
     )
+    parser.add_argument("--runs", type=int, default=20, help="children per tree for exponents")
     args = parser.parse_args()
-    if args.measurement == "against":
+    if args.measurement == "exponents":
+        print(json.dumps(exponents(args.runs, args.src)))
+    elif args.measurement == "against":
         print(json.dumps(against(args.src)))
     elif args.src is not None:
         print(json.dumps(pinned("against", "--against", str(Path(args.src).resolve()))))
