@@ -1,14 +1,17 @@
-"""The five BLAS and LAPACK routines the library calls, bound with ctypes to
+"""The four BLAS and LAPACK routines the library calls, bound with ctypes to
 numpy's own OpenBLAS.
 
-``dgemm`` and ``dtrmm`` (BLAS), ``dtrtri``, ``dpotri`` and ``dtrtrs``
-(LAPACK) take the arguments and keywords of SciPy's f2py wrappers in
+``dgemm`` and ``dtrmm`` (BLAS), ``dtrtri`` and ``dtrtrs`` (LAPACK) take
+the arguments and keywords of SciPy's f2py wrappers in
 ``scipy.linalg.blas``/``lapack`` that the library passes, and return what
-those return.  The flags that every library call passes with one value are
-fixed: ``dgemm``'s ``b`` is not transposed, ``dtrmm``, ``dtrtri`` and
-``dpotri`` take a lower triangle (``lower=1``), and ``dtrtrs`` solves with
-the transpose of an upper triangle (``lower=0, trans=1``).  Their one
-operand contract is Fortran order:
+those return.  ``dtrtri`` forms a factor's one inverse factor L^-1 and
+``dtrmm`` applies it, for every product with the factored matrix's inverse
+and for its dense inverse (:class:`streamgp.linalg.CholFactor` says why).
+The flags that every library call passes with one value are fixed:
+``dgemm``'s ``b`` is not transposed, ``dtrmm`` and ``dtrtri`` take a lower
+triangle (``lower=1``), and ``dtrtrs`` solves with the transpose of an
+upper triangle (``lower=0, trans=1``).  Their one operand contract is
+Fortran order:
 
 * an input operand (``a`` and ``b`` of ``dgemm``, ``a`` of ``dtrmm`` and
   ``dtrtrs``) must be a 2-D Fortran-contiguous float64 array, or the call
@@ -20,8 +23,7 @@ operand contract is Fortran order:
   the call raises ``ValueError``.  ``dtrmm`` writes ``b`` in place under
   ``overwrite_b`` on the same condition; without the flag it copies ``b``
   to a new Fortran-ordered float64 array, which is written and returned,
-  as are the ``c`` of ``dtrtri`` and ``dpotri`` and the ``b`` of
-  ``dtrtrs``.
+  as are the ``c`` of ``dtrtri`` and the ``b`` of ``dtrtrs``.
 
 SciPy's wrappers, the fallback below, take these calls and more.
 
@@ -50,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-NAMES = ("dgemm", "dtrmm", "dtrtri", "dpotri", "dtrtrs")
+NAMES = ("dgemm", "dtrmm", "dtrtri", "dtrtrs")
 SYMBOL = "scipy_{}_64_"  # with 64-bit integers
 NUM_THREADS = "scipy_openblas_get_num_threads64_"
 
@@ -124,7 +126,7 @@ class _Constants(dict):
 
 
 class Routines:
-    """The five routines bound from ``source``, with the signatures of
+    """The four routines bound from ``source``, with the signatures of
     SciPy's f2py wrappers; ``library`` is the file that defines them."""
 
     def __init__(self, source: str):
@@ -139,7 +141,7 @@ class Routines:
             fn.restype = None
             return fn
 
-        self._gemm, self._trmm, self._trtri, self._potri, self._trtrs = map(bind, NAMES)
+        self._gemm, self._trmm, self._trtri, self._trtrs = map(bind, NAMES)
         self._get_num_threads = getattr(lib, NUM_THREADS)
         self._get_num_threads.restype = ctypes.c_int
         self._int = _Constants(ctypes.c_int64)
@@ -185,19 +187,13 @@ class Routines:
         return b
 
     def dtrtri(self, c):
-        """(inverse of lower-triangular ``c``, in the lower triangle of a copy;
-        info)."""
-        c = _square(c, "dtrtri")
+        """(inverse of lower-triangular ``c``, in the lower triangle of a
+        Fortran-ordered float64 copy; info)."""
+        c = np.array(c, np.float64, order="F")
+        if c.ndim != 2 or c.shape[0] != c.shape[1]:
+            raise ValueError(f"dtrtri: c has shape {c.shape}, expected a square matrix")
         n, info = c.shape[0], ctypes.c_int64(0)
         self._trtri(b"L", b"N", self._int[n], _pointer(c), self._int[n or 1], _byref(info), _LEN, _LEN)
-        return c, info.value
-
-    def dpotri(self, c):
-        """(the lower triangle of (L L^T)^-1, in a copy of the lower Cholesky
-        factor L in ``c``; info)."""
-        c = _square(c, "dpotri")
-        n, info = c.shape[0], ctypes.c_int64(0)
-        self._potri(b"L", self._int[n], _pointer(c), self._int[n or 1], _byref(info), _LEN)
         return c, info.value
 
     def dtrtrs(self, a, b):
@@ -214,15 +210,6 @@ class Routines:
             _pointer(a), i[n or 1], _pointer(b), i[n or 1], _byref(info), _LEN, _LEN, _LEN,
         )
         return b, info.value
-
-
-def _square(c, routine: str) -> np.ndarray:
-    """A Fortran-ordered float64 copy of square ``c``, for a routine that
-    overwrites it."""
-    c = np.array(c, np.float64, order="F")
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError(f"{routine}: c has shape {c.shape}, expected a square matrix")
-    return c
 
 
 class _DlInfo(ctypes.Structure):
@@ -248,7 +235,7 @@ def _shared_object(fn) -> str | None:
 
 
 class SciPyRoutines:
-    """SciPy's f2py wrappers of the five routines, with the flags that
+    """SciPy's f2py wrappers of the four routines, with the flags that
     :class:`Routines` fixes, for a numpy that exports none of them;
     ``library`` is SciPy's ``_fblas`` extension file, which links SciPy's
     BLAS.  The ordinary import runs ``scipy/__init__``, which on Windows
@@ -258,7 +245,7 @@ class SciPyRoutines:
         fblas = importlib.import_module("scipy.linalg._fblas")
         flapack = importlib.import_module("scipy.linalg._flapack")
         self.dgemm, self.dtrmm = fblas.dgemm, partial(fblas.dtrmm, lower=1)
-        self.dtrtri, self.dpotri = partial(flapack.dtrtri, lower=1), partial(flapack.dpotri, lower=1)
+        self.dtrtri = partial(flapack.dtrtri, lower=1)
         self.dtrtrs = partial(flapack.dtrtrs, lower=0, trans=1)
         self.library = str(Path(fblas.__file__).resolve())
 
@@ -289,4 +276,4 @@ def bind(source: str | None = None) -> Routines | SciPyRoutines:
 
 ROUTINES = bind()
 dgemm, dtrmm = ROUTINES.dgemm, ROUTINES.dtrmm
-dtrtri, dpotri, dtrtrs = ROUTINES.dtrtri, ROUTINES.dpotri, ROUTINES.dtrtrs
+dtrtri, dtrtrs = ROUTINES.dtrtri, ROUTINES.dtrtrs

@@ -4,8 +4,12 @@ The collapsed lower bounds of the sparse variants, evaluated the classical
 way, and central finite differences.  They check the streaming recursion
 (``streamgp validate-gradients`` and the benchmark's gates); they share
 none of its code path beyond the kernel, the variant definitions and the
-prior (K_RR and its jittered factor, see :func:`streamgp.model.prior`),
-which defines the model.
+prior (K_RR and its jittered factor L, see :func:`streamgp.model.prior`),
+which defines the model.  Its whitened rows L^-1 K_RX come from a
+triangular solve (:func:`~streamgp.linalg.tri_solve`, LAPACK ``dtrtrs``)
+on L, not from the factor's L^-1, which every product with K_RR^-1 in the
+recursion goes through: a fault in that shared path cannot then cancel
+out of the comparison.
 
 The bound goes through the M x M Woodbury route, so no N x N matrix is
 formed.  This module deliberately has no analytic gradients: the
@@ -50,7 +54,7 @@ def _check_xy(X: np.ndarray, y: np.ndarray, h: Hyperparameters) -> tuple[np.ndar
 
 def _sparse_pieces(X: np.ndarray, h: Hyperparameters, spec: ModelSpec):
     """Shared Woodbury ingredients: A = L^-1 K_RX, d, v."""
-    factor = prior(h).chol
+    factor = prior(h)
     K_XR = kernel_matrix(X, h.inducing_inputs, h)
     A = tri_solve(factor.L, K_XR.T)  # (M, N)
     d = np.maximum(kernel_diag(X, h) - np.sum(A * A, axis=0), 0.0)

@@ -263,12 +263,14 @@ def coverage(y: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> float:
 def _read_table(path: str, delimiter: str) -> tuple[list[str], np.ndarray]:
     """Header and (rows, columns) values of a delimited file with one header row.
 
-    ``np.loadtxt`` parses the body straight from the open file, after the
-    header line: each cell an ASCII number, with surrounding blanks and one
-    pair of double quotes allowed; blank lines are skipped.  If it refuses
-    the file, or the values are not one finite number per header column, a
-    second pass over the rows words why: the first ragged row, non-numeric
-    or non-finite cell, or the lack of data rows.
+    A header that repeats a name is refused before the body is read, as a
+    column is looked up by its name.  ``np.loadtxt`` parses the body
+    straight from the open file, after the header line: each cell an ASCII
+    number, with surrounding blanks and one pair of double quotes allowed;
+    blank lines are skipped.  If it refuses the file, or the values are not
+    one finite number per header column, a second pass over the rows words
+    why: the first ragged row, non-numeric or non-finite cell, or the lack
+    of data rows.
     """
     failure = "no data rows"
     with open(path, newline="") as fh:
@@ -277,6 +279,10 @@ def _read_table(path: str, delimiter: str) -> tuple[list[str], np.ndarray]:
             header = [c.strip() for c in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
+        for name in header:
+            if header.count(name) > 1:
+                columns = " and ".join(str(i) for i, n in enumerate(header, start=1) if n == name)
+                raise DataError(f"{path}: header repeats column name {name!r} (columns {columns})")
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # a file with no data rows

@@ -50,13 +50,10 @@ per-parameter dense recursion as the reference.  The gradient state is
 single-writer alongside its posterior, so :func:`propagate` advances it in
 place.
 
-Products K_RR^-1 B are taken as L^-T (L^-1 B) with the prior's inverse
-Cholesky factor (:meth:`streamgp.model.Prior.solve`), whose accuracy, unlike
-that of a product with the dense K_RR^-1, stays near a solve's when K_RR is
-badly conditioned; that includes the inducing coordinates' kb = K^-1 beta.
-The dense inverse serves only where K^-1 itself is wanted: Lambda_0, its
-log sigma0 derivative -2 K^-1 and the inducing coordinates' w_m = K^-1 e_m,
-its rows.
+Products K_RR^-1 B, the inducing coordinates' kb = K^-1 beta included, go
+through the prior factor's L^-1 (:meth:`streamgp.linalg.CholFactor.solve`,
+which says why); its dense inverse serves only Lambda_0, its log sigma0
+derivative -2 K^-1 and the inducing coordinates' w_m = K^-1 e_m, its rows.
 """
 
 from __future__ import annotations
@@ -70,7 +67,8 @@ from ._lapack import dgemm
 from .errors import ContractViolationError, NumericalError
 from .inference import PARAM_STANDARD, KalmanIntermediates, MiniBatch, PosteriorState
 from .kernel import Hyperparameters, kernel_diag
-from .model import BatchGeometry, ModelSpec, Prior, prior
+from .linalg import CholFactor
+from .model import BatchGeometry, ModelSpec, prior
 
 # Parameters per block of the symmetric products, which bounds their
 # (BLOCK, M, M) temporaries.
@@ -221,11 +219,11 @@ def _add_noise_terms(dst: np.ndarray, s: np.ndarray, H: np.ndarray) -> None:
         del KR  # before the next block's is formed
 
 
-def _inducing_directions(p: Prior, KG: np.ndarray, D: int) -> tuple[np.ndarray, np.ndarray]:
+def _inducing_directions(p: CholFactor, KG: np.ndarray, D: int) -> tuple[np.ndarray, np.ndarray]:
     """w_m = K^-1 e_m and -kb = -K^-1 beta (through the inverse factor) of
     each inducing coordinate R[m][d], as row m*D + d of two (M D, M) arrays;
     ``KG`` is :func:`_kernel_grads` of K_RR."""
-    M = len(p.K_RR)
+    M = len(p.L)
     neg_kb = p.solve(KG[0].reshape(M * D, M).T).T
     np.negative(neg_kb, out=neg_kb)
     return np.repeat(p.inv, D, axis=0), neg_kb
@@ -241,7 +239,7 @@ def init_gradient_state(h: Hyperparameters, spec: ModelSpec) -> GradientState:
     """
     P, M, D = h.n_params, h.num_inducing, h.input_dim
     p = prior(h)
-    KG = _kernel_grads(h.inducing_inputs, p.K_RR, h)
+    KG = _kernel_grads(h.inducing_inputs, p.matrix, h)
     upper = _packing(M)[2]
     d_Lambda = np.zeros((P, upper.size))
     d_Lambda[0] = -2.0 * np.take(p.inv, upper)  # Kdot_RR = 2 K_RR
@@ -356,7 +354,7 @@ def propagate(
     """
     _require_standard(geom.transformed)
     P, D = h.n_params, h.input_dim
-    KG = _kernel_grads(h.inducing_inputs, geom.prior.K_RR, h)
+    KG = _kernel_grads(h.inducing_inputs, geom.prior.matrix, h)
 
     # Direct terms <L_dK_RR, Kdot_RR> + <L_dK_XR, Kdot_XR> + <L_dk_XX, kdot_XX>
     # and L_dsigma_n.  Lengthscales and inducing coordinates leave diag(K_XX)
@@ -365,7 +363,7 @@ def propagate(
     L_RR, L_XR = adj.L_dK_RR, adj.L_dK_XR
     direct = np.empty(P)
     direct[0] = 2.0 * (
-        np.vdot(L_RR, geom.prior.K_RR)
+        np.vdot(L_RR, geom.prior.matrix)
         + np.vdot(L_XR, geom.K_XR)
         + adj.L_dk_XX @ kernel_diag(geom.X, h)
     )

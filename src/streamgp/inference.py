@@ -159,20 +159,12 @@ def init_state(
     if parametrization not in (PARAM_STANDARD, PARAM_TRANSFORMED):
         raise ContractViolationError(f"unknown parametrization {parametrization!r}")
     p = prior(h)
-    M = h.num_inducing
-    if parametrization == PARAM_STANDARD:
-        Lambda0 = p.inv
-        Sigma0 = p.K_RR
-        logdet = -p.chol.logdet
-    else:
-        Lambda0 = p.K_RR
-        Sigma0 = p.inv
-        logdet = p.chol.logdet
+    standard = parametrization == PARAM_STANDARD
     return PosteriorState(
-        eta=np.zeros(M),
-        Lambda=Lambda0,
-        Sigma=Sigma0,
-        logdet_Lambda=logdet,
+        eta=np.zeros(h.num_inducing),
+        Lambda=p.inv if standard else p.matrix,
+        Sigma=p.matrix if standard else p.inv,
+        logdet_Lambda=-p.logdet if standard else p.logdet,
         psi=0.0,
         k=0,
         parametrization=parametrization,
@@ -216,7 +208,7 @@ def update_with_geometry(
         factor = chol_with_jitter(Lambda_new, "Lambda")
     except IllConditionedError as err:
         raise IllConditionedError("Lambda", f"update of mini-batch {state.k + 1}: {err}") from None
-    Sigma_new = factor.inverse()
+    Sigma_new = factor.inv
     logdet_new = factor.logdet
 
     t = H.T @ (r / v)
@@ -277,7 +269,7 @@ def predict(
     """
     X_star = _check_inputs(X_star, h, "X_star")
     p = prior(h)
-    W = p.chol.L.T if state.parametrization == PARAM_TRANSFORMED else p.L_inv
+    W = p.L.T if state.parametrization == PARAM_TRANSFORMED else p.L_inv
     m = W @ state.mu
     C = W @ state.Sigma @ W.T
     mean = np.empty(X_star.shape[0])

@@ -25,20 +25,16 @@ same diagonal at the test inputs, which :func:`whiten_rows` computes for
 training and test rows alike.  PEP interpolates between VFE (alpha -> 0)
 and FITC (alpha = 1).
 
-The prior's inverse factor and its products with it are LAPACK ``dtrtri``
-and BLAS ``dtrmm`` from numpy's own OpenBLAS, bound by
-:mod:`streamgp._lapack`: one library and one thread pool, sized by
-``OPENBLAS_NUM_THREADS``, for these and numpy's ``@``.
+The prior is K_RR's :class:`~streamgp.linalg.CholFactor`, whose inverse
+factor L^-1 takes every product with K_RR^-1 (the class says why).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from ._lapack import dtrmm, dtrtri
 from .errors import ContractViolationError
 from .kernel import Hyperparameters, kernel_diag, kernel_matrix, _check_inputs
 from .linalg import CholFactor, chol_with_jitter
@@ -71,66 +67,9 @@ class ModelSpec:
         return 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class Prior:
-    """The prior u ~ N(0, K_RR) at one parameter value, factored once.
-
-    ``K_RR`` is the matrix that ``chol`` factors, so it includes the
-    diagonal jitter when :func:`chol_with_jitter` had to add one; every
-    consumer (prior state, basis, gradients, prediction) therefore sees one
-    and the same matrix.
-
-    Products K_RR^-1 B are taken as L^-T (L^-1 B): :meth:`whiten` forms
-    L^-1 B and :meth:`solve_whitened` applies L^-T, each one BLAS triangular
-    product (``dtrmm``) with the inverse factor L^-1.  That is several times
-    faster than a LAPACK solve at these sizes and nearly as accurate, as
-    triangular inversion has small componentwise residuals (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2002, chs. 8 and 14;
-    Du Croz and Higham, IMA J. Numer. Anal. 12, 1992).  A product with the
-    dense K_RR^-1 is not: at cond(K_RR) = 1.3e9 the basis residual
-    ||H K_RR - K_XR|| / ||K_XR|| is about 1e-15 one way and 1e-8 the other.
-    Prediction needs only the whitened half L^-1 K_RX (see
-    :func:`whiten_rows`).  So :attr:`inv` serves only where K_RR^-1 itself
-    is wanted: the prior precision, its log sigma0 derivative, and the
-    inducing coordinates' w_m = K_RR^-1 e_m, its rows.  Both are formed on
-    first use; all arrays are read-only because the prior is shared.
-    """
-
-    K_RR: np.ndarray  # (M, M)
-    chol: CholFactor
-
-    @cached_property
-    def inv(self) -> np.ndarray:
-        """K_RR^-1 (exactly symmetric), computed once."""
-        inv = self.chol.inverse()
-        inv.flags.writeable = False
-        return inv
-
-    @cached_property
-    def L_inv(self) -> np.ndarray:
-        """L^-1 of the factor K_RR = L L^T, Fortran-ordered for BLAS,
-        computed once."""
-        L_inv, _ = dtrtri(self.chol.L)
-        L_inv.flags.writeable = False
-        return L_inv
-
-    def whiten(self, b: np.ndarray) -> np.ndarray:
-        """L^-1 b for (M, n) ``b``, as a new Fortran-ordered array."""
-        return dtrmm(1.0, self.L_inv, b)
-
-    def solve_whitened(self, a: np.ndarray) -> np.ndarray:
-        """K_RR^-1 b from its whitened form ``a`` = L^-1 b: L^-T a, written
-        in place into ``a``, which is Fortran-ordered as :meth:`whiten`
-        returns it."""
-        return dtrmm(1.0, self.L_inv, a, trans_a=1, overwrite_b=1)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """K_RR^-1 b for (M, n) ``b``, as a new Fortran-ordered array."""
-        return self.solve_whitened(self.whiten(b))
-
-
-def prior(h: Hyperparameters) -> Prior:
-    """The factored prior at ``h``: built on the first call, then kept on ``h``.
+def prior(h: Hyperparameters) -> CholFactor:
+    """The prior u ~ N(0, K_RR) at ``h``, as K_RR's factor: built on the
+    first call, then kept on ``h``.
 
     ``Hyperparameters`` is frozen with read-only arrays, so the kept prior
     stays valid for the object's lifetime and every consumer at one
@@ -143,13 +82,10 @@ def prior(h: Hyperparameters) -> Prior:
     """
     if h._prior is None:
         R = h.inducing_inputs
-        K_RR = kernel_matrix(R, R, h)
-        chol = chol_with_jitter(K_RR, "K_RR")
-        if chol.jitter:
-            K_RR = K_RR + chol.jitter * np.eye(h.num_inducing)
-        K_RR.flags.writeable = False
+        chol = chol_with_jitter(kernel_matrix(R, R, h), "K_RR")
+        chol.matrix.flags.writeable = False  # shared by every consumer
         chol.L.flags.writeable = False
-        object.__setattr__(h, "_prior", Prior(K_RR=K_RR, chol=chol))
+        object.__setattr__(h, "_prior", chol)
     return h._prior
 
 
@@ -186,7 +122,7 @@ class BatchGeometry:
     transformed: bool
     X: np.ndarray  # (B, D)
     K_XR: np.ndarray  # (B, M)
-    prior: Prior
+    prior: CholFactor
 
 
 def regularizer(d: np.ndarray, spec: ModelSpec, h: Hyperparameters) -> float:
@@ -213,7 +149,7 @@ def batch_geometry(
 
     Built on :func:`whiten_rows`; the standard basis is then
     H = (L^-T A_T)^T = K_XR K_RR^-1, the same two triangular products as
-    :meth:`Prior.solve`.  diag(V) = c d + sigma_n^2 with
+    :meth:`~streamgp.linalg.CholFactor.solve`.  diag(V) = c d + sigma_n^2 with
     c = ``spec.noise_scale``.
     """
     X, K_XR, A_T, d = whiten_rows(X, h)

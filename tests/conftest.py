@@ -140,9 +140,9 @@ def batch_sparse_posterior(
     X, y = _check_xy(X, y, h)
     factor, A, d, v = _sparse_pieces(X, h, spec)
     H = solve_triangular(factor.L, A, lower=True, trans=1, check_finite=False).T  # K_XR K_RR^-1
-    Lambda = symmetrize(factor.inverse() + (H.T / v[None, :]) @ H)
+    Lambda = symmetrize(factor.inv + (H.T / v[None, :]) @ H)
     post = chol_with_jitter(Lambda, "batch Lambda")
-    Sigma_K = post.inverse()
+    Sigma_K = post.inv
     mu_K = Sigma_K @ (H.T @ (y / v))
     return mu_K, Sigma_K
 
@@ -387,7 +387,7 @@ def _kdot_RR(h: Hyperparameters, i: int) -> np.ndarray:
     sigma0 derivative is twice the whole factored matrix.
     """
     if h.param_class(i)[0] == CLASS_LOG_SIGMA0:
-        return 2.0 * prior(h).K_RR
+        return 2.0 * prior(h).matrix
     R = h.inducing_inputs
     return kernel_matrix_grad(R, R, h, i, a_is_inducing=True, b_is_inducing=True)
 
@@ -395,7 +395,7 @@ def _kdot_RR(h: Hyperparameters, i: int) -> np.ndarray:
 def oracle_init_gradient_state(h: Hyperparameters) -> GradientState:
     """``init_gradient_state`` one parameter at a time with dense derivative matrices."""
     M = h.num_inducing
-    factor = prior(h).chol
+    factor = prior(h)
     d_Lambda = np.zeros((h.n_params, M, M))
     for i in range(h.n_params):
         if h.param_class(i)[0] != CLASS_LOG_SIGMA_N:
@@ -446,7 +446,7 @@ def oracle_propagate(gstate, adj, geom, h, spec, batch, ignore_history=False) ->
         d_psi[i] += -0.5 * (carried + direct)
         if not ignore_history:
             HKdot = H @ Kdot_RR
-            Hdot = cho_solve(geom.prior.chol, (Kdot_XR - HKdot).T).T
+            Hdot = cho_solve(geom.prior, (Kdot_XR - HKdot).T).T
             d_eta[i] += Hdot.T @ Vinv_y
             cross = Hdot.T @ VinvH
             d_Lambda[i] += cross + cross.T

@@ -297,8 +297,9 @@ class TestPredictEvaluate:
         [
             ("x0\n0.1\n0.2,0.3\n", "row 3 has 2 cells, header has 1"),
             ("x0\n0.1\nnan\n", "non-finite value 'nan' at row 3, column 'x0'"),
+            ("x0,x0\n0.1,0.2\n", "header repeats column name 'x0' (columns 1 and 2)"),
         ],
-        ids=["ragged", "non-finite"],
+        ids=["ragged", "non-finite", "repeated-name"],
     )
     def test_predict_rejects_malformed_inputs(self, trained, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.csv"

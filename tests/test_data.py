@@ -223,6 +223,20 @@ class TestDatasetIO:
         np.testing.assert_array_equal(back.X, ds.X)
         np.testing.assert_array_equal(back.y, ds.y)
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [("a,y,y", "'y' (columns 2 and 3)"), ("a,a,y", "'a' (columns 1 and 2)")],
+        ids=["repeated-target", "repeated-feature"],
+    )
+    def test_repeated_header_name_rejected(self, tmp_path, header, message):
+        # A repeated name would make the target lookup pick the first of its
+        # columns, or load two features of one name.
+        path = tmp_path / "repeated.csv"
+        path.write_text(header + "\n1,2,3\n")
+        with pytest.raises(DataError) as err:
+            load_dataset(str(path))
+        assert str(err.value) == f"{path}: header repeats column name {message}"
+
     def test_missing_target_rejected(self, tmp_path):
         path = tmp_path / "cols.csv"
         path.write_text("x0,y\n0.1,0.2\n")

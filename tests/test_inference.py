@@ -24,10 +24,11 @@ from streamgp import (
     update,
 )
 from streamgp import inference
-from streamgp import model as model_module
+from streamgp import linalg as linalg_module
 from streamgp.inference import PARAM_STANDARD, PARAM_TRANSFORMED
 from streamgp.kernel import kernel_matrix
-from streamgp.model import Prior, batch_geometry, prior
+from streamgp.linalg import CholFactor
+from streamgp.model import batch_geometry, prior
 
 from conftest import (
     basis,
@@ -267,10 +268,10 @@ class TestPredict:
     def test_whitened_form_matches_basis_form_at_a_badly_conditioned_prior(self, parametrization):
         # predict never forms H_*; at cond(K_RR) of about 1e9 its mean and
         # variance still agree with mean = H_* mu and variance =
-        # rowsum((H_* Sigma) * H_*) + d, H_* built through Prior.solve.
+        # rowsum((H_* Sigma) * H_*) + d, H_* built through CholFactor.solve.
         X, y, h = make_instance(3, n=300, m=30, d=2, lengthscale=0.65)
         p = prior(h)
-        assert 1e8 <= np.linalg.cond(p.K_RR) <= 1e10
+        assert 1e8 <= np.linalg.cond(p.matrix) <= 1e10
         spec = ModelSpec("pep", alpha=0.5)
         st = run_stream(X, y, h, spec, batch_size=50, parametrization=parametrization)
         X_star = np.random.default_rng(4).uniform(0, 1, (150, 2))
@@ -297,10 +298,10 @@ class TestPredict:
         spec = ModelSpec("vfe")
         states = [run_stream(X, y, h, spec, 20, par) for par in (PARAM_STANDARD, PARAM_TRANSFORMED)]
         calls = []
-        solve, dtrmm = Prior.solve, model_module.dtrmm
-        monkeypatch.setattr(Prior, "solve", lambda self, b: calls.append("solve") or solve(self, b))
+        solve, dtrmm = CholFactor.solve, linalg_module.dtrmm
+        monkeypatch.setattr(CholFactor, "solve", lambda self, b: calls.append("solve") or solve(self, b))
         monkeypatch.setattr(
-            model_module,
+            linalg_module,
             "dtrmm",
             lambda *a, **k: (k.get("trans_a") and calls.append("L^-T")) or dtrmm(*a, **k),
         )

@@ -48,7 +48,7 @@ def address(fn) -> int:
 def test_each_routine_resolves_in_numpys_library():
     numpy_lib = ctypes.CDLL(_multiarray_umath.__file__)
     bound = _lapack.ROUTINES
-    routines = (bound._gemm, bound._trmm, bound._trtri, bound._potri, bound._trtrs)
+    routines = (bound._gemm, bound._trmm, bound._trtri, bound._trtrs)
     for name, fn in zip(_lapack.NAMES, routines):
         assert address(fn) == address(getattr(numpy_lib, f"scipy_{name}_64_")), name
     assert _lapack._shared_object(numpy_lib.scipy_dgemm_64_) == bound.library
@@ -65,17 +65,14 @@ def test_scipy_wrappers_bind_when_numpys_names_are_hidden():
     routines = _lapack.bind(NO_ROUTINES)
     assert isinstance(routines, _lapack.SciPyRoutines)
     assert routines.dgemm is blas.dgemm and routines.dtrmm.func is blas.dtrmm
-    for name in ("dtrtri", "dpotri", "dtrtrs"):
+    for name in ("dtrtri", "dtrtrs"):
         assert getattr(routines, name).func is getattr(lapack, name), name
-    fixed = {name: getattr(routines, name).keywords for name in ("dtrmm", "dtrtri", "dpotri", "dtrtrs")}
-    assert fixed == {
-        "dtrmm": {"lower": 1}, "dtrtri": {"lower": 1}, "dpotri": {"lower": 1},
-        "dtrtrs": {"lower": 0, "trans": 1},
-    }
+    fixed = {name: getattr(routines, name).keywords for name in ("dtrmm", "dtrtri", "dtrtrs")}
+    assert fixed == {"dtrmm": {"lower": 1}, "dtrtri": {"lower": 1}, "dtrtrs": {"lower": 0, "trans": 1}}
     L = lower_factor(6)
     L_f, b = np.asfortranarray(L), np.random.default_rng(5).standard_normal((6, 3))
     assert_bitwise(_lapack.dtrmm(1.0, L_f, b, trans_a=1), routines.dtrmm(1.0, L_f, b, trans_a=1))
-    for name, args in (("dtrtri", (L,)), ("dpotri", (L,)), ("dtrtrs", (L.T, b))):
+    for name, args in (("dtrtri", (L,)), ("dtrtrs", (L.T, b))):
         assert_bitwise(getattr(_lapack, name)(*args)[0], getattr(routines, name)(*args)[0])
     assert routines.library.startswith(str(Path(scipy.__file__).parent))
     assert routines.num_threads() is None
@@ -83,7 +80,7 @@ def test_scipy_wrappers_bind_when_numpys_names_are_hidden():
 
 def test_no_library_and_no_scipy_raises_import_error(monkeypatch, tmp_path):
     monkeypatch.setitem(sys.modules, "scipy.linalg._fblas", None)
-    with pytest.raises(ImportError, match="dgemm, dtrmm, dtrtri, dpotri, dtrtrs"):
+    with pytest.raises(ImportError, match="dgemm, dtrmm, dtrtri, dtrtrs"):
         _lapack.bind(NO_ROUTINES)
     nowhere = str(tmp_path / "no-such-library.so")
     with pytest.raises(ImportError, match="no-such-library.*scipy.linalg._fblas"):
@@ -111,7 +108,7 @@ def test_dtrmm_matches_scipy(flags):
     assert_bitwise(_lapack.dtrmm(1.0, L, ours, **flags), blas.dtrmm(1.0, L, theirs, lower=1, **flags))
 
 
-@pytest.mark.parametrize("name", ["dtrtri", "dpotri"])
+@pytest.mark.parametrize("name", ["dtrtri"])
 def test_factor_inverses_match_scipy(name):
     L = lower_factor(8)
     ours, info = getattr(_lapack, name)(L)
@@ -235,7 +232,7 @@ def test_mismatched_shapes_are_refused():
     with pytest.raises(ValueError, match="dtrmm"):
         _lapack.dtrmm(1.0, np.ones((3, 3), order="F"), np.ones((4, 2)))
     with pytest.raises(ValueError, match="square"):
-        _lapack.dpotri(a)
+        _lapack.dtrtri(a)
 
 
 def test_dgemm_from_several_threads_at_once():

@@ -19,7 +19,7 @@ from streamgp import (
 )
 from streamgp import batch, data, inference
 from streamgp import kernel as kernel_module
-from streamgp import model as model_module
+from streamgp import linalg as linalg_module
 from streamgp.gradients import (
     _inducing_directions,
     _kernel_grads,
@@ -226,18 +226,29 @@ class TestBatchGeometry:
         # the dense inverse misses the bound by orders of magnitude there.
         X, _, h = make_instance(3, n=300, m=30, d=2, lengthscale=0.65)
         p = prior(h)
-        assert p.chol.jitter == 0.0
-        assert 1e8 <= np.linalg.cond(p.K_RR) <= 1e10
+        assert p.jitter == 0.0
+        assert 1e8 <= np.linalg.cond(p.matrix) <= 1e10
         g = batch_geometry(X, h, ModelSpec("vfe"))
         scale = np.linalg.norm(g.K_XR)
-        assert np.linalg.norm(g.H @ p.K_RR - g.K_XR) <= 1e-13 * scale
-        assert np.linalg.norm(g.K_XR @ p.inv @ p.K_RR - g.K_XR) > 1e-13 * scale
+        assert np.linalg.norm(g.H @ p.matrix - g.K_XR) <= 1e-13 * scale
+        assert np.linalg.norm(g.K_XR @ p.inv @ p.matrix - g.K_XR) > 1e-13 * scale
         # So does the inducing coordinates' kb = K_RR^-1 beta, beta = dK_RR/dR.
-        KG = _kernel_grads(h.inducing_inputs, p.K_RR, h)
+        KG = _kernel_grads(h.inducing_inputs, p.matrix, h)
         beta = KG[0].reshape(-1, h.num_inducing)
         _, neg_kb = _inducing_directions(p, KG, h.input_dim)
-        assert np.linalg.norm(neg_kb @ p.K_RR + beta) <= 1e-13 * np.linalg.norm(beta)
+        assert np.linalg.norm(neg_kb @ p.matrix + beta) <= 1e-13 * np.linalg.norm(beta)
 
+
+    def test_dense_inverse_at_a_badly_conditioned_prior(self):
+        # K_RR^-1 = L^-T L^-1 comes from the factor's one L^-1.  Where
+        # cond(K_RR) is about 1e9 it is exactly symmetric, and its residual
+        # ||K_RR^-1 K_RR - I||_F stays within 10x of the 7.7e-8 that LAPACK
+        # dpotri, which formed it before, left on this instance.
+        _, _, h = make_instance(3, n=300, m=30, d=2, lengthscale=0.65)
+        p = prior(h)
+        assert 1e8 <= np.linalg.cond(p.matrix) <= 1e10
+        np.testing.assert_array_equal(p.inv, p.inv.T)
+        assert np.linalg.norm(p.inv @ p.matrix - np.eye(30)) <= 7.7e-7
 
 def record_kernel_calls(monkeypatch, record) -> None:
     """Call ``record(A, B, h)`` for every kernel_matrix call that library code
@@ -313,33 +324,36 @@ class TestPrior:
         assert prior(h) is p
         assert batch_geometry(h.inducing_inputs, h, ModelSpec("vfe")).prior is p
         assert h.with_vector(h.to_vector())._prior is None
-        np.testing.assert_array_equal(p.K_RR, kernel_matrix(h.inducing_inputs, h.inducing_inputs, h))
-        for a in (p.K_RR, p.chol.L, p.inv, h.log_lengthscales, h.inducing_inputs):
+        np.testing.assert_array_equal(p.matrix, kernel_matrix(h.inducing_inputs, h.inducing_inputs, h))
+        for a in (p.matrix, p.L, p.inv, h.log_lengthscales, h.inducing_inputs):
             assert not a.flags.writeable
 
     def test_inverse_factor_is_built_once_and_read_only(self, monkeypatch):
         # One L^-1 per parameter value, shared by every product with K_RR^-1
-        # (basis, adjoints, gradients, prediction); read-only because the
-        # prior is shared, and Fortran-ordered for BLAS.
+        # (basis, adjoints, gradients, prediction) and by the dense K_RR^-1;
+        # read-only because the prior is shared, and Fortran-ordered for
+        # BLAS.  Lambda's factor, for Sigma, takes one triangular inversion.
         X, y, h = make_instance(24, n=40, m=6, d=2)
         spec = ModelSpec("pep", alpha=0.5)
-        builds = []
-        dtrtri = model_module.dtrtri
-        monkeypatch.setattr(model_module, "dtrtri", lambda *a, **k: builds.append(1) or dtrtri(*a, **k))
+        inverted = []
+        dtrtri = linalg_module.dtrtri
+        monkeypatch.setattr(linalg_module, "dtrtri", lambda c: inverted.append(c) or dtrtri(c))
         batch = MiniBatch(X, y)
         st, g = init_state(h, spec), init_gradient_state(h, spec)
         st2, km = update(st, batch, h, spec)
         propagate(g, compute_adjoints(st, st2, km, h, spec), km.geometry, h, spec, batch)
         predict(st2, X[:7], h, spec)
-        assert len(builds) == 1
         p = prior(h)
-        assert p.L_inv is p.L_inv
-        assert not p.L_inv.flags.writeable and p.L_inv.flags.f_contiguous
-        np.testing.assert_allclose(p.L_inv @ p.chol.L, np.eye(6), atol=1e-12)
+        assert len(inverted) == 2 and inverted[0] is p.L and inverted[1] is not p.L
+        assert p.L_inv is p.L_inv and p.inv is p.inv
+        for a in (p.L_inv, p.inv, st2.Sigma):
+            assert not a.flags.writeable
+        assert p.L_inv.flags.f_contiguous
+        np.testing.assert_allclose(p.L_inv @ p.L, np.eye(6), atol=1e-12)
         h_same = h.with_vector(h.to_vector())  # same values, new object
         for _ in range(2):
             batch_geometry(X, h_same, spec)
-        assert len(builds) == 2
+        assert len(inverted) == 3 and inverted[2] is prior(h_same).L
 
     def test_hyperparameters_copy_their_arrays(self):
         R = np.array([[0.1], [0.6]])
@@ -358,9 +372,9 @@ class TestPrior:
         R = np.array([[0.0], [1e-9], [0.5], [0.9]])
         h = Hyperparameters(0.0, np.log([0.3]), np.log(0.1), R)
         p = prior(h)
-        assert p.chol.jitter > 0.0
+        assert p.jitter > 0.0
         K = kernel_matrix(R, R, h)
-        np.testing.assert_array_equal(p.K_RR, K + p.chol.jitter * np.eye(4))
+        np.testing.assert_array_equal(p.matrix, K + p.jitter * np.eye(4))
         for parametrization in ("standard", "transformed"):
             st = init_state(h, ModelSpec("vfe"), parametrization)
             scale = np.linalg.norm(st.Sigma, 2) * np.linalg.norm(st.Lambda, 2)
@@ -377,7 +391,7 @@ def _factor_at_the_pivot_floor(case: str, monkeypatch) -> tuple[np.ndarray, obje
     if case == "K_RR":
         R = np.array([[0.0], [5e-8], [0.5]])
         h = Hyperparameters(0.0, np.log([0.3]), np.log(0.1), R)
-        return kernel_matrix(R, R, h), prior(h).chol
+        return kernel_matrix(R, R, h), prior(h)
     module = {"Lambda": inference, "Woodbury core": batch, "K_XX": data}[case]
     seen = []
     chol = module.chol_with_jitter
