@@ -1,29 +1,27 @@
-"""The four BLAS and LAPACK routines the library calls, bound with ctypes to
-numpy's own OpenBLAS.
+"""The three BLAS and LAPACK routines the library calls, bound with ctypes
+to numpy's own OpenBLAS.
 
-``dgemm`` and ``dtrmm`` (BLAS), ``dtrtri`` and ``dtrtrs`` (LAPACK) take
-the arguments and keywords of SciPy's f2py wrappers in
-``scipy.linalg.blas``/``lapack`` that the library passes, and return what
-those return.  ``dtrtri`` forms a factor's one inverse factor L^-1 and
-``dtrmm`` applies it, for every product with the factored matrix's inverse
-and for its dense inverse (:class:`streamgp.linalg.CholFactor` says why).
-The flags that every library call passes with one value are fixed:
-``dgemm``'s ``b`` is not transposed, ``dtrmm`` and ``dtrtri`` take a lower
-triangle (``lower=1``), and ``dtrtrs`` solves with the transpose of an
-upper triangle (``lower=0, trans=1``).  Their one operand contract is
-Fortran order:
+``dgemm`` and ``dtrmm`` (BLAS) and ``dtrtri`` (LAPACK) take the arguments
+and keywords of SciPy's f2py wrappers in ``scipy.linalg.blas``/``lapack``
+that the library passes, and return what those return.  They make the
+library's one triangular path: ``dtrtri`` forms a factor's one inverse
+factor L^-1 and ``dtrmm`` applies it, for every product with the factored
+matrix's inverse and for its dense inverse
+(:class:`streamgp.linalg.CholFactor` says why).  The flags that every
+library call passes with one value are fixed: ``dgemm``'s ``b`` is not
+transposed, and ``dtrmm`` and ``dtrtri`` take a lower triangle
+(``lower=1``).  Their one operand contract is Fortran order:
 
-* an input operand (``a`` and ``b`` of ``dgemm``, ``a`` of ``dtrmm`` and
-  ``dtrtrs``) must be a 2-D Fortran-contiguous float64 array, or the call
-  raises ``ValueError``.  A caller holding a C-ordered array passes its
-  transpose with the trans flag flipped; ``dgemm`` and ``dtrmm`` have a
-  trans flag for ``a``;
+* an input operand (``a`` and ``b`` of ``dgemm``, ``a`` of ``dtrmm``) must
+  be a 2-D Fortran-contiguous float64 array, or the call raises
+  ``ValueError``.  A caller holding a C-ordered ``a`` of ``dgemm`` passes
+  its transpose with ``trans_a`` flipped;
 * ``dgemm`` writes only in place: ``c`` must be given, with
   ``overwrite_c=1``, as a writeable Fortran-contiguous float64 array, or
   the call raises ``ValueError``.  ``dtrmm`` writes ``b`` in place under
   ``overwrite_b`` on the same condition; without the flag it copies ``b``
   to a new Fortran-ordered float64 array, which is written and returned,
-  as are the ``c`` of ``dtrtri`` and the ``b`` of ``dtrtrs``.
+  as is the ``c`` of ``dtrtri``.
 
 SciPy's wrappers, the fallback below, take these calls and more.
 
@@ -52,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-NAMES = ("dgemm", "dtrmm", "dtrtri", "dtrtrs")
+NAMES = ("dgemm", "dtrmm", "dtrtri")
 SYMBOL = "scipy_{}_64_"  # with 64-bit integers
 NUM_THREADS = "scipy_openblas_get_num_threads64_"
 
@@ -126,7 +124,7 @@ class _Constants(dict):
 
 
 class Routines:
-    """The four routines bound from ``source``, with the signatures of
+    """The three routines bound from ``source``, with the signatures of
     SciPy's f2py wrappers; ``library`` is the file that defines them."""
 
     def __init__(self, source: str):
@@ -141,7 +139,7 @@ class Routines:
             fn.restype = None
             return fn
 
-        self._gemm, self._trmm, self._trtri, self._trtrs = map(bind, NAMES)
+        self._gemm, self._trmm, self._trtri = map(bind, NAMES)
         self._get_num_threads = getattr(lib, NUM_THREADS)
         self._get_num_threads.restype = ctypes.c_int
         self._int = _Constants(ctypes.c_int64)
@@ -196,21 +194,6 @@ class Routines:
         self._trtri(b"L", b"N", self._int[n], _pointer(c), self._int[n or 1], _byref(info), _LEN, _LEN)
         return c, info.value
 
-    def dtrtrs(self, a, b):
-        """(x solving a^T x = b for upper-triangular ``a``, 1-D for 1-D ``b``;
-        info)."""
-        a = _operand(a, "dtrtrs")
-        b = np.array(b, np.float64, order="F")
-        n = a.shape[0]
-        if a.shape != (n, n) or b.ndim not in (1, 2) or b.shape[0] != n:
-            raise ValueError(f"dtrtrs: shapes {a.shape} and {b.shape} do not match")
-        i, info = self._int, ctypes.c_int64(0)
-        self._trtrs(
-            b"U", b"T", b"N", i[n], i[b.shape[1] if b.ndim == 2 else 1],
-            _pointer(a), i[n or 1], _pointer(b), i[n or 1], _byref(info), _LEN, _LEN, _LEN,
-        )
-        return b, info.value
-
 
 class _DlInfo(ctypes.Structure):
     _fields_ = [
@@ -235,7 +218,7 @@ def _shared_object(fn) -> str | None:
 
 
 class SciPyRoutines:
-    """SciPy's f2py wrappers of the four routines, with the flags that
+    """SciPy's f2py wrappers of the three routines, with the flags that
     :class:`Routines` fixes, for a numpy that exports none of them;
     ``library`` is SciPy's ``_fblas`` extension file, which links SciPy's
     BLAS.  The ordinary import runs ``scipy/__init__``, which on Windows
@@ -246,7 +229,6 @@ class SciPyRoutines:
         flapack = importlib.import_module("scipy.linalg._flapack")
         self.dgemm, self.dtrmm = fblas.dgemm, partial(fblas.dtrmm, lower=1)
         self.dtrtri = partial(flapack.dtrtri, lower=1)
-        self.dtrtrs = partial(flapack.dtrtrs, lower=0, trans=1)
         self.library = str(Path(fblas.__file__).resolve())
 
     def num_threads(self) -> None:
@@ -275,5 +257,4 @@ def bind(source: str | None = None) -> Routines | SciPyRoutines:
 
 
 ROUTINES = bind()
-dgemm, dtrmm = ROUTINES.dgemm, ROUTINES.dtrmm
-dtrtri, dtrtrs = ROUTINES.dtrtri, ROUTINES.dtrtrs
+dgemm, dtrmm, dtrtri = ROUTINES.dgemm, ROUTINES.dtrmm, ROUTINES.dtrtri

@@ -5,11 +5,14 @@ way, and central finite differences.  They check the streaming recursion
 (``streamgp validate-gradients`` and the benchmark's gates); they share
 none of its code path beyond the kernel, the variant definitions and the
 prior (K_RR and its jittered factor L, see :func:`streamgp.model.prior`),
-which defines the model.  Its whitened rows L^-1 K_RX come from a
-triangular solve (:func:`~streamgp.linalg.tri_solve`, LAPACK ``dtrtrs``)
-on L, not from the factor's L^-1, which every product with K_RR^-1 in the
-recursion goes through: a fault in that shared path cannot then cancel
-out of the comparison.
+which defines the model.  Every product with K_RR^-1 in the recursion
+goes through the factor's L^-1 (``dtrtri``, applied by ``dtrmm``).  The
+reference takes its two triangular solves, the whitened rows L^-1 K_RX
+and the vector through the Woodbury core's factor, from
+``np.linalg.solve`` instead: numpy's own LAPACK ``dgesv``, which needs no
+binding and shares no code with that path, so a fault in it cannot cancel
+out of the comparison.  A general solve takes about twice as long as a
+triangular one, off every timed path.
 
 The bound goes through the M x M Woodbury route, so no N x N matrix is
 formed.  This module deliberately has no analytic gradients: the
@@ -27,7 +30,7 @@ import numpy as np
 from .errors import ContractViolationError, NumericalError
 from .inference import LOG_2PI
 from .kernel import Hyperparameters, kernel_diag, kernel_matrix, _check_inputs
-from .linalg import chol_with_jitter, tri_solve
+from .linalg import chol_with_jitter
 from .model import ModelSpec, prior, regularizer
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ def _sparse_pieces(X: np.ndarray, h: Hyperparameters, spec: ModelSpec):
     """Shared Woodbury ingredients: A = L^-1 K_RX, d, v."""
     factor = prior(h)
     K_XR = kernel_matrix(X, h.inducing_inputs, h)
-    A = tri_solve(factor.L, K_XR.T)  # (M, N)
+    A = np.linalg.solve(factor.L, K_XR.T)  # (M, N)
     d = np.maximum(kernel_diag(X, h) - np.sum(A * A, axis=0), 0.0)
     v = spec.noise_scale * d + h.noise_variance
     return factor, A, d, v
@@ -87,7 +90,7 @@ def batch_bound(
         Bmat = np.eye(A.shape[0]) + Abar @ Abar.T
         Lb = chol_with_jitter(Bmat, "Woodbury core")
         beta = y / sqrt_v
-        cvec = tri_solve(Lb.L, Abar @ beta)
+        cvec = np.linalg.solve(Lb.L, Abar @ beta)
         logdet = float(np.sum(np.log(v))) + Lb.logdet
         quad = float(beta @ beta) - float(cvec @ cvec)
         gaussian = -0.5 * (n * LOG_2PI + logdet + quad)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ContractViolationError, DataError
 from .kernel import Hyperparameters, kernel_diag, kernel_matrix
-from .linalg import chol_with_jitter, tri_solve
+from .linalg import chol_with_jitter
 
 # generate_gp_data draws exactly up to this many samples, and above it
 # through this many random inducing points.
@@ -106,10 +106,9 @@ def generate_gp_data(
         R = rng.uniform(0.0, 1.0, size=(m, d))
         K_RR = kernel_matrix(R, R, h)
         factor = chol_with_jitter(K_RR, "K_RR (sampling)")
-        u = factor.L @ rng.standard_normal(m)
-        K_XR = kernel_matrix(X, R, h)
-        half = tri_solve(factor.L, K_XR.T)  # (m, n)
-        mean = half.T @ tri_solve(factor.L, u)
+        z = rng.standard_normal(m)  # u = L z
+        half = factor.whiten(kernel_matrix(X, R, h).T)  # L^-1 K_RX, (m, n)
+        mean = half.T @ z  # K_XR K_RR^-1 u
         var = np.maximum(kernel_diag(X, h) - np.sum(half * half, axis=0), 0.0)
         f = mean + np.sqrt(var) * rng.standard_normal(n)
     y = f + h.sigma_n * rng.standard_normal(n)

@@ -58,10 +58,9 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 # Test rows per block of :func:`predict`, which bounds its working set: at
 # M = 50 a block's (rows, M) arrays take about 400 KB, and at most two are
-# alive at once, little enough for the allocator to keep between calls.  At
-# 4,096 rows the freed 1.6 MB temporaries were handed back to the system
-# after every call and faulted in anew on the next, at more cost than the
-# arithmetic.
+# alive at once.  The allocator keeps them between calls only under the
+# malloc thresholds that ``streamgp/__init__.py`` sets: under glibc's
+# defaults each is mapped anew and faulted in on every call.
 BLOCK = 1024
 
 

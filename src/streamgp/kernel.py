@@ -39,8 +39,8 @@ class Hyperparameters:
 
     Fields hold the log of the positive quantities; ``inducing_inputs`` is
     the raw (M, D) coordinate matrix.  Construction validates finiteness,
-    M >= 1, D >= 1 and that no two inducing rows are closer than
-    ``min_separation`` (strictly positive distance when it is 0).
+    M >= 1, D >= 1 and that no two inducing rows coincide (their distance
+    is strictly positive).
 
     The arrays are private read-only copies, so an instance never changes
     after construction; that is what lets :func:`streamgp.model.prior` keep
@@ -51,7 +51,6 @@ class Hyperparameters:
     log_lengthscales: np.ndarray  # (D,)
     log_sigma_n: float
     inducing_inputs: np.ndarray  # (M, D)
-    min_separation: float = field(default=0.0, compare=False)
     _prior: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -79,11 +78,9 @@ class Hyperparameters:
             diff = R[:, None, :] - R[None, :, :]
             d2 = np.sum(diff * diff, axis=-1)
             np.fill_diagonal(d2, np.inf)
-            min_d = float(np.sqrt(d2.min()))
-            if min_d <= self.min_separation:
+            if d2.min() == 0.0:
                 raise ContractViolationError(
-                    f"inducing inputs too close: min pairwise distance {min_d:g} "
-                    f"<= required separation {self.min_separation:g}"
+                    "inducing inputs too close: min pairwise distance 0 <= required separation 0"
                 )
 
     # -- derived quantities ------------------------------------------------
@@ -130,7 +127,7 @@ class Hyperparameters:
         )
 
     def with_vector(self, theta: np.ndarray) -> "Hyperparameters":
-        """Rebuild from a flat parameter vector (same M, D and separation)."""
+        """Rebuild from a flat parameter vector (same M and D)."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_params,):
             raise ContractViolationError(
@@ -173,9 +170,12 @@ class Hyperparameters:
 
 
 def _check_inputs(a: np.ndarray, h: Hyperparameters, name: str) -> np.ndarray:
+    """``a`` as an (rows, D) float array.  A 1-D array is a column of rows
+    when D = 1, as :class:`streamgp.data.Dataset` and the training entry
+    points read it, and one row otherwise."""
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
-        a = a[None, :]
+        a = a[:, None] if h.input_dim == 1 else a[None, :]
     if a.ndim != 2 or a.shape[1] != h.input_dim:
         raise ContractViolationError(
             f"{name} has shape {a.shape}, expected (*, {h.input_dim})"

@@ -4,13 +4,12 @@ Every matrix inversion in the package goes through a :class:`CholFactor`
 obtained from :func:`chol_with_jitter`, which escalates a trace-scaled
 diagonal jitter from 1e-8 up to 1e-4 before giving up, both for a matrix
 that does not factor and for one whose factor is singular to working
-precision.  The factor's one inverse factor L^-1 serves its products with
-A^-1 and its dense inverse (see :class:`CholFactor` for why).  The batch
-bound and the data generator use triangular solves instead
-(:func:`tri_solve`, LAPACK ``dtrtrs``).  The LAPACK and BLAS routines come
-from numpy's own OpenBLAS, bound by :mod:`streamgp._lapack`, so they share
-one thread pool, sized by ``OPENBLAS_NUM_THREADS``, with
-``np.linalg.cholesky``.
+precision.  The factor's one inverse factor L^-1 (LAPACK ``dtrtri``) is
+the library's one triangular path: BLAS ``dtrmm`` with it takes every
+product with A^-1 and forms the dense inverse (see :class:`CholFactor` for
+why).  Both routines come from numpy's own OpenBLAS, bound by
+:mod:`streamgp._lapack`, so they share one thread pool, sized by
+``OPENBLAS_NUM_THREADS``, with ``np.linalg.cholesky``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._lapack import dtrmm, dtrtri, dtrtrs
+from ._lapack import dtrmm, dtrtri
 from .errors import IllConditionedError
 
 # Escalation ladder for the diagonal jitter, as multiples of mean(diag).
@@ -131,18 +130,3 @@ def chol_with_jitter(a: np.ndarray, name: str = "matrix") -> CholFactor:
             raise IllConditionedError(name, f"jitter escalated past {JITTER_MAX:g} * mean(diag)")
         jitter = factor * scale
         factor *= 10.0
-
-
-def tri_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L x = b for a C-ordered lower-triangular L, as
-    ``np.linalg.cholesky`` returns it, with LAPACK ``dtrtrs``: L goes in as
-    the upper-triangular Fortran array L^T, solved transposed, as
-    ``scipy.linalg.solve_triangular(L, b, lower=True)`` calls it.  numpy's
-    binding refuses a Fortran-ordered L (``ValueError`` naming ``dtrtrs``)."""
-    L, b = np.asarray(L), np.asarray(b)
-    if b.size == 0:
-        return np.empty_like(b, dtype=float)
-    x, info = dtrtrs(L.T, b)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
-    return x

@@ -11,6 +11,9 @@ from streamgp import (
     batch_bound,
     fd_gradient,
 )
+from streamgp import linalg as linalg_module
+from streamgp.linalg import CholFactor
+from streamgp.model import prior
 
 from conftest import (
     batch_sparse_posterior,
@@ -116,6 +119,38 @@ class TestBatchBound:
         rep = batch_bound(X, y, h, ModelSpec("vfe"), with_gradient=True)
         assert rep.gradient is not None and rep.gradient.shape == (h.n_params,)
         assert batch_bound(X, y, h, ModelSpec("vfe"), with_gradient=False).gradient is None
+
+    def test_reference_stays_off_the_inverse_factor_path(self, monkeypatch):
+        """The recursion takes every product with K_RR^-1 through the
+        factor's L^-1 (``dtrtri``, applied by ``dtrmm``).  With that path
+        broken the reference gives the same value and gradient, so a fault
+        in it cannot cancel out of a comparison of the two."""
+        X, y, h = make_instance(9, n=30, m=4, d=2)
+        spec = ModelSpec("pep", alpha=0.5)
+        want = batch_bound(X, y, h, spec)
+
+        def broken(*args):
+            raise AssertionError("the batch reference used the inverse factor path")
+
+        monkeypatch.setattr(linalg_module, "dtrmm", broken)
+        monkeypatch.setattr(CholFactor, "L_inv", property(broken))
+        with pytest.raises(AssertionError, match="inverse factor path"):
+            prior(h.with_vector(h.to_vector())).whiten(np.eye(4))
+        got = batch_bound(X, y, h.with_vector(h.to_vector()), spec)
+        assert got.value == want.value
+        assert got.gradient.tobytes() == want.gradient.tobytes()
+
+    def test_one_dimensional_inputs_are_a_column_at_d_1(self):
+        """At D = 1 a 1-D X is N rows, as ``Dataset`` and ``srgp_fit`` read
+        it; at D > 1 it is one row."""
+        X, y, h = make_instance(10, n=25, m=4)
+        spec = ModelSpec("fitc")
+        column, flat = batch_bound(X, y, h, spec), batch_bound(X[:, 0], y, h, spec)
+        assert flat.value == column.value
+        assert flat.gradient.tobytes() == column.gradient.tobytes()
+        X, y, h = make_instance(11, n=5, m=3, d=2)
+        row = batch_bound(X[:1], y[:1], h, spec, with_gradient=False)
+        assert batch_bound(X[0], y[:1], h, spec, with_gradient=False).value == row.value
 
 
 class TestFdGradient:

@@ -1,6 +1,6 @@
 """Checkpoint archives: exact round trips, format 1, and refused archives."""
 
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -36,7 +36,6 @@ class TestRoundTrip:
     @pytest.mark.parametrize("with_standardize", [True, False], ids=["std", "no-std"])
     def test_every_field_bitwise(self, tmp_path, parametrization, with_adam, with_standardize):
         X, y, h = make_instance(4, n=30, d=2, m=5)
-        h = replace(h, min_separation=1e-3)
         spec = ModelSpec("pep", alpha=0.3)
         state, _ = update(init_state(h, spec, parametrization), MiniBatch(X, y), h, spec)
         rng = np.random.default_rng(9)
@@ -116,6 +115,31 @@ class TestFormat1:
         assert set(a) == set(b)
         for key in sorted(set(a) - {"train/trace_tail"}):  # the tail holds wall times
             assert a[key].tobytes() == b[key].tobytes(), key
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_archive_with_a_min_separation_member_loads(gp_file, tmp_path, version):
+    """Archives written while ``Hyperparameters`` had a ``min_separation``
+    field hold the member ``hyper/min_separation`` (always 0 from the CLI).
+    The reader takes only the class's fields, so it loads them as if the
+    member were absent."""
+    path = tmp_path / "m.npz"
+    assert train(gp_file, path, "--epochs", "1") == 0
+    members = read_members(path)
+    assert "hyper/min_separation" not in members
+    if version == 1:
+        as_format_1(members)
+    write_members(path, members)
+    plain = load_checkpoint(str(path))
+    members["hyper/min_separation"] = np.asarray(0.0)
+    write_members(path, members)
+    loaded = load_checkpoint(str(path))
+    assert loaded.version == version
+    for section in ("hyper", "state", "adam"):
+        for f in fields(getattr(plain, section)):
+            if f.init:
+                want, got = getattr(getattr(plain, section), f.name), getattr(getattr(loaded, section), f.name)
+                assert_bitwise(got, want, f"{section}.{f.name}")
 
 
 def _drop(key):

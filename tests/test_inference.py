@@ -373,6 +373,23 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
         assert a.mean.tobytes() == b.mean.tobytes()
         assert a.variance.tobytes() == b.variance.tobytes()
 
+    def test_one_dimensional_inputs_are_a_column_at_d_1(self):
+        """At D = 1 a 1-D X_star is A rows, as training reads a 1-D X; at
+        D > 1 it is one row."""
+        X, y, h = make_instance(12, n=40, m=5)
+        spec = ModelSpec("vfe")
+        st = run_stream(X[:, 0], y, h, spec, batch_size=10)
+        x_star = np.linspace(0.0, 1.0, 7)
+        flat, column = predict(st, x_star, h, spec), predict(st, x_star[:, None], h, spec)
+        assert flat.mean.shape == (7,)
+        assert flat.mean.tobytes() == column.mean.tobytes()
+        assert flat.variance.tobytes() == column.variance.tobytes()
+        X, y, h = make_instance(13, n=20, d=3, m=4)
+        st = run_stream(X, y, h, spec, batch_size=10)
+        flat, row = predict(st, X[0], h, spec), predict(st, X[:1], h, spec)
+        assert flat.mean.tobytes() == row.mean.tobytes()
+        assert flat.variance.tobytes() == row.variance.tobytes()
+
 
 class TestFullGPRecovery:
     def test_vfe_with_all_inputs_as_inducing(self):

@@ -216,7 +216,8 @@ class TestHyperparameters:
         assert h.param_class(h.n_params - 1) == ("inducing", 2, 1)
 
     def test_rejects_duplicate_inducing_rows(self):
-        with pytest.raises(ContractViolationError):
+        message = "inducing inputs too close: min pairwise distance 0 <= required separation 0"
+        with pytest.raises(ContractViolationError, match=message):
             Hyperparameters(
                 log_sigma0=0.0,
                 log_lengthscales=np.zeros(1),
@@ -224,11 +225,13 @@ class TestHyperparameters:
                 inducing_inputs=np.array([[0.3], [0.3]]),
             )
 
-    def test_minimum_separation_is_configurable(self):
-        R = np.array([[0.0], [0.05]])
-        with pytest.raises(ContractViolationError):
+    def test_any_positive_separation_is_accepted(self):
+        """Inducing rows need only be a strictly positive distance apart,
+        however close; the separation is not a parameter."""
+        R = np.array([[0.0], [1e-12]])
+        assert Hyperparameters(0.0, np.zeros(1), 0.0, R).num_inducing == 2
+        with pytest.raises(TypeError, match="min_separation"):
             Hyperparameters(0.0, np.zeros(1), 0.0, R, min_separation=0.1)
-        Hyperparameters(0.0, np.zeros(1), 0.0, R, min_separation=0.01)
 
     def test_rejects_non_finite(self):
         with pytest.raises(DataError):

@@ -1,14 +1,15 @@
-"""``streamgp._lapack`` and ``tri_solve`` against SciPy's public wrappers.
+"""``streamgp._lapack`` against SciPy's public wrappers.
 
 The library's BLAS and LAPACK routines are ctypes bindings to the OpenBLAS
 that numpy links.  Each call the library makes, on the Fortran-ordered
 operands it passes, must give bit for bit what the same call through
 ``scipy.linalg`` gives; any other operand is refused.  The binding must
 come from numpy's library, fall back to SciPy's f2py wrappers, or fail at
-import.
+import, and it binds only routines that the library calls.
 """
 
 import _ctypes
+import ast
 import ctypes
 import sys
 import threading
@@ -17,11 +18,10 @@ from pathlib import Path
 import numpy as np
 from numpy._core import _multiarray_umath
 import pytest
-import scipy.linalg
+import scipy
 from scipy.linalg import blas, lapack
 
 from streamgp import _lapack
-from streamgp.linalg import tri_solve
 
 
 def lower_factor(m: int, seed: int = 0) -> np.ndarray:
@@ -48,7 +48,7 @@ def address(fn) -> int:
 def test_each_routine_resolves_in_numpys_library():
     numpy_lib = ctypes.CDLL(_multiarray_umath.__file__)
     bound = _lapack.ROUTINES
-    routines = (bound._gemm, bound._trmm, bound._trtri, bound._trtrs)
+    routines = (bound._gemm, bound._trmm, bound._trtri)
     for name, fn in zip(_lapack.NAMES, routines):
         assert address(fn) == address(getattr(numpy_lib, f"scipy_{name}_64_")), name
     assert _lapack._shared_object(numpy_lib.scipy_dgemm_64_) == bound.library
@@ -65,22 +65,22 @@ def test_scipy_wrappers_bind_when_numpys_names_are_hidden():
     routines = _lapack.bind(NO_ROUTINES)
     assert isinstance(routines, _lapack.SciPyRoutines)
     assert routines.dgemm is blas.dgemm and routines.dtrmm.func is blas.dtrmm
-    for name in ("dtrtri", "dtrtrs"):
-        assert getattr(routines, name).func is getattr(lapack, name), name
-    fixed = {name: getattr(routines, name).keywords for name in ("dtrmm", "dtrtri", "dtrtrs")}
-    assert fixed == {"dtrmm": {"lower": 1}, "dtrtri": {"lower": 1}, "dtrtrs": {"lower": 0, "trans": 1}}
+    assert routines.dtrtri.func is lapack.dtrtri
+    assert {name: getattr(routines, name).keywords for name in ("dtrmm", "dtrtri")} == {
+        "dtrmm": {"lower": 1}, "dtrtri": {"lower": 1}
+    }
+    assert not hasattr(routines, "dtrtrs") and not hasattr(_lapack, "dtrtrs")
     L = lower_factor(6)
     L_f, b = np.asfortranarray(L), np.random.default_rng(5).standard_normal((6, 3))
     assert_bitwise(_lapack.dtrmm(1.0, L_f, b, trans_a=1), routines.dtrmm(1.0, L_f, b, trans_a=1))
-    for name, args in (("dtrtri", (L,)), ("dtrtrs", (L.T, b))):
-        assert_bitwise(getattr(_lapack, name)(*args)[0], getattr(routines, name)(*args)[0])
+    assert_bitwise(_lapack.dtrtri(L)[0], routines.dtrtri(L)[0])
     assert routines.library.startswith(str(Path(scipy.__file__).parent))
     assert routines.num_threads() is None
 
 
 def test_no_library_and_no_scipy_raises_import_error(monkeypatch, tmp_path):
     monkeypatch.setitem(sys.modules, "scipy.linalg._fblas", None)
-    with pytest.raises(ImportError, match="dgemm, dtrmm, dtrtri, dtrtrs"):
+    with pytest.raises(ImportError, match="dtrtri; searched"):
         _lapack.bind(NO_ROUTINES)
     nowhere = str(tmp_path / "no-such-library.so")
     with pytest.raises(ImportError, match="no-such-library.*scipy.linalg._fblas"):
@@ -160,22 +160,16 @@ def test_dgemm_writes_only_in_place():
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_triangular_operand_of_either_order(order):
-    """``dtrmm`` takes the lower factor L and ``dtrtrs`` its transpose L^T,
-    each as a Fortran-ordered array.  A C-ordered L is refused by ``dtrmm``;
-    its transpose goes into ``dtrtrs`` as it is, as ``tri_solve`` passes it.
-    The transpose of a Fortran-ordered L is C-ordered and refused by
-    ``dtrtrs``."""
+    """``dtrmm`` takes the lower factor L as a Fortran-ordered array only,
+    as ``dtrtri`` returns L^-1: a C-ordered L, and the C-ordered transpose
+    of a Fortran-ordered one, are refused."""
     L = np.asarray(lower_factor(7), order=order)
     b = np.random.default_rng(7).standard_normal((7, 3))
-    refused = (lambda: _lapack.dtrmm(1.0, L, b)) if order == "C" else (lambda: _lapack.dtrtrs(L.T, b))
     with pytest.raises(ValueError, match="Fortran-contiguous"):
-        refused()
-    L_f, LT_f = np.asfortranarray(L), np.asfortranarray(L.T)
+        _lapack.dtrmm(1.0, L if order == "C" else L.T, b)
+    L_f = np.asfortranarray(L)
     np.testing.assert_allclose(_lapack.dtrmm(1.0, L_f, b), L @ b, rtol=1e-13, atol=1e-13)
     np.testing.assert_allclose(_lapack.dtrmm(1.0, L_f, b, trans_a=1), L.T @ b, rtol=1e-13, atol=1e-13)
-    x, info = _lapack.dtrtrs(L.T if order == "C" else LT_f, b)
-    assert info == 0
-    np.testing.assert_allclose(L @ x, b, rtol=1e-12, atol=1e-12)
 
 
 def _refused_calls():
@@ -275,32 +269,22 @@ def test_dgemm_from_several_threads_at_once():
     assert not mismatches
 
 
-@pytest.mark.parametrize("order", ["C", "F"])  # the layout of a 2-D b
-@pytest.mark.parametrize("b_shape", [(6,), (6, 3), (6, 0), (0,)])
-def test_tri_solve_matches_solve_triangular(order, b_shape):
-    L = lower_factor(6 if b_shape[0] else 0)
-    b = np.asarray(np.random.default_rng(3).standard_normal(b_shape), order=order)
-    expected = scipy.linalg.solve_triangular(L, b, lower=True, check_finite=False)
-    assert_bitwise(tri_solve(L, b), expected)
+def _calls_by_module(package: Path) -> dict[str, set[str]]:
+    """For each function or method name, the modules of ``package`` that
+    call it, read from their syntax trees."""
+    callers: dict[str, set[str]] = {}
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                callers.setdefault(name, set()).add(path.stem)
+    return callers
 
 
-def test_tri_solve_of_transposed_view_matches_solve_triangular():
-    L = lower_factor(5)
-    b = np.random.default_rng(4).standard_normal((3, 5)).T  # a view, as K_XR.T is
-    assert_bitwise(tri_solve(L, b), scipy.linalg.solve_triangular(L, b, lower=True))
-
-
-@pytest.mark.parametrize("order", ["C", "F"])  # the layout of b
-def test_tri_solve_zero_pivot_raises(order):
-    L = lower_factor(4)
-    L[2, 2] = 0.0
-    with pytest.raises(np.linalg.LinAlgError, match="diagonal 2"):
-        tri_solve(L, np.ones((4, 2), order=order))
-
-
-def test_tri_solve_refuses_a_fortran_ordered_factor():
-    """Its callers pass the C-ordered factor ``np.linalg.cholesky`` returns;
-    numpy's binding refuses the Fortran-ordered one."""
-    L = np.asfortranarray(lower_factor(4))
-    with pytest.raises(ValueError, match="dtrtrs: operands must be 2-D Fortran-contiguous"):
-        tri_solve(L, np.ones(4))
+def test_every_bound_routine_has_a_library_caller():
+    """A routine that no module but ``_lapack`` calls is dead binding code,
+    and is unbound rather than carried."""
+    callers = _calls_by_module(Path(_lapack.__file__).parent)
+    unused = [name for name in _lapack.NAMES if not callers.get(name, set()) - {"_lapack"}]
+    assert not unused, f"bound but called from no library module: {unused}"
