@@ -94,13 +94,13 @@ __all__ = [
     "update",
 ]
 
-# predict and a training step allocate temporaries of 0.1-5 MB per call.
-# glibc maps each block above its mmap threshold (128 KiB until a larger
-# mapped block is freed) anew and returns heap tops above its trim
-# threshold, so every call would fault in their pages again (653 minor
-# faults per predict of 3,999 rows at M = 50).  Where the C library has
-# mallopt, both are fixed at the ceiling of glibc's dynamic mmap threshold
-# (32 MiB) and twice that instead.
+# A training step allocates temporaries of 0.1-5 MB per call.  glibc maps
+# each block above its mmap threshold (128 KiB until a larger mapped block
+# is freed) anew and returns heap tops above its trim threshold, so every
+# step would fault in their pages again (444 minor faults per step at
+# D = 5, M = 50, B = 256).  Where the C library has mallopt, both are fixed
+# at the ceiling of glibc's dynamic mmap threshold (32 MiB) and twice that
+# instead.
 try:
     _mallopt = ctypes.CDLL(None).mallopt
 except (AttributeError, OSError, TypeError):

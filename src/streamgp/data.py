@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError, DataError
-from .kernel import Hyperparameters, kernel_diag, kernel_matrix
+from .kernel import Hyperparameters, as_rows, kernel_diag, kernel_matrix
 from .linalg import chol_with_jitter
 
 # generate_gp_data draws exactly up to this many samples, and above it
@@ -26,10 +26,8 @@ class Dataset:
     provenance: str = ""
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
         y = np.asarray(self.y, dtype=float).ravel()
+        X = as_rows(self.X, y.size == 1)
         if X.shape[0] != y.size or y.size < 1:
             raise DataError(f"dataset shapes disagree or empty: X {X.shape}, y {y.shape}")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):

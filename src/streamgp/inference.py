@@ -17,10 +17,11 @@ Predictions and the accumulated lower bound are identical in both.
 
 Predictions are per-row marginals only: each test row's mean H_* mu_k and
 variance H_* Sigma_k H_*^T + [V_*]_ii.  They are taken through the whitened
-rows A_* = K_*R L^-T of :func:`~streamgp.model.whiten_rows` (K_RR = L L^T),
-as H_* = A_* W for a fixed M x M matrix W of the parametrization, so the
-basis itself is never formed (see :func:`predict`).  Rows go in blocks of
-``BLOCK``, so memory is O(BLOCK * M) however many rows are predicted.
+rows A_* = K_*R L^-T (K_RR = L L^T), as H_* = A_* W for a fixed M x M
+matrix W of the parametrization, so the basis itself is never formed, and
+each row costs two triangular products (see :func:`predict`).  Rows go in
+blocks of ``BLOCK``, so memory is O(BLOCK * M) however many rows are
+predicted.
 
 Updates are functional (they return a fresh state), so a posterior is
 safe to hand between threads as long as a single stream of updates owns
@@ -48,19 +49,23 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolationError, DataError, IllConditionedError, NumericalError
-from .kernel import Hyperparameters, _check_inputs
+from ._lapack import dtrmm
+from .kernel import Hyperparameters, _check_inputs, as_rows, kernel_matrix
 from .linalg import chol_with_jitter, symmetrize
-from .model import BatchGeometry, ModelSpec, batch_geometry, prior, regularizer, whiten_rows
+from .model import BatchGeometry, ModelSpec, batch_geometry, prior, regularizer, schur_diagonal
 
 PARAM_STANDARD = "standard"
 PARAM_TRANSFORMED = "transformed"
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 # Test rows per block of :func:`predict`, which bounds its working set: at
-# M = 50 a block's (rows, M) arrays take about 400 KB, and at most two are
-# alive at once.  The allocator keeps them between calls only under the
-# malloc thresholds that ``streamgp/__init__.py`` sets: under glibc's
-# defaults each is mapped anew and faulted in on every call.
+# M = 50 a block's one (M, rows) array takes about 400 KB, and both
+# triangular products run in place in it.  One such array stays below
+# glibc's dynamic trim threshold (twice the largest block freed), so the
+# allocator keeps it between calls even without the thresholds that
+# ``streamgp/__init__.py`` sets.  With a second one alive the freed heap
+# top passes that threshold, and both are returned to the system and
+# faulted in again on every call (661 faults per 3,999 rows).
 BLOCK = 1024
 
 
@@ -72,10 +77,8 @@ class MiniBatch:
     y: np.ndarray  # (B,)
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
         y = np.asarray(self.y, dtype=float).ravel()
+        X = as_rows(self.X, y.size == 1)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         if X.shape[0] != y.size or X.shape[0] < 1:
@@ -256,31 +259,40 @@ def predict(
     the standard parametrization (H_* = K_*R K_RR^-1) and W = L^T for the
     transformed one (H_* = K_*R).  So once per call
 
-        m = W mu_k,    C = W Sigma_k W^T,
+        m = W mu_k,    C = W Sigma_k W^T = G G^T,
 
-    and per block of rows, after the one triangular product that forms
-    A_*^T (:func:`~streamgp.model.whiten_rows`, which also gives d_*),
+    C being the whitened posterior covariance (eigenvalues in (0, 1]) and G
+    its lower Cholesky factor.  Per block of rows, two triangular products
+    run in place in the buffer of K_*R^T: A_*^T = L^-1 K_R*, which gives
+    d_* (:func:`~streamgp.model.schur_diagonal`) and
 
-        mean = A_* m,    variance = rowsum((A_* C) * A_*) [+ d_*],
+        mean = A_* m,
 
-    one GEMM and one GEMV.  Rows are taken ``BLOCK`` at a time, so memory is
-    O(BLOCK * M).
+    and then G^T A_*^T, whose squared columns sum to the quadratic form
+
+        variance = colsum((G^T A_*^T)^2) [+ d_*],
+
+    a sum of squares, so never negative.  That is 2 M^2 flops a row for
+    the two, and one (M, rows) array alive per block.  Rows are taken
+    ``BLOCK`` at a time, so memory is O(BLOCK * M).
     """
     X_star = _check_inputs(X_star, h, "X_star")
     p = prior(h)
     W = p.L.T if state.parametrization == PARAM_TRANSFORMED else p.L_inv
     m = W @ state.mu
     C = W @ state.Sigma @ W.T
+    G = np.asfortranarray(chol_with_jitter(C, "whitened posterior covariance").L)
     mean = np.empty(X_star.shape[0])
     variance = np.empty(X_star.shape[0])
     for lo in range(0, X_star.shape[0], BLOCK):
-        _, K, A_T, d = whiten_rows(X_star[lo : lo + BLOCK], h)
-        A = A_T.T  # (rows, M), C-ordered
-        mean[lo : lo + BLOCK] = A @ m
-        # A C goes into the buffer of K_*R, which is not needed again.
-        var = np.einsum("ij,ij->i", np.matmul(A, C, out=K), A)
+        rows = X_star[lo : lo + BLOCK]
+        A_T = dtrmm(1.0, p.L_inv, kernel_matrix(rows, h.inducing_inputs, h).T, overwrite_b=1)
+        d = schur_diagonal(rows, A_T, h)
+        mean[lo : lo + BLOCK] = A_T.T @ m
+        dtrmm(1.0, G, A_T, trans_a=1, overwrite_b=1)
+        var = np.einsum("ij,ij->j", A_T, A_T)
         variance[lo : lo + BLOCK] = var if spec.variant == "sor" else var + d
-        del K, A_T, A  # before the next block allocates its own
+        del A_T  # before the next block allocates its own
     if with_noise:
         variance += h.noise_variance
     return PredictiveDistribution(mean=mean, variance=variance, includes_observation_noise=with_noise)

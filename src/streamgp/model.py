@@ -21,7 +21,7 @@ VFE       0            d_*         sum_i d_i / sigma_n^2
 PEP       alpha * d    d_*         (1-alpha)/alpha * sum_i [log v_i - log sigma_n^2]
 
 with d = diag(K_XX - Q_XX) >= 0 and v = diag(Vbar) + sigma_n^2; d_* is the
-same diagonal at the test inputs, which :func:`whiten_rows` computes for
+same diagonal at the test inputs, which :func:`schur_diagonal` computes for
 training and test rows alike.  PEP interpolates between VFE (alpha -> 0)
 and FITC (alpha = 1).
 
@@ -89,20 +89,12 @@ def prior(h: Hyperparameters) -> CholFactor:
     return h._prior
 
 
-def whiten_rows(X: np.ndarray, h: Hyperparameters) -> tuple[np.ndarray, ...]:
-    """The whitening step shared by training and prediction: for rows ``X``,
-    ``(X, K_XR, A_T, d)``.
-
-    A_T = L^-1 K_RX (M, B), Fortran-ordered, is one triangular product on
-    the prior factor K_RR = L L^T, and Q_XX = A A^T.  So the Schur diagonal
-    d = diag(K_XX - Q_XX) = k - colsum(A_T * A_T) needs no B x B matrix
-    and no second triangular product; it is clamped at 0 against round-off.
-    """
-    X = _check_inputs(X, h, "X")
-    K_XR = kernel_matrix(X, h.inducing_inputs, h)
-    A_T = prior(h).whiten(K_XR.T)
-    d = np.maximum(kernel_diag(X, h) - np.einsum("ij,ij->j", A_T, A_T), 0.0)
-    return X, K_XR, A_T, d
+def schur_diagonal(X: np.ndarray, A_T: np.ndarray, h: Hyperparameters) -> np.ndarray:
+    """d = diag(K_XX - Q_XX) for rows ``X`` from their whitened rows
+    A_T = L^-1 K_RX (M, B): as Q_XX = A A^T, d = k - colsum(A_T * A_T),
+    with no B x B matrix, clamped at 0 against round-off.  Training
+    (:func:`batch_geometry`) and prediction take d through this one step."""
+    return np.maximum(kernel_diag(X, h) - np.einsum("ij,ij->j", A_T, A_T), 0.0)
 
 
 @dataclass
@@ -147,13 +139,19 @@ def batch_geometry(
 ) -> BatchGeometry:
     """Assemble all per-batch quantities on the shared prior factor.
 
-    Built on :func:`whiten_rows`; the standard basis is then
+    The whitened rows A_T = L^-1 K_RX (M, B), Fortran-ordered, are one
+    triangular product on the prior factor K_RR = L L^T, taken into a copy
+    because the gradient recursion keeps K_XR.  They give d
+    (:func:`schur_diagonal`), and the standard basis is then
     H = (L^-T A_T)^T = K_XR K_RR^-1, the same two triangular products as
     :meth:`~streamgp.linalg.CholFactor.solve`.  diag(V) = c d + sigma_n^2 with
     c = ``spec.noise_scale``.
     """
-    X, K_XR, A_T, d = whiten_rows(X, h)
+    X = _check_inputs(X, h, "X")
     p = prior(h)
+    K_XR = kernel_matrix(X, h.inducing_inputs, h)
+    A_T = p.whiten(K_XR.T)
+    d = schur_diagonal(X, A_T, h)
     return BatchGeometry(
         H=K_XR if transformed else p.solve_whitened(A_T).T,
         d=d,

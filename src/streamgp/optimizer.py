@@ -28,7 +28,7 @@ from .inference import (
     split_into_batches,
     update,
 )
-from .kernel import Hyperparameters
+from .kernel import Hyperparameters, _check_inputs, as_rows
 from .model import ModelSpec
 
 GRADIENT_MODES = ("full", "ignore_history")
@@ -132,9 +132,7 @@ class FitResult:
 
 def init_inducing_subset(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     """Random subset of training inputs used to seed the inducing inputs."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = as_rows(X, False)
     if m > X.shape[0]:
         raise ContractViolationError(f"cannot pick {m} inducing inputs from {X.shape[0]} rows")
     idx = rng.permutation(X.shape[0])[:m]
@@ -154,9 +152,7 @@ def srgp_fit(
     Returns the final hyper-parameters, a clean posterior from one extra
     gradient-free pass at those parameters, and the full step trace.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = _check_inputs(X, theta0, "X")
     y = np.asarray(y, dtype=float).ravel()
     n = y.size
     if n < 1:
@@ -247,9 +243,7 @@ def fixed_theta_pass(
 ) -> PosteriorState:
     """One gradient-free pass over the data in natural order (standard
     parametrization)."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = _check_inputs(X, h, "X")
     y = np.asarray(y, dtype=float).ravel()
     state = init_state(h, spec)
     for idx in split_into_batches(y.size, batch_size):

@@ -19,6 +19,7 @@ from streamgp import (
     ModelSpec,
     PredictiveDistribution,
 )
+from streamgp._lapack import dgemm
 from streamgp.batch import _check_xy, _sparse_pieces
 from streamgp.gradients import GradientState
 from streamgp.kernel import (
@@ -280,6 +281,23 @@ def dense_predictive(
         T = kernel_matrix(X_star, X_star, h)
     cov = T - Q_sX @ np.linalg.solve(mid, Q_sX.T)
     return mean, 0.5 * (cov + cov.T)
+
+
+def kernel_matrix_outer_sum(A: np.ndarray, B: np.ndarray, h: Hyperparameters) -> np.ndarray:
+    """k(A, B) as numpy's outer sum of the halved row sums followed by the
+    cross-term GEMM: the sequence ``kernel_matrix`` states its bits against,
+    with the outer sum taken by ``np.add.outer`` instead of BLAS."""
+    A, B = _check_inputs(A, h, "A"), _check_inputs(B, h, "B")
+    inv_l = 1.0 / h.lengthscales
+    a, b = np.multiply(A, inv_l, order="F"), np.multiply(B, inv_l, order="F")
+    K = np.add.outer(-0.5 * np.sum(a * a, axis=1), -0.5 * np.sum(b * b, axis=1))
+    if K.size:
+        a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+        dgemm(1.0, b.T, a.T, beta=1.0, c=K.T, trans_a=1, overwrite_c=1)
+    np.minimum(K, 0.0, out=K)
+    np.exp(K, out=K)
+    K *= h.sigma0 ** 2
+    return K
 
 
 def se_ard(x: np.ndarray, x_other: np.ndarray, h: Hyperparameters) -> float:

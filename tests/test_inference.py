@@ -15,19 +15,22 @@ from streamgp import (
     Hyperparameters,
     MiniBatch,
     ModelSpec,
+    TrainConfig,
     batch_bound,
+    fixed_theta_pass,
     init_state,
     load_dataset,
     predict,
     save_dataset,
     split_into_batches,
+    srgp_fit,
     update,
 )
 from streamgp import inference
 from streamgp import linalg as linalg_module
 from streamgp.inference import PARAM_STANDARD, PARAM_TRANSFORMED
 from streamgp.kernel import kernel_matrix
-from streamgp.linalg import CholFactor
+from streamgp.linalg import CholFactor, chol_with_jitter
 from streamgp.model import batch_geometry, prior
 
 from conftest import (
@@ -292,24 +295,101 @@ class TestPredict:
             assert np.all(np.abs(latent - quad) <= bound)
 
     def test_never_solves_with_the_prior(self, monkeypatch):
-        # Prediction goes through the whitened rows L^-1 K_RX alone: no
-        # product with K_RR^-1 and no basis H_*.
+        # Each block of rows costs two triangular products, both in place in
+        # the kernel block's buffer: L^-1 on K_R* and then G^T, with G the
+        # Cholesky factor of the whitened posterior covariance C.  There is
+        # no product with K_RR^-1 (no solve, no L^-T), no basis H_*, and no
+        # M x M matrix product against the block: numpy operations on the
+        # block are recorded through an ndarray subclass, and the library's
+        # BLAS bindings refuse that subclass outright.
         X, y, h = make_instance(6, n=60, m=8, d=2)
         spec = ModelSpec("vfe")
-        states = [run_stream(X, y, h, spec, 20, par) for par in (PARAM_STANDARD, PARAM_TRANSFORMED)]
-        calls = []
-        solve, dtrmm = CholFactor.solve, linalg_module.dtrmm
-        monkeypatch.setattr(CholFactor, "solve", lambda self, b: calls.append("solve") or solve(self, b))
-        monkeypatch.setattr(
-            linalg_module,
-            "dtrmm",
-            lambda *a, **k: (k.get("trans_a") and calls.append("L^-T")) or dtrmm(*a, **k),
-        )
-        for st in states:
-            predict(st, X[:25], h, spec, with_noise=True)
-        assert calls == []
+        p, M = prior(h), h.num_inducing
+        monkeypatch.setattr(inference, "BLOCK", 10)  # 25 rows: blocks of 10, 10 and 5
+        calls, blocks = [], []
+
+        class Block(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                calls.append((ufunc.__name__, [getattr(x, "shape", None) for x in inputs]))
+                inputs = [x.view(np.ndarray) if isinstance(x, Block) else x for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+            def __array_function__(self, func, types, args, kwargs):
+                calls.append((func.__name__, [getattr(x, "shape", None) for x in args]))
+                args = [x.view(np.ndarray) if isinstance(x, Block) else x for x in args]
+                return func(*args, **kwargs)
+
+        kernel = inference.kernel_matrix
+
+        def recorded_kernel(A, B, h):
+            blocks.append(kernel(A, B, h))
+            return blocks[-1].view(Block)
+
+        def recorded_dtrmm(trmm):
+            def call(alpha, a, b, overwrite_b=0, trans_a=0):
+                plain = b.view(np.ndarray) if isinstance(b, Block) else b
+                on = [k for k, blk in enumerate(blocks) if np.shares_memory(plain, blk)]
+                calls.append(("dtrmm", a, trans_a, on, overwrite_b))
+                out = trmm(alpha, a, plain, overwrite_b, trans_a)
+                return b if isinstance(b, Block) else out
+
+            return call
+
+        solve = CholFactor.solve
+        monkeypatch.setattr(CholFactor, "solve", lambda self, b: calls.append(("solve",)) or solve(self, b))
+        monkeypatch.setattr(inference, "kernel_matrix", recorded_kernel)
+        monkeypatch.setattr(inference, "dtrmm", recorded_dtrmm(inference.dtrmm))
+        monkeypatch.setattr(linalg_module, "dtrmm", recorded_dtrmm(linalg_module.dtrmm))
+        for par in (PARAM_STANDARD, PARAM_TRANSFORMED):
+            st = run_stream(X, y, h, spec, 20, par)
+            W = p.L.T if par == PARAM_TRANSFORMED else p.L_inv
+            C = W @ st.Sigma @ W.T
+            calls.clear()
+            blocks.clear()
+            pred = predict(st, X[:25], h, spec, with_noise=True)
+            assert len(blocks) == 3
+            trmm = [c for c in calls if c[0] == "dtrmm"]
+            assert [(c[2], c[3], c[4]) for c in trmm] == [(t, [k], 1) for k in range(3) for t in (0, 1)]
+            for k in range(3):
+                whiten, quad = trmm[2 * k][1], trmm[2 * k + 1][1]
+                assert whiten is p.L_inv
+                assert np.array_equal(quad, np.tril(quad)) and quad.shape == (M, M)
+                np.testing.assert_allclose(quad @ quad.T, C, rtol=0, atol=1e-12 * np.abs(C).max())
+            products = [c for c in calls if c[0] in ("matmul", "dot", "einsum", "tensordot", "inner")]
+            assert all((M, M) not in shapes for _, shapes in products), products
+            assert [shapes for name, shapes in products if name == "matmul"] == [
+                [(10, M), (M,)], [(10, M), (M,)], [(5, M), (M,)]
+            ]
+            assert ("solve",) not in calls
+            assert np.all(pred.variance > h.noise_variance)
+        calls.clear()
         basis(X[:25], h)  # the patches are live
-        assert calls == ["solve", "L^-T"]
+        assert [c[0] for c in calls] == ["solve", "dtrmm", "dtrmm"]
+        assert [(c[1] is p.L_inv, c[2]) for c in calls[1:]] == [(True, 0), (True, 1)]  # L^-1, L^-T
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ModelSpec("sor"), ModelSpec("dtc"), ModelSpec("fitc"), ModelSpec("vfe"), ModelSpec("pep", alpha=0.5)],
+        ids=lambda s: s.variant,
+    )
+    def test_tight_posterior_gives_nonnegative_variances(self, spec):
+        # Small noise and many rows leave the whitened posterior covariance
+        # C = W Sigma W^T with an eigenvalue far below 1e-6.  The quadratic
+        # form is a sum of squares through C's factor, so the latent (SoR)
+        # variance is never negative, also at training inputs where it is
+        # smallest, and every variant still matches its dense form.
+        X, y, h = make_instance(14, n=400, m=15, lengthscale=0.2, noise_std=1e-3)
+        st = run_stream(X, y, h, spec, batch_size=100)
+        W = prior(h).L_inv
+        C = W @ st.Sigma @ W.T
+        assert np.linalg.eigvalsh(C).min() <= 1e-6
+        assert chol_with_jitter(C).jitter == 0.0
+        X_star = np.vstack([X[:20], np.random.default_rng(5).uniform(0, 1, (40, 1))])
+        pred = predict(st, X_star, h, spec)
+        assert np.all(pred.variance >= 0.0)
+        mean_o, cov_o = dense_predictive(X, y, X_star, h, spec)
+        assert rel_diff(pred.mean, mean_o) < 1e-8
+        assert rel_diff(pred.variance, np.diag(cov_o)) < 1e-8
 
     def test_memory_is_linear_in_the_rows(self, monkeypatch):
         # 197 rows in blocks of 64: the working set is a few (64, M) arrays
@@ -332,10 +412,10 @@ class TestPredict:
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
     def test_block_memory_is_reused_in_a_fresh_process(self):
-        # predict's (1024, M) block temporaries come from the heap, so a
-        # repeated evaluation faults in no new pages: glibc would otherwise
-        # map and unmap each one on every call, unless something larger had
-        # happened to be freed before (653 faults per call here without).
+        # predict's one (M, 1024) block array comes from the heap, so a
+        # repeated evaluation faults in no new pages.  With two alive at
+        # once and glibc's default thresholds, both were mapped and
+        # unmapped on every call (661 faults per call here).
         child = """
 import resource
 import numpy as np
@@ -389,6 +469,34 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
         flat, row = predict(st, X[0], h, spec), predict(st, X[:1], h, spec)
         assert flat.mean.tobytes() == row.mean.tobytes()
         assert flat.variance.tobytes() == row.variance.tobytes()
+
+
+def state_bytes(state) -> bytes:
+    return b"".join(
+        np.asarray(a).tobytes() for a in (state.eta, state.Lambda, state.Sigma, state.logdet_Lambda, state.psi)
+    )
+
+
+def test_one_row_as_a_1d_array_reads_as_that_row():
+    """At D = 3, X[0] with its one target is the row X[:1] to every entry
+    point: prediction, a mini-batch, a dataset, a fixed-parameter pass and
+    a fit."""
+    X, y, h = make_instance(13, n=20, d=3, m=4)
+    spec = ModelSpec("vfe")
+    st = run_stream(X, y, h, spec, batch_size=10)
+    flat, row = predict(st, X[0], h, spec), predict(st, X[:1], h, spec)
+    assert flat.mean.tobytes() == row.mean.tobytes()
+    assert flat.variance.tobytes() == row.variance.tobytes()
+    assert MiniBatch(X[0], y[:1]).X.shape == Dataset(X=X[0], y=y[:1]).X.shape == (1, 3)
+    flat, _ = update(st, MiniBatch(X[0], y[:1]), h, spec)
+    row, _ = update(st, MiniBatch(X[:1], y[:1]), h, spec)
+    assert state_bytes(flat) == state_bytes(row)
+    flat, row = fixed_theta_pass(X[0], y[:1], h, spec, 1), fixed_theta_pass(X[:1], y[:1], h, spec, 1)
+    assert state_bytes(flat) == state_bytes(row)
+    cfg = TrainConfig(epochs=2, batch_size=1)
+    flat, row = srgp_fit(X[0], y[:1], h, spec, cfg), srgp_fit(X[:1], y[:1], h, spec, cfg)
+    assert flat.hyper.to_vector().tobytes() == row.hyper.to_vector().tobytes()
+    assert state_bytes(flat.posterior) == state_bytes(row.posterior)
 
 
 class TestFullGPRecovery:

@@ -7,7 +7,7 @@ from streamgp import ContractViolationError, DataError, Hyperparameters
 from streamgp.kernel import kernel_diag, kernel_matrix
 from streamgp.linalg import chol_with_jitter
 
-from conftest import kernel_matrix_grad, make_instance, se_ard
+from conftest import kernel_matrix_grad, kernel_matrix_outer_sum, make_instance, se_ard
 
 
 def hyper_1d(sigma0=1.0, lengthscale=1.0, noise_std=0.1, R=None):
@@ -109,6 +109,25 @@ class TestKernelMatrix:
             assert kernel_matrix(X_F[rows], h.inducing_inputs, h).tobytes() == K[rows].tobytes()
         R_F = np.asfortranarray(h.inducing_inputs)
         assert kernel_matrix(X, R_F, h).tobytes() == K.tobytes()
+
+    @pytest.mark.parametrize("rows", [1024, 1, 0])
+    def test_bits_of_the_outer_sum_and_cross_term(self, rows):
+        # The outer sum is formed by a rank-2 GEMM; each entry is one exact
+        # addition, so K has the bits of numpy's outer sum followed by the
+        # same cross-term GEMM.
+        rng = np.random.default_rng(21)
+        h = Hyperparameters(0.3, rng.normal(scale=0.3, size=5), np.log(0.1), rng.uniform(size=(50, 5)))
+        X = np.asfortranarray(rng.uniform(-0.5, 1.5, (rows, 5)))
+        K = kernel_matrix(X, h.inducing_inputs, h)
+        assert K.shape == (rows, 50) and K.flags.c_contiguous
+        assert K.tobytes() == kernel_matrix_outer_sum(X, h.inducing_inputs, h).tobytes()
+
+    def test_gram_is_exactly_symmetric(self):
+        rng = np.random.default_rng(22)
+        h = Hyperparameters(0.3, rng.normal(scale=0.3, size=5), np.log(0.1), rng.uniform(size=(50, 5)))
+        K = kernel_matrix(h.inducing_inputs, h.inducing_inputs, h)
+        assert np.array_equal(K, K.T)
+        assert K.tobytes() == kernel_matrix_outer_sum(h.inducing_inputs, h.inducing_inputs, h).tobytes()
 
     def test_diag_helper(self):
         h = hyper_1d(sigma0=1.3)

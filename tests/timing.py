@@ -25,7 +25,8 @@ fits it, with the counts below 0.70 (the test's floor) and 0.75.
 
 ``python tests/timing.py --against OTHER/src`` compares this tree with
 another checkout of the package: both are imported side by side in one
-pinned child and timed round by round (see :func:`against`).  One process
+pinned child and timed round by round, in wall-clock minima and in medians
+of process CPU time (see :func:`against`).  One process
 per tree cannot resolve a layer change of 15-20% on a busy machine, because
 the speed of a process drifts by more than that from one run to the next.
 """
@@ -462,9 +463,12 @@ def against(src: str, reps: int = 100) -> dict:
     Both trees are loaded in this process.  Each of ``reps`` rounds times
     every call of both once, the two trees in alternating order, so that a
     change of machine speed reaches both alike.  Reports each tree's
-    minimum in milliseconds, the ratio this / other of the minima, and the
-    quartiles of the per-round ratios, which show the spread.  For each
-    tree it also fits criterion 09's parameter exponent, from the minima
+    minimum wall time in milliseconds, the ratio this / other of the
+    minima, and the quartiles of the per-round ratios, which show the
+    spread.  Beside them go each tree's median process CPU time per call
+    and the ratio of those medians, as ``perfbench`` reads its end-to-end
+    metrics off ``time.process_time``, as medians and percentiles.  For
+    each tree it also fits criterion 09's parameter exponent, from the minima
     over all rounds and from those of each run of 15 rounds, the count the
     test takes its minima over, so a change's effect on that test's floor
     reads beside the other tree's.
@@ -485,21 +489,27 @@ def against(src: str, reps: int = 100) -> dict:
         calls.append((*_train_step_calls(sg, X, y, h0), _predict_call(sg, X, y, h0), *p_calls))
     names += [f"propagate P={p}" for p in sizes_p]
     times = {name: ([], []) for name in names}
+    cpu = {name: ([], []) for name in names}
     for r in range(WARMUP + reps):
         for tree in (0, 1) if r % 2 == 0 else (1, 0):
             for name, fn in zip(names, calls[tree]):
-                t0 = time.perf_counter()
+                c0, t0 = time.process_time(), time.perf_counter()
                 fn()
                 if r >= WARMUP:
                     times[name][tree].append(time.perf_counter() - t0)
+                    cpu[name][tree].append(time.process_time() - c0)
     result = {"against": str(Path(src).resolve()), "rounds": reps}
     for name, (this, other) in times.items():
         per_round = np.asarray(this) / np.asarray(other)
+        this_cpu, other_cpu = (float(np.median(c)) for c in cpu[name])
         result[name] = {
             "this_ms": round(min(this) * 1e3, 3),
             "other_ms": round(min(other) * 1e3, 3),
             "ratio_of_minima": round(min(this) / min(other), 4),
             "round_ratio_quartiles": [round(q, 4) for q in np.quantile(per_round, [0.25, 0.5, 0.75])],
+            "this_cpu_ms_median": round(this_cpu * 1e3, 3),
+            "other_cpu_ms_median": round(other_cpu * 1e3, 3),
+            "ratio_of_cpu_medians": round(this_cpu / other_cpu, 4),
         }
     exponents = {"sizes_p": sizes_p}
     for tree, label in enumerate(("this", "other")):
