@@ -8,9 +8,10 @@ resumed training reproduce an uninterrupted run bit for bit.
 Format 2 stores each init field of the ``hyper``, ``spec``, ``state`` and
 ``adam`` objects as the member ``<section>/<field>`` (scalars as 0-d
 arrays), and reads them back by walking the same fields.  Beside them are
-``train/epochs_done``, the JSON strings ``train/rng_state``,
-``train/config`` and ``train/trace_tail``, and the ``standardize/mean`` and
-``standardize/scale`` input transform.  Format 1 still loads; its extra
+``train/epochs_done``, the JSON strings ``train/rng_state`` and
+``train/config``, and the ``standardize/mean`` and ``standardize/scale``
+input transform.  Other members, such as the ``train/trace_tail`` that
+older archives hold, are not read.  Format 1 still loads; its extra
 ``adam/beta1``, ``adam/beta2`` and ``adam/epsilon`` must equal the fixed
 constants of :mod:`streamgp.optimizer`.  An archive the reader cannot use
 (a missing, mistyped, non-finite or misshapen member, an unknown
@@ -55,7 +56,6 @@ class Checkpoint:
     config: dict | None = None
     standardize_mean: np.ndarray | None = None
     standardize_scale: np.ndarray | None = None
-    trace_tail: list[dict] | None = None
     version: int = FORMAT_VERSION
 
 
@@ -67,7 +67,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         if obj is not None:
             payload.update({f"{section}/{name}": np.asarray(getattr(obj, name)) for name in _fields(cls)})
     payload["train/epochs_done"] = np.asarray(ckpt.epochs_done)
-    texts = {"rng_state": ckpt.rng_state, "config": ckpt.config, "trace_tail": ckpt.trace_tail or None}
+    texts = {"rng_state": ckpt.rng_state, "config": ckpt.config}
     payload.update({f"train/{k}": np.asarray(json.dumps(v)) for k, v in texts.items() if v is not None})
     if ckpt.standardize_mean is not None:
         payload[STANDARDIZE[0]] = np.asarray(ckpt.standardize_mean)
@@ -127,7 +127,7 @@ def _from_members(arrays: dict[str, np.ndarray]) -> Checkpoint:
             raise DataError(f"{key} has shape {arrays[key].shape}, expected {shape} (M={M}, D={D})")
     if scale is not None and not np.all(scale > 0.0):
         raise DataError("standardize/scale must be positive")
-    rng_state = _json(arrays, "train/rng_state", dict)
+    rng_state = _json(arrays, "train/rng_state")
     if rng_state is not None:
         try:
             np.random.PCG64().state = rng_state
@@ -135,8 +135,8 @@ def _from_members(arrays: dict[str, np.ndarray]) -> Checkpoint:
             raise DataError(f"train/rng_state is not a generator state: {err!r}") from None
     return Checkpoint(
         **sections, rng_state=rng_state, epochs_done=_member(arrays, "train/epochs_done", "int"),
-        config=_json(arrays, "train/config", dict), standardize_mean=mean, standardize_scale=scale,
-        trace_tail=_json(arrays, "train/trace_tail", list), version=version,
+        config=_json(arrays, "train/config"), standardize_mean=mean, standardize_scale=scale,
+        version=version,
     )
 
 
@@ -164,14 +164,14 @@ def _member(arrays: dict[str, np.ndarray], key: str, kind: str):
     return value if cast is None else cast(value)
 
 
-def _json(arrays: dict[str, np.ndarray], key: str, kind: type):
-    """The JSON member ``key`` decoded to a ``kind``, or None if absent."""
+def _json(arrays: dict[str, np.ndarray], key: str) -> dict | None:
+    """The JSON member ``key`` decoded to a dict, or None if absent."""
     if key not in arrays:
         return None
     try:
         value = json.loads(str(arrays[key]))
     except ValueError as err:
         raise DataError(f"member {key!r} is not valid JSON: {err}") from None
-    if not isinstance(value, kind):
-        raise DataError(f"member {key!r} holds a {type(value).__name__}, not a {kind.__name__}")
+    if not isinstance(value, dict):
+        raise DataError(f"member {key!r} holds a {type(value).__name__}, not a dict")
     return value

@@ -22,7 +22,7 @@ from .data import (
     default_hyperparameters,
     generate_gp_data,
     load_dataset,
-    load_inputs,
+    read_table,
     rmse,
     save_dataset,
     simulate_cstr,
@@ -213,14 +213,15 @@ def cmd_train(args) -> int:
                 "cannot resume without epoch resets: the checkpoint holds the fixed-parameter "
                 "posterior, not the carried training posterior and gradient state"
             )
-        hyper = ckpt.hyper
-        std_mean, std_scale = ckpt.standardize_mean, ckpt.standardize_scale
-        # The checkpoint's own arrays say these four, whatever its config holds.
-        stored["model"], stored["alpha"] = ckpt.spec.variant, ckpt.spec.alpha
-        stored["num_inducing"] = hyper.num_inducing
-        stored["standardize"] = std_mean is not None
         if ckpt.adam is None or ckpt.rng_state is None:
             raise DataError(f"{args.resume} lacks optimizer/RNG state; cannot resume")
+        hyper = ckpt.hyper
+        std_mean, std_scale = ckpt.standardize_mean, ckpt.standardize_scale
+        # The checkpoint's own arrays say these five, whatever its config holds.
+        stored["model"], stored["alpha"] = ckpt.spec.variant, ckpt.spec.alpha
+        stored["lr"] = ckpt.adam.learning_rate
+        stored["num_inducing"] = hyper.num_inducing
+        stored["standardize"] = std_mean is not None
         resume = ResumeState(adam=ckpt.adam, rng_state=ckpt.rng_state, epochs_done=ckpt.epochs_done)
     settings = _train_settings(args, ds.n, stored)
     spec = ModelSpec(variant=settings["model"], alpha=settings["alpha"])
@@ -294,7 +295,6 @@ def cmd_train(args) -> int:
             config=config_record,
             standardize_mean=std_mean,
             standardize_scale=std_scale,
-            trace_tail=[asdict(t) for t in trace[-16:]],
         ),
     )
     print(
@@ -305,7 +305,7 @@ def cmd_train(args) -> int:
 
 
 def _load_prediction_inputs(path: str, delimiter: str, ckpt: Checkpoint) -> np.ndarray:
-    data, header = load_inputs(path, delimiter=delimiter)
+    header, data = read_table(path, delimiter)
     d = ckpt.hyper.input_dim
     if data.shape[1] == d:
         return data
@@ -329,12 +329,11 @@ def cmd_predict(args) -> int:
     X = _load_prediction_inputs(args.inputs, args.delimiter, ckpt)
     X = _apply_standardize(X, ckpt.standardize_mean, ckpt.standardize_scale)
     dist = predict(ckpt.state, X, ckpt.hyper, ckpt.spec, with_noise=args.with_noise)
-    var = dist.variance
-    half = 1.96 * np.sqrt(np.maximum(var, 0.0))
+    half = 1.96 * np.sqrt(dist.variance)
     out = sys.stdout if args.output is None else open(args.output, "w")
     try:
         out.write("mean,variance,lower95,upper95\n")
-        for mu, v, hw in zip(dist.mean, var, half):
+        for mu, v, hw in zip(dist.mean, dist.variance, half):
             out.write(f"{float(mu)!r},{float(v)!r},{float(mu - hw)!r},{float(mu + hw)!r}\n")
     finally:
         if out is not sys.stdout:

@@ -131,7 +131,7 @@ CSTR_W2 = 0.1  # fixed diluted-feed flow rate
 CSTR_H0 = 1.0  # initial tank level
 CSTR_CB0 = 20.0  # initial product concentration
 CSTR_DT_SAMPLE = 0.2  # seconds between samples
-CSTR_SUBSTEPS = 10  # RK4 steps per sample, before any refinement
+CSTR_SUBSTEPS = 10  # RK4 steps per sample
 
 
 def _cstr_rhs(state: np.ndarray, w1: float) -> np.ndarray:
@@ -150,45 +150,33 @@ def integrate_cstr(w1_fn, duration: float) -> tuple[np.ndarray, np.ndarray, np.n
     ``CSTR_H0`` and concentration ``CSTR_CB0``.
 
     Samples every ``CSTR_DT_SAMPLE`` seconds with ``CSTR_SUBSTEPS``
-    internal RK4 steps per sample (0.02 s).  If the level ever goes
-    negative the step size is refined; persistent failure is an error.
+    internal RK4 steps per sample (0.02 s).  A non-positive or non-finite
+    state is a :class:`DataError`.  With w1 >= 0 the level rises whenever
+    it is below 0.25, so it never falls below min(``CSTR_H0``, 0.25).
 
     Returns (t, level, cb, w1) at the sample instants.
     """
     if duration <= 0:
         raise ContractViolationError("duration must be positive")
     n_samples = int(round(duration / CSTR_DT_SAMPLE))
-    for refine in range(4):
-        steps = CSTR_SUBSTEPS * 2**refine
-        dt = CSTR_DT_SAMPLE / steps
-        state = np.array([CSTR_H0, CSTR_CB0], dtype=float)
-        t_out = np.empty(n_samples + 1)
-        h_out = np.empty(n_samples + 1)
-        cb_out = np.empty(n_samples + 1)
-        w_out = np.empty(n_samples + 1)
-        t_out[0], h_out[0], cb_out[0] = 0.0, CSTR_H0, CSTR_CB0
-        w_out[0] = w1_fn(0.0)
-        t = 0.0
-        ok = True
-        for i in range(1, n_samples + 1):
-            for _ in range(steps):
-                w_mid = w1_fn(t + 0.5 * dt)
-                k1 = _cstr_rhs(state, w1_fn(t))
-                k2 = _cstr_rhs(state + 0.5 * dt * k1, w_mid)
-                k3 = _cstr_rhs(state + 0.5 * dt * k2, w_mid)
-                k4 = _cstr_rhs(state + dt * k3, w1_fn(t + dt))
-                state = state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                t += dt
-                if state[0] <= 0.0 or not np.all(np.isfinite(state)):
-                    ok = False
-                    break
-            if not ok:
-                break
-            t_out[i], h_out[i], cb_out[i] = t, state[0], state[1]
-            w_out[i] = w1_fn(t)
-        if ok:
-            return t_out, h_out, cb_out, w_out
-    raise DataError("tank level became non-positive despite step-size refinement")
+    dt = CSTR_DT_SAMPLE / CSTR_SUBSTEPS
+    state = np.array([CSTR_H0, CSTR_CB0], dtype=float)
+    out = np.empty((4, n_samples + 1))  # rows t, level, cb, w1
+    out[:, 0] = 0.0, CSTR_H0, CSTR_CB0, w1_fn(0.0)
+    t = 0.0
+    for i in range(1, n_samples + 1):
+        for _ in range(CSTR_SUBSTEPS):
+            w_mid = w1_fn(t + 0.5 * dt)
+            k1 = _cstr_rhs(state, w1_fn(t))
+            k2 = _cstr_rhs(state + 0.5 * dt * k1, w_mid)
+            k3 = _cstr_rhs(state + 0.5 * dt * k2, w_mid)
+            k4 = _cstr_rhs(state + dt * k3, w1_fn(t + dt))
+            state = state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += dt
+            if state[0] <= 0.0 or not np.all(np.isfinite(state)):
+                raise DataError(f"tank state {state} at t = {t:g} s is non-positive or non-finite")
+        out[:, i] = t, state[0], state[1], w1_fn(t)
+    return tuple(out)
 
 
 def random_step_signal(rng: np.random.Generator, duration: float):
@@ -257,7 +245,7 @@ def coverage(y: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> float:
 # -- delimited text files ------------------------------------------------------
 
 
-def _read_table(path: str, delimiter: str) -> tuple[list[str], np.ndarray]:
+def read_table(path: str, delimiter: str = ",") -> tuple[list[str], np.ndarray]:
     """Header and (rows, columns) values of a delimited file with one header row.
 
     A header that repeats a name is refused before the body is read, as a
@@ -317,11 +305,11 @@ def load_dataset(path: str, target_col: str | None = None, delimiter: str = ",")
     """Read a delimiter-separated file with one header row.
 
     The target column is selected by name (default: last column).  Cells
-    are read as :func:`_read_table` reads them; a ragged row, a non-numeric
+    are read as :func:`read_table` reads them; a ragged row, a non-numeric
     or non-finite cell or a file without data rows is rejected with
     row/column diagnostics.
     """
-    header, data = _read_table(path, delimiter)
+    header, data = read_table(path, delimiter)
     target = target_col if target_col is not None else header[-1]
     if target not in header:
         raise DataError(f"{path}: target column {target!r} not in header {header}")
@@ -329,13 +317,6 @@ def load_dataset(path: str, target_col: str | None = None, delimiter: str = ",")
     mask = np.arange(len(header)) != ti
     names = [h for h in header if h != target] + [target]
     return Dataset(X=data[:, mask], y=data[:, ti], column_names=names, provenance=path)
-
-
-def load_inputs(path: str, delimiter: str = ",") -> tuple[np.ndarray, list[str]]:
-    """Read a delimited file as a plain feature matrix (header required),
-    with the same checks as :func:`load_dataset`."""
-    header, data = _read_table(path, delimiter)
-    return data, header
 
 
 def save_dataset(ds: Dataset, path: str, delimiter: str = ",") -> None:

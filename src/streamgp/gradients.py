@@ -98,10 +98,6 @@ class GradientState:
     d_psi: np.ndarray  # (P,)
     k: int = 0
 
-    @property
-    def n_params(self) -> int:
-        return self.d_psi.size
-
 
 @dataclass
 class AdjointIntermediates:
@@ -111,7 +107,6 @@ class AdjointIntermediates:
     enter psi_dot through -1/2 <L, dot-quantity>.
     """
 
-    L_dv: np.ndarray  # (B,)
     L_dK_XR: np.ndarray  # (B, M)
     L_dK_RR: np.ndarray  # (M, M)
     L_dk_XX: np.ndarray  # (B,)
@@ -299,7 +294,6 @@ def compute_adjoints(
     inner = A2 - L_dd[:, None] * H
     L_dK_XR = A2 - 2.0 * L_dd[:, None] * H
     L_dK_RR = -H.T @ inner
-    L_dk_XX = L_dd.copy()
 
     q = Sigma_prev @ (H.T @ s_inv_r)
     L_dLambda = Sigma_new - Sigma_prev + 2.0 * np.outer(q, mu_prev) + np.outer(Sk_t, Sk_t)
@@ -312,10 +306,9 @@ def compute_adjoints(
         L_dsigman -= 2.0 * float(np.sum(d)) / h.noise_variance
 
     return AdjointIntermediates(
-        L_dv=L_dv,
         L_dK_XR=L_dK_XR,
         L_dK_RR=L_dK_RR,
-        L_dk_XX=L_dk_XX,
+        L_dk_XX=L_dd,
         L_dLambda=L_dLambda,
         L_deta=L_deta,
         L_dsigman=L_dsigman,

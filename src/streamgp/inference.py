@@ -13,7 +13,11 @@ mini-batches is independent of their order and equals the batch posterior.
 Two parametrizations are supported.  The standard one uses
 H = K_XR K_RR^-1 with prior precision Lambda_0 = K_RR^-1; the transformed
 one uses H = K_XR with Lambda_0 = K_RR, avoiding the per-batch solve.
-Predictions and the accumulated lower bound are identical in both.
+Predictions and the accumulated lower bound agree in exact arithmetic,
+not in precision: at cond(K_RR) ~ 1e9 the transformed Sigma has entries
+of about 2e7, and its predictive variance taken two ways (dense
+H Sigma H^T, and through the whitened rows) differs by 6.2e-5 relative,
+against 3.5e-15 for the standard state.
 
 Predictions are per-row marginals only: each test row's mean H_* mu_k and
 variance H_* Sigma_k H_*^T + [V_*]_ii.  They are taken through the whitened
@@ -62,10 +66,13 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # M = 50 a block's one (M, rows) array takes about 400 KB, and both
 # triangular products run in place in it.  One such array stays below
 # glibc's dynamic trim threshold (twice the largest block freed), so the
-# allocator keeps it between calls even without the thresholds that
-# ``streamgp/__init__.py`` sets.  With a second one alive the freed heap
-# top passes that threshold, and both are returned to the system and
-# faulted in again on every call (661 faults per 3,999 rows).
+# allocator keeps it between calls without faults even without the
+# thresholds that ``streamgp/__init__.py`` sets.  With a second one alive
+# the freed heap top passes that threshold, and both are returned to the
+# system and faulted in again on every call (661 faults per 3,999 rows).
+# serve-eval still runs faster with those thresholds: without them, rows/s
+# read 0.84-0.97x and step p50 +4% to +19% in 4 of 4 benchmark pairs (one
+# BLAS thread); the cause is not isolated.
 BLOCK = 1024
 
 
@@ -116,10 +123,6 @@ class PosteriorState:
         """Posterior mean Sigma @ eta in the state's parametrization."""
         return self.Sigma @ self.eta
 
-    @property
-    def num_inducing(self) -> int:
-        return self.eta.size
-
 
 @dataclass
 class KalmanIntermediates:
@@ -131,7 +134,6 @@ class KalmanIntermediates:
     matrix is ever formed.
     """
 
-    r: np.ndarray  # innovation residual (B,)
     t: np.ndarray  # H^T V^-1 r (M,)
     s_inv_r: np.ndarray  # S_k^-1 r (B,)
     geometry: BatchGeometry
@@ -239,7 +241,7 @@ def update_with_geometry(
         k=state.k + 1,
         parametrization=state.parametrization,
     )
-    km = KalmanIntermediates(r=r, t=t, s_inv_r=s_inv_r, geometry=geom)
+    km = KalmanIntermediates(t=t, s_inv_r=s_inv_r, geometry=geom)
     return new_state, km
 
 

@@ -150,7 +150,9 @@ def srgp_fit(
     """Stochastic recursive training loop.
 
     Returns the final hyper-parameters, a clean posterior from one extra
-    gradient-free pass at those parameters, and the full step trace.
+    gradient-free pass at those parameters, and the full step trace.  A
+    resumed fit keeps ``resume_from``'s ADAM moments and step count and
+    steps at ``cfg.learning_rate``.
     """
     X = _check_inputs(X, theta0, "X")
     y = np.asarray(y, dtype=float).ravel()
@@ -167,7 +169,7 @@ def srgp_fit(
         rng = np.random.default_rng(cfg.seed)
         start_epoch = 0
     else:
-        adam = resume_from.adam
+        adam = replace(resume_from.adam, learning_rate=cfg.learning_rate)
         rng = np.random.default_rng()
         rng.bit_generator.state = resume_from.rng_state
         start_epoch = resume_from.epochs_done

@@ -121,10 +121,36 @@ class TestTrain:
             )
             == 0
         )
-        a = np.load(str(full_ckpt))
-        b = np.load(str(resumed_ckpt))
-        for key in ["hyper/log_lengthscales", "hyper/inducing_inputs", "state/eta", "state/Lambda", "state/psi", "adam/first_moment"]:
-            np.testing.assert_array_equal(a[key], b[key], err_msg=key)
+        with np.load(str(full_ckpt)) as a, np.load(str(resumed_ckpt)) as b:
+            assert sorted(a.files) == sorted(b.files)
+            for key in a.files:
+                assert (a[key].dtype, a[key].tobytes()) == (b[key].dtype, b[key].tobytes()), key
+
+    def test_resume_of_a_configless_checkpoint_takes_its_adam_rate(self, gp_file, tmp_path):
+        # A library fit saved without a config trained at 0.05, so the
+        # resumed run records and steps at 0.05, not at the fresh default.
+        from streamgp import Hyperparameters, ModelSpec, TrainConfig, load_dataset, srgp_fit
+        from streamgp.checkpoint import Checkpoint
+        from streamgp.optimizer import ResumeState, init_inducing_subset
+
+        ds, spec = load_dataset(gp_file), ModelSpec("vfe")
+        R = init_inducing_subset(ds.X, 5, np.random.default_rng(0))
+        cfg = TrainConfig(epochs=1, batch_size=20, learning_rate=0.05)
+        fit = srgp_fit(ds.X, ds.y, Hyperparameters(0.0, np.zeros(1), 0.0, R), spec, cfg)
+        ckpt, out = tmp_path / "lib.npz", tmp_path / "resumed.npz"
+        stored = Checkpoint(fit.hyper, spec, fit.posterior, fit.adam, fit.rng_state, epochs_done=1)
+        save_checkpoint(str(ckpt), stored)
+        args = ("train", "--data", gp_file, "--epochs", "2", "--batch-size", "20", "--resume", str(ckpt))
+        assert run_cli(*args, "--checkpoint-out", str(out)) == 0
+        resumed = load_checkpoint(str(out))
+        assert resumed.config["lr"] == resumed.adam.learning_rate == 0.05
+        want = srgp_fit(
+            ds.X, ds.y, fit.hyper, spec, TrainConfig(epochs=2, batch_size=20, learning_rate=0.05),
+            resume_from=ResumeState(adam=fit.adam, rng_state=fit.rng_state, epochs_done=1),
+        )
+        assert resumed.hyper.to_vector().tobytes() == want.hyper.to_vector().tobytes()
+        # Another --lr differs from the checkpoint's and is refused.
+        assert run_cli(*args, "--lr", "1e-3", "--checkpoint-out", str(tmp_path / "x.npz")) == 2
 
     def test_resume_beyond_target_is_noop(self, gp_file, tmp_path):
         ckpt = tmp_path / "done.npz"
@@ -287,6 +313,32 @@ class TestPredictEvaluate:
         assert result["rmse"] < 1e-8
         assert result["coverage"] == 1.0
 
+    def test_predict_drops_the_target_column(self, trained, gp_file, tmp_path, capsys):
+        # A features-only file (D columns) and the labelled file give the
+        # same rows.  Without a config, the column named y is the target,
+        # or else the last column.
+        from streamgp import load_dataset
+
+        def predicted(ckpt, header, columns) -> str:
+            path = tmp_path / "inputs.csv"
+            rows = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in np.column_stack(columns))
+            path.write_text(",".join(header) + "\n" + rows)
+            capsys.readouterr()
+            assert run_cli("predict", "--checkpoint", ckpt, "--inputs", str(path)) == 0
+            return capsys.readouterr().out
+
+        ds = load_dataset(gp_file)
+        features = predicted(trained, ["x0"], [ds.X[:, 0]])
+        assert len(features.splitlines()) == ds.n + 1
+        assert run_cli("predict", "--checkpoint", trained, "--inputs", gp_file) == 0
+        assert capsys.readouterr().out == features
+        configless = tmp_path / "configless.npz"
+        ckpt = load_checkpoint(trained)
+        ckpt.config = None
+        save_checkpoint(str(configless), ckpt)
+        assert predicted(str(configless), ["y", "x0"], [ds.y, ds.X[:, 0]]) == features
+        assert predicted(str(configless), ["x0", "target"], [ds.X[:, 0], ds.y]) == features
+
     def test_predict_rejects_wrong_width(self, trained, tmp_path):
         bad = tmp_path / "wide.csv"
         bad.write_text("a,b,c,d\n1,2,3,4\n")
@@ -326,8 +378,13 @@ class TestExitCodes:
         bad.write_text("x0,y\n1,banana\n")
         assert run_cli("train", "--data", str(bad), "--checkpoint-out", str(tmp_path / "m.npz")) == 3
 
-    def test_data_error_for_missing_file(self, tmp_path):
+    def test_data_error_for_missing_file(self, tmp_path, capsys):
         assert run_cli("evaluate", "--checkpoint", str(tmp_path / "no.npz"), "--data", "nope.csv") == 3
+        missing = tmp_path / "nope.csv"
+        capsys.readouterr()
+        assert run_cli("train", "--data", str(missing), "--checkpoint-out", str(tmp_path / "m.npz")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(missing) in err
 
     def test_validate_gradients_passes_at_default_tolerance(self, capsys):
         assert run_cli("validate-gradients", "--n", "40", "--num-inducing", "5") == 0

@@ -14,7 +14,7 @@ from streamgp import (
     save_dataset,
     simulate_cstr,
 )
-from streamgp.data import default_hyperparameters, integrate_cstr, load_inputs
+from streamgp.data import default_hyperparameters, integrate_cstr, read_table
 
 from conftest import train_test_split
 
@@ -92,6 +92,12 @@ class TestCstr:
     def test_positive_duration_required(self):
         with pytest.raises(ContractViolationError):
             integrate_cstr(lambda t: 0.0, duration=0.0)
+
+    def test_draining_tank_is_a_data_error(self):
+        # w1 < 0 empties the tank within a second; the level's square root
+        # then turns the state to NaN.
+        with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(DataError):
+            integrate_cstr(lambda t: -1.0, 10.0)
 
 
 class TestMetrics:
@@ -249,10 +255,10 @@ class TestDatasetIO:
         with pytest.raises(DataError):
             load_dataset(str(path))
 
-    def test_load_inputs_plain_matrix(self, tmp_path):
+    def test_read_table_plain_matrix(self, tmp_path):
         path = tmp_path / "feat.csv"
         path.write_text("a,b\n1,2\n3,4\n")
-        m, header = load_inputs(str(path))
+        header, m = read_table(str(path))
         np.testing.assert_array_equal(m, [[1.0, 2.0], [3.0, 4.0]])
         assert header == ["a", "b"]
 

@@ -532,4 +532,5 @@ class TestCumulativeBound:
         st = init_state(h, spec)
         st2, km = update(st, MiniBatch(X, y), h, spec)
         # G = Sigma_{k-1} H^T S^-1 must reproduce the mean update.
-        np.testing.assert_allclose(st.mu + kalman_gain(km, st2) @ km.r, st2.mu, atol=1e-8)
+        r = y - km.geometry.H @ st.mu  # the innovation
+        np.testing.assert_allclose(st.mu + kalman_gain(km, st2) @ r, st2.mu, atol=1e-8)

@@ -1,6 +1,7 @@
 """ADAM steps and the interleaved training loop."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -198,6 +199,26 @@ class TestSrgpFit:
         np.testing.assert_array_equal(resumed.hyper.to_vector(), full.hyper.to_vector())
         np.testing.assert_array_equal(resumed.posterior.eta, full.posterior.eta)
         assert [t.psi_k for t in resumed.trace] == [t.psi_k for t in full.trace[12:]]
+
+    def test_resume_steps_at_the_configured_learning_rate(self):
+        # The resumed fit keeps the stored ADAM moments and step count, and
+        # takes its rate from the config, not from the stored state.
+        X, y, h = make_instance(8, n=32, m=4)
+        spec = ModelSpec("vfe")
+        half = srgp_fit(X, y, h, spec, TrainConfig(epochs=1, batch_size=8, learning_rate=1e-3))
+
+        def resumed(lr: float, adam: AdamState):
+            resume = ResumeState(adam=adam, rng_state=half.rng_state, epochs_done=1)
+            cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=lr)
+            return srgp_fit(X, y, half.hyper, spec, cfg, resume_from=resume)
+
+        slow, fast = resumed(1e-3, half.adam), resumed(0.5, half.adam)
+        assert (fast.adam.learning_rate, fast.adam.step_count) == (0.5, 8)
+        assert not np.array_equal(fast.hyper.to_vector(), slow.hyper.to_vector())
+        stored_fast = resumed(0.5, replace(half.adam, learning_rate=0.5))
+        assert fast.hyper.to_vector().tobytes() == stored_fast.hyper.to_vector().tobytes()
+        fresh = resumed(0.5, AdamState.fresh(h.n_params, 0.5))
+        assert not np.array_equal(fast.hyper.to_vector(), fresh.hyper.to_vector())
 
     def test_early_stop_on_psi_tolerance(self):
         X, y, h = make_instance(9, n=30, m=4)
