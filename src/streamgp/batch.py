@@ -27,9 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericalError
+from .errors import NumericalError
 from .inference import LOG_2PI
-from .kernel import Hyperparameters, kernel_diag, kernel_matrix, _check_inputs
+from .kernel import Hyperparameters, as_xy, kernel_diag, kernel_matrix
 from .linalg import chol_with_jitter
 from .model import ModelSpec, prior, regularizer
 
@@ -45,14 +45,6 @@ class BatchBoundReport:
     gaussian_term: float
     regularizer_term: float
     gradient: np.ndarray | None = None
-
-
-def _check_xy(X: np.ndarray, y: np.ndarray, h: Hyperparameters) -> tuple[np.ndarray, np.ndarray]:
-    X = _check_inputs(X, h, "X")
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != X.shape[0] or y.size < 1:
-        raise ContractViolationError(f"X has {X.shape[0]} rows but y has {y.size} entries")
-    return X, y
 
 
 def _sparse_pieces(X: np.ndarray, h: Hyperparameters, spec: ModelSpec):
@@ -79,7 +71,7 @@ def batch_bound(
     identity, minus half the variant regularizer.  The gradient entries
     come from :func:`fd_gradient` on the flat parameter vector.
     """
-    X, y = _check_xy(X, y, h)
+    X, y = as_xy(X, y)
     n = y.size
 
     def value_at(theta: np.ndarray | None = None) -> tuple[float, float]:

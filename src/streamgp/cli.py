@@ -107,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume",
         default=None,
         help="checkpoint to continue training from; --model, --alpha, --lr, --batch-size, "
-        "--shuffle, --gradient-mode, --standardize, --num-inducing and --seed default to its "
-        "values and may not differ from them",
+        "--shuffle, --gradient-mode, --standardize, --num-inducing, --seed and --target-col "
+        "default to its values and may not differ from them",
     )
 
     p_pred = sub.add_parser("predict", help="predict from a checkpoint")
@@ -192,7 +192,6 @@ def _train_settings(args, n: int, stored: dict) -> dict:
 
 
 def cmd_train(args) -> int:
-    ds = load_dataset(args.data, target_col=args.target_col, delimiter=args.delimiter)
     std_mean = std_scale = None
     resume = None
     stored: dict = {}
@@ -200,6 +199,11 @@ def cmd_train(args) -> int:
     if args.resume is not None:
         ckpt = load_checkpoint(args.resume)
         stored = dict(ckpt.config or {})
+        unknown = [k for k in ("batch_size", "shuffle", "gradient_mode") if k not in stored]
+        if unknown:  # settings of the recursion that only train/config records
+            raise ContractViolationError(
+                f"{args.resume} has no train/config record of {', '.join(unknown)}; cannot resume"
+            )
         # Results depend on the BLAS thread count, so another one would not
         # continue the stored run bit for bit.
         threads = ROUTINES.num_threads()
@@ -223,6 +227,13 @@ def cmd_train(args) -> int:
         stored["num_inducing"] = hyper.num_inducing
         stored["standardize"] = std_mean is not None
         resume = ResumeState(adam=ckpt.adam, rng_state=ckpt.rng_state, epochs_done=ckpt.epochs_done)
+    target = args.target_col if args.target_col is not None else stored.get("target_col")
+    if target != stored.get("target_col", target):
+        raise ContractViolationError(
+            f"--target-col {target} differs from the resumed checkpoint's {stored['target_col']}; "
+            "a resumed run keeps its settings"
+        )
+    ds = load_dataset(args.data, target_col=target, delimiter=args.delimiter)
     settings = _train_settings(args, ds.n, stored)
     spec = ModelSpec(variant=settings["model"], alpha=settings["alpha"])
     if resume is None and settings["standardize"]:
@@ -235,7 +246,6 @@ def cmd_train(args) -> int:
         return EXIT_OK
 
     X = _apply_standardize(ds.X, std_mean, std_scale)
-    y = ds.y
 
     if args.resume is None:
         rng = np.random.default_rng(settings["seed"])
@@ -248,7 +258,7 @@ def cmd_train(args) -> int:
 
     config_record = {
         "data": args.data,
-        "target_col": args.target_col if args.target_col is not None else ds.column_names[-1],
+        "target_col": ds.column_names[-1],
         "epochs": args.epochs,
         "epoch_reset": not args.no_epoch_reset,
         **settings,
@@ -274,7 +284,7 @@ def cmd_train(args) -> int:
             gradient_mode=settings["gradient_mode"],
             reset_each_epoch=not args.no_epoch_reset,
         )
-        result = srgp_fit(X, y, hyper, spec, cfg, resume_from=resume)
+        result = srgp_fit(X, ds.y, hyper, spec, cfg, resume_from=resume)
         hyper, posterior, trace = result.hyper, result.posterior, result.trace
         adam, rng_state, epochs_run = result.adam, result.rng_state, result.epochs_run
 
@@ -304,30 +314,32 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_prediction_inputs(path: str, delimiter: str, ckpt: Checkpoint) -> np.ndarray:
+def _read_scored_file(path: str, delimiter: str, ckpt: Checkpoint, target_col: str | None = None):
+    """The standardized features of a file scored against ``ckpt``, and its
+    targets: None for a file of exactly D columns, else the column that
+    ``target_col`` names, else the checkpoint's recorded ``target_col``,
+    else the column ``y``, else the last one."""
     header, data = read_table(path, delimiter)
     d = ckpt.hyper.input_dim
-    if data.shape[1] == d:
-        return data
+    y = None
     if data.shape[1] == d + 1:
-        # Labelled file: drop the target column (by name when recognizable).
-        target = None
-        if ckpt.config and ckpt.config.get("target_col") in header:
-            target = header.index(ckpt.config["target_col"])
-        elif "y" in header:
-            target = header.index("y")
-        else:
-            target = data.shape[1] - 1
-        return np.delete(data, target, axis=1)
-    raise DataError(
-        f"{path}: {data.shape[1]} columns, model expects {d} features (+1 optional target)"
-    )
+        if target_col is None:
+            recorded = (ckpt.config or {}).get("target_col")
+            target_col = next((c for c in (recorded, "y") if c in header), header[-1])
+        if target_col not in header:
+            raise DataError(f"{path}: target column {target_col!r} not in header {header}")
+        ti = header.index(target_col)
+        y, data = data[:, ti], np.delete(data, ti, axis=1)
+    elif data.shape[1] != d:
+        raise DataError(
+            f"{path}: {data.shape[1]} columns, model expects {d} features (+1 optional target)"
+        )
+    return _apply_standardize(data, ckpt.standardize_mean, ckpt.standardize_scale), y
 
 
 def cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    X = _load_prediction_inputs(args.inputs, args.delimiter, ckpt)
-    X = _apply_standardize(X, ckpt.standardize_mean, ckpt.standardize_scale)
+    X, _ = _read_scored_file(args.inputs, args.delimiter, ckpt)
     dist = predict(ckpt.state, X, ckpt.hyper, ckpt.spec, with_noise=args.with_noise)
     half = 1.96 * np.sqrt(dist.variance)
     out = sys.stdout if args.output is None else open(args.output, "w")
@@ -343,15 +355,12 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    ds = load_dataset(args.data, target_col=args.target_col, delimiter=args.delimiter)
-    X = _apply_standardize(ds.X, ckpt.standardize_mean, ckpt.standardize_scale)
+    X, y = _read_scored_file(args.data, args.delimiter, ckpt, args.target_col)
+    if y is None:
+        raise DataError(f"{args.data}: has only the model's D = {X.shape[1]} feature columns, no target")
     dist = predict(ckpt.state, X, ckpt.hyper, ckpt.spec, with_noise=True)
-    result = {
-        "rmse": rmse(ds.y, dist.mean),
-        "coverage": coverage(ds.y, dist.mean, dist.variance),
-        "n": int(ds.n),
-    }
-    print(json.dumps(result))
+    metrics = {"rmse": rmse(y, dist.mean), "coverage": coverage(y, dist.mean, dist.variance)}
+    print(json.dumps({**metrics, "n": int(y.size)}))
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError, DataError
-from .kernel import Hyperparameters, as_rows, kernel_diag, kernel_matrix
+from .kernel import Hyperparameters, as_xy, kernel_diag, kernel_matrix
 from .linalg import chol_with_jitter
 
 # generate_gp_data draws exactly up to this many samples, and above it
@@ -26,20 +26,13 @@ class Dataset:
     provenance: str = ""
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float).ravel()
-        X = as_rows(self.X, y.size == 1)
-        if X.shape[0] != y.size or y.size < 1:
-            raise DataError(f"dataset shapes disagree or empty: X {X.shape}, y {y.shape}")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-            raise DataError("dataset contains non-finite entries")
+        self.X, self.y = as_xy(self.X, self.y)
         if not self.column_names:
-            self.column_names = [f"x{i}" for i in range(X.shape[1])] + ["y"]
-        if len(self.column_names) != X.shape[1] + 1:
+            self.column_names = [f"x{i}" for i in range(self.input_dim)] + ["y"]
+        if len(self.column_names) != self.input_dim + 1:
             raise DataError(
-                f"{len(self.column_names)} column names for {X.shape[1]} features + target"
+                f"{len(self.column_names)} column names for {self.input_dim} features + target"
             )
-        self.X = X
-        self.y = y
 
     @property
     def n(self) -> int:

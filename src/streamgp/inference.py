@@ -52,9 +52,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractViolationError, DataError, IllConditionedError, NumericalError
+from .errors import ContractViolationError, IllConditionedError, NumericalError
 from ._lapack import dtrmm
-from .kernel import Hyperparameters, _check_inputs, as_rows, kernel_matrix
+from .kernel import Hyperparameters, _check_inputs, as_xy, kernel_matrix
 from .linalg import chol_with_jitter, symmetrize
 from .model import BatchGeometry, ModelSpec, batch_geometry, prior, regularizer, schur_diagonal
 
@@ -62,17 +62,7 @@ PARAM_STANDARD = "standard"
 PARAM_TRANSFORMED = "transformed"
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# Test rows per block of :func:`predict`, which bounds its working set: at
-# M = 50 a block's one (M, rows) array takes about 400 KB, and both
-# triangular products run in place in it.  One such array stays below
-# glibc's dynamic trim threshold (twice the largest block freed), so the
-# allocator keeps it between calls without faults even without the
-# thresholds that ``streamgp/__init__.py`` sets.  With a second one alive
-# the freed heap top passes that threshold, and both are returned to the
-# system and faulted in again on every call (661 faults per 3,999 rows).
-# serve-eval still runs faster with those thresholds: without them, rows/s
-# read 0.84-0.97x and step p50 +4% to +19% in 4 of 4 benchmark pairs (one
-# BLAS thread); the cause is not isolated.
+# Test rows per block of :func:`predict`, which bounds its working set to one (M, BLOCK) array.
 BLOCK = 1024
 
 
@@ -84,16 +74,9 @@ class MiniBatch:
     y: np.ndarray  # (B,)
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float).ravel()
-        X = as_rows(self.X, y.size == 1)
+        X, y = as_xy(self.X, self.y)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-        if X.shape[0] != y.size or X.shape[0] < 1:
-            raise ContractViolationError(
-                f"mini-batch shapes disagree or empty: X {X.shape}, y {y.shape}"
-            )
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-            raise DataError("mini-batch contains non-finite values")
 
     @property
     def size(self) -> int:

@@ -194,6 +194,26 @@ def _check_inputs(a: np.ndarray, h: Hyperparameters, name: str) -> np.ndarray:
     return a
 
 
+def as_xy(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Training data as (rows, D) inputs and their targets, the one check of
+    every pass over data: X is 2-D, the row counts agree and are not zero,
+    and every value is finite, else :class:`DataError`.  X is read by
+    :func:`as_rows` (a 1-D X is one row when it comes with one target) and
+    is neither copied nor reordered when float; its D is checked where it
+    meets the hyper-parameters."""
+    y = np.asarray(y, dtype=float).ravel()
+    X = as_rows(X, y.size == 1)
+    if X.ndim != 2:
+        raise DataError(f"X has shape {X.shape}, expected (rows, D)")
+    if X.shape[0] != y.size:
+        raise DataError(f"X has {X.shape[0]} rows but y has {y.size}")
+    if y.size == 0:
+        raise DataError("X and y have no rows")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise DataError("X or y holds a non-finite value")
+    return X, y
+
+
 def kernel_matrix(A: np.ndarray, B: np.ndarray, h: Hyperparameters) -> np.ndarray:
     """Cross-covariance matrix with entries k(a_i, b_j), C-ordered.
 

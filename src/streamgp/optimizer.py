@@ -28,7 +28,7 @@ from .inference import (
     split_into_batches,
     update,
 )
-from .kernel import Hyperparameters, _check_inputs, as_rows
+from .kernel import Hyperparameters, as_rows, as_xy
 from .model import ModelSpec
 
 GRADIENT_MODES = ("full", "ignore_history")
@@ -152,15 +152,16 @@ def srgp_fit(
     Returns the final hyper-parameters, a clean posterior from one extra
     gradient-free pass at those parameters, and the full step trace.  A
     resumed fit keeps ``resume_from``'s ADAM moments and step count and
-    steps at ``cfg.learning_rate``.
+    steps at ``cfg.learning_rate``, and cannot stop early: it lacks the
+    previous epoch's bound.  A numerical failure names its epoch (from 1)
+    before the failing layer's own message.
     """
-    X = _check_inputs(X, theta0, "X")
-    y = np.asarray(y, dtype=float).ravel()
+    X, y = as_xy(X, y)
     n = y.size
-    if n < 1:
-        raise DataError("empty training set")
     if cfg.batch_size > n:
         raise ContractViolationError(f"batch_size {cfg.batch_size} exceeds N={n}")
+    if resume_from is not None and cfg.psi_rel_tolerance > 0.0:
+        raise ContractViolationError("a resumed fit cannot stop early: it lacks the previous epoch's bound")
 
     h = theta0
     theta = h.to_vector()
@@ -200,7 +201,7 @@ def srgp_fit(
                     gstate, adj, km.geometry, h, spec, batch, ignore_history=ignore_history
                 )
             except NumericalError as err:
-                raise NumericalError(f"epoch {epoch}, mini-batch {k}: {err}") from None
+                raise NumericalError(f"epoch {epoch + 1}: {err}") from None
             psi_k = state_new.psi - state.psi
             grad = gstate_new.d_psi - gstate.d_psi
             theta, adam = adam_step(theta, grad, adam)
@@ -245,8 +246,7 @@ def fixed_theta_pass(
 ) -> PosteriorState:
     """One gradient-free pass over the data in natural order (standard
     parametrization)."""
-    X = _check_inputs(X, h, "X")
-    y = np.asarray(y, dtype=float).ravel()
+    X, y = as_xy(X, y)
     state = init_state(h, spec)
     for idx in split_into_batches(y.size, batch_size):
         state, _ = update(state, MiniBatch(X[idx], y[idx]), h, spec)

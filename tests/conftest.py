@@ -20,13 +20,14 @@ from streamgp import (
     PredictiveDistribution,
 )
 from streamgp._lapack import dgemm
-from streamgp.batch import _check_xy, _sparse_pieces
+from streamgp.batch import _sparse_pieces
 from streamgp.gradients import GradientState
 from streamgp.kernel import (
     CLASS_INDUCING,
     CLASS_LOG_SIGMA0,
     CLASS_LOG_SIGMA_N,
     _check_inputs,
+    as_xy,
     kernel_diag,
     kernel_matrix,
 )
@@ -104,7 +105,7 @@ def full_gp_predict(
     max_n: int = DENSE_SIZE_GUARD,
 ) -> PredictiveDistribution:
     """Exact GP predictive marginals via Cholesky of K_XX + sigma_n^2 I."""
-    X, y = _check_xy(X, y, h)
+    X, y = as_xy(X, y)
     X_star = _check_inputs(X_star, h, "X_star")
     _guard(X.shape[0], max_n, "full_gp_predict")
     Kyy = kernel_matrix(X, X, h) + h.noise_variance * np.eye(X.shape[0])
@@ -122,7 +123,7 @@ def full_gp_lml(
     X: np.ndarray, y: np.ndarray, h: Hyperparameters, max_n: int = DENSE_SIZE_GUARD
 ) -> float:
     """Exact log marginal likelihood log N(y | 0, K_XX + sigma_n^2 I)."""
-    X, y = _check_xy(X, y, h)
+    X, y = as_xy(X, y)
     n = y.size
     _guard(n, max_n, "full_gp_lml")
     Kyy = kernel_matrix(X, X, h) + h.noise_variance * np.eye(n)
@@ -138,7 +139,7 @@ def batch_sparse_posterior(
 
         Sigma_K = (K_RR^-1 + H^T V^-1 H)^-1,   mu_K = Sigma_K H^T V^-1 y.
     """
-    X, y = _check_xy(X, y, h)
+    X, y = as_xy(X, y)
     factor, A, d, v = _sparse_pieces(X, h, spec)
     H = solve_triangular(factor.L, A, lower=True, trans=1, check_finite=False).T  # K_XR K_RR^-1
     Lambda = symmetrize(factor.inv + (H.T / v[None, :]) @ H)

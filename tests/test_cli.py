@@ -24,6 +24,17 @@ def gp_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def target_first_file(gp_file, tmp_path):
+    """The rows of ``gp_file`` with their target first, as column t."""
+    from streamgp import load_dataset
+
+    ds = load_dataset(gp_file)
+    path = tmp_path / "target_first.csv"
+    path.write_text("t,x0\n" + "".join(f"{float(t)!r},{float(x)!r}\n" for t, x in zip(ds.y, ds.X[:, 0])))
+    return str(path)
+
+
 class TestSimulate:
     def test_gp_writes_loadable_file(self, tmp_path):
         out = tmp_path / "gp.csv"
@@ -126,9 +137,11 @@ class TestTrain:
             for key in a.files:
                 assert (a[key].dtype, a[key].tobytes()) == (b[key].dtype, b[key].tobytes()), key
 
-    def test_resume_of_a_configless_checkpoint_takes_its_adam_rate(self, gp_file, tmp_path):
-        # A library fit saved without a config trained at 0.05, so the
-        # resumed run records and steps at 0.05, not at the fresh default.
+    def test_resume_needs_the_recorded_recursion_and_takes_the_adam_rate(self, gp_file, tmp_path, capsys):
+        # A library fit saved without a config cannot tell the batch size,
+        # shuffling and gradient mode it ran with, so it is not resumed.
+        # Saved with a config that records them but no rate, the resumed run
+        # records and steps at its ADAM rate 0.05, not at the fresh default.
         from streamgp import Hyperparameters, ModelSpec, TrainConfig, load_dataset, srgp_fit
         from streamgp.checkpoint import Checkpoint
         from streamgp.optimizer import ResumeState, init_inducing_subset
@@ -141,6 +154,14 @@ class TestTrain:
         stored = Checkpoint(fit.hyper, spec, fit.posterior, fit.adam, fit.rng_state, epochs_done=1)
         save_checkpoint(str(ckpt), stored)
         args = ("train", "--data", gp_file, "--epochs", "2", "--batch-size", "20", "--resume", str(ckpt))
+        assert run_cli(*args, "--checkpoint-out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: {ckpt} has no train/config record of batch_size, shuffle, "
+            "gradient_mode; cannot resume\n"
+        )
+        assert not out.exists()
+        stored.config = {"batch_size": 20, "shuffle": False, "gradient_mode": "full"}
+        save_checkpoint(str(ckpt), stored)
         assert run_cli(*args, "--checkpoint-out", str(out)) == 0
         resumed = load_checkpoint(str(out))
         assert resumed.config["lr"] == resumed.adam.learning_rate == 0.05
@@ -182,11 +203,22 @@ class TestTrain:
         assert run_cli(*common, "--epochs", "2", "--resume", str(carried), "--checkpoint-out", str(out)) == 2
         assert not out.exists()
 
+    def test_resume_refuses_early_stopping(self, gp_file, tmp_path, capsys):
+        # Early stopping compares an epoch's bound with the one before, which
+        # a resumed run does not have.
+        common = ("train", "--data", gp_file, "--batch-size", "40", "--num-inducing", "5")
+        ckpt, out = tmp_path / "m.npz", tmp_path / "out.npz"
+        assert run_cli(*common, "--epochs", "1", "--checkpoint-out", str(ckpt)) == 0
+        args = ("--epochs", "3", "--psi-tol", "1.0", "--resume", str(ckpt), "--checkpoint-out", str(out))
+        assert run_cli(*common, *args) == 2
+        assert "cannot stop early" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag",
         [
             ("--lr", "0.5"), ("--batch-size", "20"), ("--shuffle",), ("--gradient-mode", "ignore_history"),
-            ("--model", "pep"), ("--alpha", "0.7"),
+            ("--model", "pep"), ("--alpha", "0.7"), ("--target-col", "x0"),
         ],
     )
     def test_resume_refuses_changed_setting(self, gp_file, tmp_path, capsys, flag):
@@ -236,9 +268,12 @@ class TestTrain:
         np.testing.assert_array_equal(a.hyper.to_vector(), b.hyper.to_vector())
         assert a.config == b.config
 
-    def test_resume_takes_omitted_settings_from_checkpoint(self, gp_file, tmp_path):
-        common = ("train", "--data", gp_file, "--num-inducing", "5", "--seed", "3")
-        settings = ("--lr", "0.01", "--batch-size", "20", "--shuffle", "--gradient-mode", "ignore_history")
+    def test_resume_takes_omitted_settings_from_checkpoint(self, target_first_file, tmp_path):
+        common = ("train", "--data", target_first_file, "--num-inducing", "5", "--seed", "3")
+        settings = (
+            "--lr", "0.01", "--batch-size", "20", "--shuffle", "--gradient-mode", "ignore_history",
+            "--target-col", "t",
+        )
         full, half, resumed = tmp_path / "full.npz", tmp_path / "half.npz", tmp_path / "resumed.npz"
         assert run_cli(*common, *settings, "--epochs", "2", "--checkpoint-out", str(full)) == 0
         assert run_cli(*common, *settings, "--epochs", "1", "--checkpoint-out", str(half)) == 0
@@ -338,6 +373,34 @@ class TestPredictEvaluate:
         save_checkpoint(str(configless), ckpt)
         assert predicted(str(configless), ["y", "x0"], [ds.y, ds.X[:, 0]]) == features
         assert predicted(str(configless), ["x0", "target"], [ds.X[:, 0], ds.y]) == features
+
+    def test_evaluate_takes_the_recorded_target_column(self, target_first_file, gp_file, tmp_path, capsys):
+        # Trained with --target-col t, the first column, the model scores its
+        # own file on t without the flag, and a file whose target is y (not in
+        # the checkpoint's header) on y.  A file of the D features alone has
+        # no target: predict reads it and evaluate refuses it.
+        ckpt = str(tmp_path / "t.npz")
+        train = ("train", "--data", target_first_file, "--target-col", "t", "--epochs", "3")
+        assert run_cli(*train, "--batch-size", "20", "--num-inducing", "10", "--checkpoint-out", ckpt) == 0
+        capsys.readouterr()
+
+        def evaluated(*args) -> str:
+            assert run_cli("evaluate", "--checkpoint", ckpt, *args) == 0
+            return capsys.readouterr().out
+
+        flagged = evaluated("--data", target_first_file, "--target-col", "t")
+        assert evaluated("--data", target_first_file) == flagged
+        assert evaluated("--data", gp_file) == flagged
+        assert run_cli("evaluate", "--checkpoint", ckpt, "--data", gp_file, "--target-col", "t") == 3
+        assert "target column 't' not in header ['x0', 'y']" in capsys.readouterr().err
+        features = tmp_path / "features.csv"
+        features.write_text("".join(line.split(",", 1)[1] for line in open(target_first_file)))
+        assert run_cli("predict", "--checkpoint", ckpt, "--inputs", str(features)) == 0
+        capsys.readouterr()
+        assert run_cli("evaluate", "--checkpoint", ckpt, "--data", str(features)) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {features}: has only the model's D = 1 feature columns, no target\n"
+        )
 
     def test_predict_rejects_wrong_width(self, trained, tmp_path):
         bad = tmp_path / "wide.csv"

@@ -499,6 +499,42 @@ def test_one_row_as_a_1d_array_reads_as_that_row():
     assert state_bytes(flat.posterior) == state_bytes(row.posterior)
 
 
+def _with_nan(a: np.ndarray) -> np.ndarray:
+    a = a.copy()
+    a.flat[-1] = np.nan
+    return a
+
+
+XY_PASSES = {
+    "Dataset": lambda X, y, h: Dataset(X=X, y=y),
+    "MiniBatch": lambda X, y, h: MiniBatch(X, y),
+    "srgp_fit": lambda X, y, h: srgp_fit(X, y, h, ModelSpec("vfe"), TrainConfig(epochs=1, batch_size=1)),
+    "fixed_theta_pass": lambda X, y, h: fixed_theta_pass(X, y, h, ModelSpec("vfe"), 10),
+    "batch_bound": lambda X, y, h: batch_bound(X, y, h, ModelSpec("vfe")),
+}
+BAD_XY = {
+    "short-y": (lambda X, y: (X, y[:90]), "X has 100 rows but y has 90"),
+    "short-X": (lambda X, y: (X[:90], y), "X has 90 rows but y has 100"),
+    "3-D-X": (lambda X, y: (X[:, :, None], y), "X has shape (100, 2, 1), expected (rows, D)"),
+    "empty": (lambda X, y: (X[:0], y[:0]), "X and y have no rows"),
+    "non-finite-X": (lambda X, y: (_with_nan(X), y), "X or y holds a non-finite value"),
+    "non-finite-y": (lambda X, y: (X, _with_nan(y)), "X or y holds a non-finite value"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_XY)
+@pytest.mark.parametrize("entry", XY_PASSES)
+def test_every_pass_over_data_refuses_bad_xy(entry, case):
+    """Each entry point that takes (X, y) refuses X that is not 2-D, rows
+    that disagree in number, no rows and non-finite values alike, with one
+    DataError."""
+    X, y, h = make_instance(14, n=100, d=2, m=4)
+    spoil, message = BAD_XY[case]
+    with pytest.raises(DataError) as err:
+        XY_PASSES[entry](*spoil(X, y), h)
+    assert str(err.value) == message
+
+
 class TestFullGPRecovery:
     def test_vfe_with_all_inputs_as_inducing(self):
         # M = N, R = X: bound -> exact LML, predictive -> exact GP.

@@ -12,6 +12,7 @@ from streamgp import (
     DataError,
     MiniBatch,
     ModelSpec,
+    NumericalError,
     TrainConfig,
     adam_step,
     fixed_theta_pass,
@@ -225,6 +226,30 @@ class TestSrgpFit:
         cfg = TrainConfig(epochs=50, batch_size=30, learning_rate=0.0, psi_rel_tolerance=1e-12)
         result = srgp_fit(X, y, h, ModelSpec("vfe"), cfg)
         assert result.epochs_run == 2  # identical psi at lr=0 stops at once
+        # A resumed fit lacks the previous epoch's bound, so it cannot stop early.
+        resume = ResumeState(adam=result.adam, rng_state=result.rng_state, epochs_done=1)
+        with pytest.raises(ContractViolationError, match="cannot stop early"):
+            srgp_fit(X, y, h, ModelSpec("vfe"), cfg, resume_from=resume)
+
+    def test_failing_step_names_its_epoch_and_mini_batch_once(self, monkeypatch):
+        # The second step of the second epoch enters propagate with a NaN
+        # derivative of eta in log_sigma0's row.
+        from streamgp import optimizer
+
+        X, y, h = make_instance(12, n=40, m=4)
+        calls = []
+
+        def corrupting(gstate, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 6:
+                gstate = replace(gstate, d_eta=gstate.d_eta.copy())
+                gstate.d_eta[0] = np.nan
+            return propagate(gstate, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "propagate", corrupting)
+        with pytest.raises(NumericalError) as err:
+            srgp_fit(X, y, h, ModelSpec("vfe"), TrainConfig(epochs=3, batch_size=10))
+        assert str(err.value) == "epoch 2: non-finite gradient for log_sigma0 at mini-batch 2"
 
     def test_batch_size_larger_than_n_rejected(self):
         X, y, h = make_instance(10, n=10, m=3)
