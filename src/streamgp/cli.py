@@ -7,9 +7,11 @@ Exit codes: 0 success, 2 usage, 3 bad data, 4 numerical failure,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from dataclasses import asdict
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,8 +40,9 @@ from .errors import (
 from .gradients import compute_adjoints, init_gradient_state, propagate
 from .inference import PARAM_STANDARD, MiniBatch, init_state, predict, split_into_batches, update
 from .kernel import Hyperparameters
-from .model import ModelSpec
+from .model import VARIANTS, ModelSpec
 from .optimizer import (
+    GRADIENT_MODES,
     AdamState,
     ResumeState,
     TrainConfig,
@@ -53,18 +56,57 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 EXIT_TOLERANCE = 5
 
-# Training settings a resumed run must share with its checkpoint, with their
-# defaults for a fresh run.  An omitted flag takes the checkpoint's value.
-RESUMED_SETTINGS = {
-    "model": "vfe",
-    "alpha": 0.5,
-    "lr": 1e-3,
-    "batch_size": 256,
-    "shuffle": False,
-    "gradient_mode": "full",
-    "standardize": False,
-    "num_inducing": 20,
-    "seed": 0,
+
+class Setting(NamedTuple):
+    """A `train` setting: its flag (for one the run measures, the name
+    refusals give it), its type (choices as a tuple; bool for a switch; None
+    if measured), its fresh-run default (``...``: a required flag), whether a
+    resumed run keeps it, how the checkpoint's arrays say it (else a kept one
+    must be in train/config), whether train/config records it, its help."""
+
+    label: str
+    kind: object
+    default: object
+    keep: bool = False
+    arrays: Callable[[Checkpoint], object] | None = None
+    record: bool = True
+    help: str = ""
+
+
+# Keyed by train/config name; the parser, the resolved settings, train/config
+# and the resume refusals (in this order) all read it.
+TRAIN_SETTINGS = {
+    "data": Setting("--data", str, ..., help="training data file (header + rows)"),
+    "target_col": Setting("--target-col", str, None, True, help="target column (default: the last one)"),
+    "n_rows": Setting("data row count", None, None, True),
+    "data_sha256": Setting("data sha256", None, None, True),
+    "epochs": Setting("--epochs", int, 50),
+    "epoch_reset": Setting("--no-epoch-reset", bool, True, help="carry posterior across epochs"),
+    "model": Setting("--model", VARIANTS, "vfe", True, lambda c: c.spec.variant),
+    "alpha": Setting(
+        "--alpha", float, 0.5, True, lambda c: c.spec.alpha, help="PEP power (ignored otherwise)"
+    ),
+    "lr": Setting("--lr", float, 1e-3, True, lambda c: c.adam.learning_rate),
+    "batch_size": Setting("--batch-size", int, 256, True, help="at most N"),
+    "shuffle": Setting("--shuffle", bool, False, True),
+    "gradient_mode": Setting("--gradient-mode", GRADIENT_MODES, "full", True),
+    "standardize": Setting(
+        "--standardize", bool, False, True, lambda c: c.standardize_mean is not None, help="z-score inputs"
+    ),
+    "num_inducing": Setting(
+        "--num-inducing", int, 20, True, lambda c: c.hyper.num_inducing, help="M, at most N"
+    ),
+    "seed": Setting("--seed", int, 0, True),
+    "blas_threads": Setting("BLAS threads (OPENBLAS_NUM_THREADS)", None, None, True),
+    "checkpoint_out": Setting("--checkpoint-out", str, "model.npz", record=False),
+    "trace_out": Setting("--trace-out", str, None, record=False, help="append one JSON record per step"),
+    "delimiter": Setting("--delimiter", str, ",", record=False),
+    "psi_tol": Setting("--psi-tol", float, 0.0, record=False, help="relative early-stop tolerance"),
+    "resume": Setting(
+        "--resume", str, None, record=False,
+        help="checkpoint to continue training from: {flags} default to its values, and the run is "
+        "refused (exit 2) if one of them or its {measured} differ from the checkpoint's",
+    ),
 }
 
 
@@ -82,34 +124,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="fit a model on a delimited data file")
-    p_train.add_argument("--data", required=True, help="training data file (header + rows)")
-    p_train.add_argument("--model", choices=["sor", "dtc", "fitc", "vfe", "pep"], help="default vfe")
-    p_train.add_argument("--alpha", type=float, help="PEP power (ignored otherwise), default 0.5")
-    p_train.add_argument("--num-inducing", type=int, default=None, metavar="M", help="default 20")
-    p_train.add_argument("--batch-size", type=int, default=None, metavar="B", help="default 256")
-    p_train.add_argument("--epochs", type=int, default=50, metavar="E")
-    p_train.add_argument("--lr", type=float, default=None, help="default 1e-3")
-    p_train.add_argument("--seed", type=int, default=None, help="default 0")
-    p_train.add_argument("--checkpoint-out", default="model.npz")
-    p_train.add_argument("--trace-out", default=None, help="append one JSON record per step")
-    p_train.add_argument("--target-col", default=None)
-    p_train.add_argument("--delimiter", default=",")
-    p_train.add_argument("--shuffle", action="store_true", default=None)
-    p_train.add_argument(
-        "--standardize", action="store_true", default=None, help="z-score input columns"
-    )
-    p_train.add_argument(
-        "--gradient-mode", default=None, choices=["full", "ignore_history"], help="default full"
-    )
-    p_train.add_argument("--psi-tol", type=float, default=0.0, help="relative early-stop tolerance")
-    p_train.add_argument("--no-epoch-reset", action="store_true", help="carry posterior across epochs")
-    p_train.add_argument(
-        "--resume",
-        default=None,
-        help="checkpoint to continue training from; --model, --alpha, --lr, --batch-size, "
-        "--shuffle, --gradient-mode, --standardize, --num-inducing, --seed and --target-col "
-        "default to its values and may not differ from them",
-    )
+    kept = [s for s in TRAIN_SETTINGS.values() if s.keep]
+    flags = ", ".join(s.label for s in kept if s.kind is not None)
+    measured = ", ".join(s.label for s in kept if s.kind is None)
+    for name, s in TRAIN_SETTINGS.items():
+        if s.kind is None:
+            continue
+        if s.kind is bool:
+            kind = {"action": "store_false" if s.default else "store_true"}
+        else:
+            kind = {"choices": s.kind} if isinstance(s.kind, tuple) else {"type": s.kind}
+        default = "" if s.kind is bool or s.default in (None, ...) else f"default {s.default}"
+        text = "; ".join(filter(None, [s.help.format(flags=flags, measured=measured), default]))
+        # An omitted flag sets no attribute, so a resumed run can take the checkpoint's value.
+        p_train.add_argument(
+            s.label, dest=name, default=argparse.SUPPRESS, required=s.default is ..., help=text, **kind
+        )
 
     p_pred = sub.add_parser("predict", help="predict from a checkpoint")
     p_pred.add_argument("--checkpoint", required=True)
@@ -132,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--d", type=int, default=2)
     p_val.add_argument("--num-inducing", type=int, default=7)
     p_val.add_argument("--num-batches", type=int, default=3)
-    p_val.add_argument("--model", default="vfe", choices=["sor", "dtc", "fitc", "vfe", "pep"])
+    p_val.add_argument("--model", default="vfe", choices=VARIANTS)
     p_val.add_argument("--alpha", type=float, default=0.5)
     p_val.add_argument("--seed", type=int, default=0)
     p_val.add_argument("--tolerance", type=float, default=1e-4)
@@ -160,113 +190,78 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = X.mean(axis=0)
-    scale = X.std(axis=0)
-    scale[scale == 0.0] = 1.0
-    return mean, scale
-
-
 def _apply_standardize(X: np.ndarray, mean, scale) -> np.ndarray:
     return X if mean is None else (X - mean) / scale
 
 
-def _train_settings(args, n: int, stored: dict) -> dict:
-    """The ``RESUMED_SETTINGS`` of this run: as given, else as stored in the
-    resumed checkpoint, else the defaults.  A given value that differs from
-    the checkpoint's is refused, because the run would then no longer
-    continue the stored one."""
-    settings = {}
-    for key, default in RESUMED_SETTINGS.items():
-        given = getattr(args, key)
-        value = stored.get(key, default) if given is None else given
-        if key in ("batch_size", "num_inducing"):
-            value = min(value, n)
-        if given is not None and key in stored and value != stored[key]:
-            raise ContractViolationError(
-                f"--{key.replace('_', '-')} {given} differs from the resumed checkpoint's "
-                f"{stored[key]}; a resumed run keeps its settings"
-            )
-        settings[key] = value
-    return settings
-
-
 def cmd_train(args) -> int:
-    std_mean = std_scale = None
-    resume = None
-    stored: dict = {}
-
-    if args.resume is not None:
-        ckpt = load_checkpoint(args.resume)
+    given, stored, ckpt = vars(args), {}, None
+    if "resume" in given:
+        ckpt = load_checkpoint(given["resume"])
         stored = dict(ckpt.config or {})
-        unknown = [k for k in ("batch_size", "shuffle", "gradient_mode") if k not in stored]
-        if unknown:  # settings of the recursion that only train/config records
+        unknown = [k for k, s in TRAIN_SETTINGS.items() if s.keep and s.arrays is None and k not in stored]
+        if unknown:
             raise ContractViolationError(
-                f"{args.resume} has no train/config record of {', '.join(unknown)}; cannot resume"
+                f"{given['resume']} has no train/config record of {', '.join(unknown)}; cannot resume"
             )
-        # Results depend on the BLAS thread count, so another one would not
-        # continue the stored run bit for bit.
-        threads = ROUTINES.num_threads()
-        if stored.get("blas_threads", threads) != threads:
-            raise ContractViolationError(
-                f"this run has {threads} BLAS threads and the resumed checkpoint was trained with "
-                f"{stored['blas_threads']}; a resumed run keeps its settings (OPENBLAS_NUM_THREADS)"
-            )
-        if args.no_epoch_reset or stored.get("epoch_reset") is False:
+        if not given.get("epoch_reset", True) or stored.get("epoch_reset") is False:
             raise ContractViolationError(
                 "cannot resume without epoch resets: the checkpoint holds the fixed-parameter "
                 "posterior, not the carried training posterior and gradient state"
             )
         if ckpt.adam is None or ckpt.rng_state is None:
-            raise DataError(f"{args.resume} lacks optimizer/RNG state; cannot resume")
-        hyper = ckpt.hyper
-        std_mean, std_scale = ckpt.standardize_mean, ckpt.standardize_scale
-        # The checkpoint's own arrays say these five, whatever its config holds.
-        stored["model"], stored["alpha"] = ckpt.spec.variant, ckpt.spec.alpha
-        stored["lr"] = ckpt.adam.learning_rate
-        stored["num_inducing"] = hyper.num_inducing
-        stored["standardize"] = std_mean is not None
-        resume = ResumeState(adam=ckpt.adam, rng_state=ckpt.rng_state, epochs_done=ckpt.epochs_done)
-    target = args.target_col if args.target_col is not None else stored.get("target_col")
-    if target != stored.get("target_col", target):
-        raise ContractViolationError(
-            f"--target-col {target} differs from the resumed checkpoint's {stored['target_col']}; "
-            "a resumed run keeps its settings"
-        )
-    ds = load_dataset(args.data, target_col=target, delimiter=args.delimiter)
-    settings = _train_settings(args, ds.n, stored)
-    spec = ModelSpec(variant=settings["model"], alpha=settings["alpha"])
-    if resume is None and settings["standardize"]:
-        std_mean, std_scale = _standardize_fit(ds.X)
-    if resume is not None and resume.epochs_done >= args.epochs:
+            raise DataError(f"{given['resume']} lacks optimizer/RNG state; cannot resume")
+        stored.update({k: s.arrays(ckpt) for k, s in TRAIN_SETTINGS.items() if s.arrays is not None})
+    # As given, else (for a kept setting) as the resumed checkpoint says, else the default.
+    settings = {
+        k: given.get(k, stored.get(k, s.default) if s.keep else s.default) for k, s in TRAIN_SETTINGS.items()
+    }
+    ds = load_dataset(settings["data"], target_col=settings["target_col"], delimiter=settings["delimiter"])
+    # The rows as read, before standardizing: a resumed run continues the
+    # stored recursion only on the same data.
+    digest = hashlib.sha256(np.ascontiguousarray(ds.X))
+    digest.update(np.ascontiguousarray(ds.y))
+    settings.update(
+        target_col=ds.column_names[-1],
+        n_rows=ds.n,
+        data_sha256=digest.hexdigest(),
+        batch_size=min(settings["batch_size"], ds.n),
+        num_inducing=min(settings["num_inducing"], ds.n),
+        # Results depend on the BLAS thread count.
+        blas_threads=ROUTINES.num_threads(),
+    )
+    for k, s in TRAIN_SETTINGS.items():
+        if ckpt is not None and s.keep and settings[k] != stored[k]:
+            raise ContractViolationError(
+                f"{s.label} {settings[k]} differs from the resumed checkpoint's {stored[k]}; "
+                "a resumed run keeps its settings and data"
+            )
+    epochs = settings["epochs"]
+    if ckpt is not None and ckpt.epochs_done >= epochs:
         print(
-            f"nothing to do: checkpoint already trained {resume.epochs_done} epochs "
-            f">= requested total {args.epochs}"
+            f"nothing to do: checkpoint already trained {ckpt.epochs_done} epochs "
+            f">= requested total {epochs}"
         )
         return EXIT_OK
 
+    spec = ModelSpec(variant=settings["model"], alpha=settings["alpha"])
+    resume = None
+    if ckpt is not None:
+        hyper, std_mean, std_scale = ckpt.hyper, ckpt.standardize_mean, ckpt.standardize_scale
+        resume = ResumeState(adam=ckpt.adam, rng_state=ckpt.rng_state, epochs_done=ckpt.epochs_done)
+    elif settings["standardize"]:
+        std_mean, std_scale = ds.X.mean(axis=0), ds.X.std(axis=0)
+        std_scale[std_scale == 0.0] = 1.0
+    else:
+        std_mean = std_scale = None
     X = _apply_standardize(ds.X, std_mean, std_scale)
-
-    if args.resume is None:
-        rng = np.random.default_rng(settings["seed"])
+    if ckpt is None:
+        R = init_inducing_subset(X, settings["num_inducing"], np.random.default_rng(settings["seed"]))
         hyper = Hyperparameters(
-            log_sigma0=0.0,
-            log_lengthscales=np.zeros(ds.input_dim),
-            log_sigma_n=0.0,
-            inducing_inputs=init_inducing_subset(X, settings["num_inducing"], rng),
+            log_sigma0=0.0, log_lengthscales=np.zeros(ds.input_dim), log_sigma_n=0.0, inducing_inputs=R
         )
 
-    config_record = {
-        "data": args.data,
-        "target_col": ds.column_names[-1],
-        "epochs": args.epochs,
-        "epoch_reset": not args.no_epoch_reset,
-        **settings,
-        "num_inducing": int(hyper.num_inducing),
-        "blas_threads": ROUTINES.num_threads(),
-    }
-
-    if args.epochs == 0:
+    if epochs == 0:
         # No training: checkpoint the prior posterior at the initial parameters.
         posterior = init_state(hyper, spec, PARAM_STANDARD)
         adam = AdamState.fresh(hyper.n_params, settings["lr"])
@@ -275,26 +270,27 @@ def cmd_train(args) -> int:
         epochs_run = 0
     else:
         cfg = TrainConfig(
-            epochs=args.epochs,
+            epochs=epochs,
             batch_size=settings["batch_size"],
             learning_rate=settings["lr"],
             shuffle=settings["shuffle"],
             seed=settings["seed"],
-            psi_rel_tolerance=args.psi_tol,
+            psi_rel_tolerance=settings["psi_tol"],
             gradient_mode=settings["gradient_mode"],
-            reset_each_epoch=not args.no_epoch_reset,
+            reset_each_epoch=settings["epoch_reset"],
         )
         result = srgp_fit(X, ds.y, hyper, spec, cfg, resume_from=resume)
         hyper, posterior, trace = result.hyper, result.posterior, result.trace
         adam, rng_state, epochs_run = result.adam, result.rng_state, result.epochs_run
 
-    if args.trace_out and trace:
-        with open(args.trace_out, "a") as fh:
+    if settings["trace_out"] and trace:
+        with open(settings["trace_out"], "a") as fh:
             for rec in trace:
                 fh.write(json.dumps(asdict(rec)) + "\n")
 
+    out = settings["checkpoint_out"]
     save_checkpoint(
-        args.checkpoint_out,
+        out,
         Checkpoint(
             hyper=hyper,
             spec=spec,
@@ -302,14 +298,14 @@ def cmd_train(args) -> int:
             adam=adam,
             rng_state=rng_state,
             epochs_done=epochs_run,
-            config=config_record,
+            config={k: settings[k] for k, s in TRAIN_SETTINGS.items() if s.record},
             standardize_mean=std_mean,
             standardize_scale=std_scale,
         ),
     )
     print(
         f"trained {spec.variant} model: epochs={epochs_run} psi={posterior.psi:.6f} "
-        f"steps={len(trace)} -> {args.checkpoint_out}"
+        f"steps={len(trace)} -> {out}"
     )
     return EXIT_OK
 
@@ -434,29 +430,25 @@ COMMANDS = {
 }
 
 
+# Exit code and stderr prefix of each error the commands raise, the first
+# matching class winning.
+ERRORS = (
+    (ContractViolationError, EXIT_USAGE, "usage error"),
+    ((DataError, FileNotFoundError), EXIT_DATA, "data error"),
+    ((IllConditionedError, NumericalError), EXIT_NUMERICAL, "numerical error"),
+    (ToleranceError, EXIT_TOLERANCE, "tolerance exceeded"),
+    (StreamGPError, EXIT_NUMERICAL, "error"),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except ContractViolationError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as err:
-        print(f"data error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except (IllConditionedError, NumericalError) as err:
-        print(f"numerical error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ToleranceError as err:
-        print(f"tolerance exceeded: {err}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    except FileNotFoundError as err:
-        print(f"data error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except StreamGPError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except (StreamGPError, FileNotFoundError) as err:
+        code, prefix = next((code, prefix) for cls, code, prefix in ERRORS if isinstance(err, cls))
+        print(f"{prefix}: {err}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

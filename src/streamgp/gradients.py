@@ -323,6 +323,7 @@ def propagate(
     spec: ModelSpec,
     batch: MiniBatch,
     ignore_history: bool = False,
+    advance: bool = True,
 ) -> GradientState:
     """Advance the gradient recursion across one absorbed mini-batch.
 
@@ -336,7 +337,8 @@ def propagate(
     gradient that forgets how past batches shaped the posterior.  On the
     first batch the carried state is the prior itself, not history, so
     both modes coincide there; the derivative state is never advanced in
-    this mode.
+    this mode.  Without ``advance`` it is not advanced either, for a caller
+    that discards it after this batch; ``d_psi`` is the same.
 
     A non-finite gradient raises :class:`NumericalError` naming its first
     parameter.  Every non-finite carried value or adjoint already reaches
@@ -379,7 +381,7 @@ def propagate(
         carried = gstate.d_eta @ adj.L_deta + gstate.d_Lambda @ weights
     d_psi = gstate.d_psi - 0.5 * (carried + direct)
     _require_finite(d_psi, h, gstate.k)
-    d_psi -= 0.5 * _walk(gstate, L_XR, geom, h, spec, batch.y, KG, not ignore_history)
+    d_psi -= 0.5 * _walk(gstate, L_XR, geom, h, spec, batch.y, KG, advance and not ignore_history)
     _require_finite(d_psi, h, gstate.k)
     return GradientState(d_eta=gstate.d_eta, d_Lambda=gstate.d_Lambda, d_psi=d_psi, k=gstate.k + 1)
 

@@ -191,14 +191,19 @@ def srgp_fit(
             state = init_state(h, spec)
             gstate = init_gradient_state(h, spec)
         order = rng.permutation(n) if cfg.shuffle else None
-        for k, idx in enumerate(split_into_batches(n, cfg.batch_size, order)):
+        batches = split_into_batches(n, cfg.batch_size, order)
+        # Nothing reads the derivative state after the last batch of an epoch
+        # that the next one resets, or of the last epoch.
+        keep_last = not cfg.reset_each_epoch and epoch + 1 < cfg.epochs
+        for k, idx in enumerate(batches):
             t0 = time.perf_counter()
             batch = MiniBatch(X[idx], y[idx])
             try:
                 state_new, km = update(state, batch, h, spec)
                 adj = compute_adjoints(state, state_new, km, h, spec)
                 gstate_new = propagate(
-                    gstate, adj, km.geometry, h, spec, batch, ignore_history=ignore_history
+                    gstate, adj, km.geometry, h, spec, batch, ignore_history=ignore_history,
+                    advance=keep_last or k + 1 < len(batches),
                 )
             except NumericalError as err:
                 raise NumericalError(f"epoch {epoch + 1}: {err}") from None

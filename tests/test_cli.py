@@ -1,20 +1,36 @@
 """End-to-end command-line flows and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from streamgp import load_dataset
 from streamgp._lapack import ROUTINES
 from streamgp.checkpoint import load_checkpoint, save_checkpoint
-from streamgp.cli import main
+from streamgp.cli import TRAIN_SETTINGS, main
+
+# A value other than the one the resumed checkpoint of
+# ``test_resume_refuses_changed_setting`` was trained with, per kept flag.
+CHANGED = {
+    "--target-col": ("x0",), "--model": ("pep",), "--alpha": ("0.7",), "--lr": ("0.5",),
+    "--batch-size": ("20",), "--shuffle": (), "--gradient-mode": ("ignore_history",),
+    "--standardize": (), "--num-inducing": ("6",), "--seed": ("4",),
+}
 
 
 def run_cli(*args) -> int:
     return main(list(args))
+
+
+def data_sha256(ds) -> str:
+    """The sha256 of a data set's inputs and then its targets, as float64 bytes."""
+    return hashlib.sha256(ds.X.astype(np.float64).tobytes() + ds.y.astype(np.float64).tobytes()).hexdigest()
 
 
 @pytest.fixture()
@@ -138,10 +154,11 @@ class TestTrain:
                 assert (a[key].dtype, a[key].tobytes()) == (b[key].dtype, b[key].tobytes()), key
 
     def test_resume_needs_the_recorded_recursion_and_takes_the_adam_rate(self, gp_file, tmp_path, capsys):
-        # A library fit saved without a config cannot tell the batch size,
-        # shuffling and gradient mode it ran with, so it is not resumed.
-        # Saved with a config that records them but no rate, the resumed run
-        # records and steps at its ADAM rate 0.05, not at the fresh default.
+        # A library fit saved without a config cannot tell the data, batch
+        # size, shuffling, gradient mode, seed and BLAS threads it ran with,
+        # so it is not resumed.  Saved with a config that records them but no
+        # rate, the resumed run records and steps at its ADAM rate 0.05, not
+        # at the fresh default.
         from streamgp import Hyperparameters, ModelSpec, TrainConfig, load_dataset, srgp_fit
         from streamgp.checkpoint import Checkpoint
         from streamgp.optimizer import ResumeState, init_inducing_subset
@@ -156,11 +173,15 @@ class TestTrain:
         args = ("train", "--data", gp_file, "--epochs", "2", "--batch-size", "20", "--resume", str(ckpt))
         assert run_cli(*args, "--checkpoint-out", str(out)) == 2
         assert capsys.readouterr().err == (
-            f"usage error: {ckpt} has no train/config record of batch_size, shuffle, "
-            "gradient_mode; cannot resume\n"
+            f"usage error: {ckpt} has no train/config record of target_col, n_rows, data_sha256, "
+            "batch_size, shuffle, gradient_mode, seed, blas_threads; cannot resume\n"
         )
         assert not out.exists()
-        stored.config = {"batch_size": 20, "shuffle": False, "gradient_mode": "full"}
+        stored.config = {
+            "target_col": "y", "n_rows": 80, "data_sha256": data_sha256(ds),
+            "batch_size": 20, "shuffle": False, "gradient_mode": "full", "seed": 0,
+            "blas_threads": ROUTINES.num_threads(),
+        }
         save_checkpoint(str(ckpt), stored)
         assert run_cli(*args, "--checkpoint-out", str(out)) == 0
         resumed = load_checkpoint(str(out))
@@ -215,31 +236,67 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flag",
-        [
-            ("--lr", "0.5"), ("--batch-size", "20"), ("--shuffle",), ("--gradient-mode", "ignore_history"),
-            ("--model", "pep"), ("--alpha", "0.7"), ("--target-col", "x0"),
-        ],
+        "flag", [(s.label, *CHANGED[s.label]) for s in TRAIN_SETTINGS.values() if s.keep and s.kind is not None]
     )
     def test_resume_refuses_changed_setting(self, gp_file, tmp_path, capsys, flag):
-        common = ("train", "--data", gp_file, "--num-inducing", "5")
-        ckpt, out = tmp_path / "m.npz", tmp_path / "out.npz"
-        assert run_cli(*common, "--epochs", "1", "--batch-size", "40", "--checkpoint-out", str(ckpt)) == 0
-        code = run_cli(*common, "--epochs", "2", "--resume", str(ckpt), "--checkpoint-out", str(out), *flag)
-        assert code == 2
-        assert flag[0] in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flag", [("--standardize",), ("--num-inducing", "6"), ("--seed", "4")])
-    def test_resume_refuses_changed_model_setting(self, gp_file, tmp_path, capsys, flag):
-        # The inputs' scaling, M and the seed are fixed by the checkpoint; a
-        # resumed run that asks for others would silently not get them.
+        # A resumed run continues the stored one, so a flag that asks for
+        # another value than the checkpoint's would silently not be obeyed.
         common = ("train", "--data", gp_file, "--num-inducing", "5", "--batch-size", "40")
         ckpt, out = tmp_path / "m.npz", tmp_path / "out.npz"
         assert run_cli(*common, "--epochs", "1", "--seed", "3", "--checkpoint-out", str(ckpt)) == 0
+        capsys.readouterr()
         code = run_cli(*common, "--epochs", "2", "--resume", str(ckpt), "--checkpoint-out", str(out), *flag)
         assert code == 2
-        assert flag[0] in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"usage error: {flag[0]} ")
+        assert not out.exists()
+
+    def test_resume_help_names_every_kept_setting(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # one line per option
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        resume = next(line for line in capsys.readouterr().out.splitlines() if "--resume RESUME " in line)
+        kept = [s.label for s in TRAIN_SETTINGS.values() if s.keep]
+        assert "data sha256" in kept and all(label in resume for label in kept)
+
+    def test_resume_refuses_fewer_rows(self, gp_file, tmp_path, capsys):
+        common = ("train", "--batch-size", "40", "--num-inducing", "5")
+        ckpt, out, fewer = tmp_path / "m.npz", tmp_path / "out.npz", tmp_path / "fewer.csv"
+        assert run_cli(*common, "--data", gp_file, "--epochs", "1", "--checkpoint-out", str(ckpt)) == 0
+        fewer.write_text("".join(Path(gp_file).read_text().splitlines(keepends=True)[:61]))
+        capsys.readouterr()
+        args = ("--data", str(fewer), "--epochs", "2", "--resume", str(ckpt), "--checkpoint-out", str(out))
+        assert run_cli(*common, *args) == 2
+        assert "data row count 60 differs from the resumed checkpoint's 80" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resume_refuses_other_rows_of_the_same_count(self, gp_file, tmp_path, capsys):
+        common = ("train", "--batch-size", "40", "--num-inducing", "5")
+        ckpt, out, other = tmp_path / "m.npz", tmp_path / "out.npz", tmp_path / "other.csv"
+        assert run_cli(*common, "--data", gp_file, "--epochs", "1", "--checkpoint-out", str(ckpt)) == 0
+        lines = Path(gp_file).read_text().splitlines(keepends=True)
+        x, _ = lines[-1].split(",")
+        other.write_text("".join(lines[:-1]) + f"{x},1.5\n")  # one target changed
+        capsys.readouterr()
+        args = ("--data", str(other), "--epochs", "2", "--resume", str(ckpt), "--checkpoint-out", str(out))
+        assert run_cli(*common, *args) == 2
+        assert capsys.readouterr().err.startswith("usage error: data sha256 ")
+        assert not out.exists()
+
+    def test_resume_refuses_a_config_without_the_data_digest(self, gp_file, tmp_path, capsys):
+        # A checkpoint that does not say which rows it was trained on cannot
+        # show that the resumed run continues it on the same data.
+        common = ("train", "--data", gp_file, "--batch-size", "40", "--num-inducing", "5")
+        ckpt, out = tmp_path / "m.npz", tmp_path / "out.npz"
+        assert run_cli(*common, "--epochs", "1", "--checkpoint-out", str(ckpt)) == 0
+        stored = load_checkpoint(str(ckpt))
+        assert stored.config["data_sha256"] == data_sha256(load_dataset(gp_file))
+        del stored.config["data_sha256"]
+        save_checkpoint(str(ckpt), stored)
+        capsys.readouterr()
+        assert run_cli(*common, "--epochs", "2", "--resume", str(ckpt), "--checkpoint-out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: {ckpt} has no train/config record of data_sha256; cannot resume\n"
+        )
         assert not out.exists()
 
     def test_resume_records_the_checkpoints_own_settings(self, gp_file, tmp_path):

@@ -251,6 +251,38 @@ class TestSrgpFit:
             srgp_fit(X, y, h, ModelSpec("vfe"), TrainConfig(epochs=3, batch_size=10))
         assert str(err.value) == "epoch 2: non-finite gradient for log_sigma0 at mini-batch 2"
 
+    @pytest.mark.parametrize(
+        "settings",
+        [{}, {"shuffle": True}, {"reset_each_epoch": False}, {"gradient_mode": "ignore_history"}],
+    )
+    def test_fit_equals_a_loop_that_advances_on_every_step(self, monkeypatch, settings):
+        # An epoch's last mini-batch leaves the derivative state as it was
+        # when the next epoch resets it or none follows; d_psi is the same.
+        from streamgp import optimizer
+
+        X, y, h = make_instance(13, n=30, m=4)
+        spec = ModelSpec("pep", alpha=0.5)
+        cfg = TrainConfig(epochs=3, batch_size=7, learning_rate=1e-2, seed=5, **settings)
+        got = srgp_fit(X, y, h, spec, cfg)
+        advanced = []
+
+        def advancing(*args, advance, **kwargs):
+            advanced.append(advance)
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "propagate", advancing)
+        want = srgp_fit(X, y, h, spec, cfg)
+        assert advanced.count(False) == (3 if cfg.reset_each_epoch else 1)
+        for a, b in [
+            (got.hyper.to_vector(), want.hyper.to_vector()),
+            (got.posterior.eta, want.posterior.eta),
+            (got.posterior.Lambda, want.posterior.Lambda),
+            (got.adam.first_moment, want.adam.first_moment),
+            (got.adam.second_moment, want.adam.second_moment),
+        ]:
+            assert a.tobytes() == b.tobytes()
+        assert [(t.psi_k, t.grad_norm) for t in got.trace] == [(t.psi_k, t.grad_norm) for t in want.trace]
+
     def test_batch_size_larger_than_n_rejected(self):
         X, y, h = make_instance(10, n=10, m=3)
         with pytest.raises(ContractViolationError):
