@@ -8,8 +8,6 @@ steps on a recursively accumulated collapsed lower bound.
 
 __version__ = "0.1.0"
 
-import ctypes
-
 from .batch import BatchBoundReport, batch_bound, fd_gradient
 from .data import (
     Dataset,
@@ -93,19 +91,3 @@ __all__ = [
     "srgp_fit",
     "update",
 ]
-
-# A training step allocates temporaries of 0.1-5 MB per call.  glibc maps
-# each block above its mmap threshold (128 KiB until a larger mapped block
-# is freed) anew and returns heap tops above its trim threshold, so every
-# step would fault in their pages again (444 minor faults per step at
-# D = 5, M = 50, B = 256).  Where the C library has mallopt, both are fixed
-# at the ceiling of glibc's dynamic mmap threshold (32 MiB) and twice that
-# instead.
-try:
-    _mallopt = ctypes.CDLL(None).mallopt
-except (AttributeError, OSError, TypeError):
-    pass
-else:
-    _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    _mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-    del _mallopt

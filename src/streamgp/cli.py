@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict
 from typing import Callable, NamedTuple
@@ -57,6 +58,13 @@ EXIT_NUMERICAL = 4
 EXIT_TOLERANCE = 5
 
 
+def delimiter(text: str) -> str:
+    """The ``--delimiter`` type: one character, which is all the CSV reader takes."""
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"must be one character, not {text!r}")
+    return text
+
+
 class Setting(NamedTuple):
     """A `train` setting: its flag (for one the run measures, the name
     refusals give it), its type (choices as a tuple; bool for a switch; None
@@ -100,7 +108,7 @@ TRAIN_SETTINGS = {
     "blas_threads": Setting("BLAS threads (OPENBLAS_NUM_THREADS)", None, None, True),
     "checkpoint_out": Setting("--checkpoint-out", str, "model.npz", record=False),
     "trace_out": Setting("--trace-out", str, None, record=False, help="append one JSON record per step"),
-    "delimiter": Setting("--delimiter", str, ",", record=False),
+    "delimiter": Setting("--delimiter", delimiter, ",", record=False),
     "psi_tol": Setting("--psi-tol", float, 0.0, record=False, help="relative early-stop tolerance"),
     "resume": Setting(
         "--resume", str, None, record=False,
@@ -142,17 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p_pred = sub.add_parser("predict", help="predict from a checkpoint")
-    p_pred.add_argument("--checkpoint", required=True)
-    p_pred.add_argument("--inputs", required=True)
-    p_pred.add_argument("--delimiter", default=",")
+    p_eval = sub.add_parser("evaluate", help="RMSE and 95%% coverage on a labelled file")
+    for p, scored in ((p_pred, "--inputs"), (p_eval, "--data")):
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument(scored, required=True)
+        p.add_argument("--delimiter", type=delimiter, default=",")
     p_pred.add_argument("--with-noise", action="store_true")
     p_pred.add_argument("--output", default=None, help="output file (default: stdout)")
-
-    p_eval = sub.add_parser("evaluate", help="RMSE and 95%% coverage on a labelled file")
-    p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--target-col", default=None)
-    p_eval.add_argument("--delimiter", default=",")
 
     p_val = sub.add_parser(
         "validate-gradients",
@@ -216,6 +221,10 @@ def cmd_train(args) -> int:
     settings = {
         k: given.get(k, stored.get(k, s.default) if s.keep else s.default) for k, s in TRAIN_SETTINGS.items()
     }
+    # Before any work, so that a mistyped output path costs no training run.
+    for k in ("checkpoint_out", "trace_out"):
+        if settings[k] and not os.path.isdir(os.path.dirname(settings[k]) or "."):
+            raise DataError(f"{TRAIN_SETTINGS[k].label} {settings[k]}: no such directory")
     ds = load_dataset(settings["data"], target_col=settings["target_col"], delimiter=settings["delimiter"])
     # The rows as read, before standardizing: a resumed run continues the
     # stored recursion only on the same data.
@@ -283,11 +292,6 @@ def cmd_train(args) -> int:
         hyper, posterior, trace = result.hyper, result.posterior, result.trace
         adam, rng_state, epochs_run = result.adam, result.rng_state, result.epochs_run
 
-    if settings["trace_out"] and trace:
-        with open(settings["trace_out"], "a") as fh:
-            for rec in trace:
-                fh.write(json.dumps(asdict(rec)) + "\n")
-
     out = settings["checkpoint_out"]
     save_checkpoint(
         out,
@@ -303,6 +307,10 @@ def cmd_train(args) -> int:
             standardize_scale=std_scale,
         ),
     )
+    # After the checkpoint, so that a trace that cannot be written loses no model.
+    if settings["trace_out"] and trace:
+        with open(settings["trace_out"], "a") as fh:
+            fh.writelines(json.dumps(asdict(rec)) + "\n" for rec in trace)
     print(
         f"trained {spec.variant} model: epochs={epochs_run} psi={posterior.psi:.6f} "
         f"steps={len(trace)} -> {out}"
@@ -389,12 +397,9 @@ def cmd_validate_gradients(args) -> int:
         cls = hyper.param_class(i)[0]
         err = abs(gstate.d_psi[i] - reference[i]) / max(abs(reference[i]), floor / args.tolerance)
         by_class[cls] = max(by_class.get(cls, 0.0), err)
-    failed = False
     for cls, err in by_class.items():
-        status = "ok" if err <= args.tolerance else "FAIL"
-        failed = failed or err > args.tolerance
-        print(f"{cls:18s} max_rel_err={err:.3e} [{status}]")
-    if failed:
+        print(f"{cls:18s} max_rel_err={err:.3e} [{'ok' if err <= args.tolerance else 'FAIL'}]")
+    if max(by_class.values()) > args.tolerance:
         raise ToleranceError(
             f"recursive gradient disagrees with finite differences beyond {args.tolerance:g}"
         )
@@ -434,7 +439,7 @@ COMMANDS = {
 # matching class winning.
 ERRORS = (
     (ContractViolationError, EXIT_USAGE, "usage error"),
-    ((DataError, FileNotFoundError), EXIT_DATA, "data error"),
+    ((DataError, OSError), EXIT_DATA, "data error"),
     ((IllConditionedError, NumericalError), EXIT_NUMERICAL, "numerical error"),
     (ToleranceError, EXIT_TOLERANCE, "tolerance exceeded"),
     (StreamGPError, EXIT_NUMERICAL, "error"),
@@ -445,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (StreamGPError, FileNotFoundError) as err:
+    except (StreamGPError, OSError) as err:
         code, prefix = next((code, prefix) for cls, code, prefix in ERRORS if isinstance(err, cls))
         print(f"{prefix}: {err}", file=sys.stderr)
         return code

@@ -13,6 +13,7 @@ import pytest
 from streamgp import load_dataset
 from streamgp._lapack import ROUTINES
 from streamgp.checkpoint import load_checkpoint, save_checkpoint
+from streamgp import cli
 from streamgp.cli import TRAIN_SETTINGS, main
 
 # A value other than the one the resumed checkpoint of
@@ -108,6 +109,33 @@ class TestTrain:
         first = len(trace.read_text().splitlines())
         assert run_cli(*args) == 0
         assert len(trace.read_text().splitlines()) == 2 * first
+
+    @pytest.mark.parametrize("flag", ["--checkpoint-out", "--trace-out"])
+    def test_missing_output_directory_is_refused_before_training(
+        self, gp_file, tmp_path, capsys, monkeypatch, flag
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("srgp_fit called")
+
+        monkeypatch.setattr(cli, "srgp_fit", refuse)
+        outputs = {"--checkpoint-out": tmp_path / "m.npz", "--trace-out": tmp_path / "t.jsonl"}
+        outputs[flag] = tmp_path / "nodir" / outputs[flag].name
+        args = [str(a) for pair in outputs.items() for a in pair]
+        assert run_cli("train", "--data", gp_file, "--epochs", "1", *args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {flag} {outputs[flag]}"), err
+        assert [p.name for p in tmp_path.iterdir()] == ["train.csv"]
+
+    def test_a_trace_that_cannot_be_written_keeps_the_checkpoint(self, gp_file, tmp_path, capsys):
+        # The checkpoint is written first; the trace path here is a directory.
+        ckpt = tmp_path / "m.npz"
+        code = run_cli(
+            "train", "--data", gp_file, "--epochs", "1", "--batch-size", "40",
+            "--checkpoint-out", str(ckpt), "--trace-out", str(tmp_path),
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("data error:")
+        assert load_checkpoint(str(ckpt)).epochs_done == 1
 
     def test_epochs_zero_checkpoints_prior(self, gp_file, tmp_path):
         ckpt = tmp_path / "prior.npz"
@@ -505,6 +533,36 @@ class TestExitCodes:
         assert run_cli("train", "--data", str(missing), "--checkpoint-out", str(tmp_path / "m.npz")) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(missing) in err
+
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+    def test_data_error_for_a_directory(self, gp_file, tmp_path, capsys, command):
+        # Opening a directory raises IsADirectoryError, an OSError other
+        # than FileNotFoundError.
+        ckpt = str(tmp_path / "m.npz")
+        assert run_cli("train", "--data", gp_file, "--epochs", "0", "--checkpoint-out", ckpt) == 0
+        directory = str(tmp_path)
+        args = {
+            "train": ["--data", directory, "--checkpoint-out", str(tmp_path / "out.npz")],
+            "predict": ["--checkpoint", ckpt, "--inputs", directory],
+            "evaluate": ["--checkpoint", ckpt, "--data", directory],
+        }[command]
+        capsys.readouterr()
+        assert run_cli(command, *args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and directory in err
+
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+    @pytest.mark.parametrize("text", [";;", ""])
+    def test_delimiter_must_be_one_character(self, gp_file, command, text, capsys):
+        args = {
+            "train": ["--data", gp_file],
+            "predict": ["--checkpoint", "m.npz", "--inputs", gp_file],
+            "evaluate": ["--checkpoint", "m.npz", "--data", gp_file],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--delimiter", text])
+        assert exc.value.code == 2
+        assert f"--delimiter: must be one character, not {text!r}" in capsys.readouterr().err
 
     def test_validate_gradients_passes_at_default_tolerance(self, capsys):
         assert run_cli("validate-gradients", "--n", "40", "--num-inducing", "5") == 0

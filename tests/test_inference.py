@@ -410,7 +410,7 @@ class TestPredict:
         assert bound < X_star.shape[0] ** 2 * 8
         assert peak < bound, peak
 
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts faults under glibc's allocator")
     def test_block_memory_is_reused_in_a_fresh_process(self):
         # predict's one (M, 1024) block array comes from the heap, so a
         # repeated evaluation faults in no new pages.  With two alive at
@@ -435,6 +435,35 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
         out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert float(out.stdout) < 20.0
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts faults under glibc's allocator")
+    def test_training_memory_is_reused_in_a_fresh_process(self):
+        # After one warm fit, a train-cstr-shaped fit (PEP, D = 5, M = 50,
+        # B = 256) reuses its derivative state across epochs and its
+        # temporaries across steps, under glibc's default allocator
+        # settings.  20 fresh children took 22.3-22.4 faults per step,
+        # most of them in the fit's first step; the bound is three times
+        # the worst.
+        # A fit whose every step maps and faults in its temporaries anew
+        # takes about 450.
+        child = """
+import resource
+import numpy as np
+import streamgp as sg
+rng = np.random.default_rng(0)
+X = rng.uniform(0.0, 1.0, (2560, 5))
+y = np.sin(X.sum(axis=1)) + 0.1 * rng.standard_normal(2560)
+h = sg.Hyperparameters(0.0, np.zeros(5), 0.0, X[:50].copy())
+spec, cfg = sg.ModelSpec("pep", alpha=0.5), sg.TrainConfig(epochs=3, batch_size=256)
+sg.srgp_fit(X, y, h, spec, cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+steps = len(sg.srgp_fit(X, y, h, spec, cfg).trace)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps)
+"""
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert float(out.stdout) < 67.0
 
     def test_inputs_as_loaded_from_a_file_predict_as_c_ordered_ones(self, monkeypatch, tmp_path):
         # The serve path scores load_dataset's inputs, a column selection

@@ -23,6 +23,11 @@ runs criterion 09's pinned ``propagate_parameter_count`` child N times
 is given, and prints each child's parameter exponent, fitted as the test
 fits it, with the counts below 0.70 (the test's floor) and 0.75.
 
+``python tests/timing.py faults [--runs N] [--against OTHER/src]`` runs
+:func:`fit_layers` in N pinned children (default 10), alternating with
+children of the other tree, and prints the CPU milliseconds and minor page
+faults per step of each training layer and per ``predict`` call.
+
 ``python tests/timing.py --against OTHER/src`` compares this tree with
 another checkout of the package: both are imported side by side in one
 pinned child and timed round by round, in wall-clock minima and in medians
@@ -220,7 +225,7 @@ def propagate_vs_noise_gemm() -> dict:
 
     import streamgp as sg
     from streamgp import MiniBatch, ModelSpec
-    from streamgp.gradients import _add_noise_terms, compute_adjoints, init_gradient_state, propagate
+    from streamgp.gradients import ROWS, _add_noise_terms, compute_adjoints, init_gradient_state, propagate
 
     spec = ModelSpec("pep", alpha=0.5)
     X, y, h = make_instance(23, n=256, m=50, d=5, lengthscale=0.5)
@@ -231,10 +236,11 @@ def propagate_vs_noise_gemm() -> dict:
     g = init_gradient_state(h, spec)  # advanced in place by every timed call
     s = np.random.default_rng(0).standard_normal((h.n_params, batch.size))
     dst = g.d_Lambda.copy()
+    work = np.empty((h.n_params + dst.shape[1]) * ROWS)
     prop, noise = min_times(
         [
             lambda: propagate(g, adj, km.geometry, h, spec, batch),
-            lambda: _add_noise_terms(dst, s, km.geometry.H),
+            lambda: _add_noise_terms(dst, s, km.geometry.H, work),
         ],
         reps=30,
     )
@@ -301,6 +307,134 @@ def predict(reps: int = 200) -> dict:
         "cpu_ms_min": round(best * 1e3, 3),
         "minor_faults_per_evaluation": round((usage()[1] - faults0) / reps, 1),
     }
+
+
+# The layers of a training step and epoch, as ``srgp_fit`` calls them
+# through the names of the ``optimizer`` module.
+FIT_LAYERS = ("init_gradient_state", "update", "compute_adjoints", "propagate", "adam_step", "fixed_theta_pass")
+
+
+def fit_layers(fits: int = 3, calls: int = 50) -> dict:
+    """Process CPU time and minor page faults of each layer of a train-cstr
+    ``srgp_fit`` (a 2,000 s CSTR rollout read back from its file, N = 9,999,
+    D = 5; PEP 0.5, M = 50, B = 256, 3 epochs), per step over ``fits`` fits
+    after a warm one, and of ``predict`` at the serve-eval shape (see
+    :func:`predict`), per call over ``calls`` calls after a warm-up.
+
+    A layer's numbers are its self cost: ``fixed_theta_pass``'s exclude the
+    ``update`` calls it makes, and ``srgp_fit``'s are what the fit spends
+    outside the layers (``init_state`` and the loop itself).  Both come from
+    ``resource.getrusage`` of this process around each call.  Faults show
+    which layer maps new memory at every call instead of reusing it.
+    """
+    import resource
+    import statistics
+    import tempfile
+
+    from conftest import make_instance
+
+    import numpy as np
+
+    import streamgp
+    from streamgp import optimizer
+
+    def usage() -> tuple[float, int]:
+        r = resource.getrusage(resource.RUSAGE_SELF)
+        return r.ru_utime + r.ru_stime, r.ru_minflt
+
+    totals = {name: [0.0, 0] for name in ("srgp_fit", *FIT_LAYERS)}
+    frames = []  # per open call: [name, CPU s, faults] spent in the layers it calls
+
+    def layer(name, fn):
+        def call(*args, **kwargs):
+            frames.append([name, 0.0, 0])
+            cpu0, faults0 = usage()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                cpu, faults = usage()
+                _, inner_cpu, inner_faults = frames.pop()
+                totals[name][0] += cpu - cpu0 - inner_cpu
+                totals[name][1] += faults - faults0 - inner_faults
+                if frames:
+                    frames[-1][1] += cpu - cpu0
+                    frames[-1][2] += faults - faults0
+
+        return call
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "train.csv")
+        streamgp.save_dataset(streamgp.simulate_cstr(0, 2000, lag=2), path)
+        ds = streamgp.load_dataset(path)
+    rng = np.random.default_rng(0)
+    h0 = streamgp.Hyperparameters(0.0, np.zeros(5), 0.0, optimizer.init_inducing_subset(ds.X, 50, rng))
+    spec = streamgp.ModelSpec("pep", alpha=0.5)
+    cfg = streamgp.TrainConfig(epochs=3, batch_size=256, learning_rate=1e-3)
+    fit = layer("srgp_fit", optimizer.srgp_fit)
+    originals = {name: getattr(optimizer, name) for name in FIT_LAYERS}
+    try:
+        for name, fn in originals.items():
+            setattr(optimizer, name, layer(name, fn))
+        fit(ds.X, ds.y, h0, spec, cfg)
+        for entry in totals.values():
+            entry[:] = [0.0, 0]
+        steps = sum(len(fit(ds.X, ds.y, h0, spec, cfg).trace) for _ in range(fits))
+    finally:
+        for name, fn in originals.items():
+            setattr(optimizer, name, fn)
+    result = {
+        "steps": steps,
+        **{
+            name: {"cpu_ms": round(cpu * 1e3 / steps, 3), "faults": round(faults / steps, 1)}
+            for name, (cpu, faults) in totals.items()
+        },
+    }
+
+    X, y, h = make_instance(23, n=256, m=50, d=5, lengthscale=0.5)
+    fn = _predict_call(streamgp, X, y, h)
+    for _ in range(WARMUP):
+        fn()
+    cpu, faults0 = [], usage()[1]
+    for _ in range(calls):
+        c0, _ = usage()
+        fn()
+        cpu.append(usage()[0] - c0)
+    result["predict"] = {
+        "cpu_ms": round(statistics.median(cpu) * 1e3, 3),
+        "faults": round((usage()[1] - faults0) / calls, 1),
+    }
+    return result
+
+
+def faults(runs: int = 10, src: str | None = None) -> dict:
+    """:func:`fit_layers` in ``runs`` pinned children, alternating with as
+    many children of the package under ``src`` when one is given, each tree
+    going first in every other pair.  Reports, for each tree and layer, the
+    median and the range over its children of CPU ms and minor faults per
+    training step (per call for ``predict``).
+
+    Not used by any test; run by hand:
+    ``python tests/timing.py faults [--runs N] [--against OTHER/src]``.
+    """
+    import statistics
+
+    trees = {"this": ROOT / "src"}
+    if src is not None:
+        trees["other"] = Path(src).resolve()
+    found = {label: [] for label in trees}
+    for r in range(runs):
+        for label in list(trees)[:: 1 if r % 2 == 0 else -1]:
+            found[label].append(pinned("fit_layers", src=trees[label]))
+    result = {"runs": runs}
+    for label, children in found.items():
+        layers = {}
+        for name in ("srgp_fit", *FIT_LAYERS, "predict"):
+            layers[name] = {
+                key: [round(f(c[name][key] for c in children), 3) for f in (statistics.median, min, max)]
+                for key in ("cpu_ms", "faults")
+            }
+        result[label] = {"src": str(trees[label]), "median_min_max": layers}
+    return result
 
 
 CLI = ["-c", "import sys; from streamgp.cli import main; sys.exit(main())"]
@@ -530,13 +664,14 @@ MEASUREMENTS = {
     "propagate_configs": propagate_configs,
     "propagate_vs_noise_gemm": propagate_vs_noise_gemm,
     "predict": predict,
+    "fit_layers": fit_layers,
     "import_cost": import_cost,
     "default_threads": default_threads,
 }
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Print one timing measurement as JSON.")
-    parser.add_argument("measurement", nargs="?", choices=[*MEASUREMENTS, "against", "exponents"])
+    parser.add_argument("measurement", nargs="?", choices=[*MEASUREMENTS, "against", "exponents", "faults"])
     parser.add_argument(
         "--against",
         metavar="SRC",
@@ -544,10 +679,12 @@ if __name__ == "__main__":
         help="time this tree against the streamgp package under SRC (a src directory), "
         "both in one pinned child; with exponents, alternate its children with this tree's",
     )
-    parser.add_argument("--runs", type=int, default=20, help="children per tree for exponents")
+    parser.add_argument("--runs", type=int, default=None, help="children per tree for exponents (20) or faults (10)")
     args = parser.parse_args()
     if args.measurement == "exponents":
-        print(json.dumps(exponents(args.runs, args.src)))
+        print(json.dumps(exponents(args.runs or 20, args.src)))
+    elif args.measurement == "faults":
+        print(json.dumps(faults(args.runs or 10, args.src)))
     elif args.measurement == "against":
         print(json.dumps(against(args.src)))
     elif args.src is not None:
