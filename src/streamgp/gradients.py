@@ -184,30 +184,34 @@ def _add_symmetric_products(dst: np.ndarray, A: np.ndarray) -> None:
         dst[lo : lo + BLOCK] += np.take(X.reshape(len(X), -1), upper, axis=1)
 
 
-def _add_noise_terms(dst: np.ndarray, s: np.ndarray, H: np.ndarray, work: np.ndarray) -> None:
+def _khatri_rao_t(H: np.ndarray) -> np.ndarray:
+    """The (M (M + 1) / 2, n) transpose of the packed Khatri-Rao product
+    KR[b, t] = H[b, iu_t] H[b, ju_t] of (n, M) ``H``, gathered from H^T.  The
+    second factor is gathered a quarter of the entries at a time, so its
+    temporary is a quarter of the size of the result."""
+    iu, ju = _packing(H.shape[1])[:2]
+    Ht = np.ascontiguousarray(H.T)
+    KR_t = np.take(Ht, iu, axis=0)
+    step = -(-iu.size // 4)
+    for lo in range(0, iu.size, step):
+        KR_t[lo : lo + step] *= np.take(Ht, ju[lo : lo + step], axis=0)
+    return KR_t
+
+
+def _add_noise_terms(dst: np.ndarray, s: np.ndarray, H: np.ndarray) -> None:
     """dst[p] += packed(H^T diag(s[p]) H) for every row p of ``s``, in place.
 
     For each block of ``ROWS`` batch rows, one gemm at beta = 1 adds
-    s_block @ KR into ``dst`` through its Fortran-ordered transpose, so
-    ``dst`` must be C-contiguous float64 (a row range of the state).  BLAS
-    writes into it directly, and no (P, M (M + 1) / 2) temporary is formed.
-    KR is the block's packed Khatri-Rao product KR[b, t] = H[b, iu_t]
-    H[b, ju_t], gathered from H^T, the second factor a quarter of the
-    entries at a time.  s_block and KR^T take the front of ``work``, a flat
-    float64 buffer of (P + M (M + 1) / 2) min(B, ROWS) entries or more.
+    s_block @ KR, with KR the block's packed Khatri-Rao product, into
+    ``dst`` through its Fortran-ordered transpose, so ``dst`` must be
+    C-contiguous float64 (a row range of the state).  BLAS writes into it
+    directly, and no (P, M (M + 1) / 2) temporary is formed.
     """
-    (B, M), P = H.shape, len(s)
-    iu, ju = _packing(M)[:2]
-    T, step = iu.size, -(-iu.size // 4)
-    for rows in _row_blocks(B):
-        Ht = np.ascontiguousarray(H[rows].T)
-        n = Ht.shape[1]
-        s_block, KR_t = work[: P * n].reshape(P, n), work[P * n : (P + T) * n].reshape(T, n)
-        np.copyto(s_block, s[:, rows])
-        np.take(Ht, iu, axis=0, out=KR_t, mode="clip")  # unbuffered; every index is in range
-        for lo in range(0, T, step):
-            KR_t[lo : lo + step] *= np.take(Ht, ju[lo : lo + step], axis=0)
-        dgemm(1.0, KR_t.T, s_block.T, beta=1.0, c=dst.T, trans_a=1, overwrite_c=1)
+    for rows in _row_blocks(H.shape[0]):
+        s_block = np.ascontiguousarray(s[:, rows])
+        KR = _khatri_rao_t(H[rows]).T
+        dgemm(1.0, KR, s_block.T, beta=1.0, c=dst.T, trans_a=1, overwrite_c=1)
+        del KR  # before the next block's is formed
 
 
 def _inducing_directions(p: CholFactor, KG: np.ndarray, D: int) -> tuple[np.ndarray, np.ndarray]:
@@ -220,27 +224,19 @@ def _inducing_directions(p: CholFactor, KG: np.ndarray, D: int) -> tuple[np.ndar
     return np.repeat(p.inv, D, axis=0), neg_kb
 
 
-def init_gradient_state(
-    h: Hyperparameters, spec: ModelSpec, out: GradientState | None = None
-) -> GradientState:
+def init_gradient_state(h: Hyperparameters, spec: ModelSpec) -> GradientState:
     """Derivatives of the prior state: eta_dot = 0, psi_dot = 0 and
 
         Lambda_dot_0 = -K_RR^-1 Kdot_RR K_RR^-1
 
     which is nonzero exactly for the parameters K_RR depends on (amplitude,
     lengthscales, inducing coordinates) and zero for log sigma_n.
-
-    With ``out``, a spent state of the same parameter count and M, the new
-    state is built in its ``d_eta`` and ``d_Lambda`` instead of new arrays.
     """
     P, M, D = h.n_params, h.num_inducing, h.input_dim
     p = prior(h)
     KG = _kernel_grads(h.inducing_inputs, p.matrix, h)
     upper = _packing(M)[2]
-    d_Lambda = np.empty((P, upper.size)) if out is None else out.d_Lambda
-    if d_Lambda.shape != (P, upper.size):
-        raise ContractViolationError(f"out holds a state of shape {d_Lambda.shape}, not {(P, upper.size)}")
-    d_Lambda.fill(0.0)
+    d_Lambda = np.zeros((P, upper.size))
     d_Lambda[0] = -2.0 * np.take(p.inv, upper)  # Kdot_RR = 2 K_RR
     # K^-1 Kdot_d K^-1 for every lengthscale: K^-1 applied to D right-hand
     # sides at once, twice.
@@ -253,9 +249,7 @@ def init_gradient_state(
     w, neg_kb = _inducing_directions(p, KG, D)
     del KG
     _add_symmetric_products(d_Lambda[D + 2 :], np.stack([w, neg_kb], axis=2))
-    d_eta = np.empty((P, M)) if out is None else out.d_eta  # once the temporaries above are freed
-    d_eta.fill(0.0)
-    return GradientState(d_eta=d_eta, d_Lambda=d_Lambda, d_psi=np.zeros(P), k=0)
+    return GradientState(d_eta=np.zeros((P, M)), d_Lambda=d_Lambda, d_psi=np.zeros(P), k=0)
 
 
 def compute_adjoints(
@@ -453,13 +447,10 @@ def _walk(
     s_sigma_n = -2.0 * h.noise_variance / v**2
 
     # Buffers for [gamma, Kdot_XR, H^T] and s of a block, rows along the last
-    # axis, and for its noise terms; a shorter last block takes the front of
-    # each.  They are one allocation, made once per call: the largest array
-    # a step frees, which under glibc's default (dynamic) thresholds keeps
-    # the heap from being trimmed and grown again at every step.
+    # axis; a shorter last block takes the front of each buffer.
     n_G, n_max = 2 * MD + M, min(B, 2 * ROWS)
-    work = np.empty((n_G + P) * n_max + (P + M * (M + 1) // 2) * min(B, ROWS))
-    G_buf, s_buf, noise_work = np.split(work, [n_G * n_max, (n_G + P) * n_max])
+    G_buf = np.empty(n_G * n_max)
+    s_buf = np.empty(P * n_max)
     eta_inc = np.zeros((P, M))
     # Sums over the batch of Z V^-1 [H, y] for Z = gamma^T, Kdot_XR^T (rows
     # m*D + d of each) and H^T: the last column holds Z V^-1 y.
@@ -491,11 +482,10 @@ def _walk(
         s[lengthscales] = np.einsum("mb,mdb->db", Hg, Gk[1])
         np.multiply(Hg[:, None, :], Gk[0], out=s[inducing].reshape(M, D, n))
         dgemm(1.0, (Hb * yb).T, s[noisy].T, beta=1.0, c=eta_inc[noisy].T, overwrite_c=1)
-        _add_noise_terms(gstate.d_Lambda[noisy], s[noisy], G[2 * MD :].T, noise_work)
+        _add_noise_terms(gstate.d_Lambda[noisy], s[noisy], G[2 * MD :].T)
 
     if not advance:
         return through_XR
-    del work, G_buf, s_buf, noise_work, G, Gk, s  # the block buffers, before the temporaries below
     # [u, Kdot_XR - H Kdot_RR]^T V^-1 [H, y], summed over the batch.
     HV = GV[2 * MD :]
     GV[: 2 * MD] -= KG_T @ HV

@@ -184,9 +184,12 @@ def srgp_fit(
 
     for epoch in range(start_epoch, cfg.epochs):
         if state is None or cfg.reset_each_epoch:
+            # Release the finished epoch's states first, so that only one
+            # packed (P, M (M + 1) / 2) derivative state is alive while the
+            # next is built.
+            state = gstate = state_new = gstate_new = None
             state = init_state(h, spec)
-            # In the finished epoch's arrays, which nothing reads any more.
-            gstate = init_gradient_state(h, spec, out=gstate)
+            gstate = init_gradient_state(h, spec)
         order = rng.permutation(n) if cfg.shuffle else None
         batches = split_into_batches(n, cfg.batch_size, order)
         # Nothing reads the derivative state after the last batch of an epoch

@@ -113,26 +113,6 @@ class TestInitGradientState:
             assert rel_diff(unpack_d_Lambda(g.d_Lambda)[i], fd, floor=1e-3) < 1e-5, h.param_label(i)
 
 
-    def test_built_in_a_spent_state_as_in_new_arrays(self):
-        # srgp_fit resets each epoch's derivative state in the last one's
-        # arrays: the same bits as a fresh state, and no other shape.
-        X, y, h = make_instance(3, n=40, m=6, d=2)
-        spec = ModelSpec("pep", alpha=0.5)
-        spent = init_gradient_state(h, spec)
-        st = init_state(h, spec)
-        st2, km = update(st, MiniBatch(X, y), h, spec)
-        propagate(spent, compute_adjoints(st, st2, km, h, spec), km.geometry, h, spec, MiniBatch(X, y))
-        h2 = h.with_vector(h.to_vector() + 0.1)
-        g = init_gradient_state(h2, spec, out=spent)
-        fresh = init_gradient_state(h2, spec)
-        assert g.d_Lambda is spent.d_Lambda and g.d_eta is spent.d_eta
-        for name in ("d_eta", "d_Lambda", "d_psi"):
-            assert getattr(g, name).tobytes() == getattr(fresh, name).tobytes(), name
-        _, _, other = make_instance(3, n=40, m=5, d=2)
-        with pytest.raises(ContractViolationError, match="out holds a state of shape"):
-            init_gradient_state(other, spec, out=spent)
-
-
 class TestAdjoints:
     def test_carried_mean_term_vanishes_on_first_batch(self):
         # eta_0 = 0 makes the rank-one mean-history term of L_dLambda zero:
@@ -395,7 +375,7 @@ class TestNoiseTerms:
         d_Lambda = np.ascontiguousarray(start[:, iu, ju])
         # VFE's noise term moves log sigma_n alone: one row of the state.
         rows = slice(0, P) if noisy_rows == "all" else slice(3, 4)
-        _add_noise_terms(d_Lambda[rows], s[rows], H, np.empty((P + iu.size) * ROWS))
+        _add_noise_terms(d_Lambda[rows], s[rows], H)
         want = start.copy()
         for p in range(P)[rows]:
             want[p] += (H.T * s[p]) @ H
@@ -419,7 +399,7 @@ class TestNoiseTerms:
         else:
             d_Lambda = before.astype(np.float32)
         with pytest.raises(ValueError, match="Fortran-contiguous float64"):
-            _add_noise_terms(d_Lambda, s, H, np.empty((P + iu.size) * ROWS))
+            _add_noise_terms(d_Lambda, s, H)
         np.testing.assert_array_equal(d_Lambda, before.astype(d_Lambda.dtype))
 
     def test_gemm_accumulates_into_the_state_without_a_copy(self):
@@ -430,7 +410,7 @@ class TestNoiseTerms:
         buffer, before = g.d_Lambda, g.d_Lambda.copy()
         tracemalloc.start()
         try:
-            _add_noise_terms(g.d_Lambda, s, H, np.empty((h.n_params + 30 * 31 // 2) * ROWS))
+            _add_noise_terms(g.d_Lambda, s, H)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

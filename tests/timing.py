@@ -225,7 +225,7 @@ def propagate_vs_noise_gemm() -> dict:
 
     import streamgp as sg
     from streamgp import MiniBatch, ModelSpec
-    from streamgp.gradients import ROWS, _add_noise_terms, compute_adjoints, init_gradient_state, propagate
+    from streamgp.gradients import _add_noise_terms, compute_adjoints, init_gradient_state, propagate
 
     spec = ModelSpec("pep", alpha=0.5)
     X, y, h = make_instance(23, n=256, m=50, d=5, lengthscale=0.5)
@@ -236,11 +236,10 @@ def propagate_vs_noise_gemm() -> dict:
     g = init_gradient_state(h, spec)  # advanced in place by every timed call
     s = np.random.default_rng(0).standard_normal((h.n_params, batch.size))
     dst = g.d_Lambda.copy()
-    work = np.empty((h.n_params + dst.shape[1]) * ROWS)
     prop, noise = min_times(
         [
             lambda: propagate(g, adj, km.geometry, h, spec, batch),
-            lambda: _add_noise_terms(dst, s, km.geometry.H, work),
+            lambda: _add_noise_terms(dst, s, km.geometry.H),
         ],
         reps=30,
     )
