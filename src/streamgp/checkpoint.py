@@ -11,12 +11,10 @@ arrays), and reads them back by walking the same fields.  Beside them are
 ``train/epochs_done``, the JSON strings ``train/rng_state`` and
 ``train/config``, and the ``standardize/mean`` and ``standardize/scale``
 input transform.  Other members, such as the ``train/trace_tail`` that
-older archives hold, are not read.  Format 1 still loads; its extra
-``adam/beta1``, ``adam/beta2`` and ``adam/epsilon`` must equal the fixed
-constants of :mod:`streamgp.optimizer`.  An archive the reader cannot use
-(a missing, mistyped, non-finite or misshapen member, an unknown
-parametrization, bad JSON, half a standardize pair) raises
-:class:`DataError` naming the file.
+older archives hold, are not read.  An archive the reader cannot use (a
+``format_version`` other than 2, a missing, mistyped, non-finite or
+misshapen member, an unknown parametrization, bad JSON, half a
+standardize pair) raises :class:`DataError` naming the file.
 """
 
 from __future__ import annotations
@@ -32,20 +30,19 @@ from .errors import ContractViolationError, DataError
 from .inference import PARAM_STANDARD, PARAM_TRANSFORMED, PosteriorState
 from .kernel import Hyperparameters
 from .model import ModelSpec
-from .optimizer import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState
+from .optimizer import AdamState
 
 FORMAT_VERSION = 2
 SECTIONS = {"hyper": Hyperparameters, "spec": ModelSpec, "state": PosteriorState, "adam": AdamState}
 # dtype kinds and conversion of each scalar field type; other fields are arrays.
 SCALARS = {"float": ("if", float), "int": ("i", int), "str": ("U", str)}
-FORMAT_1_ADAM = {"adam/beta1": ADAM_BETA1, "adam/beta2": ADAM_BETA2, "adam/epsilon": ADAM_EPSILON}
 STANDARDIZE = ("standardize/mean", "standardize/scale")
 
 
 @dataclass
 class Checkpoint:
-    """What a checkpoint holds; ``version`` is the format of the archive it
-    was read from (the writer always writes ``FORMAT_VERSION``)."""
+    """What a checkpoint holds.  The writer writes and the reader reads
+    format ``FORMAT_VERSION`` only, so a loaded ``version`` is always that."""
 
     hyper: Hyperparameters
     spec: ModelSpec
@@ -104,8 +101,8 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 def _from_members(arrays: dict[str, np.ndarray]) -> Checkpoint:
     version = _member(arrays, "format_version", "int")
-    if not 1 <= version <= FORMAT_VERSION:
-        raise DataError(f"format {version} is not supported (1 to {FORMAT_VERSION})")
+    if version != FORMAT_VERSION:
+        raise DataError(f"format {version} is not supported (only {FORMAT_VERSION})")
     has_adam = any(key.startswith("adam/") for key in arrays)
     sections = {s: _build(cls, s, arrays) for s, cls in SECTIONS.items() if s != "adam" or has_adam}
     hyper, state = sections["hyper"], sections["state"]
@@ -115,8 +112,6 @@ def _from_members(arrays: dict[str, np.ndarray]) -> Checkpoint:
     shapes = {"state/eta": (M,), "state/Lambda": (M, M), "state/Sigma": (M, M)}
     if "adam" in sections:
         shapes.update({"adam/first_moment": (P,), "adam/second_moment": (P,)})
-        if version == 1 and any(_member(arrays, k, "float") != v for k, v in FORMAT_1_ADAM.items()):
-            raise DataError(f"format 1 ADAM constants differ from the fixed {FORMAT_1_ADAM}")
     present = [key for key in STANDARDIZE if key in arrays]
     if len(present) == 1:
         raise DataError(f"{present[0]} without the rest of the standardize pair")
@@ -136,7 +131,6 @@ def _from_members(arrays: dict[str, np.ndarray]) -> Checkpoint:
     return Checkpoint(
         **sections, rng_state=rng_state, epochs_done=_member(arrays, "train/epochs_done", "int"),
         config=_json(arrays, "train/config"), standardize_mean=mean, standardize_scale=scale,
-        version=version,
     )
 
 

@@ -184,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--lengthscale", type=float, nargs="+", default=[0.1], help="one value or one per dimension"
     )
     p_gp.add_argument("--noise-std", type=float, default=0.1)
-    p_gp.add_argument("--mode", default="auto", choices=["auto", "dense", "sparse"])
     p_gp.add_argument("--out", required=True)
     p_cstr = sim_sub.add_parser("cstr", help="continuous stirred tank reactor rollout")
     p_cstr.add_argument("--duration", type=float, required=True, help="seconds of simulated time")
@@ -418,7 +417,7 @@ def cmd_simulate(args) -> int:
         h = default_hyperparameters(
             d=args.d, sigma0=args.sigma0, lengthscale=np.asarray(ls), noise_std=args.noise_std
         )
-        ds = generate_gp_data(args.seed, args.n, d=args.d, h=h, mode=args.mode)
+        ds = generate_gp_data(args.seed, args.n, d=args.d, h=h)
     else:
         ds = simulate_cstr(args.seed, args.duration, lag=args.lag, noise_std=args.noise_std)
     save_dataset(ds, args.out)

@@ -61,33 +61,25 @@ def default_hyperparameters(
     )
 
 
-def generate_gp_data(
-    seed: int, n: int, d: int = 1, h: Hyperparameters | None = None, mode: str = "auto"
-) -> Dataset:
+def generate_gp_data(seed: int, n: int, d: int = 1, h: Hyperparameters | None = None) -> Dataset:
     """Draw a regression dataset from a GP prior plus observation noise.
 
     Inputs are uniform on [0, 1]^D.  Up to ``DENSE_SAMPLING_GUARD`` samples
-    the latent function is an exact joint draw; above it (or with
-    mode="sparse") the draw factorizes through ``SPARSE_SAMPLING_INDUCING``
-    random inducing points: u ~ N(0, K_RR), then f_i | u independently with
-    the exact conditional mean and variance, which preserves the marginal
-    variance sigma0^2 at every input.
+    the latent function is an exact joint draw; above it the draw
+    factorizes through ``SPARSE_SAMPLING_INDUCING`` random inducing points:
+    u ~ N(0, K_RR), then f_i | u independently with the exact conditional
+    mean and variance, which preserves the marginal variance sigma0^2 at
+    every input.  The provenance names the sampler that ran.
     """
     if n < 1:
         raise ContractViolationError("n must be >= 1")
-    if mode not in ("auto", "dense", "sparse"):
-        raise ContractViolationError(f"unknown sampling mode {mode!r}")
     if h is None:
         h = default_hyperparameters(d=d)
     if h.input_dim != d:
         raise ContractViolationError(f"h has D={h.input_dim}, requested d={d}")
-    if mode == "dense" and n > DENSE_SAMPLING_GUARD:
-        raise ContractViolationError(
-            f"dense sampling refused for n={n} > guard {DENSE_SAMPLING_GUARD}; use mode='sparse'"
-        )
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.0, 1.0, size=(n, d))
-    use_dense = mode == "dense" or (mode == "auto" and n <= DENSE_SAMPLING_GUARD)
+    use_dense = n <= DENSE_SAMPLING_GUARD
     if use_dense:
         K = kernel_matrix(X, X, h)
         factor = chol_with_jitter(K, "K_XX")
@@ -238,6 +230,12 @@ def coverage(y: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> float:
 # -- delimited text files ------------------------------------------------------
 
 
+def _check_delimiter(delimiter) -> None:
+    """Refuse, before any file is opened, a delimiter ``csv`` cannot take."""
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ContractViolationError(f"delimiter must be one character, not {delimiter!r}")
+
+
 def read_table(path: str, delimiter: str = ",") -> tuple[list[str], np.ndarray]:
     """Header and (rows, columns) values of a delimited file with one header row.
 
@@ -250,6 +248,7 @@ def read_table(path: str, delimiter: str = ",") -> tuple[list[str], np.ndarray]:
     why: the first ragged row, non-numeric or non-finite cell, or the lack
     of data rows.
     """
+    _check_delimiter(delimiter)
     failure = "no data rows"
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -313,6 +312,7 @@ def load_dataset(path: str, target_col: str | None = None, delimiter: str = ",")
 
 
 def save_dataset(ds: Dataset, path: str, delimiter: str = ",") -> None:
+    _check_delimiter(delimiter)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(ds.column_names)

@@ -67,7 +67,7 @@ from streamgp.cli import main
 
 out = Path(sys.argv[1])
 ds = streamgp.generate_gp_data(0, 60, 2)
-sparse = streamgp.generate_gp_data(0, 60, 2, mode="sparse")
+sparse = streamgp.generate_gp_data(0, streamgp.data.DENSE_SAMPLING_GUARD + 1, 2)
 h = streamgp.default_hyperparameters(2, inducing_inputs=ds.X[:5])
 spec = streamgp.ModelSpec("pep", 0.5)
 res = streamgp.srgp_fit(ds.X, ds.y, h, spec, streamgp.TrainConfig(epochs=1, batch_size=20))

@@ -1,4 +1,4 @@
-"""Checkpoint archives: exact round trips, format 1, and refused archives."""
+"""Checkpoint archives: exact round trips, members of older archives, and refused archives."""
 
 from dataclasses import fields
 
@@ -90,34 +90,16 @@ def train(gp_file, out, *extra) -> int:
     return main(["train", "--data", gp_file, *TRAIN, "--checkpoint-out", str(out), *extra])
 
 
-def as_format_1(members: dict[str, np.ndarray], beta1: float = 0.9) -> None:
+def as_format_1(members: dict[str, np.ndarray]) -> None:
     """Turn format-2 members into the format-1 layout, which also stored
     ADAM's constants."""
     members["format_version"] = np.asarray(1)
-    members["adam/beta1"] = np.asarray(beta1)
+    members["adam/beta1"] = np.asarray(0.9)
     members["adam/beta2"] = np.asarray(0.999)
     members["adam/epsilon"] = np.asarray(1e-8)
 
 
-class TestFormat1:
-    def test_loads_and_resumes_bit_exactly(self, gp_file, tmp_path):
-        full, half, resumed = tmp_path / "full.npz", tmp_path / "half.npz", tmp_path / "resumed.npz"
-        assert train(gp_file, full, "--epochs", "4") == 0
-        assert train(gp_file, half, "--epochs", "2") == 0
-        members = read_members(half)
-        as_format_1(members)
-        write_members(half, members)
-        loaded = load_checkpoint(str(half))
-        assert loaded.version == 1 and loaded.adam.step_count == 8
-        assert train(gp_file, resumed, "--epochs", "4", "--resume", str(half)) == 0
-        a, b = read_members(full), read_members(resumed)
-        assert set(a) == set(b)
-        for key in sorted(a):
-            assert (a[key].dtype, a[key].tobytes()) == (b[key].dtype, b[key].tobytes()), key
-
-
-@pytest.mark.parametrize("version", [1, 2])
-def test_archive_with_a_min_separation_member_loads(gp_file, tmp_path, version):
+def test_archive_with_a_min_separation_member_loads(gp_file, tmp_path):
     """Archives written while ``Hyperparameters`` had a ``min_separation``
     field hold the member ``hyper/min_separation`` (always 0 from the CLI).
     The reader takes only the class's fields, so it loads them as if the
@@ -126,14 +108,11 @@ def test_archive_with_a_min_separation_member_loads(gp_file, tmp_path, version):
     assert train(gp_file, path, "--epochs", "1") == 0
     members = read_members(path)
     assert "hyper/min_separation" not in members
-    if version == 1:
-        as_format_1(members)
-    write_members(path, members)
     plain = load_checkpoint(str(path))
     members["hyper/min_separation"] = np.asarray(0.0)
     write_members(path, members)
     loaded = load_checkpoint(str(path))
-    assert loaded.version == version
+    assert loaded.version == FORMAT_VERSION
     for section in ("hyper", "state", "adam"):
         for f in fields(getattr(plain, section)):
             if f.init:
@@ -196,8 +175,10 @@ MALFORMED = {
     "rng-state": (_set("train/rng_state", '{"bit_generator": "PCG64"}'), "resume"),
     "no-rng-state": (_drop("train/rng_state"), "resume"),
     "adam-length": (_edit("adam/first_moment", lambda a: np.append(a, 0.0)), "resume"),
-    "format-1-beta": (lambda m: as_format_1(m, beta1=0.8), "resume"),
+    "format-1": (as_format_1, "evaluate"),
 }
+# What the error names, beyond the file, where a case pins it.
+NAMED = {"format-3": "format 3 is not supported", "format-1": "format 1 is not supported"}
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))
@@ -215,5 +196,5 @@ def test_malformed_checkpoint_is_a_data_error(gp_file, tmp_path, capsys, case):
         code = train(gp_file, out, "--epochs", "2", "--resume", str(ckpt))
     assert code == 3
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("data error:")]
-    assert errors and str(ckpt) in errors[0]
+    assert errors and str(ckpt) in errors[0] and NAMED.get(case, "") in errors[0]
     assert not out.exists()

@@ -73,6 +73,13 @@ class TestSimulate:
         ds = load_dataset(str(out))
         assert ds.input_dim == 5  # lag 2 -> 2 target lags + 3 input lags
 
+    def test_sampling_mode_is_not_an_option(self, tmp_path):
+        # The sampler follows from --n alone.
+        out = tmp_path / "gp.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "gp", "--n", "40", "--mode", "sparse", "--out", str(out)])
+        assert exc.value.code == 2 and not out.exists()
+
     def test_lengthscale_count_mismatch_is_usage_error(self, tmp_path):
         code = run_cli(
             "simulate", "gp", "--n", "10", "--d", "3",

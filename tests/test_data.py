@@ -14,6 +14,7 @@ from streamgp import (
     save_dataset,
     simulate_cstr,
 )
+from streamgp import data
 from streamgp.data import default_hyperparameters, integrate_cstr, read_table
 
 from conftest import train_test_split
@@ -52,14 +53,18 @@ class TestGenerateGpData:
         target = 1.0 ** 2 + 0.1 ** 2
         assert abs(np.var(ds.y) - target) / target < 0.10
 
-    def test_dense_guard(self):
-        with pytest.raises(ContractViolationError):
-            generate_gp_data(0, 6000, mode="dense")
-        generate_gp_data(0, 50, mode="dense")
-
     def test_auto_switches_to_sparse(self):
         ds = generate_gp_data(0, 5001)
         assert "mode=sparse" in ds.provenance
+
+    def test_sparse_draw_below_the_sampling_inducing_count(self, monkeypatch):
+        # With the guard lowered, a draw of fewer rows than
+        # SPARSE_SAMPLING_INDUCING takes the sparse path through n points.
+        monkeypatch.setattr(data, "DENSE_SAMPLING_GUARD", 40)
+        assert generate_gp_data(0, 40).provenance.endswith("mode=dense)")
+        ds = generate_gp_data(0, 41, d=2)
+        assert ds.provenance.endswith("mode=sparse)")
+        assert ds.n == 41 and np.all(np.isfinite(ds.y))
 
 
 class TestCstr:
@@ -261,6 +266,21 @@ class TestDatasetIO:
         header, m = read_table(str(path))
         np.testing.assert_array_equal(m, [[1.0, 2.0], [3.0, 4.0]])
         assert header == ["a", "b"]
+
+    @pytest.mark.parametrize("function", ["read_table", "load_dataset", "save_dataset"])
+    def test_delimiter_must_be_one_character(self, tmp_path, function):
+        # Refused before the file is opened: the file to read does not
+        # exist, and the file to write is not created.
+        path = str(tmp_path / "absent.csv")
+        call = {
+            "read_table": lambda d: read_table(path, d),
+            "load_dataset": lambda d: load_dataset(path, delimiter=d),
+            "save_dataset": lambda d: save_dataset(generate_gp_data(0, 3), path, d),
+        }[function]
+        for delimiter in (";;", ""):
+            with pytest.raises(ContractViolationError, match=f"not {delimiter!r}"):
+                call(delimiter)
+        assert not (tmp_path / "absent.csv").exists()
 
 
 class TestDatasetType:

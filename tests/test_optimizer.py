@@ -253,7 +253,10 @@ class TestSrgpFit:
 
     @pytest.mark.parametrize(
         "settings",
-        [{}, {"shuffle": True}, {"reset_each_epoch": False}, {"gradient_mode": "ignore_history"}],
+        [
+            {}, {"shuffle": True}, {"reset_each_epoch": False}, {"gradient_mode": "ignore_history"},
+            {"epochs": 1, "batch_size": 30},  # one batch: the only step advances nothing
+        ],
     )
     def test_fit_equals_a_loop_that_advances_on_every_step(self, monkeypatch, settings):
         # An epoch's last mini-batch leaves the derivative state as it was
@@ -262,7 +265,7 @@ class TestSrgpFit:
 
         X, y, h = make_instance(13, n=30, m=4)
         spec = ModelSpec("pep", alpha=0.5)
-        cfg = TrainConfig(epochs=3, batch_size=7, learning_rate=1e-2, seed=5, **settings)
+        cfg = TrainConfig(**{"epochs": 3, "batch_size": 7, "learning_rate": 1e-2, "seed": 5, **settings})
         got = srgp_fit(X, y, h, spec, cfg)
         advanced = []
 
@@ -272,7 +275,8 @@ class TestSrgpFit:
 
         monkeypatch.setattr(optimizer, "propagate", advancing)
         want = srgp_fit(X, y, h, spec, cfg)
-        assert advanced.count(False) == (3 if cfg.reset_each_epoch else 1)
+        assert len(advanced) == len(got.trace)
+        assert advanced.count(False) == (cfg.epochs if cfg.reset_each_epoch else 1)
         for a, b in [
             (got.hyper.to_vector(), want.hyper.to_vector()),
             (got.posterior.eta, want.posterior.eta),
