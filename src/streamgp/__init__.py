@@ -8,7 +8,7 @@ steps on a recursively accumulated collapsed lower bound.
 
 __version__ = "0.1.0"
 
-from .batch import BatchBoundReport, batch_bound, fd_gradient
+from .batch import batch_bound
 from .data import (
     Dataset,
     coverage,
@@ -54,7 +54,6 @@ from .optimizer import (
 
 __all__ = [
     "AdamState",
-    "BatchBoundReport",
     "ContractViolationError",
     "DataError",
     "Dataset",
@@ -77,7 +76,6 @@ __all__ = [
     "batch_bound",
     "coverage",
     "default_hyperparameters",
-    "fd_gradient",
     "fixed_theta_pass",
     "generate_gp_data",
     "init_inducing_subset",

@@ -38,18 +38,12 @@ from .errors import (
     StreamGPError,
     ToleranceError,
 )
-from .gradients import compute_adjoints, init_gradient_state, propagate
-from .inference import PARAM_STANDARD, MiniBatch, init_state, predict, split_into_batches, update
+from .gradients import init_gradient_state
+from .inference import PARAM_STANDARD, MiniBatch, init_state, predict, split_into_batches
 from .kernel import Hyperparameters
 from .model import VARIANTS, ModelSpec
-from .optimizer import (
-    GRADIENT_MODES,
-    AdamState,
-    ResumeState,
-    TrainConfig,
-    init_inducing_subset,
-    srgp_fit,
-)
+from .optimizer import GRADIENT_MODES, AdamState, ResumeState, TrainConfig
+from .optimizer import init_inducing_subset, srgp_fit, step
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -89,7 +83,6 @@ TRAIN_SETTINGS = {
     "n_rows": Setting("data row count", None, None, True),
     "data_sha256": Setting("data sha256", None, None, True),
     "epochs": Setting("--epochs", int, 50),
-    "epoch_reset": Setting("--no-epoch-reset", bool, True, help="carry posterior across epochs"),
     "model": Setting("--model", VARIANTS, "vfe", True, lambda c: c.spec.variant),
     "alpha": Setting(
         "--alpha", float, 0.5, True, lambda c: c.spec.alpha, help="PEP power (ignored otherwise)"
@@ -208,10 +201,10 @@ def cmd_train(args) -> int:
             raise ContractViolationError(
                 f"{given['resume']} has no train/config record of {', '.join(unknown)}; cannot resume"
             )
-        if not given.get("epoch_reset", True) or stored.get("epoch_reset") is False:
+        if stored.get("epoch_reset") is False:
             raise ContractViolationError(
-                "cannot resume without epoch resets: the checkpoint holds the fixed-parameter "
-                "posterior, not the carried training posterior and gradient state"
+                f"{given['resume']} was trained without epoch resets, which train no longer "
+                "offers; cannot resume"
             )
         if ckpt.adam is None or ckpt.rng_state is None:
             raise DataError(f"{given['resume']} lacks optimizer/RNG state; cannot resume")
@@ -285,7 +278,6 @@ def cmd_train(args) -> int:
             seed=settings["seed"],
             psi_rel_tolerance=settings["psi_tol"],
             gradient_mode=settings["gradient_mode"],
-            reset_each_epoch=settings["epoch_reset"],
         )
         result = srgp_fit(X, ds.y, hyper, spec, cfg, resume_from=resume)
         hyper, posterior, trace = result.hyper, result.posterior, result.trace
@@ -383,11 +375,7 @@ def cmd_validate_gradients(args) -> int:
     state = init_state(hyper, spec, PARAM_STANDARD)
     gstate = init_gradient_state(hyper, spec)
     for idx in split_into_batches(args.n, batch_size):
-        batch = MiniBatch(ds.X[idx], ds.y[idx])
-        state_new, km = update(state, batch, hyper, spec)
-        adj = compute_adjoints(state, state_new, km, hyper, spec)
-        gstate = propagate(gstate, adj, km.geometry, hyper, spec, batch)
-        state = state_new
+        state, gstate = step(state, gstate, MiniBatch(ds.X[idx], ds.y[idx]), hyper, spec)
 
     reference = batch_bound(ds.X, ds.y, hyper, spec, fd_step=args.fd_step).gradient
     floor = 1e-7

@@ -261,13 +261,11 @@ def compute_adjoints(
 ) -> AdjointIntermediates:
     """Adjoints of the bound term produced by one update call.
 
-    ``state_prev``/``state_new`` must be the exact pre/post pair of that
-    call, with ``km`` its intermediates.
+    ``state_prev``/``state_new`` are the pre/post pair of that call and ``km``
+    its intermediates, as :func:`streamgp.optimizer.step` passes them.
     """
     geom = km.geometry
     _require_standard(geom.transformed or state_prev.parametrization != PARAM_STANDARD)
-    if state_new.k != state_prev.k + 1:
-        raise ContractViolationError("state_new must be the direct successor of state_prev")
     H, v, d = geom.H, geom.v, geom.d
     B = H.shape[0]
     s_inv_r, t = km.s_inv_r, km.t

@@ -217,7 +217,7 @@ def update_with_geometry(
 
     new_state = PosteriorState(
         eta=eta_new,
-        Lambda=Lambda_new,
+        Lambda=factor.matrix,  # jitter included, so that Lambda and Sigma stay an inverse pair
         Sigma=Sigma_new,
         logdet_Lambda=logdet_new,
         psi=psi_new,

@@ -1,12 +1,12 @@
 """Interleaved stochastic training of hyper-parameters and posterior.
 
 One epoch re-initializes the posterior and its derivative state at the
-current parameters, then walks the K mini-batches: each step analytically
-absorbs the batch into the posterior, advances the gradient recursion,
-and takes one ascent step of bias-corrected ADAM on the per-batch bound
-increment.  The per-epoch reset makes the cumulative bound of an epoch
-comparable to the batch bound (they are equal at fixed parameters);
-carrying state across epochs is available behind a flag for study.
+current parameters, then walks the K mini-batches: each :func:`step`
+analytically absorbs the batch into the posterior and advances the
+gradient recursion, and one ascent step of bias-corrected ADAM follows on
+the per-batch bound increment.  The per-epoch reset makes the cumulative
+bound of an epoch comparable to the batch bound (they are equal at fixed
+parameters).
 
 The loop is strictly sequential: the stochastic gradient at step k
 depends on the one at k-1 through the carried posterior.
@@ -91,7 +91,6 @@ class TrainConfig:
     seed: int = 0
     psi_rel_tolerance: float = 0.0  # 0 disables early stopping
     gradient_mode: str = "full"
-    reset_each_epoch: bool = True
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -139,6 +138,30 @@ def init_inducing_subset(X: np.ndarray, m: int, rng: np.random.Generator) -> np.
     return X[idx].copy()
 
 
+def step(
+    state: PosteriorState,
+    gstate: GradientState,
+    batch: MiniBatch,
+    h: Hyperparameters,
+    spec: ModelSpec,
+    *,
+    ignore_history: bool = False,
+    advance: bool = True,
+) -> tuple[PosteriorState, GradientState]:
+    """One step of the recursion at fixed ``h``: absorb ``batch``, take the
+    adjoints of its bound term, and propagate ``gstate`` across it, which
+    spends ``gstate`` except for its ``d_psi`` (see
+    :func:`~streamgp.gradients.propagate`, whose keywords these are).  The
+    step's bound term and gradient are the changes in ``psi`` and ``d_psi``.
+    """
+    state_new, km = update(state, batch, h, spec)
+    adj = compute_adjoints(state, state_new, km, h, spec)
+    gstate_new = propagate(
+        gstate, adj, km.geometry, h, spec, batch, ignore_history=ignore_history, advance=advance
+    )
+    return state_new, gstate_new
+
+
 def srgp_fit(
     X: np.ndarray,
     y: np.ndarray,
@@ -176,34 +199,25 @@ def srgp_fit(
         start_epoch = resume_from.epochs_done
 
     trace: list[TraceRecord] = []
-    state: PosteriorState | None = None
-    gstate: GradientState | None = None
     prev_epoch_psi: float | None = None
     epochs_run = start_epoch
     ignore_history = cfg.gradient_mode == "ignore_history"
 
     for epoch in range(start_epoch, cfg.epochs):
-        if state is None or cfg.reset_each_epoch:
-            # Release the finished epoch's states first, so that only one
-            # packed (P, M (M + 1) / 2) derivative state is alive while the
-            # next is built.
-            state = gstate = state_new = gstate_new = None
-            state = init_state(h, spec)
-            gstate = init_gradient_state(h, spec)
+        # Release the finished epoch's states first, so that only one packed
+        # (P, M (M + 1) / 2) derivative state is alive while the next is built.
+        state = gstate = state_new = gstate_new = None
+        state = init_state(h, spec)
+        gstate = init_gradient_state(h, spec)
         order = rng.permutation(n) if cfg.shuffle else None
         batches = split_into_batches(n, cfg.batch_size, order)
-        # Nothing reads the derivative state after the last batch of an epoch
-        # that the next one resets, or of the last epoch.
-        keep_last = not cfg.reset_each_epoch and epoch + 1 < cfg.epochs
         for k, idx in enumerate(batches):
             t0 = time.perf_counter()
-            batch = MiniBatch(X[idx], y[idx])
             try:
-                state_new, km = update(state, batch, h, spec)
-                adj = compute_adjoints(state, state_new, km, h, spec)
-                gstate_new = propagate(
-                    gstate, adj, km.geometry, h, spec, batch, ignore_history=ignore_history,
-                    advance=keep_last or k + 1 < len(batches),
+                # Nothing reads the derivative state after an epoch's last batch.
+                state_new, gstate_new = step(
+                    state, gstate, MiniBatch(X[idx], y[idx]), h, spec,
+                    ignore_history=ignore_history, advance=k + 1 < len(batches),
                 )
             except NumericalError as err:
                 raise NumericalError(f"epoch {epoch + 1}: {err}") from None

@@ -22,11 +22,13 @@ from streamgp import (
     split_into_batches,
     update,
 )
+from streamgp.batch import fd_gradient
 from streamgp.cli import main as cli_main
 from streamgp.data import integrate_cstr
-from streamgp.gradients import compute_adjoints, init_gradient_state, propagate
+from streamgp.gradients import init_gradient_state
 from streamgp.inference import PARAM_STANDARD, PARAM_TRANSFORMED
 from streamgp.kernel import kernel_matrix
+from streamgp.optimizer import step
 
 from conftest import (
     batch_sparse_posterior,
@@ -148,12 +150,8 @@ def test_criterion_03_cumulative_gradient_equals_batch_gradient():
         state = init_state(h, spec)
         g = init_gradient_state(h, spec)
         for idx in split_into_batches(n, 20):
-            b = MiniBatch(X[idx], y[idx])
-            state_new, km = update(state, b, h, spec)
-            adj = compute_adjoints(state, state_new, km, h, spec)
-            g = propagate(g, adj, km.geometry, h, spec, b)
-            state = state_new
-        fd = sg.fd_gradient(
+            state, g = step(state, g, MiniBatch(X[idx], y[idx]), h, spec)
+        fd = fd_gradient(
             lambda th: batch_bound(X, y, h.with_vector(th), spec, with_gradient=False).value,
             h.to_vector(),
             step=1e-5,

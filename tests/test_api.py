@@ -37,7 +37,7 @@ def test_recursion_internals_are_not_exported():
         for name in names:
             assert name not in streamgp.__all__ and not hasattr(streamgp, name), name
             assert hasattr(module, name), f"{module_name}.{name}"
-    assert len(streamgp.__all__) == 37
+    assert len(streamgp.__all__) == 35
 
 
 def test_benchmark_layers_exist():

@@ -9,9 +9,9 @@ from streamgp import (
     ModelSpec,
     NumericalError,
     batch_bound,
-    fd_gradient,
 )
 from streamgp import linalg as linalg_module
+from streamgp.batch import fd_gradient
 from streamgp.linalg import CholFactor
 from streamgp.model import prior
 

@@ -247,17 +247,31 @@ class TestTrain:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "m2.ckpt", "train.csv"]
 
     def test_resume_refuses_no_epoch_reset(self, gp_file, tmp_path, capsys):
-        # The checkpoint lacks the carried posterior and gradient state.
+        # Every epoch restarts from the prior: carrying the posterior across
+        # epochs is not an option, and a checkpoint whose run carried it (its
+        # train/config records epoch_reset false) lacks that carried
+        # posterior and gradient state, so it is not resumed.
         common = ("train", "--data", gp_file, "--batch-size", "40", "--num-inducing", "5")
         ckpt, out = tmp_path / "m.npz", tmp_path / "out.npz"
+        with pytest.raises(SystemExit) as exc:
+            main([*common, "--epochs", "1", "--no-epoch-reset", "--checkpoint-out", str(ckpt)])
+        assert exc.value.code == 2 and not ckpt.exists()
         assert run_cli(*common, "--epochs", "1", "--checkpoint-out", str(ckpt)) == 0
+        stored = load_checkpoint(str(ckpt))
+        assert "epoch_reset" not in stored.config
+        stored.config["epoch_reset"] = False
+        save_checkpoint(str(ckpt), stored)
+        capsys.readouterr()
         args = ("--epochs", "2", "--resume", str(ckpt), "--checkpoint-out", str(out))
-        assert run_cli(*common, *args, "--no-epoch-reset") == 2
-        assert "epoch resets" in capsys.readouterr().err
-        carried = tmp_path / "carried.npz"
-        assert run_cli(*common, "--epochs", "1", "--no-epoch-reset", "--checkpoint-out", str(carried)) == 0
-        assert run_cli(*common, "--epochs", "2", "--resume", str(carried), "--checkpoint-out", str(out)) == 2
+        assert run_cli(*common, *args) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: {ckpt} was trained without epoch resets, which train no longer offers; "
+            "cannot resume\n"
+        )
         assert not out.exists()
+        stored.config["epoch_reset"] = True
+        save_checkpoint(str(ckpt), stored)
+        assert run_cli(*common, *args) == 0
 
     def test_resume_refuses_early_stopping(self, gp_file, tmp_path, capsys):
         # Early stopping compares an epoch's bound with the one before, which

@@ -13,7 +13,6 @@ from streamgp import (
     ModelSpec,
     NumericalError,
     batch_bound,
-    fd_gradient,
     init_state,
     split_into_batches,
     update,
@@ -26,7 +25,9 @@ from streamgp.gradients import (
     init_gradient_state,
     propagate,
 )
+from streamgp.batch import fd_gradient
 from streamgp.inference import PARAM_TRANSFORMED
+from streamgp.optimizer import step
 
 from conftest import (
     make_instance,
@@ -53,12 +54,8 @@ def stream_with_gradients(X, y, h, spec, batch_size, mode="full"):
     g = init_gradient_state(h, spec)
     history = [copy_state(g)]
     for idx in split_into_batches(y.size, batch_size):
-        b = MiniBatch(X[idx], y[idx])
-        state_new, km = update(state, b, h, spec)
-        adj = compute_adjoints(state, state_new, km, h, spec)
-        g = propagate(g, adj, km.geometry, h, spec, b, ignore_history=mode != "full")
+        state, g = step(state, g, MiniBatch(X[idx], y[idx]), h, spec, ignore_history=mode != "full")
         history.append(copy_state(g))
-        state = state_new
     return g, history
 
 
@@ -144,15 +141,6 @@ class TestAdjoints:
         st2, km = update(st, MiniBatch(X, y), h, spec)
         with pytest.raises(ContractViolationError):
             compute_adjoints(st, st2, km, h, spec)
-
-    def test_rejects_non_consecutive_states(self):
-        X, y, h = make_instance(7, n=10, m=3)
-        spec = ModelSpec("vfe")
-        st = init_state(h, spec)
-        st2, km = update(st, MiniBatch(X[:5], y[:5]), h, spec)
-        st3, km3 = update(st2, MiniBatch(X[5:], y[5:]), h, spec)
-        with pytest.raises(ContractViolationError):
-            compute_adjoints(st, st3, km3, h, spec)
 
 
 class TestPropagateMatchesFiniteDifferences:

@@ -5,6 +5,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,6 +139,26 @@ class TestUpdate:
                 np.testing.assert_allclose(st.Sigma @ st.Lambda, np.eye(6), atol=1e-8)
                 assert np.isfinite(st.psi - st_prev.psi)
                 assert np.all(np.diag(innovation_cov(km, st_prev)) >= h.noise_variance - 1e-12)
+
+    def test_jittered_precision_is_stored_with_its_jitter(self, monkeypatch):
+        # A zero prior precision plus 3 rows at M = 6 is singular, so its
+        # factor takes the jitter ladder.  The stored Lambda is the matrix
+        # that was factored, jitter included, so Lambda and Sigma stay an
+        # inverse pair (without the jitter, max |Lambda Sigma - I| is 0.99).
+        X, y, h = make_instance(3, n=20, m=6, d=2)
+        spec = ModelSpec("pep", alpha=0.5)
+        factors = []
+
+        def recording(a, name):
+            factors.append(chol_with_jitter(a, name))
+            return factors[-1]
+
+        monkeypatch.setattr(inference, "chol_with_jitter", recording)
+        zero = replace(init_state(h, spec), Lambda=np.zeros((6, 6)))
+        st, _ = update(zero, MiniBatch(X[:3], y[:3]), h, spec)
+        assert len(factors) == 1 and factors[0].jitter > 0.0
+        assert st.Lambda is factors[0].matrix
+        assert np.max(np.abs(st.Lambda @ st.Sigma - np.eye(6))) <= 1e-6
 
     def test_counts_batches(self):
         X, y, h = make_instance(7, n=12, m=3)

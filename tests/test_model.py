@@ -20,16 +20,11 @@ from streamgp import (
 from streamgp import batch, data, inference
 from streamgp import kernel as kernel_module
 from streamgp import linalg as linalg_module
-from streamgp.gradients import (
-    _inducing_directions,
-    _kernel_grads,
-    compute_adjoints,
-    init_gradient_state,
-    propagate,
-)
+from streamgp.gradients import _inducing_directions, _kernel_grads, init_gradient_state
 from streamgp.kernel import kernel_matrix
 from streamgp.linalg import JITTER_START
 from streamgp.model import batch_geometry, prior, regularizer
+from streamgp.optimizer import step
 
 from conftest import basis, dense_Q, make_instance, record_adam_thetas
 
@@ -338,10 +333,7 @@ class TestPrior:
         inverted = []
         dtrtri = linalg_module.dtrtri
         monkeypatch.setattr(linalg_module, "dtrtri", lambda c: inverted.append(c) or dtrtri(c))
-        batch = MiniBatch(X, y)
-        st, g = init_state(h, spec), init_gradient_state(h, spec)
-        st2, km = update(st, batch, h, spec)
-        propagate(g, compute_adjoints(st, st2, km, h, spec), km.geometry, h, spec, batch)
+        st2, _ = step(init_state(h, spec), init_gradient_state(h, spec), MiniBatch(X, y), h, spec)
         predict(st2, X[:7], h, spec)
         p = prior(h)
         assert len(inverted) == 2 and inverted[0] is p.L and inverted[1] is not p.L

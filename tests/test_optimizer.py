@@ -19,10 +19,9 @@ from streamgp import (
     init_inducing_subset,
     init_state,
     srgp_fit,
-    update,
 )
-from streamgp.gradients import compute_adjoints, init_gradient_state, propagate
-from streamgp.optimizer import ADAM_BETA1, ADAM_BETA2, ResumeState
+from streamgp.gradients import GradientState, init_gradient_state, propagate
+from streamgp.optimizer import ADAM_BETA1, ADAM_BETA2, ResumeState, step
 
 from conftest import make_instance, record_adam_thetas, rel_diff
 
@@ -74,6 +73,8 @@ class TestTrainConfig:
             TrainConfig(epochs=1, batch_size=0)
         with pytest.raises(ContractViolationError):
             TrainConfig(epochs=1, batch_size=1, gradient_mode="bogus")
+        with pytest.raises(TypeError):  # every epoch restarts from the prior
+            TrainConfig(epochs=2, batch_size=10, reset_each_epoch=False)
 
 
 class TestInitInducingSubset:
@@ -89,6 +90,33 @@ class TestInitInducingSubset:
         rng = np.random.default_rng(1)
         with pytest.raises(ContractViolationError):
             init_inducing_subset(np.zeros((3, 1)) + np.arange(3)[:, None], 5, rng)
+
+
+class TestStep:
+    def test_advance_changes_only_the_derivative_state(self):
+        # From a state that holds one batch, so that the carried terms count:
+        # both calls give the same posterior and gradient, and without
+        # ``advance`` d_eta and d_Lambda are left as they were.
+        X, y, h = make_instance(14, n=30, m=5, d=2)
+        spec = ModelSpec("pep", alpha=0.5)
+        state, g = step(init_state(h, spec), init_gradient_state(h, spec), MiniBatch(X[:15], y[:15]), h, spec)
+        batch = MiniBatch(X[15:], y[15:])
+
+        def copy(g):
+            return GradientState(d_eta=g.d_eta.copy(), d_Lambda=g.d_Lambda.copy(), d_psi=g.d_psi, k=g.k)
+
+        kept, advanced = copy(g), copy(g)
+        st_kept, g_kept = step(state, kept, batch, h, spec, advance=False)
+        st_adv, g_adv = step(state, advanced, batch, h, spec, advance=True)
+        for a, b in [
+            (st_kept.eta, st_adv.eta), (st_kept.Lambda, st_adv.Lambda), (st_kept.Sigma, st_adv.Sigma),
+            (g_kept.d_psi, g_adv.d_psi),
+        ]:
+            assert a.tobytes() == b.tobytes()
+        assert (st_kept.psi, st_kept.k, g_kept.k) == (st_adv.psi, 2, 2)
+        assert g_kept.d_eta.tobytes() == g.d_eta.tobytes()
+        assert g_kept.d_Lambda.tobytes() == g.d_Lambda.tobytes()
+        assert g_adv.d_Lambda.tobytes() != g.d_Lambda.tobytes()
 
 
 class TestSrgpFit:
@@ -146,12 +174,7 @@ class TestSrgpFit:
         cfg = TrainConfig(epochs=1, batch_size=30, learning_rate=1e-3)
         result = srgp_fit(X, y, h, spec, cfg)
 
-        state = init_state(h, spec)
-        g = init_gradient_state(h, spec)
-        batch = MiniBatch(X, y)
-        state_new, km = update(state, batch, h, spec)
-        adj = compute_adjoints(state, state_new, km, h, spec)
-        g = propagate(g, adj, km.geometry, h, spec, batch)
+        _, g = step(init_state(h, spec), init_gradient_state(h, spec), MiniBatch(X, y), h, spec)
         expected, _ = adam_step(h.to_vector(), g.d_psi, AdamState.fresh(h.n_params, 1e-3))
         np.testing.assert_array_equal(result.hyper.to_vector(), expected)
 
@@ -254,13 +277,15 @@ class TestSrgpFit:
     @pytest.mark.parametrize(
         "settings",
         [
-            {}, {"shuffle": True}, {"reset_each_epoch": False}, {"gradient_mode": "ignore_history"},
+            {}, {"shuffle": True},
+            {"batch_size": 30},  # one batch per epoch: no step advances anything
+            {"gradient_mode": "ignore_history"},
             {"epochs": 1, "batch_size": 30},  # one batch: the only step advances nothing
         ],
     )
     def test_fit_equals_a_loop_that_advances_on_every_step(self, monkeypatch, settings):
-        # An epoch's last mini-batch leaves the derivative state as it was
-        # when the next epoch resets it or none follows; d_psi is the same.
+        # An epoch's last mini-batch leaves the derivative state as it was,
+        # since the next epoch resets it or none follows; d_psi is the same.
         from streamgp import optimizer
 
         X, y, h = make_instance(13, n=30, m=4)
@@ -276,7 +301,7 @@ class TestSrgpFit:
         monkeypatch.setattr(optimizer, "propagate", advancing)
         want = srgp_fit(X, y, h, spec, cfg)
         assert len(advanced) == len(got.trace)
-        assert advanced.count(False) == (cfg.epochs if cfg.reset_each_epoch else 1)
+        assert advanced.count(False) == cfg.epochs
         for a, b in [
             (got.hyper.to_vector(), want.hyper.to_vector()),
             (got.posterior.eta, want.posterior.eta),
@@ -291,13 +316,3 @@ class TestSrgpFit:
         X, y, h = make_instance(10, n=10, m=3)
         with pytest.raises(ContractViolationError):
             srgp_fit(X, y, h, ModelSpec("vfe"), TrainConfig(epochs=1, batch_size=11))
-
-    def test_carry_posterior_across_epochs_flag(self):
-        X, y, h = make_instance(11, n=20, m=3)
-        cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=0.0, reset_each_epoch=False)
-        result = srgp_fit(X, y, h, ModelSpec("vfe"), cfg)
-        per_epoch = {}
-        for rec in result.trace:
-            per_epoch.setdefault(rec.epoch, []).append(rec.psi_k)
-        # Second-epoch terms differ from the first: the posterior carried over.
-        assert per_epoch[0] != per_epoch[1]

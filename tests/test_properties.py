@@ -22,7 +22,8 @@ from streamgp import (
     predict,
     update,
 )
-from streamgp.gradients import compute_adjoints, init_gradient_state, propagate
+from streamgp.gradients import init_gradient_state
+from streamgp.optimizer import step
 
 from conftest import make_instance, rel_diff
 
@@ -82,10 +83,7 @@ def test_streamed_gradient_equals_batch_gradient(spec_index, order, cuts):
     spec = SPECS[spec_index]
     state, g = init_state(H_G, spec), init_gradient_state(H_G, spec)
     for idx in np.split(np.asarray(order), sorted(cuts)):
-        batch = MiniBatch(X_G[idx], Y_G[idx])
-        state_new, km = update(state, batch, H_G, spec)
-        g = propagate(g, compute_adjoints(state, state_new, km, H_G, spec), km.geometry, H_G, spec, batch)
-        state = state_new
+        state, g = step(state, g, MiniBatch(X_G[idx], Y_G[idx]), H_G, spec)
     reference = fd_reference(spec_index)
     assert H_G.n_params == 10
     np.testing.assert_allclose(g.d_psi, reference, rtol=1e-6, atol=1e-8)

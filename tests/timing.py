@@ -89,7 +89,8 @@ def criterion_09() -> dict:
 
     import streamgp as sg
     from streamgp import Hyperparameters, MiniBatch, ModelSpec
-    from streamgp.gradients import compute_adjoints, init_gradient_state, propagate
+    from streamgp.gradients import init_gradient_state
+    from streamgp.optimizer import step
 
     rng = np.random.default_rng(0)
     spec = ModelSpec("pep", alpha=0.5)
@@ -100,12 +101,7 @@ def criterion_09() -> dict:
         h = Hyperparameters(0.0, np.log([0.3]), np.log(0.1), sg.init_inducing_subset(X, 50, rng))
         batch = MiniBatch(X, y)
         st, g = sg.init_state(h, spec), init_gradient_state(h, spec)
-
-        def step():
-            st2, km = sg.update(st, batch, h, spec)
-            propagate(g, compute_adjoints(st, st2, km, h, spec), km.geometry, h, spec, batch)
-
-        return step
+        return lambda: step(st, g, batch, h, spec)
 
     sizes_b = [100, 400, 1600]
     times_b = min_times([step_at(B) for B in sizes_b], reps=9)
@@ -176,80 +172,6 @@ def exponents(runs: int = 20, src: str | None = None) -> dict:
     return result
 
 
-def propagate_configs() -> dict:
-    """``propagate`` and ``init_gradient_state`` at the train-cstr shape
-    (D = 5, M = 50, B = 256, P = 257) and at config C (D = 8, M = 100,
-    B = 512, P = 810), for PEP and VFE: milliseconds, minimum of 15.
-
-    Not used by any test; run by hand for before/after layer tables.
-    """
-    from conftest import make_instance
-
-    import streamgp as sg
-    from streamgp import MiniBatch, ModelSpec
-    from streamgp.gradients import compute_adjoints, init_gradient_state, propagate
-
-    shapes = {"train-cstr": (5, 50, 256), "C": (8, 100, 512)}
-    specs = {"pep": ModelSpec("pep", alpha=0.5), "vfe": ModelSpec("vfe")}
-    names, fns = [], []
-    for shape, (D, M, B) in shapes.items():
-        X, y, h = make_instance(23, n=B, m=M, d=D, lengthscale=0.5)
-        batch = MiniBatch(X, y)
-        for variant, spec in specs.items():
-            st = sg.init_state(h, spec)
-            st2, km = sg.update(st, batch, h, spec)
-            adj = compute_adjoints(st, st2, km, h, spec)
-            g = init_gradient_state(h, spec)  # advanced in place by every timed call
-            names.append(f"propagate {variant} {shape} (P={h.n_params})")
-            fns.append(lambda g=g, adj=adj, km=km, h=h, spec=spec, batch=batch: propagate(
-                g, adj, km.geometry, h, spec, batch
-            ))
-        names.append(f"init_gradient_state {shape} (P={h.n_params})")
-        fns.append(lambda h=h, spec=spec: init_gradient_state(h, spec))
-    times = min_times(fns, reps=15)
-    return {name: round(t * 1e3, 3) for name, t in zip(names, times)}
-
-
-def propagate_vs_noise_gemm() -> dict:
-    """``propagate`` against its noise terms alone (``_add_noise_terms`` over
-    the whole batch, Khatri-Rao blocks included) at the train-cstr shape
-    (PEP, D = 5, M = 50, B = 256, P = 257): milliseconds, minimum of 30
-    interleaved rounds, and their ratio.
-
-    Not used by any test; run by hand to see how far the rest of
-    ``propagate`` sits above its noise GEMM.
-    """
-    from conftest import make_instance
-
-    import numpy as np
-
-    import streamgp as sg
-    from streamgp import MiniBatch, ModelSpec
-    from streamgp.gradients import _add_noise_terms, compute_adjoints, init_gradient_state, propagate
-
-    spec = ModelSpec("pep", alpha=0.5)
-    X, y, h = make_instance(23, n=256, m=50, d=5, lengthscale=0.5)
-    batch = MiniBatch(X, y)
-    st = sg.init_state(h, spec)
-    st2, km = sg.update(st, batch, h, spec)
-    adj = compute_adjoints(st, st2, km, h, spec)
-    g = init_gradient_state(h, spec)  # advanced in place by every timed call
-    s = np.random.default_rng(0).standard_normal((h.n_params, batch.size))
-    dst = g.d_Lambda.copy()
-    prop, noise = min_times(
-        [
-            lambda: propagate(g, adj, km.geometry, h, spec, batch),
-            lambda: _add_noise_terms(dst, s, km.geometry.H),
-        ],
-        reps=30,
-    )
-    return {
-        "propagate_ms": round(prop * 1e3, 3),
-        "noise_terms_ms": round(noise * 1e3, 3),
-        "ratio": round(prop / noise, 3),
-    }
-
-
 # The serve-eval shape: held-out rows scored against a D = 5, M = 50 model.
 PREDICT_ROWS = 3999
 
@@ -270,44 +192,6 @@ def _predict_call(sg, X, y, h0):
     return lambda: sg.predict(state, X_star, h, spec, with_noise=True)
 
 
-def predict(reps: int = 200) -> dict:
-    """``predict`` at the serve-eval shape (3,999 rows, D = 5, M = 50, PEP
-    0.5, with noise): the minimum CPU time of one evaluation over ``reps``,
-    in milliseconds, and the minor page faults per evaluation, both from
-    ``resource.getrusage`` after the warm-up.
-
-    Not used by any test; run by hand.  Faults per evaluation show whether
-    the allocator hands back and maps anew the block temporaries each call.
-    """
-    import resource
-
-    from conftest import make_instance
-
-    import streamgp
-
-    X, y, h0 = make_instance(23, n=256, m=50, d=5, lengthscale=0.5)
-    fn = _predict_call(streamgp, X, y, h0)
-    for _ in range(WARMUP):
-        fn()
-
-    def usage() -> tuple[float, int]:
-        r = resource.getrusage(resource.RUSAGE_SELF)
-        return r.ru_utime + r.ru_stime, r.ru_minflt
-
-    best = float("inf")
-    _, faults0 = usage()
-    for _ in range(reps):
-        cpu0, _ = usage()
-        fn()
-        best = min(best, usage()[0] - cpu0)
-    return {
-        "rows": PREDICT_ROWS,
-        "evaluations": reps,
-        "cpu_ms_min": round(best * 1e3, 3),
-        "minor_faults_per_evaluation": round((usage()[1] - faults0) / reps, 1),
-    }
-
-
 # The layers of a training step and epoch, as ``srgp_fit`` calls them
 # through the names of the ``optimizer`` module.
 FIT_LAYERS = ("init_gradient_state", "update", "compute_adjoints", "propagate", "adam_step", "fixed_theta_pass")
@@ -318,7 +202,7 @@ def fit_layers(fits: int = 3, calls: int = 50) -> dict:
     ``srgp_fit`` (a 2,000 s CSTR rollout read back from its file, N = 9,999,
     D = 5; PEP 0.5, M = 50, B = 256, 3 epochs), per step over ``fits`` fits
     after a warm one, and of ``predict`` at the serve-eval shape (see
-    :func:`predict`), per call over ``calls`` calls after a warm-up.
+    :func:`_predict_call`), per call over ``calls`` calls after a warm-up.
 
     A layer's numbers are its self cost: ``fixed_theta_pass``'s exclude the
     ``update`` calls it makes, and ``srgp_fit``'s are what the fit spends
@@ -453,52 +337,6 @@ def run_child(args: list[str], env: dict) -> tuple[float, float, float]:
     return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0
 
 
-def import_cost(reps: int = 5) -> dict:
-    """CPU seconds and peak resident memory of a fresh one-BLAS-thread
-    ``python -c "import streamgp"`` and of one ``streamgp evaluate`` of a
-    PEP (alpha 0.5, M = 50) checkpoint on a 3,999-row CSTR file, the
-    serve-eval shape: the minimum of each over ``reps`` interleaved runs.
-
-    Every command runs in its own child, read through ``os.wait4``, so the
-    numbers cover interpreter start, imports and, for ``evaluate``, reading
-    both files and scoring.  The files are made by the CLI in children too:
-    a child's peak RSS starts at its parent's, so this process must not
-    load numpy.  The package is the one ``PYTHONPATH`` finds.
-
-    Not used by any test; run by hand.
-    """
-    import tempfile
-
-    env = {**os.environ, **PINNED_ENV}
-
-    def run(args: list[str]) -> tuple[float, float]:
-        return run_child(args, env)[1:]
-
-    with tempfile.TemporaryDirectory() as tmp:
-        train, heldout, model = (str(Path(tmp) / f) for f in ("train.csv", "heldout.csv", "model.npz"))
-        run([*CLI, "simulate", "cstr", "--duration", "400", "--seed", "1", "--out", train])
-        run([*CLI, "simulate", "cstr", "--duration", "800", "--seed", "2", "--out", heldout])
-        run([
-            *CLI, "train", "--data", train, "--model", "pep", "--alpha", "0.5", "--num-inducing", "50",
-            "--batch-size", "256", "--epochs", "1", "--checkpoint-out", model,
-        ])
-        commands = {
-            "import streamgp": ["-c", "import streamgp"],
-            "streamgp evaluate": [*CLI, "evaluate", "--checkpoint", model, "--data", heldout],
-        }
-        runs = {name: [] for name in commands}
-        for _ in range(reps):
-            for name, args in commands.items():
-                runs[name].append(run(args))
-        with open(heldout) as f:
-            rows = sum(1 for _ in f) - 1
-    result = {"rows": rows, "reps": reps}
-    for name, samples in runs.items():
-        cpu, rss = zip(*samples)
-        result[name] = {"cpu_s_min": round(min(cpu), 3), "peak_rss_mb_min": round(min(rss), 1)}
-    return result
-
-
 def default_threads(reps: int = 5) -> dict:
     """``streamgp train`` at the train-cstr shape (a 2,000 s CSTR rollout,
     N = 9,999, D = 5; PEP 0.5, M = 50, B = 256, 3 epochs), ``reps`` times
@@ -589,9 +427,9 @@ def _exponent(sizes, times) -> float:
 def against(src: str, reps: int = 100) -> dict:
     """``propagate`` and one training step at the train-cstr shape (PEP,
     D = 5, M = 50, B = 256), ``predict`` at the serve-eval shape (see
-    :func:`predict`), and ``propagate`` at criterion 09's parameter counts
-    (see :func:`_propagate_by_parameter_count`), of this tree and of the
-    package under ``src``.
+    :func:`_predict_call`), and ``propagate`` at criterion 09's parameter
+    counts (see :func:`_propagate_by_parameter_count`), of this tree and of
+    the package under ``src``.
 
     Both trees are loaded in this process.  Each of ``reps`` rounds times
     every call of both once, the two trees in alternating order, so that a
@@ -660,11 +498,7 @@ def against(src: str, reps: int = 100) -> dict:
 MEASUREMENTS = {
     "criterion_09": criterion_09,
     "propagate_parameter_count": propagate_parameter_count,
-    "propagate_configs": propagate_configs,
-    "propagate_vs_noise_gemm": propagate_vs_noise_gemm,
-    "predict": predict,
     "fit_layers": fit_layers,
-    "import_cost": import_cost,
     "default_threads": default_threads,
 }
 
