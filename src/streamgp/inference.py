@@ -29,8 +29,8 @@ predicted.
 
 Updates are functional (they return a fresh state), so a posterior is
 safe to hand between threads as long as a single stream of updates owns
-it; predictions and bound reads change nothing but the cached posterior
-mean, which every reader computes identically.
+it; predictions and bound reads change nothing but the kept posterior mean
+and predictive factor, which every reader computes identically.
 
 Each update also appends one term of the streaming collapsed lower bound
 
@@ -47,14 +47,14 @@ lower bound of the selected variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ContractViolationError, IllConditionedError, NumericalError
 from ._lapack import dtrmm
-from .kernel import Hyperparameters, _check_inputs, as_xy, kernel_matrix
+from .kernel import Hyperparameters, _check_inputs, as_xy, kernel_of_scaled, scale_inputs
 from .linalg import chol_with_jitter, symmetrize
 from .model import BatchGeometry, ModelSpec, batch_geometry, prior, regularizer, schur_diagonal
 
@@ -91,6 +91,14 @@ class PosteriorState:
     every update) and ``mu`` is Sigma @ eta, formed on first use and kept;
     ``psi`` is the accumulated streaming lower bound and ``k`` counts
     absorbed mini-batches.
+
+    ``_predictive`` keeps :func:`predict`'s whitened mean and covariance
+    factor (m, G) for the last ``Hyperparameters`` object it was called
+    with, together with that object: a state never changes, and neither
+    does a parameter object, so the pair is built once and read-only.  It
+    is no part of the posterior's value: it is not an ``__init__``
+    argument, not compared, not shown and not saved to a checkpoint, and
+    ``dataclasses.replace`` returns a state without it.
     """
 
     eta: np.ndarray  # (M,)
@@ -100,6 +108,7 @@ class PosteriorState:
     psi: float
     k: int
     parametrization: str
+    _predictive: object = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def mu(self) -> np.ndarray:
@@ -242,13 +251,15 @@ def predict(
     out for SoR) and ``with_noise`` adding sigma_n^2.  The basis is written
     as H_* = A_* W in the whitened rows A_* = K_*R L^-T, with W = L^-1 for
     the standard parametrization (H_* = K_*R K_RR^-1) and W = L^T for the
-    transformed one (H_* = K_*R).  So once per call
+    transformed one (H_* = K_*R).  So once per posterior and parameter
+    object (kept on ``state``, see :class:`PosteriorState`)
 
         m = W mu_k,    C = W Sigma_k W^T = G G^T,
 
     C being the whitened posterior covariance (eigenvalues in (0, 1]) and G
-    its lower Cholesky factor.  Per block of rows, two triangular products
-    run in place in the buffer of K_*R^T: A_*^T = L^-1 K_R*, which gives
+    its lower Cholesky factor.  The inducing inputs are scaled once per
+    call.  Per block of rows, two triangular products run in place in the
+    buffer of K_*R^T: A_*^T = L^-1 K_R*, which gives
     d_* (:func:`~streamgp.model.schur_diagonal`) and
 
         mean = A_* m,
@@ -258,29 +269,47 @@ def predict(
         variance = colsum((G^T A_*^T)^2) [+ d_*],
 
     a sum of squares, so never negative.  That is 2 M^2 flops a row for
-    the two, and one (M, rows) array alive per block.  Rows are taken
-    ``BLOCK`` at a time, so memory is O(BLOCK * M).
+    the two, and one (M, rows) array alive per block; mean and variance
+    are written straight into the outputs.  Rows are taken ``BLOCK`` at a
+    time, so memory is O(BLOCK * M).
     """
     X_star = _check_inputs(X_star, h, "X_star")
     p = prior(h)
-    W = p.L.T if state.parametrization == PARAM_TRANSFORMED else p.L_inv
-    m = W @ state.mu
-    C = W @ state.Sigma @ W.T
-    G = np.asfortranarray(chol_with_jitter(C, "whitened posterior covariance").L)
+    m, G = _predictive_factor(state, h)
+    R = scale_inputs(h.inducing_inputs, h)
     mean = np.empty(X_star.shape[0])
     variance = np.empty(X_star.shape[0])
     for lo in range(0, X_star.shape[0], BLOCK):
-        rows = X_star[lo : lo + BLOCK]
-        A_T = dtrmm(1.0, p.L_inv, kernel_matrix(rows, h.inducing_inputs, h).T, overwrite_b=1)
-        d = schur_diagonal(rows, A_T, h)
-        mean[lo : lo + BLOCK] = A_T.T @ m
+        rows = scale_inputs(X_star[lo : lo + BLOCK], h)
+        A_T = dtrmm(1.0, p.L_inv, kernel_of_scaled(rows, R, h).T, overwrite_b=1)
+        d = schur_diagonal(A_T, h)
+        np.matmul(A_T.T, m, out=mean[lo : lo + BLOCK])
         dtrmm(1.0, G, A_T, trans_a=1, overwrite_b=1)
-        var = np.einsum("ij,ij->j", A_T, A_T)
-        variance[lo : lo + BLOCK] = var if spec.variant == "sor" else var + d
+        var = np.einsum("ij,ij->j", A_T, A_T, out=variance[lo : lo + BLOCK])
+        if spec.variant != "sor":
+            var += d
         del A_T  # before the next block allocates its own
     if with_noise:
         variance += h.noise_variance
     return PredictiveDistribution(mean=mean, variance=variance, includes_observation_noise=with_noise)
+
+
+def _predictive_factor(state: PosteriorState, h: Hyperparameters) -> tuple[np.ndarray, np.ndarray]:
+    """m = W mu_k and the lower Cholesky factor G of C = W Sigma_k W^T
+    (see :func:`predict`), built on the first call for ``h`` and then kept
+    on ``state``, read-only, until a call with another ``h`` object."""
+    kept = state._predictive
+    if kept is None or kept[0] is not h:
+        p = prior(h)
+        W = p.L.T if state.parametrization == PARAM_TRANSFORMED else p.L_inv
+        m = W @ state.mu
+        C = W @ state.Sigma @ W.T
+        G = np.asfortranarray(chol_with_jitter(C, "whitened posterior covariance").L)
+        m.flags.writeable = False
+        G.flags.writeable = False
+        kept = (h, m, G)
+        object.__setattr__(state, "_predictive", kept)
+    return kept[1], kept[2]
 
 
 def split_into_batches(n: int, batch_size: int, order: np.ndarray | None = None) -> list[np.ndarray]:

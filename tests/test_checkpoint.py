@@ -1,11 +1,12 @@
 """Checkpoint archives: exact round trips, members of older archives, and refused archives."""
 
+import zipfile
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from streamgp import AdamState, MiniBatch, ModelSpec, init_state, update
+from streamgp import AdamState, MiniBatch, ModelSpec, init_state, predict, update
 from streamgp.checkpoint import FORMAT_VERSION, Checkpoint, load_checkpoint, save_checkpoint
 from streamgp.cli import main
 from streamgp.inference import PARAM_STANDARD, PARAM_TRANSFORMED
@@ -71,6 +72,27 @@ class TestRoundTrip:
                 assert getattr(loaded, name) is None
             else:
                 assert_bitwise(getattr(loaded, name), getattr(ckpt, name), name)
+
+
+@pytest.mark.parametrize("parametrization", [PARAM_STANDARD, PARAM_TRANSFORMED])
+def test_archive_written_after_a_predict_is_the_same(tmp_path, parametrization):
+    """predict keeps its factor on the state, outside the state's fields:
+    every member of an archive written after a predict is byte-equal to the
+    one written before.  (The zip directory holds each member's write time,
+    so the files themselves are compared member by member.)"""
+    X, y, h = make_instance(4, n=30, d=2, m=5)
+    spec = ModelSpec("pep", alpha=0.3)
+    state, _ = update(init_state(h, spec, parametrization), MiniBatch(X, y), h, spec)
+    ckpt = Checkpoint(version=FORMAT_VERSION, hyper=h, spec=spec, state=state)
+    before, after = tmp_path / "before.npz", tmp_path / "after.npz"
+    save_checkpoint(str(before), ckpt)
+    predict(state, X, h, spec, with_noise=True)
+    assert state._predictive is not None
+    save_checkpoint(str(after), ckpt)
+    with zipfile.ZipFile(before) as a, zipfile.ZipFile(after) as b:
+        assert a.namelist() == b.namelist()
+        for name in a.namelist():
+            assert a.read(name) == b.read(name), name
 
 
 @pytest.fixture()

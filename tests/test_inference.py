@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -340,7 +341,7 @@ class TestPredict:
                 args = [x.view(np.ndarray) if isinstance(x, Block) else x for x in args]
                 return func(*args, **kwargs)
 
-        kernel = inference.kernel_matrix
+        kernel = inference.kernel_of_scaled
 
         def recorded_kernel(A, B, h):
             blocks.append(kernel(A, B, h))
@@ -358,7 +359,7 @@ class TestPredict:
 
         solve = CholFactor.solve
         monkeypatch.setattr(CholFactor, "solve", lambda self, b: calls.append(("solve",)) or solve(self, b))
-        monkeypatch.setattr(inference, "kernel_matrix", recorded_kernel)
+        monkeypatch.setattr(inference, "kernel_of_scaled", recorded_kernel)
         monkeypatch.setattr(inference, "dtrmm", recorded_dtrmm(inference.dtrmm))
         monkeypatch.setattr(linalg_module, "dtrmm", recorded_dtrmm(linalg_module.dtrmm))
         for par in (PARAM_STANDARD, PARAM_TRANSFORMED):
@@ -521,6 +522,95 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps)
         flat, row = predict(st, X[0], h, spec), predict(st, X[:1], h, spec)
         assert flat.mean.tobytes() == row.mean.tobytes()
         assert flat.variance.tobytes() == row.variance.tobytes()
+
+
+class TestKeptPredictiveFactor:
+    """predict's whitened mean m and covariance factor G are built once per
+    (posterior, Hyperparameters object) pair and kept on the posterior."""
+
+    def test_one_factorization_per_state_and_parameter_object(self, monkeypatch):
+        X, y, h = make_instance(24, n=60, m=6, d=2)
+        spec = ModelSpec("pep", alpha=0.5)
+        st = run_stream(X, y, h, spec, batch_size=20)
+        names = []
+        chol = inference.chol_with_jitter
+        monkeypatch.setattr(inference, "chol_with_jitter", lambda a, name: names.append(name) or chol(a, name))
+        first = predict(st, X[:9], h, spec, with_noise=True)
+        second = predict(st, X[:9], h, spec, with_noise=True)
+        assert names == ["whitened posterior covariance"]
+        assert st._predictive[0] is h
+        fresh = h.with_vector(h.to_vector())  # the same values in a new object
+        third = predict(st, X[:9], fresh, spec, with_noise=True)
+        assert names == ["whitened posterior covariance"] * 2
+        assert st._predictive[0] is fresh
+        for other in (second, third):
+            assert other.mean.tobytes() == first.mean.tobytes()
+            assert other.variance.tobytes() == first.variance.tobytes()
+
+    def test_kept_arrays_are_read_only_and_not_part_of_the_state(self):
+        X, y, h = make_instance(25, n=40, m=5, d=2)
+        spec = ModelSpec("vfe")
+        st = run_stream(X, y, h, spec, batch_size=20)
+        assert st._predictive is None
+        predict(st, X[:3], h, spec)
+        _, m, G = st._predictive
+        assert m.shape == (5,) and G.shape == (5, 5) and G.flags.f_contiguous
+        assert not m.flags.writeable and not G.flags.writeable
+        assert replace(st)._predictive is None
+        assert "_predictive" not in repr(st)
+
+    def test_threads_sharing_a_state_get_the_bits_of_their_parameters(self):
+        # Four threads predict from one state at two parameter values in
+        # turn, with a short switch interval, so the kept pair is replaced
+        # under every reader; each prediction still has the bits of a state
+        # that keeps nothing.
+        X, y, h = make_instance(27, n=60, m=6, d=2)
+        other = h.with_vector(h.to_vector() + np.r_[0.0, 0.3, 0.3, 0.0, np.zeros(12)])
+        spec = ModelSpec("pep", alpha=0.5)
+        st = run_stream(X, y, h, spec, batch_size=20)
+        X_star = X[:25]
+        want = {}
+        for hh in (h, other):
+            pred = predict(replace(st), X_star, hh, spec)
+            want[id(hh)] = pred.mean.tobytes() + pred.variance.tobytes()
+        assert len(set(want.values())) == 2
+        wrong = []
+
+        def reader(k):
+            for i in range(40):
+                hh = (h, other)[(i + k) % 2]
+                pred = predict(st, X_star, hh, spec)
+                if pred.mean.tobytes() + pred.variance.tobytes() != want[id(hh)]:
+                    wrong.append((k, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("parametrization", [PARAM_STANDARD, PARAM_TRANSFORMED])
+    def test_first_and_second_call_give_the_same_bits(self, parametrization):
+        # The kept pair gives the bits a state without it gives, in both
+        # parametrizations, with and without noise, over several blocks.
+        X, y, h = make_instance(26, n=80, m=7, d=3)
+        spec = ModelSpec("pep", alpha=0.5)
+        st = run_stream(X, y, h, spec, batch_size=30, parametrization=parametrization)
+        X_star = np.random.default_rng(5).uniform(0, 1, (2 * inference.BLOCK + 3, 3))
+        for with_noise in (False, True):
+            cold = predict(replace(st), X_star, h, spec, with_noise=with_noise)
+            first = predict(st, X_star, h, spec, with_noise=with_noise)
+            second = predict(st, X_star, h, spec, with_noise=with_noise)
+            for other in (first, second):
+                assert other.mean.tobytes() == cold.mean.tobytes()
+                assert other.variance.tobytes() == cold.variance.tobytes()
 
 
 def state_bytes(state) -> bytes:

@@ -178,8 +178,13 @@ PREDICT_ROWS = 3999
 
 def _predict_call(sg, X, y, h0):
     """``predict`` with noise, by the package ``sg``, of ``PREDICT_ROWS``
-    rows laid out as ``load_dataset`` gives them, from a PEP (alpha 0.5) posterior that has absorbed ``X``, ``y`` at
-    the parameters of ``h0``, as one call."""
+    rows laid out as ``load_dataset`` gives them, from a PEP (alpha 0.5)
+    posterior that has absorbed ``X``, ``y`` at the parameters of ``h0``,
+    as two calls: one that reuses the posterior, as a server does, and a
+    first call, on a fresh ``dataclasses.replace`` copy of it each time,
+    which builds what a posterior keeps for prediction."""
+    from dataclasses import replace
+
     import numpy as np
 
     spec = sg.ModelSpec("pep", alpha=0.5)
@@ -189,7 +194,10 @@ def _predict_call(sg, X, y, h0):
     # selected as load_dataset selects them: Fortran-ordered, as served.
     table = np.random.default_rng(1).uniform(0.0, 1.0, (PREDICT_ROWS, X.shape[1] + 1))
     X_star = table[:, np.arange(table.shape[1]) != X.shape[1]]
-    return lambda: sg.predict(state, X_star, h, spec, with_noise=True)
+    return (
+        lambda: sg.predict(state, X_star, h, spec, with_noise=True),
+        lambda: sg.predict(replace(state), X_star, h, spec, with_noise=True),
+    )
 
 
 # The layers of a training step and epoch, as ``srgp_fit`` calls them
@@ -274,7 +282,7 @@ def fit_layers(fits: int = 3, calls: int = 50) -> dict:
     }
 
     X, y, h = make_instance(23, n=256, m=50, d=5, lengthscale=0.5)
-    fn = _predict_call(streamgp, X, y, h)
+    fn, _ = _predict_call(streamgp, X, y, h)
     for _ in range(WARMUP):
         fn()
     cpu, faults0 = [], usage()[1]
@@ -426,10 +434,11 @@ def _exponent(sizes, times) -> float:
 
 def against(src: str, reps: int = 100) -> dict:
     """``propagate`` and one training step at the train-cstr shape (PEP,
-    D = 5, M = 50, B = 256), ``predict`` at the serve-eval shape (see
-    :func:`_predict_call`), and ``propagate`` at criterion 09's parameter
-    counts (see :func:`_propagate_by_parameter_count`), of this tree and of
-    the package under ``src``.
+    D = 5, M = 50, B = 256), ``predict`` at the serve-eval shape, reusing
+    its posterior and as a first call (see :func:`_predict_call`), and
+    ``propagate`` at criterion 09's parameter counts (see
+    :func:`_propagate_by_parameter_count`), of this tree and of the package
+    under ``src``.
 
     Both trees are loaded in this process.  Each of ``reps`` rounds times
     every call of both once, the two trees in alternating order, so that a
@@ -453,11 +462,11 @@ def against(src: str, reps: int = 100) -> dict:
     import streamgp
 
     X, y, h0 = make_instance(23, n=256, m=50, d=5, lengthscale=0.5)
-    names = ["propagate", "step", "predict"]
+    names = ["propagate", "step", "predict", "predict first call"]
     calls = []
     for sg in (streamgp, load_tree(src)):
         sizes_p, p_calls = _propagate_by_parameter_count(sg)
-        calls.append((*_train_step_calls(sg, X, y, h0), _predict_call(sg, X, y, h0), *p_calls))
+        calls.append((*_train_step_calls(sg, X, y, h0), *_predict_call(sg, X, y, h0), *p_calls))
     names += [f"propagate P={p}" for p in sizes_p]
     times = {name: ([], []) for name in names}
     cpu = {name: ([], []) for name in names}
