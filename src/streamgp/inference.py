@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import ContractViolationError, IllConditionedError, NumericalError
 from ._lapack import dtrmm
-from .kernel import Hyperparameters, _check_inputs, as_xy, kernel_of_scaled, scale_inputs
+from .kernel import Hyperparameters, _check_inputs, as_xy, kernel_matrix
 from .linalg import chol_with_jitter, symmetrize
 from .model import BatchGeometry, ModelSpec, batch_geometry, prior, regularizer, schur_diagonal
 
@@ -257,9 +257,8 @@ def predict(
         m = W mu_k,    C = W Sigma_k W^T = G G^T,
 
     C being the whitened posterior covariance (eigenvalues in (0, 1]) and G
-    its lower Cholesky factor.  The inducing inputs are scaled once per
-    call.  Per block of rows, two triangular products run in place in the
-    buffer of K_*R^T: A_*^T = L^-1 K_R*, which gives
+    its lower Cholesky factor.  Per block of rows, two triangular products
+    run in place in the buffer of K_*R^T: A_*^T = L^-1 K_R*, which gives
     d_* (:func:`~streamgp.model.schur_diagonal`) and
 
         mean = A_* m,
@@ -269,25 +268,22 @@ def predict(
         variance = colsum((G^T A_*^T)^2) [+ d_*],
 
     a sum of squares, so never negative.  That is 2 M^2 flops a row for
-    the two, and one (M, rows) array alive per block; mean and variance
-    are written straight into the outputs.  Rows are taken ``BLOCK`` at a
-    time, so memory is O(BLOCK * M).
+    the two, and one (M, rows) array alive per block.  Rows are taken
+    ``BLOCK`` at a time, so memory is O(BLOCK * M).
     """
     X_star = _check_inputs(X_star, h, "X_star")
     p = prior(h)
     m, G = _predictive_factor(state, h)
-    R = scale_inputs(h.inducing_inputs, h)
     mean = np.empty(X_star.shape[0])
     variance = np.empty(X_star.shape[0])
     for lo in range(0, X_star.shape[0], BLOCK):
-        rows = scale_inputs(X_star[lo : lo + BLOCK], h)
-        A_T = dtrmm(1.0, p.L_inv, kernel_of_scaled(rows, R, h).T, overwrite_b=1)
-        d = schur_diagonal(A_T, h)
-        np.matmul(A_T.T, m, out=mean[lo : lo + BLOCK])
+        rows = X_star[lo : lo + BLOCK]
+        A_T = dtrmm(1.0, p.L_inv, kernel_matrix(rows, h.inducing_inputs, h).T, overwrite_b=1)
+        d = schur_diagonal(rows, A_T, h)
+        mean[lo : lo + BLOCK] = A_T.T @ m
         dtrmm(1.0, G, A_T, trans_a=1, overwrite_b=1)
-        var = np.einsum("ij,ij->j", A_T, A_T, out=variance[lo : lo + BLOCK])
-        if spec.variant != "sor":
-            var += d
+        var = np.einsum("ij,ij->j", A_T, A_T)
+        variance[lo : lo + BLOCK] = var if spec.variant == "sor" else var + d
         del A_T  # before the next block allocates its own
     if with_noise:
         variance += h.noise_variance

@@ -20,7 +20,6 @@ giving P = D + 2 + M*D parameters in total.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -73,11 +72,13 @@ class Hyperparameters:
         if not (np.all(np.isfinite(scalars)) and np.all(np.isfinite(ll)) and np.all(np.isfinite(R))):
             raise DataError("hyperparameters contain non-finite values")
         if R.shape[0] > 1:
-            # Rows compared as they are, not by a distance: a squared
-            # distance underflows to 0 for rows about 1e-162 apart.  Sorted
-            # lexicographically, equal rows are neighbours.
-            rows = R[np.lexsort(R.T)]
-            if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
+            # Direct difference form: the expanded ||a||^2 + ||b||^2 - 2ab
+            # cancels catastrophically for nearly-identical rows and would
+            # report tiny separations as exact zero.
+            diff = R[:, None, :] - R[None, :, :]
+            d2 = np.sum(diff * diff, axis=-1)
+            np.fill_diagonal(d2, np.inf)
+            if d2.min() == 0.0:
                 raise ContractViolationError(
                     "inducing inputs too close: min pairwise distance 0 <= required separation 0"
                 )
@@ -213,67 +214,41 @@ def as_xy(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-class ScaledInputs(NamedTuple):
-    """One side of a kernel matrix, scaled once: the rows a = A / l,
-    C-ordered, and their halved negative squared norms -|a_i|^2 / 2."""
+def kernel_matrix(A: np.ndarray, B: np.ndarray, h: Hyperparameters) -> np.ndarray:
+    """Cross-covariance matrix with entries k(a_i, b_j), C-ordered.
 
-    rows: np.ndarray  # (n, D)
-    half_sq: np.ndarray  # (n,)
-
-
-def scale_inputs(A: np.ndarray, h: Hyperparameters) -> ScaledInputs:
-    """The (n, D) float rows ``A``, as :func:`_check_inputs` returns them,
-    as one side of :func:`kernel_of_scaled`.
-
-    The scaled rows are formed Fortran-ordered, as ``load_dataset`` rows
-    are, whatever the layout of A, so the row sums, and with them K, are the
-    same bits for C- and F-ordered inputs.  Over a C-ordered (1024, 5) block
-    the row sums take 3.5 times as long.
+    With a, b the inputs scaled by 1 / l, the exponent -sq / 2 is built in
+    the one output buffer in expanded form by two GEMMs: a rank-2 one fills
+    it with the outer sum -(|a_i|^2 + |b_j|^2) / 2, as [r_b, 1] [1; r_a] for
+    the halved row sums r, then one adds the cross term a_i . b_j; the clamp
+    (sq >= 0 against round-off), ``exp`` and the scale by sigma0^2 run in
+    place.  Halving and products with 1 are exact, so each entry is bit for
+    bit the one of sigma0^2 exp(-0.5 max(|a|^2 + |b|^2 - 2 a.b, 0)) taken
+    with a temporary per operation (for the same dot products a.b), and
+    k(A, A) is exactly symmetric.  The scaled inputs are Fortran-ordered, as
+    ``load_dataset`` rows are, whatever the layout of A and B, so the row
+    sums, and with them K, are the same bits for C- and F-ordered inputs.
     """
-    a = np.multiply(A, 1.0 / h.lengthscales, order="F")
-    return ScaledInputs(np.ascontiguousarray(a), -0.5 * np.sum(a * a, axis=1))
-
-
-def kernel_of_scaled(a: ScaledInputs, b: ScaledInputs, h: Hyperparameters) -> np.ndarray:
-    """Cross-covariance matrix with entries k(a_i, b_j), C-ordered, from two
-    sides scaled by :func:`scale_inputs`.
-
-    The exponent -sq / 2 is built in the one output buffer in expanded form
-    by two GEMMs: a rank-2 one fills it with the outer sum
-    -(|a_i|^2 + |b_j|^2) / 2, as [r_b, 1] [1; r_a] for the halved row sums
-    r, then one adds the cross term a_i . b_j.  The exponent is then clipped
-    to [-700, 0] (sq >= 0 against round-off; below -700 ``exp`` slows down
-    up to a hundredfold and gives subnormals, which slow every later product
-    with K), and ``exp`` and the scale by sigma0^2 run in place.  Halving and
-    products with 1 are exact, so each entry is bit for bit the one of
-    sigma0^2 exp(clip(-(|a|^2 + |b|^2 - 2 a.b) / 2, -700, 0)) taken with a
-    temporary per operation (for the same dot products a.b): every entry at
-    or above sigma0^2 e^-700 keeps its bits, smaller ones read as that floor.
-    """
-    K = np.empty((a.rows.shape[0], b.rows.shape[0]))
+    A = _check_inputs(A, h, "A")
+    B = _check_inputs(B, h, "B")
+    inv_l = 1.0 / h.lengthscales
+    a, b = np.multiply(A, inv_l, order="F"), np.multiply(B, inv_l, order="F")
+    K = np.empty((A.shape[0], B.shape[0]))
     if K.size:  # BLAS refuses empty operands
         # BLAS writes the Fortran-ordered K^T in place and takes every
-        # operand Fortran-ordered.  numpy's outer sum took 1.3 ns an entry,
-        # the GEMM a third.
-        r_a, r_b = np.ones((2, K.shape[0]), order="F"), np.ones((2, K.shape[1]), order="F")
-        r_a[1] = a.half_sq
-        r_b[0] = b.half_sq
+        # operand Fortran-ordered.  The row sums run over Fortran-ordered
+        # rows: over a C-ordered (1024, 5) block they take 3.5 times as
+        # long.  numpy's outer sum took 1.3 ns an entry, the GEMM a third.
+        r_a, r_b = np.ones((2, A.shape[0]), order="F"), np.ones((2, B.shape[0]), order="F")
+        r_a[1] = -0.5 * np.sum(a * a, axis=1)
+        r_b[0] = -0.5 * np.sum(b * b, axis=1)
         dgemm(1.0, r_b, r_a, c=K.T, trans_a=1, overwrite_c=1)
-        dgemm(1.0, b.rows.T, a.rows.T, beta=1.0, c=K.T, trans_a=1, overwrite_c=1)
-    np.clip(K, -700.0, 0.0, out=K)
+        a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+        dgemm(1.0, b.T, a.T, beta=1.0, c=K.T, trans_a=1, overwrite_c=1)
+    np.minimum(K, 0.0, out=K)
     np.exp(K, out=K)
     K *= h.sigma0 ** 2
     return K
-
-
-def kernel_matrix(A: np.ndarray, B: np.ndarray, h: Hyperparameters) -> np.ndarray:
-    """Cross-covariance matrix with entries k(a_i, b_j), C-ordered: both
-    sides scaled by :func:`scale_inputs`, then :func:`kernel_of_scaled`.
-    k(A, A) is exactly symmetric, and entries below sigma0^2 e^-700 (rows
-    more than 37.4 lengthscales apart) read as that floor."""
-    a = scale_inputs(_check_inputs(A, h, "A"), h)
-    b = scale_inputs(_check_inputs(B, h, "B"), h)
-    return kernel_of_scaled(a, b, h)
 
 
 def kernel_diag(A: np.ndarray, h: Hyperparameters) -> np.ndarray:

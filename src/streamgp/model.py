@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .kernel import Hyperparameters, kernel_matrix, _check_inputs
+from .kernel import Hyperparameters, kernel_diag, kernel_matrix, _check_inputs
 from .linalg import CholFactor, chol_with_jitter
 
 VARIANTS = ("sor", "dtc", "fitc", "vfe", "pep")
@@ -89,16 +89,12 @@ def prior(h: Hyperparameters) -> CholFactor:
     return h._prior
 
 
-def schur_diagonal(A_T: np.ndarray, h: Hyperparameters) -> np.ndarray:
-    """d = diag(K_XX - Q_XX) for rows X from their whitened rows
+def schur_diagonal(X: np.ndarray, A_T: np.ndarray, h: Hyperparameters) -> np.ndarray:
+    """d = diag(K_XX - Q_XX) for rows ``X`` from their whitened rows
     A_T = L^-1 K_RX (M, B): as Q_XX = A A^T, d = k - colsum(A_T * A_T),
-    with no B x B matrix, clamped at 0 against round-off; k is the constant
-    sigma0^2 of :func:`~streamgp.kernel.kernel_diag`, subtracted as a scalar.
-    Training (:func:`batch_geometry`) and prediction take d through this one
-    step."""
-    d = np.einsum("ij,ij->j", A_T, A_T)
-    np.subtract(h.sigma0 ** 2, d, out=d)
-    return np.maximum(d, 0.0, out=d)
+    with no B x B matrix, clamped at 0 against round-off.  Training
+    (:func:`batch_geometry`) and prediction take d through this one step."""
+    return np.maximum(kernel_diag(X, h) - np.einsum("ij,ij->j", A_T, A_T), 0.0)
 
 
 @dataclass
@@ -155,7 +151,7 @@ def batch_geometry(
     p = prior(h)
     K_XR = kernel_matrix(X, h.inducing_inputs, h)
     A_T = p.whiten(K_XR.T)
-    d = schur_diagonal(A_T, h)
+    d = schur_diagonal(X, A_T, h)
     return BatchGeometry(
         H=K_XR if transformed else p.solve_whitened(A_T).T,
         d=d,

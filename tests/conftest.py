@@ -295,7 +295,7 @@ def kernel_matrix_outer_sum(A: np.ndarray, B: np.ndarray, h: Hyperparameters) ->
     if K.size:
         a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
         dgemm(1.0, b.T, a.T, beta=1.0, c=K.T, trans_a=1, overwrite_c=1)
-    np.clip(K, -700.0, 0.0, out=K)
+    np.minimum(K, 0.0, out=K)
     np.exp(K, out=K)
     K *= h.sigma0 ** 2
     return K

@@ -341,7 +341,7 @@ class TestPredict:
                 args = [x.view(np.ndarray) if isinstance(x, Block) else x for x in args]
                 return func(*args, **kwargs)
 
-        kernel = inference.kernel_of_scaled
+        kernel = inference.kernel_matrix
 
         def recorded_kernel(A, B, h):
             blocks.append(kernel(A, B, h))
@@ -359,7 +359,7 @@ class TestPredict:
 
         solve = CholFactor.solve
         monkeypatch.setattr(CholFactor, "solve", lambda self, b: calls.append(("solve",)) or solve(self, b))
-        monkeypatch.setattr(inference, "kernel_of_scaled", recorded_kernel)
+        monkeypatch.setattr(inference, "kernel_matrix", recorded_kernel)
         monkeypatch.setattr(inference, "dtrmm", recorded_dtrmm(inference.dtrmm))
         monkeypatch.setattr(linalg_module, "dtrmm", recorded_dtrmm(linalg_module.dtrmm))
         for par in (PARAM_STANDARD, PARAM_TRANSFORMED):

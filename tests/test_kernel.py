@@ -129,23 +129,6 @@ class TestKernelMatrix:
         assert np.array_equal(K, K.T)
         assert K.tobytes() == kernel_matrix_outer_sum(h.inducing_inputs, h.inducing_inputs, h).tobytes()
 
-    def test_exponent_floor_gives_no_subnormal_entry(self):
-        # Rows 40 or more lengthscales from every inducing input have an
-        # exponent below -800.  It is clipped at -700, so their entries read
-        # sigma0^2 e^-700, a normal number, where exp would give 0 (and at
-        # -708 to -745 subnormals, which slow exp and every product with K
-        # a hundredfold).  A row 30 lengthscales away keeps its value.
-        R = np.array([[0.0, 0.0], [0.25, 1.0]])
-        h = Hyperparameters(np.log(1.5), np.log([0.5, 2.0]), np.log(0.1), R)
-        far = np.array([[20.25, 0.0], [0.0, 82.0], [-20.25, 1.0], [30.0, -100.0]])
-        scaled = (far[:, None, :] - R[None, :, :]) / h.lengthscales
-        assert np.sum(scaled * scaled, axis=-1).min() >= 40.0 ** 2
-        K = kernel_matrix(far, R, h)
-        assert np.all(K == np.exp(-700.0) * h.sigma0 ** 2)
-        assert np.all(K >= np.finfo(float).tiny)
-        near = kernel_matrix(np.array([[15.0, 0.0]]), R[:1], h)
-        np.testing.assert_allclose(near, h.sigma0 ** 2 * np.exp(-450.0), rtol=1e-12)
-
     def test_diag_helper(self):
         h = hyper_1d(sigma0=1.3)
         A = np.random.default_rng(1).uniform(size=(5, 1))
@@ -268,18 +251,6 @@ class TestHyperparameters:
         assert Hyperparameters(0.0, np.zeros(1), 0.0, R).num_inducing == 2
         with pytest.raises(TypeError, match="min_separation"):
             Hyperparameters(0.0, np.zeros(1), 0.0, R, min_separation=0.1)
-
-    def test_rows_whose_squared_distance_underflows_are_accepted(self):
-        """Rows are compared as they are, not through a distance: 1e-162
-        apart, the squared distance 1e-324 underflows to 0, yet the rows
-        differ.  Equal rows are refused wherever they stand, -0.0 being 0."""
-        R = np.array([[0.0, 0.5], [1e-162, 0.5]])
-        assert np.sum((R[0] - R[1]) ** 2) == 0.0
-        assert Hyperparameters(0.0, np.zeros(2), 0.0, R).num_inducing == 2
-        message = "inducing inputs too close: min pairwise distance 0 <= required separation 0"
-        for R in ([[0.3, 1.0], [0.1, 2.0], [0.2, 1.0], [0.3, 1.0]], [[0.0, 1.0], [0.5, 0.0], [-0.0, 1.0]]):
-            with pytest.raises(ContractViolationError, match=message):
-                Hyperparameters(0.0, np.zeros(2), 0.0, np.array(R))
 
     def test_rejects_non_finite(self):
         with pytest.raises(DataError):

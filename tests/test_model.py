@@ -247,26 +247,17 @@ class TestBatchGeometry:
 
 def record_kernel_calls(monkeypatch, record) -> None:
     """Call ``record(A, B, h)`` for every kernel_matrix call that library code
-    outside ``streamgp.kernel`` makes from now on, and for every call of the
-    cross-product helper ``kernel_of_scaled``, with its two scaled sides'
-    rows as A and B."""
+    outside ``streamgp.kernel`` makes from now on."""
     original = kernel_module.kernel_matrix
-    of_scaled = kernel_module.kernel_of_scaled
 
     def counting(A, B, h):
         record(A, B, h)
         return original(A, B, h)
 
-    def counting_scaled(a, b, h):
-        record(a.rows, b.rows, h)
-        return of_scaled(a, b, h)
-
     for name, mod in list(sys.modules.items()):
         if name.startswith("streamgp.") and name != "streamgp.kernel":
             if getattr(mod, "kernel_matrix", None) is original:
                 monkeypatch.setattr(mod, "kernel_matrix", counting)
-            if getattr(mod, "kernel_of_scaled", None) is of_scaled:
-                monkeypatch.setattr(mod, "kernel_of_scaled", counting_scaled)
 
 
 def record_prior_builds(monkeypatch) -> list[bytes]:
