@@ -224,19 +224,33 @@ def _inducing_directions(p: CholFactor, KG: np.ndarray, D: int) -> tuple[np.ndar
     return np.repeat(p.inv, D, axis=0), neg_kb
 
 
-def init_gradient_state(h: Hyperparameters, spec: ModelSpec) -> GradientState:
+def init_gradient_state(
+    h: Hyperparameters, spec: ModelSpec, *, reuse: GradientState | None = None
+) -> GradientState:
     """Derivatives of the prior state: eta_dot = 0, psi_dot = 0 and
 
         Lambda_dot_0 = -K_RR^-1 Kdot_RR K_RR^-1
 
     which is nonzero exactly for the parameters K_RR depends on (amplitude,
     lengthscales, inducing coordinates) and zero for log sigma_n.
+
+    With ``reuse``, a spent state of the same shape, the new state is built
+    in its ``d_eta`` and ``d_Lambda`` arrays (the same bits as fresh ones),
+    so a training loop keeps one derivative state's memory from epoch to
+    epoch instead of freeing it and mapping it again.
     """
     P, M, D = h.n_params, h.num_inducing, h.input_dim
     p = prior(h)
     KG = _kernel_grads(h.inducing_inputs, p.matrix, h)
     upper = _packing(M)[2]
-    d_Lambda = np.zeros((P, upper.size))
+    if reuse is None:
+        d_eta, d_Lambda = np.zeros((P, M)), np.zeros((P, upper.size))
+    elif reuse.d_eta.shape == (P, M) and reuse.d_Lambda.shape == (P, upper.size):
+        d_eta, d_Lambda = reuse.d_eta, reuse.d_Lambda
+        d_eta.fill(0.0)
+        d_Lambda.fill(0.0)
+    else:
+        raise ContractViolationError(f"cannot reuse a derivative state of another shape for P={P}, M={M}")
     d_Lambda[0] = -2.0 * np.take(p.inv, upper)  # Kdot_RR = 2 K_RR
     # K^-1 Kdot_d K^-1 for every lengthscale: K^-1 applied to D right-hand
     # sides at once, twice.
@@ -249,7 +263,7 @@ def init_gradient_state(h: Hyperparameters, spec: ModelSpec) -> GradientState:
     w, neg_kb = _inducing_directions(p, KG, D)
     del KG
     _add_symmetric_products(d_Lambda[D + 2 :], np.stack([w, neg_kb], axis=2))
-    return GradientState(d_eta=np.zeros((P, M)), d_Lambda=d_Lambda, d_psi=np.zeros(P), k=0)
+    return GradientState(d_eta=d_eta, d_Lambda=d_Lambda, d_psi=np.zeros(P), k=0)
 
 
 def compute_adjoints(

@@ -29,8 +29,9 @@ predicted.
 
 Updates are functional (they return a fresh state), so a posterior is
 safe to hand between threads as long as a single stream of updates owns
-it; predictions and bound reads change nothing but the kept posterior mean
-and predictive factor, which every reader computes identically.
+it; predictions and bound reads change nothing but what the posterior
+(its mean and predictive factor) and the parameter object (the prior and
+the kernel's inducing side) keep, which every reader computes identically.
 
 Each update also appends one term of the streaming collapsed lower bound
 
@@ -257,8 +258,10 @@ def predict(
         m = W mu_k,    C = W Sigma_k W^T = G G^T,
 
     C being the whitened posterior covariance (eigenvalues in (0, 1]) and G
-    its lower Cholesky factor.  Per block of rows, two triangular products
-    run in place in the buffer of K_*R^T: A_*^T = L^-1 K_R*, which gives
+    its lower Cholesky factor.  The kernel's inducing side is kept on ``h``
+    (see :func:`~streamgp.kernel.kernel_matrix`), so a block does only
+    per-row work.  Per block of rows, two triangular products run in place
+    in the buffer of K_*R^T: A_*^T = L^-1 K_R*, which gives
     d_* (:func:`~streamgp.model.schur_diagonal`) and
 
         mean = A_* m,
@@ -267,8 +270,9 @@ def predict(
 
         variance = colsum((G^T A_*^T)^2) [+ d_*],
 
-    a sum of squares, so never negative.  That is 2 M^2 flops a row for
-    the two, and one (M, rows) array alive per block.  Rows are taken
+    a sum of squares, so never negative; both are written straight into
+    the returned arrays.  That is 2 M^2 flops a row for the two, and one
+    (M, rows) array alive per block.  Rows are taken
     ``BLOCK`` at a time, so memory is O(BLOCK * M).
     """
     X_star = _check_inputs(X_star, h, "X_star")
@@ -277,13 +281,14 @@ def predict(
     mean = np.empty(X_star.shape[0])
     variance = np.empty(X_star.shape[0])
     for lo in range(0, X_star.shape[0], BLOCK):
-        rows = X_star[lo : lo + BLOCK]
-        A_T = dtrmm(1.0, p.L_inv, kernel_matrix(rows, h.inducing_inputs, h).T, overwrite_b=1)
-        d = schur_diagonal(rows, A_T, h)
-        mean[lo : lo + BLOCK] = A_T.T @ m
+        rows = slice(lo, lo + BLOCK)
+        A_T = dtrmm(1.0, p.L_inv, kernel_matrix(X_star[rows], h.inducing_inputs, h).T, overwrite_b=1)
+        d = schur_diagonal(A_T, h)
+        np.matmul(A_T.T, m, out=mean[rows])
         dtrmm(1.0, G, A_T, trans_a=1, overwrite_b=1)
-        var = np.einsum("ij,ij->j", A_T, A_T)
-        variance[lo : lo + BLOCK] = var if spec.variant == "sor" else var + d
+        np.einsum("ij,ij->j", A_T, A_T, out=variance[rows])
+        if spec.variant != "sor":
+            variance[rows] += d
         del A_T  # before the next block allocates its own
     if with_noise:
         variance += h.noise_variance

@@ -43,8 +43,14 @@ class Hyperparameters:
     is strictly positive).
 
     The arrays are private read-only copies, so an instance never changes
-    after construction; that is what lets :func:`streamgp.model.prior` keep
-    the factored prior on the instance (``_prior``) without it going stale.
+    after construction; that is what lets the instance keep what depends on
+    it alone without it going stale: :func:`streamgp.model.prior` keeps the
+    factored prior (``_prior``) and :func:`kernel_matrix` the kernel's
+    inducing side (``_inducing``: 1 / l, the scaled inducing inputs and
+    their halved squared norms).  Both are built on first use and are
+    read-only; neither is an ``__init__`` argument, compared or shown, so
+    ``dataclasses.replace``, :meth:`with_vector` and a checkpoint give an
+    instance without them.
     """
 
     log_sigma0: float
@@ -52,6 +58,7 @@ class Hyperparameters:
     log_sigma_n: float
     inducing_inputs: np.ndarray  # (M, D)
     _prior: object = field(default=None, init=False, repr=False, compare=False)
+    _inducing: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ll = np.atleast_1d(np.array(self.log_lengthscales, dtype=float))
@@ -228,30 +235,62 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray, h: Hyperparameters) -> np.ndarra
     k(A, A) is exactly symmetric.  The scaled inputs are Fortran-ordered, as
     ``load_dataset`` rows are, whatever the layout of A and B, so the row
     sums, and with them K, are the same bits for C- and F-ordered inputs.
+
+    When B is ``h.inducing_inputs`` itself (K_XR in training and
+    prediction, and K_RR), its side (1 / l, b and [r_b, 1]) is built on the
+    first such call and kept on ``h`` beside the prior, read-only; any
+    other B has the same side built for the call.  Either way K has the
+    same bits.
     """
     A = _check_inputs(A, h, "A")
-    B = _check_inputs(B, h, "B")
-    inv_l = 1.0 / h.lengthscales
-    a, b = np.multiply(A, inv_l, order="F"), np.multiply(B, inv_l, order="F")
-    K = np.empty((A.shape[0], B.shape[0]))
+    if B is h.inducing_inputs:
+        if h._inducing is None:
+            object.__setattr__(h, "_inducing", _inducing_side(h))
+        inv_l, b, r_b = h._inducing
+    else:
+        inv_l = 1.0 / h.lengthscales
+        b, r_b = _scaled_side(_check_inputs(B, h, "B"), inv_l, 0)
+    a, r_a = _scaled_side(A, inv_l, 1)
+    K = np.empty((A.shape[0], b.shape[0]))
     if K.size:  # BLAS refuses empty operands
         # BLAS writes the Fortran-ordered K^T in place and takes every
-        # operand Fortran-ordered.  The row sums run over Fortran-ordered
-        # rows: over a C-ordered (1024, 5) block they take 3.5 times as
-        # long.  numpy's outer sum took 1.3 ns an entry, the GEMM a third.
-        r_a, r_b = np.ones((2, A.shape[0]), order="F"), np.ones((2, B.shape[0]), order="F")
-        r_a[1] = -0.5 * np.sum(a * a, axis=1)
-        r_b[0] = -0.5 * np.sum(b * b, axis=1)
+        # operand Fortran-ordered.  numpy's outer sum took 1.3 ns an entry,
+        # the GEMM a third.
         dgemm(1.0, r_b, r_a, c=K.T, trans_a=1, overwrite_c=1)
-        a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
         dgemm(1.0, b.T, a.T, beta=1.0, c=K.T, trans_a=1, overwrite_c=1)
     np.minimum(K, 0.0, out=K)
     np.exp(K, out=K)
-    K *= h.sigma0 ** 2
+    K *= kernel_variance(h)
     return K
 
 
+def _scaled_side(X: np.ndarray, inv_l: np.ndarray, row: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``X`` scaled by ``inv_l``, C-contiguous for the cross-term GEMM,
+    and the rank-2 operand of :func:`kernel_matrix`'s outer sum: a
+    Fortran-ordered (2, rows) array of ones with the halved squared norms
+    -|x|^2 / 2 in ``row``.  The norms are summed over Fortran-ordered rows:
+    over a C-ordered (1024, 5) block they take 3.5 times as long."""
+    x = np.multiply(X, inv_l, order="F")
+    r = np.ones((2, X.shape[0]), order="F")
+    r[row] = -0.5 * np.sum(x * x, axis=1)
+    return np.ascontiguousarray(x), r
+
+
+def _inducing_side(h: Hyperparameters) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(1 / l, b, [r_b, 1]) of :func:`kernel_matrix` for B = R, read-only."""
+    inv_l = 1.0 / h.lengthscales
+    side = (inv_l, *_scaled_side(h.inducing_inputs, inv_l, 0))
+    for a in side:
+        a.flags.writeable = False
+    return side
+
+
+def kernel_variance(h: Hyperparameters) -> float:
+    """k(x, x), the same at every x for this kernel: sigma0^2."""
+    return h.sigma0 ** 2
+
+
 def kernel_diag(A: np.ndarray, h: Hyperparameters) -> np.ndarray:
-    """diag of kernel_matrix(A, A): constant sigma0^2 for this kernel."""
+    """diag of kernel_matrix(A, A): constant :func:`kernel_variance`."""
     A = _check_inputs(A, h, "A")
-    return np.full(A.shape[0], h.sigma0 ** 2)
+    return np.full(A.shape[0], kernel_variance(h))

@@ -199,16 +199,16 @@ def srgp_fit(
         start_epoch = resume_from.epochs_done
 
     trace: list[TraceRecord] = []
+    gstate = None
     prev_epoch_psi: float | None = None
     epochs_run = start_epoch
     ignore_history = cfg.gradient_mode == "ignore_history"
 
     for epoch in range(start_epoch, cfg.epochs):
-        # Release the finished epoch's states first, so that only one packed
-        # (P, M (M + 1) / 2) derivative state is alive while the next is built.
-        state = gstate = state_new = gstate_new = None
         state = init_state(h, spec)
-        gstate = init_gradient_state(h, spec)
+        # Built in the finished epoch's arrays, so that one packed
+        # (P, M (M + 1) / 2) derivative state serves the whole fit.
+        gstate = init_gradient_state(h, spec, reuse=gstate)
         order = rng.permutation(n) if cfg.shuffle else None
         batches = split_into_batches(n, cfg.batch_size, order)
         for k, idx in enumerate(batches):

@@ -76,19 +76,24 @@ class TestRoundTrip:
 
 @pytest.mark.parametrize("parametrization", [PARAM_STANDARD, PARAM_TRANSFORMED])
 def test_archive_written_after_a_predict_is_the_same(tmp_path, parametrization):
-    """predict keeps its factor on the state, outside the state's fields:
-    every member of an archive written after a predict is byte-equal to the
-    one written before.  (The zip directory holds each member's write time,
-    so the files themselves are compared member by member.)"""
+    """predict keeps its factor on the state, and the kernel's inducing side
+    and the prior on the parameters, outside their fields: every member of
+    an archive written after a predict is byte-equal to the one written
+    before, and a loaded archive keeps neither.  (The zip directory holds
+    each member's write time, so the files themselves are compared member
+    by member.)"""
     X, y, h = make_instance(4, n=30, d=2, m=5)
     spec = ModelSpec("pep", alpha=0.3)
     state, _ = update(init_state(h, spec, parametrization), MiniBatch(X, y), h, spec)
-    ckpt = Checkpoint(version=FORMAT_VERSION, hyper=h, spec=spec, state=state)
+    hyper = h.with_vector(h.to_vector())  # nothing kept yet
+    ckpt = Checkpoint(version=FORMAT_VERSION, hyper=hyper, spec=spec, state=state)
     before, after = tmp_path / "before.npz", tmp_path / "after.npz"
     save_checkpoint(str(before), ckpt)
-    predict(state, X, h, spec, with_noise=True)
-    assert state._predictive is not None
+    predict(state, X, hyper, spec, with_noise=True)
+    assert None not in (state._predictive, hyper._prior, hyper._inducing)
     save_checkpoint(str(after), ckpt)
+    loaded = load_checkpoint(str(after))
+    assert (loaded.state._predictive, loaded.hyper._prior, loaded.hyper._inducing) == (None, None, None)
     with zipfile.ZipFile(before) as a, zipfile.ZipFile(after) as b:
         assert a.namelist() == b.namelist()
         for name in a.namelist():

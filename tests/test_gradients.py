@@ -92,6 +92,21 @@ class TestInitGradientState:
             if h.param_class(i)[0] != "log_sigma_n":
                 assert np.any(g.d_Lambda[i] != 0.0), h.param_label(i)
 
+    def test_reuse_builds_the_fresh_bits_in_the_spent_arrays(self):
+        X, y, h = make_instance(3, n=20, m=4, d=2)
+        spec = ModelSpec("pep", alpha=0.5)
+        _, spent = step(init_state(h, spec), init_gradient_state(h, spec), MiniBatch(X, y), h, spec)
+        assert np.any(spent.d_eta != 0.0)
+        other = h.with_vector(h.to_vector() + 0.01)
+        got, want = init_gradient_state(other, spec, reuse=spent), init_gradient_state(other, spec)
+        assert got.d_eta is spent.d_eta and got.d_Lambda is spent.d_Lambda
+        for a, b in [(got.d_eta, want.d_eta), (got.d_Lambda, want.d_Lambda), (got.d_psi, want.d_psi)]:
+            assert a.tobytes() == b.tobytes()
+        assert got.k == want.k == 0
+        _, _, wider = make_instance(3, n=20, m=5, d=2)
+        with pytest.raises(ContractViolationError, match="cannot reuse a derivative state"):
+            init_gradient_state(wider, spec, reuse=spent)
+
     def test_matches_finite_difference_of_prior_precision(self):
         _, _, h = make_instance(2, n=10, m=4, d=2)
         g = init_gradient_state(h, ModelSpec("vfe"))

@@ -29,11 +29,14 @@ from streamgp import (
     update,
 )
 from streamgp import inference
+from streamgp import kernel as kernel_module
 from streamgp import linalg as linalg_module
+from streamgp.gradients import init_gradient_state
 from streamgp.inference import PARAM_STANDARD, PARAM_TRANSFORMED
 from streamgp.kernel import kernel_matrix
 from streamgp.linalg import CholFactor, chol_with_jitter
 from streamgp.model import batch_geometry, prior
+from streamgp.optimizer import step
 
 from conftest import (
     basis,
@@ -462,14 +465,15 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
     def test_training_memory_is_reused_in_a_fresh_process(self):
         # After one warm fit, a train-cstr-shaped fit (PEP, D = 5, M = 50,
         # B = 256) takes most of its temporaries from the heap under glibc's
-        # default allocator settings.  How many it maps anew depends on the
-        # heap's layout, which the length of PYTHONPATH alone moves: 40
-        # fresh children, each with a PYTHONPATH of another length, read
-        # 0.0-1.6 faults per step, or 62-68 (16 of them); the bound is three
-        # times the worst.  With malloc's thresholds fixed at 32 and 64 MiB
-        # the same children read 0.0-1.7.  So the bound catches only a fit
-        # whose every step maps its temporaries anew, as a process's first
-        # fit does (258 per step).
+        # default allocator settings, and builds each epoch's derivative
+        # state in the last epoch's arrays.  How many pages it maps anew
+        # depends on the heap's layout, which the length of PYTHONPATH alone
+        # moves: 24 fresh children, each with a PYTHONPATH of another length,
+        # read 56-61 faults per step.  Freeing and mapping the 2.6 MB state
+        # again each epoch read 1-204 on the same lengths.  The bound, three
+        # times the 68 of an earlier layout, catches a fit whose every step
+        # maps its temporaries anew, as a process's first fit does (558 per
+        # step).
         child = """
 import resource
 import numpy as np
@@ -611,6 +615,98 @@ class TestKeptPredictiveFactor:
             for other in (first, second):
                 assert other.mean.tobytes() == cold.mean.tobytes()
                 assert other.variance.tobytes() == cold.variance.tobytes()
+
+
+class TestKeptInducingSide:
+    """kernel_matrix's inducing side (1 / l, the scaled inducing inputs and
+    the operand holding their halved squared norms) is built once per
+    Hyperparameters object and kept on it, beside the prior."""
+
+    def test_one_build_per_parameter_object(self, monkeypatch):
+        X, y, h = make_instance(30, n=60, m=6, d=2)
+        spec = ModelSpec("pep", alpha=0.5)
+        built = []
+        side = kernel_module._inducing_side
+        monkeypatch.setattr(kernel_module, "_inducing_side", lambda hh: built.append(hh) or side(hh))
+        # One training step: K_RR of the prior and K_XR of the batch geometry.
+        st, _ = step(init_state(h, spec), init_gradient_state(h, spec), MiniBatch(X, y), h, spec)
+        assert len(built) == 1 and built[0] is h
+        kept = h._inducing
+        first = predict(st, X[:9], h, spec, with_noise=True)
+        second = predict(st, X[:9], h, spec, with_noise=True)
+        assert len(built) == 1 and h._inducing is kept
+        fresh = h.with_vector(h.to_vector())  # the same values in a new object
+        assert fresh._inducing is None
+        third = predict(st, X[:9], fresh, spec, with_noise=True)
+        assert len(built) == 2 and built[1] is fresh
+        for a, b in zip(kept, fresh._inducing):
+            assert a.tobytes() == b.tobytes()
+        for other in (second, third):
+            assert other.mean.tobytes() == first.mean.tobytes()
+            assert other.variance.tobytes() == first.variance.tobytes()
+
+    def test_kept_arrays_are_read_only_and_not_part_of_the_parameters(self):
+        _, _, h = make_instance(31, n=20, m=5, d=3)
+        assert h._inducing is None
+        prior(h)
+        inv_l, b, r_b = h._inducing
+        assert inv_l.shape == (3,) and b.shape == (5, 3) and r_b.shape == (2, 5)
+        assert b.flags.c_contiguous and r_b.flags.f_contiguous
+        assert not any(a.flags.writeable for a in h._inducing)
+        assert replace(h)._inducing is None
+        assert "_inducing" not in repr(h)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_kept_side_gives_the_bits_of_a_per_call_one(self, order):
+        # B = R itself takes the kept side and a copy of R builds its own;
+        # K is the same bits on the call that builds the side and on later
+        # ones, for every row count and for K_RR.
+        rng = np.random.default_rng(32)
+        h = Hyperparameters(0.3, rng.normal(scale=0.3, size=5), np.log(0.1), rng.uniform(size=(50, 5)))
+        R, R_copy = h.inducing_inputs, h.inducing_inputs.copy()
+        inputs = [np.asarray(rng.uniform(-0.5, 1.5, (n, 5)), order=order) for n in (1024, 7, 1, 0)]
+        inputs.append(np.asarray(R, order=order))
+        for A in inputs:
+            want = kernel_matrix(A, R_copy, h).tobytes()
+            if A is inputs[0]:
+                assert h._inducing is None  # the next call builds the side
+            for _ in range(2):
+                assert kernel_matrix(A, R, h).tobytes() == want
+        assert kernel_matrix(R, R, h).tobytes() == kernel_matrix(R_copy, R_copy, h).tobytes()
+
+    def test_threads_sharing_a_parameter_object_get_its_bits(self):
+        # Four threads predict with each of 40 new parameter objects of the
+        # same values in turn, with a short switch interval, so they race to
+        # build and keep each object's inducing side and prior; every
+        # prediction still has the bits of one object predicting alone.
+        X, y, h = make_instance(33, n=60, m=6, d=2)
+        spec = ModelSpec("pep", alpha=0.5)
+        st = run_stream(X, y, h, spec, batch_size=20)
+        X_star = X[:25]
+        objects = [h.with_vector(h.to_vector()) for _ in range(40)]
+        pred = predict(replace(st), X_star, h.with_vector(h.to_vector()), spec)
+        want = pred.mean.tobytes() + pred.variance.tobytes()
+        wrong = []
+
+        def reader(k):
+            for i, hh in enumerate(objects):
+                pred = predict(replace(st), X_star, hh, spec)
+                if pred.mean.tobytes() + pred.variance.tobytes() != want:
+                    wrong.append((k, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert all(hh._inducing is not None for hh in objects)
 
 
 def state_bytes(state) -> bytes:

@@ -286,6 +286,8 @@ class TestSrgpFit:
     def test_fit_equals_a_loop_that_advances_on_every_step(self, monkeypatch, settings):
         # An epoch's last mini-batch leaves the derivative state as it was,
         # since the next epoch resets it or none follows; d_psi is the same.
+        # The reference loop also builds a fresh derivative state each epoch,
+        # where the fit rebuilds it in the finished epoch's arrays.
         from streamgp import optimizer
 
         X, y, h = make_instance(13, n=30, m=4)
@@ -299,6 +301,7 @@ class TestSrgpFit:
             return propagate(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, "propagate", advancing)
+        monkeypatch.setattr(optimizer, "init_gradient_state", lambda h, spec, reuse: init_gradient_state(h, spec))
         want = srgp_fit(X, y, h, spec, cfg)
         assert len(advanced) == len(got.trace)
         assert advanced.count(False) == cfg.epochs
@@ -311,6 +314,21 @@ class TestSrgpFit:
         ]:
             assert a.tobytes() == b.tobytes()
         assert [(t.psi_k, t.grad_norm) for t in got.trace] == [(t.psi_k, t.grad_norm) for t in want.trace]
+
+    def test_every_epoch_builds_its_derivative_state_in_the_same_arrays(self, monkeypatch):
+        from streamgp import optimizer
+
+        X, y, h = make_instance(13, n=30, m=4)
+        built = []
+
+        def recording(*args, **kwargs):
+            built.append(init_gradient_state(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(optimizer, "init_gradient_state", recording)
+        srgp_fit(X, y, h, ModelSpec("pep", alpha=0.5), TrainConfig(epochs=3, batch_size=7))
+        assert len(built) == 3
+        assert all(g.d_Lambda is built[0].d_Lambda and g.d_eta is built[0].d_eta for g in built)
 
     def test_batch_size_larger_than_n_rejected(self):
         X, y, h = make_instance(10, n=10, m=3)

@@ -181,8 +181,9 @@ def _predict_call(sg, X, y, h0):
     rows laid out as ``load_dataset`` gives them, from a PEP (alpha 0.5)
     posterior that has absorbed ``X``, ``y`` at the parameters of ``h0``,
     as two calls: one that reuses the posterior, as a server does, and a
-    first call, on a fresh ``dataclasses.replace`` copy of it each time,
-    which builds what a posterior keeps for prediction."""
+    first call, on fresh ``dataclasses.replace`` copies of the posterior and
+    the parameter object each time, as a freshly loaded checkpoint runs, so
+    that it builds what each of them keeps for prediction."""
     from dataclasses import replace
 
     import numpy as np
@@ -196,7 +197,7 @@ def _predict_call(sg, X, y, h0):
     X_star = table[:, np.arange(table.shape[1]) != X.shape[1]]
     return (
         lambda: sg.predict(state, X_star, h, spec, with_noise=True),
-        lambda: sg.predict(replace(state), X_star, h, spec, with_noise=True),
+        lambda: sg.predict(replace(state), X_star, replace(h), spec, with_noise=True),
     )
 
 
@@ -442,8 +443,10 @@ def against(src: str, reps: int = 100) -> dict:
 
     Both trees are loaded in this process.  Each of ``reps`` rounds times
     every call of both once, the two trees in alternating order, so that a
-    change of machine speed reaches both alike.  Reports each tree's
-    minimum wall time in milliseconds, the ratio this / other of the
+    change of machine speed reaches both alike; every other pair of rounds
+    times a tree's calls in reverse order, so that no call always follows
+    the same one and inherits the cache state it leaves.  Reports each
+    tree's minimum wall time in milliseconds, the ratio this / other of the
     minima, and the quartiles of the per-round ratios, which show the
     spread.  Beside them go each tree's median process CPU time per call
     and the ratio of those medians, as ``perfbench`` reads its end-to-end
@@ -472,7 +475,7 @@ def against(src: str, reps: int = 100) -> dict:
     cpu = {name: ([], []) for name in names}
     for r in range(WARMUP + reps):
         for tree in (0, 1) if r % 2 == 0 else (1, 0):
-            for name, fn in zip(names, calls[tree]):
+            for name, fn in list(zip(names, calls[tree]))[:: 1 if r // 2 % 2 == 0 else -1]:
                 c0, t0 = time.process_time(), time.perf_counter()
                 fn()
                 if r >= WARMUP:
