@@ -27,7 +27,6 @@ from .errors import (
     StreamGPError,
     ToleranceError,
 )
-from .gradients import GradientState
 from .inference import (
     PARAM_STANDARD,
     PARAM_TRANSFORMED,
@@ -58,7 +57,6 @@ __all__ = [
     "DataError",
     "Dataset",
     "FitResult",
-    "GradientState",
     "Hyperparameters",
     "IllConditionedError",
     "MiniBatch",

@@ -29,21 +29,16 @@ import numpy as np
 
 from .errors import NumericalError
 from .inference import LOG_2PI
-from .kernel import Hyperparameters, as_xy, kernel_diag, kernel_matrix
+from .kernel import Hyperparameters, as_xy, kernel_matrix, kernel_variance
 from .linalg import chol_with_jitter
 from .model import ModelSpec, prior, regularizer
 
 @dataclass(frozen=True)
 class BatchBoundReport:
-    """Collapsed lower bound split into its two parts.
-
-    ``value = gaussian_term - regularizer_term`` always holds;
-    ``gradient`` is filled by central finite differences when requested.
-    """
+    """Collapsed lower bound; ``gradient`` is filled by central finite
+    differences when requested."""
 
     value: float
-    gaussian_term: float
-    regularizer_term: float
     gradient: np.ndarray | None = None
 
 
@@ -52,7 +47,7 @@ def _sparse_pieces(X: np.ndarray, h: Hyperparameters, spec: ModelSpec):
     factor = prior(h)
     K_XR = kernel_matrix(X, h.inducing_inputs, h)
     A = np.linalg.solve(factor.L, K_XR.T)  # (M, N)
-    d = np.maximum(kernel_diag(X, h) - np.sum(A * A, axis=0), 0.0)
+    d = np.maximum(kernel_variance(h) - np.sum(A * A, axis=0), 0.0)
     v = spec.noise_scale * d + h.noise_variance
     return factor, A, d, v
 
@@ -74,7 +69,7 @@ def batch_bound(
     X, y = as_xy(X, y)
     n = y.size
 
-    def value_at(theta: np.ndarray | None = None) -> tuple[float, float]:
+    def value_at(theta: np.ndarray | None = None) -> float:
         hh = h if theta is None else h.with_vector(theta)
         factor, A, d, v = _sparse_pieces(X, hh, spec)
         sqrt_v = np.sqrt(v)
@@ -86,16 +81,11 @@ def batch_bound(
         logdet = float(np.sum(np.log(v))) + Lb.logdet
         quad = float(beta @ beta) - float(cvec @ cvec)
         gaussian = -0.5 * (n * LOG_2PI + logdet + quad)
-        reg = 0.5 * regularizer(d, spec, hh)
-        return gaussian, reg
+        return gaussian - 0.5 * regularizer(d, spec, hh)
 
-    gaussian, reg = value_at()
-    grad = None
-    if with_gradient:
-        grad = fd_gradient(lambda th: float(np.subtract(*value_at(th))), h.to_vector(), fd_step)
-    return BatchBoundReport(
-        value=gaussian - reg, gaussian_term=gaussian, regularizer_term=reg, gradient=grad
-    )
+    value = value_at()
+    grad = fd_gradient(value_at, h.to_vector(), fd_step) if with_gradient else None
+    return BatchBoundReport(value=value, gradient=grad)
 
 
 def fd_gradient(

@@ -39,7 +39,7 @@ from .errors import (
     ToleranceError,
 )
 from .gradients import init_gradient_state
-from .inference import PARAM_STANDARD, MiniBatch, init_state, predict, split_into_batches
+from .inference import MiniBatch, init_state, predict, split_into_batches
 from .kernel import Hyperparameters
 from .model import VARIANTS, ModelSpec
 from .optimizer import GRADIENT_MODES, AdamState, ResumeState, TrainConfig
@@ -264,7 +264,7 @@ def cmd_train(args) -> int:
 
     if epochs == 0:
         # No training: checkpoint the prior posterior at the initial parameters.
-        posterior = init_state(hyper, spec, PARAM_STANDARD)
+        posterior = init_state(hyper)
         adam = AdamState.fresh(hyper.n_params, settings["lr"])
         rng_state = np.random.default_rng(settings["seed"]).bit_generator.state
         trace = []
@@ -360,6 +360,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_validate_gradients(args) -> int:
+    if args.num_batches < 1:
+        raise ContractViolationError(f"--num-batches must be >= 1, got {args.num_batches}")
     spec = ModelSpec(variant=args.model, alpha=args.alpha)
     h_gen = default_hyperparameters(d=args.d, lengthscale=0.3, noise_std=0.2)
     ds = generate_gp_data(args.seed, args.n, d=args.d, h=h_gen)
@@ -372,8 +374,8 @@ def cmd_validate_gradients(args) -> int:
     )
     batch_size = max(1, int(np.ceil(args.n / args.num_batches)))
 
-    state = init_state(hyper, spec, PARAM_STANDARD)
-    gstate = init_gradient_state(hyper, spec)
+    state = init_state(hyper)
+    gstate = init_gradient_state(hyper)
     for idx in split_into_batches(args.n, batch_size):
         state, gstate = step(state, gstate, MiniBatch(ds.X[idx], ds.y[idx]), hyper, spec)
 

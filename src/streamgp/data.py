@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError, DataError
-from .kernel import Hyperparameters, as_xy, kernel_diag, kernel_matrix
+from .kernel import Hyperparameters, as_xy, kernel_matrix, kernel_variance
 from .linalg import chol_with_jitter
 
 # generate_gp_data draws exactly up to this many samples, and above it
@@ -23,7 +23,6 @@ class Dataset:
     X: np.ndarray  # (N, D)
     y: np.ndarray  # (N,)
     column_names: list[str] = field(default_factory=list)
-    provenance: str = ""
 
     def __post_init__(self):
         self.X, self.y = as_xy(self.X, self.y)
@@ -69,7 +68,7 @@ def generate_gp_data(seed: int, n: int, d: int = 1, h: Hyperparameters | None = 
     factorizes through ``SPARSE_SAMPLING_INDUCING`` random inducing points:
     u ~ N(0, K_RR), then f_i | u independently with the exact conditional
     mean and variance, which preserves the marginal variance sigma0^2 at
-    every input.  The provenance names the sampler that ran.
+    every input.
     """
     if n < 1:
         raise ContractViolationError("n must be >= 1")
@@ -79,8 +78,7 @@ def generate_gp_data(seed: int, n: int, d: int = 1, h: Hyperparameters | None = 
         raise ContractViolationError(f"h has D={h.input_dim}, requested d={d}")
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.0, 1.0, size=(n, d))
-    use_dense = n <= DENSE_SAMPLING_GUARD
-    if use_dense:
+    if n <= DENSE_SAMPLING_GUARD:
         K = kernel_matrix(X, X, h)
         factor = chol_with_jitter(K, "K_XX")
         f = factor.L @ rng.standard_normal(n)
@@ -92,18 +90,10 @@ def generate_gp_data(seed: int, n: int, d: int = 1, h: Hyperparameters | None = 
         z = rng.standard_normal(m)  # u = L z
         half = factor.whiten(kernel_matrix(X, R, h).T)  # L^-1 K_RX, (m, n)
         mean = half.T @ z  # K_XR K_RR^-1 u
-        var = np.maximum(kernel_diag(X, h) - np.sum(half * half, axis=0), 0.0)
+        var = np.maximum(kernel_variance(h) - np.sum(half * half, axis=0), 0.0)
         f = mean + np.sqrt(var) * rng.standard_normal(n)
     y = f + h.sigma_n * rng.standard_normal(n)
-    return Dataset(
-        X=X,
-        y=y,
-        provenance=(
-            f"generate_gp_data(seed={seed}, n={n}, d={d}, sigma0={h.sigma0:g}, "
-            f"lengthscales={np.array2string(h.lengthscales, precision=4)}, "
-            f"noise_std={h.sigma_n:g}, mode={'dense' if use_dense else 'sparse'})"
-        ),
-    )
+    return Dataset(X=X, y=y)
 
 
 # -- continuous stirred tank reactor -----------------------------------------
@@ -200,12 +190,7 @@ def simulate_cstr(seed: int, duration: float, lag: int = 2, noise_std: float = 0
         rows.append(np.concatenate([y_obs[t - p : t][::-1], w[t - p : t + 1][::-1]]))
         targets.append(y_obs[t])
     names = [f"y_lag{i}" for i in range(1, p + 1)] + [f"w_lag{i}" for i in range(p + 1)] + ["y"]
-    return Dataset(
-        X=np.asarray(rows),
-        y=np.asarray(targets),
-        column_names=names,
-        provenance=f"simulate_cstr(seed={seed}, duration={duration:g}, lag={lag}, noise_std={noise_std:g})",
-    )
+    return Dataset(X=np.asarray(rows), y=np.asarray(targets), column_names=names)
 
 
 # -- metrics ------------------------------------------------------------------
@@ -308,7 +293,7 @@ def load_dataset(path: str, target_col: str | None = None, delimiter: str = ",")
     ti = header.index(target)
     mask = np.arange(len(header)) != ti
     names = [h for h in header if h != target] + [target]
-    return Dataset(X=data[:, mask], y=data[:, ti], column_names=names, provenance=path)
+    return Dataset(X=data[:, mask], y=data[:, ti], column_names=names)
 
 
 def save_dataset(ds: Dataset, path: str, delimiter: str = ",") -> None:

@@ -66,7 +66,7 @@ import numpy as np
 from ._lapack import dgemm
 from .errors import ContractViolationError, NumericalError
 from .inference import PARAM_STANDARD, KalmanIntermediates, MiniBatch, PosteriorState
-from .kernel import Hyperparameters, kernel_diag
+from .kernel import Hyperparameters, kernel_variance
 from .linalg import CholFactor
 from .model import BatchGeometry, ModelSpec, prior
 
@@ -224,9 +224,7 @@ def _inducing_directions(p: CholFactor, KG: np.ndarray, D: int) -> tuple[np.ndar
     return np.repeat(p.inv, D, axis=0), neg_kb
 
 
-def init_gradient_state(
-    h: Hyperparameters, spec: ModelSpec, *, reuse: GradientState | None = None
-) -> GradientState:
+def init_gradient_state(h: Hyperparameters, *, reuse: GradientState | None = None) -> GradientState:
     """Derivatives of the prior state: eta_dot = 0, psi_dot = 0 and
 
         Lambda_dot_0 = -K_RR^-1 Kdot_RR K_RR^-1
@@ -302,7 +300,7 @@ def compute_adjoints(
     if spec.variant == "vfe":
         L_dd = L_dd + 1.0 / h.noise_variance
 
-    A2 = geom.prior.solve(L_dH.T).T  # L_dH K_RR^-1
+    A2 = prior(h).solve(L_dH.T).T  # L_dH K_RR^-1
     inner = A2 - L_dd[:, None] * H
     L_dK_XR = A2 - 2.0 * L_dd[:, None] * H
     L_dK_RR = -H.T @ inner
@@ -361,7 +359,8 @@ def propagate(
     """
     _require_standard(geom.transformed)
     P, D = h.n_params, h.input_dim
-    KG = _kernel_grads(h.inducing_inputs, geom.prior.matrix, h)
+    p = prior(h)
+    KG = _kernel_grads(h.inducing_inputs, p.matrix, h)
 
     # Direct terms <L_dK_RR, Kdot_RR> + <L_dK_XR, Kdot_XR> + <L_dk_XX, kdot_XX>
     # and L_dsigma_n.  Lengthscales and inducing coordinates leave diag(K_XX)
@@ -370,9 +369,10 @@ def propagate(
     L_RR, L_XR = adj.L_dK_RR, adj.L_dK_XR
     direct = np.empty(P)
     direct[0] = 2.0 * (
-        np.vdot(L_RR, geom.prior.matrix)
+        np.vdot(L_RR, p.matrix)
         + np.vdot(L_XR, geom.K_XR)
-        + adj.L_dk_XX @ kernel_diag(geom.X, h)
+        # A dot product with the constant diagonal: summing L_dk_XX first rounds differently.
+        + adj.L_dk_XX @ np.full(batch.size, kernel_variance(h))
     )
     direct[1 : D + 1] = np.matmul(KG[1], L_RR.T[:, :, None]).sum(axis=0)[:, 0]
     direct[D + 1] = adj.L_dsigman
@@ -393,7 +393,7 @@ def propagate(
         carried = gstate.d_eta @ adj.L_deta + gstate.d_Lambda @ weights
     d_psi = gstate.d_psi - 0.5 * (carried + direct)
     _require_finite(d_psi, h, gstate.k)
-    d_psi -= 0.5 * _walk(gstate, L_XR, geom, h, spec, batch.y, KG, advance and not ignore_history)
+    d_psi -= 0.5 * _walk(gstate, L_XR, geom, h, spec, batch, KG, advance and not ignore_history)
     _require_finite(d_psi, h, gstate.k)
     return GradientState(d_eta=gstate.d_eta, d_Lambda=gstate.d_Lambda, d_psi=d_psi, k=gstate.k + 1)
 
@@ -412,7 +412,7 @@ def _walk(
     geom: BatchGeometry,
     h: Hyperparameters,
     spec: ModelSpec,
-    y: np.ndarray,
+    batch: MiniBatch,
     KG: np.ndarray,
     advance: bool,
 ) -> np.ndarray:
@@ -440,7 +440,8 @@ def _walk(
     and target is the transpose of a C-contiguous buffer, so BLAS reads the
     operands and updates the targets in place.
     """
-    H, v = geom.H, geom.v
+    H, v, X, y = geom.H, geom.v, batch.X, batch.y
+    p = prior(h)
     (B, M), (P, D) = H.shape, (h.n_params, h.input_dim)
     MD = M * D
     lengthscales, inducing = slice(1, D + 1), slice(D + 2, P)
@@ -471,7 +472,7 @@ def _walk(
         Hb, vb, yb = H[rows], v[rows], y[rows, None]
         n = Hb.shape[0]
         G = G_buf[: n_G * n].reshape(n_G, n)
-        Gk = _kernel_grads(geom.X[rows], geom.K_XR[rows], h, out=G[: 2 * MD].reshape(2, M, D, n))
+        Gk = _kernel_grads(X[rows], geom.K_XR[rows], h, out=G[: 2 * MD].reshape(2, M, D, n))
         # For R[m][d], Kdot_XR = gamma e_m^T.
         lg = np.matmul(Gk, L_XR[rows].T[:, :, None])
         through_XR[inducing] += lg[0].ravel()
@@ -503,12 +504,12 @@ def _walk(
     GV[: 2 * MD] -= KG_T @ HV
     uV = GV[:MD]
     # Lengthscale d: Hdot_d^T V^-1 [H, y] = K^-1 (GV rows m*D + d), all d at once.
-    HdV = geom.prior.solve(GV[MD : 2 * MD].reshape(M, D * (M + 1))).reshape(M, D, M + 1)
+    HdV = p.solve(GV[MD : 2 * MD].reshape(M, D * (M + 1))).reshape(M, D, M + 1)
     eta_inc[lengthscales] += HdV[:, :, M].T
     _add_symmetrized(gstate.d_Lambda[lengthscales], HdV[:, :, :M].transpose(1, 0, 2))
     # Inducing coordinates: Hdot^T V^-1 [H, y] = w_m uV - kb hV_m, with hV_m
     # row m of H^T V^-1 [H, y]; row m*D + d of each holds coordinate R[m][d].
-    w, neg_kb = _inducing_directions(geom.prior, KG, D)
+    w, neg_kb = _inducing_directions(p, KG, D)
     hV = np.repeat(HV, D, axis=0)
     eta_inc[inducing] += w * uV[:, M, None] + neg_kb * hV[:, M, None]
     gstate.d_eta += eta_inc

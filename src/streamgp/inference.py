@@ -138,12 +138,9 @@ class PredictiveDistribution:
 
     mean: np.ndarray  # (A,)
     variance: np.ndarray  # (A,)
-    includes_observation_noise: bool
 
 
-def init_state(
-    h: Hyperparameters, spec: ModelSpec, parametrization: str = PARAM_STANDARD
-) -> PosteriorState:
+def init_state(h: Hyperparameters, parametrization: str = PARAM_STANDARD) -> PosteriorState:
     """Prior state before any data.
 
     Standard parametrization: Sigma_0 = K_RR, Lambda_0 = K_RR^-1.
@@ -292,7 +289,7 @@ def predict(
         del A_T  # before the next block allocates its own
     if with_noise:
         variance += h.noise_variance
-    return PredictiveDistribution(mean=mean, variance=variance, includes_observation_noise=with_noise)
+    return PredictiveDistribution(mean=mean, variance=variance)
 
 
 def _predictive_factor(state: PosteriorState, h: Hyperparameters) -> tuple[np.ndarray, np.ndarray]:

@@ -86,9 +86,8 @@ class Hyperparameters:
             d2 = np.sum(diff * diff, axis=-1)
             np.fill_diagonal(d2, np.inf)
             if d2.min() == 0.0:
-                raise ContractViolationError(
-                    "inducing inputs too close: min pairwise distance 0 <= required separation 0"
-                )
+                i, j = np.argwhere(d2 == 0.0)[0]
+                raise ContractViolationError(f"inducing inputs too close: rows {i} and {j} coincide")
 
     # -- derived quantities ------------------------------------------------
 
@@ -288,9 +287,3 @@ def _inducing_side(h: Hyperparameters) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def kernel_variance(h: Hyperparameters) -> float:
     """k(x, x), the same at every x for this kernel: sigma0^2."""
     return h.sigma0 ** 2
-
-
-def kernel_diag(A: np.ndarray, h: Hyperparameters) -> np.ndarray:
-    """diag of kernel_matrix(A, A): constant :func:`kernel_variance`."""
-    A = _check_inputs(A, h, "A")
-    return np.full(A.shape[0], kernel_variance(h))

@@ -105,17 +105,16 @@ class BatchGeometry:
     ``H`` is the basis in the requested parametrization (K_XR K_RR^-1 when
     ``transformed`` is False, plain K_XR otherwise); ``d`` / ``v`` are the
     clamped Schur-complement diagonal and total per-point noise variance.
-    ``K_XR`` and the shared ``prior`` are kept because the gradient
-    recursion consumes them.
+    ``K_XR`` is kept because the gradient recursion consumes it; the batch
+    rows and the prior are not, as every consumer holds the mini-batch and
+    reads :func:`prior` of the same parameters.
     """
 
     H: np.ndarray  # (B, M)
     d: np.ndarray  # (B,)
     v: np.ndarray  # (B,)
     transformed: bool
-    X: np.ndarray  # (B, D)
     K_XR: np.ndarray  # (B, M)
-    prior: CholFactor
 
 
 def regularizer(d: np.ndarray, spec: ModelSpec, h: Hyperparameters) -> float:
@@ -158,7 +157,5 @@ def batch_geometry(
         d=d,
         v=spec.noise_scale * d + h.noise_variance,
         transformed=transformed,
-        X=X,
         K_XR=K_XR,
-        prior=p,
     )

@@ -95,6 +95,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ContractViolationError("epochs and batch_size must be >= 1")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ContractViolationError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.gradient_mode not in GRADIENT_MODES:
             raise ContractViolationError(f"gradient_mode must be one of {GRADIENT_MODES}")
 
@@ -132,10 +134,10 @@ class FitResult:
 def init_inducing_subset(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     """Random subset of training inputs used to seed the inducing inputs."""
     X = as_rows(X, False)
-    if m > X.shape[0]:
-        raise ContractViolationError(f"cannot pick {m} inducing inputs from {X.shape[0]} rows")
-    idx = rng.permutation(X.shape[0])[:m]
-    return X[idx].copy()
+    n = X.shape[0]
+    if not 1 <= m <= n:
+        raise ContractViolationError(f"cannot pick {m} inducing inputs from {n} rows: the count must be in 1..{n}")
+    return X[rng.permutation(n)[:m]].copy()
 
 
 def step(
@@ -205,10 +207,10 @@ def srgp_fit(
     ignore_history = cfg.gradient_mode == "ignore_history"
 
     for epoch in range(start_epoch, cfg.epochs):
-        state = init_state(h, spec)
+        state = init_state(h)
         # Built in the finished epoch's arrays, so that one packed
         # (P, M (M + 1) / 2) derivative state serves the whole fit.
-        gstate = init_gradient_state(h, spec, reuse=gstate)
+        gstate = init_gradient_state(h, reuse=gstate)
         order = rng.permutation(n) if cfg.shuffle else None
         batches = split_into_batches(n, cfg.batch_size, order)
         for k, idx in enumerate(batches):
@@ -266,7 +268,7 @@ def fixed_theta_pass(
     """One gradient-free pass over the data in natural order (standard
     parametrization)."""
     X, y = as_xy(X, y)
-    state = init_state(h, spec)
+    state = init_state(h)
     for idx in split_into_batches(y.size, batch_size):
         state, _ = update(state, MiniBatch(X[idx], y[idx]), h, spec)
     return state

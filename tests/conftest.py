@@ -28,8 +28,8 @@ from streamgp.kernel import (
     CLASS_LOG_SIGMA_N,
     _check_inputs,
     as_xy,
-    kernel_diag,
     kernel_matrix,
+    kernel_variance,
 )
 from streamgp.linalg import CholFactor, chol_with_jitter, symmetrize
 from streamgp.model import batch_geometry, prior, regularizer
@@ -63,13 +63,8 @@ def train_test_split(ds: Dataset, test_fraction: float) -> tuple[Dataset, Datase
     n_train = ds.n - n_test
     if n_train < 1:
         raise ContractViolationError("split leaves no training rows")
-    mk = lambda sl, tag: Dataset(
-        X=ds.X[sl],
-        y=ds.y[sl],
-        column_names=list(ds.column_names),
-        provenance=f"{ds.provenance}[{tag}]",
-    )
-    return mk(slice(0, n_train), "train"), mk(slice(n_train, None), "test")
+    mk = lambda sl: Dataset(X=ds.X[sl], y=ds.y[sl], column_names=list(ds.column_names))
+    return mk(slice(0, n_train)), mk(slice(n_train, None))
 
 
 def basis(X: np.ndarray, h: Hyperparameters, transformed: bool = False) -> np.ndarray:
@@ -113,10 +108,10 @@ def full_gp_predict(
     K_sX = kernel_matrix(X_star, X, h)
     mean = K_sX @ cho_solve(factor, y)
     half = solve_triangular(factor.L, K_sX.T, lower=True, check_finite=False)
-    variance = kernel_diag(X_star, h) - np.sum(half * half, axis=0)
+    variance = kernel_variance(h) - np.sum(half * half, axis=0)
     if with_noise:
         variance += h.noise_variance
-    return PredictiveDistribution(mean=mean, variance=variance, includes_observation_noise=with_noise)
+    return PredictiveDistribution(mean=mean, variance=variance)
 
 
 def full_gp_lml(
@@ -229,7 +224,7 @@ def dense_Q(A: np.ndarray, B: np.ndarray, h: Hyperparameters) -> np.ndarray:
 
 def dense_noise_diag(X: np.ndarray, h: Hyperparameters, spec: ModelSpec) -> np.ndarray:
     """diag(V) = c * diag(K_XX - Q_XX) + sigma_n^2 built densely."""
-    d = np.maximum(kernel_diag(X, h) - np.diag(dense_Q(X, X, h)), 0.0)
+    d = np.maximum(kernel_variance(h) - np.diag(dense_Q(X, X, h)), 0.0)
     if spec.variant == "pep":
         c = spec.alpha
     elif spec.variant == "fitc":
@@ -251,7 +246,7 @@ def dense_bound(X: np.ndarray, y: np.ndarray, h: Hyperparameters, spec: ModelSpe
     Q = dense_Q(X, X, h)
     v = dense_noise_diag(X, h, spec)
     gaussian = gauss_logpdf(y, Q + np.diag(v))
-    d = np.maximum(kernel_diag(X, h) - np.diag(Q), 0.0)
+    d = np.maximum(kernel_variance(h) - np.diag(Q), 0.0)
     if spec.variant == "vfe":
         reg = float(np.sum(d)) / (2.0 * h.sigma_n ** 2)
     elif spec.variant == "pep":
@@ -429,7 +424,7 @@ def oracle_propagate(gstate, adj, geom, h, spec, batch, ignore_history=False) ->
 
     Returns a new state and leaves ``gstate`` untouched.
     """
-    H, v, X, y = geom.H, geom.v, geom.X, batch.y
+    H, v, X, y = geom.H, geom.v, batch.X, batch.y
     c = spec.noise_scale
     Vinv_y = y / v
     VinvH = H / v[:, None]
@@ -454,7 +449,7 @@ def oracle_propagate(gstate, adj, geom, h, spec, batch, ignore_history=False) ->
             X, h.inducing_inputs, h, i, b_is_inducing=cls[0] == CLASS_INDUCING
         )
         if cls[0] == CLASS_LOG_SIGMA0:
-            kdot_XX = 2.0 * kernel_diag(X, h)
+            kdot_XX = np.full(X.shape[0], 2.0 * kernel_variance(h))
         else:
             kdot_XX = np.zeros(X.shape[0])  # lengthscales and R leave diag(K_XX) fixed
         direct = (
@@ -465,7 +460,7 @@ def oracle_propagate(gstate, adj, geom, h, spec, batch, ignore_history=False) ->
         d_psi[i] += -0.5 * (carried + direct)
         if not ignore_history:
             HKdot = H @ Kdot_RR
-            Hdot = cho_solve(geom.prior, (Kdot_XR - HKdot).T).T
+            Hdot = cho_solve(prior(h), (Kdot_XR - HKdot).T).T
             d_eta[i] += Hdot.T @ Vinv_y
             cross = Hdot.T @ VinvH
             d_Lambda[i] += cross + cross.T

@@ -47,7 +47,7 @@ def report(number: int, detail: str) -> None:
 
 
 def stream(X, y, h, spec, batch_size, parametrization=PARAM_STANDARD, order=None):
-    state = init_state(h, spec, parametrization)
+    state = init_state(h, parametrization)
     for idx in split_into_batches(y.size, batch_size, order):
         state, _ = update(state, MiniBatch(X[idx], y[idx]), h, spec)
     return state
@@ -147,8 +147,8 @@ def test_criterion_03_cumulative_gradient_equals_batch_gradient():
 
     summary = []
     for spec in (ModelSpec("vfe"), ModelSpec("pep", alpha=0.5)):
-        state = init_state(h, spec)
-        g = init_gradient_state(h, spec)
+        state = init_state(h)
+        g = init_gradient_state(h)
         for idx in split_into_batches(n, 20):
             state, g = step(state, g, MiniBatch(X[idx], y[idx]), h, spec)
         fd = fd_gradient(
@@ -207,7 +207,7 @@ def test_criterion_05_order_and_transformation_invariance():
     worst_state = 0.0
     for _ in range(10):
         order = rng.permutation(len(batches))
-        st = init_state(h, spec)
+        st = init_state(h)
         for bi in order:
             idx = batches[bi]
             st, _ = update(st, MiniBatch(X[idx], y[idx]), h, spec)

@@ -1,5 +1,7 @@
-"""The public surface: exported names and the functions the benchmark wraps."""
+"""The public surface: exported names and the functions the benchmark wraps,
+and a check that every library function reads each of its parameters."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -13,6 +15,7 @@ import pytest
 import streamgp
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+LIBRARY = Path(streamgp.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
@@ -22,7 +25,9 @@ def test_every_exported_name_resolves():
 
 
 INTERNALS = {
-    "gradients": ("AdjointIntermediates", "compute_adjoints", "propagate", "init_gradient_state"),
+    "gradients": (
+        "AdjointIntermediates", "GradientState", "compute_adjoints", "propagate", "init_gradient_state"
+    ),
     "inference": ("KalmanIntermediates",),
     "model": ("BatchGeometry", "regularizer", "batch_geometry"),
     "kernel": ("kernel_matrix",),
@@ -37,7 +42,67 @@ def test_recursion_internals_are_not_exported():
         for name in names:
             assert name not in streamgp.__all__ and not hasattr(streamgp, name), name
             assert hasattr(module, name), f"{module_name}.{name}"
-    assert len(streamgp.__all__) == 35
+    assert len(streamgp.__all__) == 34
+
+
+def unread_parameters(source: str) -> list[str]:
+    """``name:line parameter`` for every parameter of a function or lambda in
+    ``source`` that its body never reads.  A read is a load of the name, or
+    an augmented assignment to it (``dst += x`` updates what it names); a
+    nested function's read counts for the function that encloses it.  The
+    ``self`` or ``cls`` of a method is exempt, as its signature is fixed."""
+    tree = ast.parse(source)
+    methods = {
+        id(fn)
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    unread = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = fn.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        if id(fn) in methods and params[:1] in (["self"], ["cls"]):
+            params = params[1:]
+        read = set()
+        for stmt in fn.body if isinstance(fn.body, list) else [fn.body]:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                    read.add(node.target.id)
+        name = getattr(fn, "name", "<lambda>")
+        unread += [f"{name}:{fn.lineno} {p}" for p in params if p not in read]
+    return unread
+
+
+def test_unread_parameters_are_found():
+    source = """
+def f(a, b, *args, c, **kw):
+    return a
+class K:
+    def m(self, x):
+        x += 1
+    def n(self):
+        return lambda y, z: z
+def g(d):
+    def inner():
+        return d
+    return inner
+"""
+    assert unread_parameters(source) == ["f:2 b", "f:2 c", "f:2 args", "f:2 kw", "<lambda>:8 y"]
+
+
+def test_every_library_parameter_is_read():
+    # A parameter no body reads is API that callers must pass for nothing.
+    unread = [
+        f"{path.relative_to(LIBRARY)}:{entry}"
+        for path in sorted(LIBRARY.rglob("*.py"))
+        for entry in unread_parameters(path.read_text())
+    ]
+    assert not unread, unread
 
 
 def test_benchmark_layers_exist():

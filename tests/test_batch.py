@@ -11,15 +11,19 @@ from streamgp import (
     batch_bound,
 )
 from streamgp import linalg as linalg_module
-from streamgp.batch import fd_gradient
+from streamgp.batch import _sparse_pieces, fd_gradient
+from streamgp.kernel import kernel_variance
 from streamgp.linalg import CholFactor
-from streamgp.model import prior
+from streamgp.model import prior, regularizer
 
 from conftest import (
     batch_sparse_posterior,
     dense_bound,
+    dense_noise_diag,
+    dense_Q,
     full_gp_lml,
     full_gp_predict,
+    gauss_logpdf,
     make_instance,
 )
 
@@ -92,7 +96,11 @@ class TestBatchBound:
         X, y, h = make_instance(5, n=35, m=6, d=2)
         rep = batch_bound(X, y, h, spec, with_gradient=False)
         assert rep.value == pytest.approx(dense_bound(X, y, h, spec), rel=1e-10)
-        assert rep.value == pytest.approx(rep.gaussian_term - rep.regularizer_term, rel=1e-15)
+        # The Gaussian term alone: the bound plus half the variant's regularizer.
+        Q = dense_Q(X, X, h)
+        gaussian = gauss_logpdf(y, Q + np.diag(dense_noise_diag(X, h, spec)))
+        d = np.maximum(kernel_variance(h) - np.diag(Q), 0.0)
+        assert rep.value + 0.5 * regularizer(d, spec, h) == pytest.approx(gaussian, rel=1e-10)
 
     def test_vfe_below_full_lml(self):
         # Variational bound: holds on every instance, tiny slack for round-off.
@@ -104,8 +112,10 @@ class TestBatchBound:
     def test_full_inducing_set_recovers_lml(self):
         X, y, h = make_instance(6, n=30, m=5, lengthscale=0.05)
         h_full = Hyperparameters(h.log_sigma0, h.log_lengthscales, h.log_sigma_n, X.copy())
-        rep = batch_bound(X, y, h_full, ModelSpec("vfe"), with_gradient=False)
-        assert rep.regularizer_term == pytest.approx(0.0, abs=1e-7)
+        spec = ModelSpec("vfe")
+        rep = batch_bound(X, y, h_full, spec, with_gradient=False)
+        d = _sparse_pieces(X, h_full, spec)[2]
+        assert 0.5 * regularizer(d, spec, h_full) == pytest.approx(0.0, abs=1e-7)
         assert rep.value == pytest.approx(full_gp_lml(X, y, h_full), abs=1e-6)
 
     def test_pep_small_alpha_approaches_vfe(self):

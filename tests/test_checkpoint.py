@@ -38,7 +38,7 @@ class TestRoundTrip:
     def test_every_field_bitwise(self, tmp_path, parametrization, with_adam, with_standardize):
         X, y, h = make_instance(4, n=30, d=2, m=5)
         spec = ModelSpec("pep", alpha=0.3)
-        state, _ = update(init_state(h, spec, parametrization), MiniBatch(X, y), h, spec)
+        state, _ = update(init_state(h, parametrization), MiniBatch(X, y), h, spec)
         rng = np.random.default_rng(9)
         adam = AdamState(rng.standard_normal(h.n_params), rng.random(h.n_params), 7, 3e-3)
         mean, scale = (rng.standard_normal(2), rng.random(2) + 0.5) if with_standardize else (None, None)
@@ -84,7 +84,7 @@ def test_archive_written_after_a_predict_is_the_same(tmp_path, parametrization):
     by member.)"""
     X, y, h = make_instance(4, n=30, d=2, m=5)
     spec = ModelSpec("pep", alpha=0.3)
-    state, _ = update(init_state(h, spec, parametrization), MiniBatch(X, y), h, spec)
+    state, _ = update(init_state(h, parametrization), MiniBatch(X, y), h, spec)
     hyper = h.with_vector(h.to_vector())  # nothing kept yet
     ckpt = Checkpoint(version=FORMAT_VERSION, hyper=hyper, spec=spec, state=state)
     before, after = tmp_path / "before.npz", tmp_path / "after.npz"

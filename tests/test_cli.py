@@ -133,6 +133,24 @@ class TestTrain:
         assert err.startswith(f"data error: {flag} {outputs[flag]}"), err
         assert [p.name for p in tmp_path.iterdir()] == ["train.csv"]
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--num-inducing", "-3", "cannot pick -3 inducing inputs from 80 rows: the count must be in 1..80"),
+            ("--num-inducing", "0", "cannot pick 0 inducing inputs from 80 rows: the count must be in 1..80"),
+            ("--lr", "-0.001", "learning_rate must be finite and >= 0, got -0.001"),
+            ("--lr", "nan", "learning_rate must be finite and >= 0, got nan"),
+        ],
+    )
+    def test_out_of_range_setting_is_refused_and_writes_nothing(
+        self, gp_file, tmp_path, capsys, flag, value, message
+    ):
+        outputs = ["--checkpoint-out", str(tmp_path / "m.npz"), "--trace-out", str(tmp_path / "t.jsonl")]
+        assert run_cli("train", "--data", gp_file, "--epochs", "1", flag, value, *outputs) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"usage error: {message}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["train.csv"]
+
     def test_a_trace_that_cannot_be_written_keeps_the_checkpoint(self, gp_file, tmp_path, capsys):
         # The checkpoint is written first; the trace path here is a directory.
         ckpt = tmp_path / "m.npz"
@@ -593,6 +611,20 @@ class TestExitCodes:
     def test_validate_gradients_fails_at_absurd_tolerance(self, capsys):
         assert run_cli("validate-gradients", "--n", "40", "--num-inducing", "5", "--tolerance", "1e-14") == 5
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--num-inducing", "-2", "cannot pick -2 inducing inputs from 40 rows: the count must be in 1..40"),
+            ("--num-inducing", "0", "cannot pick 0 inducing inputs from 40 rows: the count must be in 1..40"),
+            ("--num-batches", "0", "--num-batches must be >= 1, got 0"),
+            ("--num-batches", "-2", "--num-batches must be >= 1, got -2"),
+        ],
+    )
+    def test_validate_gradients_refuses_a_count_below_one(self, capsys, flag, value, message):
+        assert run_cli("validate-gradients", "--n", "40", flag, value) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"usage error: {message}\n")
 
     def test_numerical_error_for_overflowing_targets(self, tmp_path):
         # Targets near the float ceiling overflow the innovation quadratic

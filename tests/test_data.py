@@ -19,14 +19,33 @@ from streamgp.data import default_hyperparameters, integrate_cstr, read_table
 
 from conftest import train_test_split
 
+DENSE, SPARSE = "K_XX", "K_RR (sampling)"
+
+
+@pytest.fixture
+def samplers(monkeypatch):
+    """The names of the matrices that ``generate_gp_data`` factors from now
+    on, in order: ``DENSE`` for an exact joint draw, ``SPARSE`` for one
+    through random inducing points."""
+    names = []
+    chol_with_jitter = data.chol_with_jitter
+
+    def recording(a, name):
+        names.append(name)
+        return chol_with_jitter(a, name)
+
+    monkeypatch.setattr(data, "chol_with_jitter", recording)
+    return names
+
 
 class TestGenerateGpData:
-    def test_deterministic_per_seed(self):
+    def test_deterministic_per_seed(self, samplers):
         a = generate_gp_data(42, 50, d=2)
         b = generate_gp_data(42, 50, d=2)
         np.testing.assert_array_equal(a.X, b.X)
         np.testing.assert_array_equal(a.y, b.y)
-        assert a.provenance == b.provenance
+        assert a.column_names == b.column_names
+        assert samplers == [DENSE, DENSE]
 
     def test_different_seeds_differ(self):
         a = generate_gp_data(1, 30)
@@ -35,13 +54,17 @@ class TestGenerateGpData:
 
     def test_default_generation_values(self):
         ds = generate_gp_data(0, 20)
-        assert "sigma0=1" in ds.provenance
-        assert "noise_std=0.1" in ds.provenance
-        assert "0.1" in ds.provenance  # default lengthscale for D=1
+        # sigma0 = 1, lengthscale 0.1 and noise_std = 0.1 for D=1.
+        h = default_hyperparameters(d=1, sigma0=1.0, lengthscale=0.1, noise_std=0.1)
+        explicit = generate_gp_data(0, 20, h=h)
+        np.testing.assert_array_equal(ds.X, explicit.X)
+        np.testing.assert_array_equal(ds.y, explicit.y)
+        noisier = generate_gp_data(0, 20, h=default_hyperparameters(noise_std=0.2))
+        assert not np.array_equal(ds.y, noisier.y)
         assert ds.input_dim == 1
         assert np.all((ds.X >= 0.0) & (ds.X <= 1.0))
 
-    def test_marginal_variance_of_large_sparse_draw(self):
+    def test_marginal_variance_of_large_sparse_draw(self, samplers):
         # Stationary prior: Var(y_i) = sigma0^2 + sigma_n^2 at every input.
         # In D=5 the domain holds ~1/l^5 decorrelated patches, so the
         # empirical variance of one N=1e4 draw concentrates within 10%.
@@ -49,21 +72,22 @@ class TestGenerateGpData:
         # variance is dominated by draw-level randomness, so the marginal
         # property is not testable there from one realization.)
         ds = generate_gp_data(3, 10_000, d=5)
-        assert ds.provenance.endswith("mode=sparse)")
+        assert samplers == [SPARSE]
         target = 1.0 ** 2 + 0.1 ** 2
         assert abs(np.var(ds.y) - target) / target < 0.10
 
-    def test_auto_switches_to_sparse(self):
-        ds = generate_gp_data(0, 5001)
-        assert "mode=sparse" in ds.provenance
+    def test_auto_switches_to_sparse(self, samplers):
+        generate_gp_data(0, 5001)
+        assert samplers == [SPARSE]
 
-    def test_sparse_draw_below_the_sampling_inducing_count(self, monkeypatch):
+    def test_sparse_draw_below_the_sampling_inducing_count(self, monkeypatch, samplers):
         # With the guard lowered, a draw of fewer rows than
         # SPARSE_SAMPLING_INDUCING takes the sparse path through n points.
         monkeypatch.setattr(data, "DENSE_SAMPLING_GUARD", 40)
-        assert generate_gp_data(0, 40).provenance.endswith("mode=dense)")
+        generate_gp_data(0, 40)
+        assert samplers == [DENSE]
         ds = generate_gp_data(0, 41, d=2)
-        assert ds.provenance.endswith("mode=sparse)")
+        assert samplers == [DENSE, SPARSE]
         assert ds.n == 41 and np.all(np.isfinite(ds.y))
 
 

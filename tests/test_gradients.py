@@ -50,8 +50,8 @@ ALL_SPECS = [
 def stream_with_gradients(X, y, h, spec, batch_size, mode="full"):
     """Final gradient state and a copy of every state along the way
     (``propagate`` advances d_eta and d_Lambda in place)."""
-    state = init_state(h, spec)
-    g = init_gradient_state(h, spec)
+    state = init_state(h)
+    g = init_gradient_state(h)
     history = [copy_state(g)]
     for idx in split_into_batches(y.size, batch_size):
         state, g = step(state, g, MiniBatch(X[idx], y[idx]), h, spec, ignore_history=mode != "full")
@@ -79,7 +79,7 @@ def assert_gradient_matches(got, want, h, rel_tol=1e-4, abs_floor=1e-7):
 class TestInitGradientState:
     def test_prior_precision_derivative_zero_for_noise(self):
         _, _, h = make_instance(0, n=10, m=4)
-        g = init_gradient_state(h, ModelSpec("vfe"))
+        g = init_gradient_state(h)
         noise_idx = h.input_dim + 1
         np.testing.assert_array_equal(g.d_Lambda[noise_idx], 0.0)
         np.testing.assert_array_equal(g.d_eta, 0.0)
@@ -87,7 +87,7 @@ class TestInitGradientState:
 
     def test_prior_precision_derivative_nonzero_for_kernel_params(self):
         _, _, h = make_instance(1, n=10, m=4)
-        g = init_gradient_state(h, ModelSpec("vfe"))
+        g = init_gradient_state(h)
         for i in range(h.n_params):
             if h.param_class(i)[0] != "log_sigma_n":
                 assert np.any(g.d_Lambda[i] != 0.0), h.param_label(i)
@@ -95,21 +95,21 @@ class TestInitGradientState:
     def test_reuse_builds_the_fresh_bits_in_the_spent_arrays(self):
         X, y, h = make_instance(3, n=20, m=4, d=2)
         spec = ModelSpec("pep", alpha=0.5)
-        _, spent = step(init_state(h, spec), init_gradient_state(h, spec), MiniBatch(X, y), h, spec)
+        _, spent = step(init_state(h), init_gradient_state(h), MiniBatch(X, y), h, spec)
         assert np.any(spent.d_eta != 0.0)
         other = h.with_vector(h.to_vector() + 0.01)
-        got, want = init_gradient_state(other, spec, reuse=spent), init_gradient_state(other, spec)
+        got, want = init_gradient_state(other, reuse=spent), init_gradient_state(other)
         assert got.d_eta is spent.d_eta and got.d_Lambda is spent.d_Lambda
         for a, b in [(got.d_eta, want.d_eta), (got.d_Lambda, want.d_Lambda), (got.d_psi, want.d_psi)]:
             assert a.tobytes() == b.tobytes()
         assert got.k == want.k == 0
         _, _, wider = make_instance(3, n=20, m=5, d=2)
         with pytest.raises(ContractViolationError, match="cannot reuse a derivative state"):
-            init_gradient_state(wider, spec, reuse=spent)
+            init_gradient_state(wider, reuse=spent)
 
     def test_matches_finite_difference_of_prior_precision(self):
         _, _, h = make_instance(2, n=10, m=4, d=2)
-        g = init_gradient_state(h, ModelSpec("vfe"))
+        g = init_gradient_state(h)
         theta = h.to_vector()
         step = 1e-6
         from streamgp.kernel import kernel_matrix
@@ -131,7 +131,7 @@ class TestAdjoints:
         # the adjoint reduces to the symmetric parts.
         X, y, h = make_instance(4, n=12, m=4)
         spec = ModelSpec("pep", alpha=0.5)
-        st = init_state(h, spec)
+        st = init_state(h)
         st2, km = update(st, MiniBatch(X, y), h, spec)
         adj = compute_adjoints(st, st2, km, h, spec)
         np.testing.assert_allclose(adj.L_dLambda, adj.L_dLambda.T, atol=1e-12)
@@ -141,7 +141,7 @@ class TestAdjoints:
 
     def test_fitc_is_pep_alpha_one(self):
         X, y, h = make_instance(5, n=15, m=4)
-        st = init_state(h, ModelSpec("fitc"))
+        st = init_state(h)
         st2, km = update(st, MiniBatch(X, y), h, ModelSpec("fitc"))
         a_fitc = compute_adjoints(st, st2, km, h, ModelSpec("fitc"))
         a_pep = compute_adjoints(st, st2, km, h, ModelSpec("pep", alpha=1.0))
@@ -152,7 +152,7 @@ class TestAdjoints:
     def test_rejects_transformed_states(self):
         X, y, h = make_instance(6, n=10, m=3)
         spec = ModelSpec("vfe")
-        st = init_state(h, spec, PARAM_TRANSFORMED)
+        st = init_state(h, PARAM_TRANSFORMED)
         st2, km = update(st, MiniBatch(X, y), h, spec)
         with pytest.raises(ContractViolationError):
             compute_adjoints(st, st2, km, h, spec)
@@ -190,7 +190,7 @@ class TestPropagateMatchesFiniteDifferences:
         theta = h.to_vector()
 
         def psi_1(th):
-            st = init_state(h.with_vector(th), spec)
+            st = init_state(h.with_vector(th))
             st, _ = update(st, MiniBatch(X1, y1), h.with_vector(th), spec)
             return st.psi
 
@@ -244,9 +244,9 @@ class TestPropagateMatchesFiniteDifferences:
         X, y, h = make_instance(19, n=10, m=3, d=2)
         spec = ModelSpec("pep", alpha=0.5)
         b = MiniBatch(X, y)
-        st = init_state(h, spec)
+        st = init_state(h)
         st2, km = update(st, b, h, spec)
-        g = init_gradient_state(h, spec)
+        g = init_gradient_state(h)
         bad = [h.input_dim + 4, h.n_params - 1]
         g.d_eta[bad] = np.nan
         d_Lambda = g.d_Lambda.copy()
@@ -264,8 +264,8 @@ class TestPropagateMatchesFiniteDifferences:
 def assert_agrees_with_oracle(X, y, h, spec, batch_size, ignore_history=False):
     """The class-vectorized recursion against the per-parameter dense one of
     tests/conftest.py, state by state."""
-    state = init_state(h, spec)
-    g, want = init_gradient_state(h, spec), oracle_init_gradient_state(h)
+    state = init_state(h)
+    g, want = init_gradient_state(h), oracle_init_gradient_state(h)
     np.testing.assert_allclose(unpack_d_Lambda(g.d_Lambda), want.d_Lambda, rtol=1e-9, atol=1e-12)
     for idx in split_into_batches(y.size, batch_size):
         b = MiniBatch(X[idx], y[idx])
@@ -340,10 +340,10 @@ class TestComplexityScaling:
             X, y, h = make_instance(31, n=n, m=50, d=2, lengthscale=0.4)
             spec = ModelSpec("pep", alpha=0.5)
             assert h.n_params >= 100
-            state = init_state(h, spec)  # builds the shared prior outside the measurement
+            state = init_state(h)  # builds the shared prior outside the measurement
             tracemalloc.start()
             try:
-                g = init_gradient_state(h, spec)
+                g = init_gradient_state(h)
                 state_bytes = g.d_Lambda.nbytes + g.d_eta.nbytes
                 _, init_peak = tracemalloc.get_traced_memory()
                 b = MiniBatch(X, y)
@@ -407,7 +407,7 @@ class TestNoiseTerms:
 
     def test_gemm_accumulates_into_the_state_without_a_copy(self):
         _, _, h = make_instance(41, n=2 * ROWS + 3, m=30, d=10)  # P = 312
-        g = init_gradient_state(h, ModelSpec("pep", alpha=0.5))
+        g = init_gradient_state(h)
         H = np.random.default_rng(0).standard_normal((2 * ROWS + 3, 30))
         s = np.random.default_rng(1).standard_normal((h.n_params, H.shape[0]))
         buffer, before = g.d_Lambda, g.d_Lambda.copy()

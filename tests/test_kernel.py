@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from streamgp import ContractViolationError, DataError, Hyperparameters
-from streamgp.kernel import kernel_diag, kernel_matrix
+from streamgp.kernel import kernel_matrix, kernel_variance
 from streamgp.linalg import chol_with_jitter
 
 from conftest import kernel_matrix_grad, kernel_matrix_outer_sum, make_instance, se_ard
@@ -132,7 +132,8 @@ class TestKernelMatrix:
     def test_diag_helper(self):
         h = hyper_1d(sigma0=1.3)
         A = np.random.default_rng(1).uniform(size=(5, 1))
-        np.testing.assert_allclose(kernel_diag(A, h), np.diag(kernel_matrix(A, A, h)), rtol=1e-14)
+        assert kernel_variance(h) == 1.3**2
+        np.testing.assert_allclose(np.diag(kernel_matrix(A, A, h)), kernel_variance(h), rtol=1e-14)
 
 
 class TestKernelGradients:
@@ -235,13 +236,13 @@ class TestHyperparameters:
         assert h.param_class(h.n_params - 1) == ("inducing", 2, 1)
 
     def test_rejects_duplicate_inducing_rows(self):
-        message = "inducing inputs too close: min pairwise distance 0 <= required separation 0"
+        message = "inducing inputs too close: rows 0 and 2 coincide"
         with pytest.raises(ContractViolationError, match=message):
             Hyperparameters(
                 log_sigma0=0.0,
                 log_lengthscales=np.zeros(1),
                 log_sigma_n=0.0,
-                inducing_inputs=np.array([[0.3], [0.3]]),
+                inducing_inputs=np.array([[0.3], [0.1], [0.3], [0.1]]),
             )
 
     def test_any_positive_separation_is_accepted(self):

@@ -313,11 +313,16 @@ class TestPrior:
         predict(state, X[:6], h, spec, with_noise=True)
         assert calls == [(4, 4), (2, 4)]
 
-    def test_prior_is_kept_on_the_hyperparameters(self):
-        _, _, h = make_instance(22, n=10, m=4)
+    def test_prior_is_kept_on_the_hyperparameters(self, monkeypatch):
+        X, _, h = make_instance(22, n=10, m=4)
         p = prior(h)
         assert prior(h) is p
-        assert batch_geometry(h.inducing_inputs, h, ModelSpec("vfe")).prior is p
+        # The geometry builds only K_XR and solves on the kept prior.
+        calls = []
+        record_kernel_calls(monkeypatch, lambda A, B, h: calls.append((len(A), len(B))))
+        geom = batch_geometry(X, h, ModelSpec("vfe"))
+        assert calls == [(10, 4)] and prior(h) is p
+        assert geom.H.tobytes() == p.solve(geom.K_XR.T).T.tobytes()
         assert h.with_vector(h.to_vector())._prior is None
         np.testing.assert_array_equal(p.matrix, kernel_matrix(h.inducing_inputs, h.inducing_inputs, h))
         for a in (p.matrix, p.L, p.inv, h.log_lengthscales, h.inducing_inputs):
@@ -333,7 +338,7 @@ class TestPrior:
         inverted = []
         dtrtri = linalg_module.dtrtri
         monkeypatch.setattr(linalg_module, "dtrtri", lambda c: inverted.append(c) or dtrtri(c))
-        st2, _ = step(init_state(h, spec), init_gradient_state(h, spec), MiniBatch(X, y), h, spec)
+        st2, _ = step(init_state(h), init_gradient_state(h), MiniBatch(X, y), h, spec)
         predict(st2, X[:7], h, spec)
         p = prior(h)
         assert len(inverted) == 2 and inverted[0] is p.L and inverted[1] is not p.L
@@ -368,7 +373,7 @@ class TestPrior:
         K = kernel_matrix(R, R, h)
         np.testing.assert_array_equal(p.matrix, K + p.jitter * np.eye(4))
         for parametrization in ("standard", "transformed"):
-            st = init_state(h, ModelSpec("vfe"), parametrization)
+            st = init_state(h, parametrization)
             scale = np.linalg.norm(st.Sigma, 2) * np.linalg.norm(st.Lambda, 2)
             residual = np.max(np.abs(st.Sigma @ st.Lambda - np.eye(4)))
             assert residual <= 1e-10 * scale, (residual, scale)
@@ -393,7 +398,7 @@ def _factor_at_the_pivot_floor(case: str, monkeypatch) -> tuple[np.ndarray, obje
     h = Hyperparameters(0.0, np.log([0.3]), np.log(1e-8), np.array([[0.1], [0.5], [0.9]]))
     spec, X, y = ModelSpec("sor"), np.array([[0.3]]), np.array([0.2])
     if case == "Lambda":
-        update(init_state(h, spec), MiniBatch(X, y), h, spec)
+        update(init_state(h), MiniBatch(X, y), h, spec)
     elif case == "Woodbury core":
         batch.batch_bound(X, y, h, spec, with_gradient=False)
     else:

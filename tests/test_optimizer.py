@@ -76,6 +76,13 @@ class TestTrainConfig:
         with pytest.raises(TypeError):  # every epoch restarts from the prior
             TrainConfig(epochs=2, batch_size=10, reset_each_epoch=False)
 
+    @pytest.mark.parametrize("rate", [-1e-3, np.nan, np.inf])
+    def test_refuses_a_negative_or_non_finite_learning_rate(self, rate):
+        # A negative rate would descend the bound that ADAM ascends.
+        with pytest.raises(ContractViolationError, match=f"learning_rate must be finite and >= 0, got {rate}"):
+            TrainConfig(epochs=1, batch_size=10, learning_rate=rate)
+        assert TrainConfig(epochs=1, batch_size=10, learning_rate=0.0).learning_rate == 0.0
+
 
 class TestInitInducingSubset:
     def test_rows_come_from_data(self):
@@ -88,8 +95,15 @@ class TestInitInducingSubset:
 
     def test_rejects_more_than_available(self):
         rng = np.random.default_rng(1)
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError, match="cannot pick 5 inducing inputs from 3 rows"):
             init_inducing_subset(np.zeros((3, 1)) + np.arange(3)[:, None], 5, rng)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_rejects_a_count_below_one(self, m):
+        # A negative count would slice off the last |m| rows of the permutation.
+        message = f"cannot pick {m} inducing inputs from 3 rows: the count must be in 1..3"
+        with pytest.raises(ContractViolationError, match=message):
+            init_inducing_subset(np.arange(3.0)[:, None], m, np.random.default_rng(1))
 
 
 class TestStep:
@@ -99,7 +113,7 @@ class TestStep:
         # ``advance`` d_eta and d_Lambda are left as they were.
         X, y, h = make_instance(14, n=30, m=5, d=2)
         spec = ModelSpec("pep", alpha=0.5)
-        state, g = step(init_state(h, spec), init_gradient_state(h, spec), MiniBatch(X[:15], y[:15]), h, spec)
+        state, g = step(init_state(h), init_gradient_state(h), MiniBatch(X[:15], y[:15]), h, spec)
         batch = MiniBatch(X[15:], y[15:])
 
         def copy(g):
@@ -174,7 +188,7 @@ class TestSrgpFit:
         cfg = TrainConfig(epochs=1, batch_size=30, learning_rate=1e-3)
         result = srgp_fit(X, y, h, spec, cfg)
 
-        _, g = step(init_state(h, spec), init_gradient_state(h, spec), MiniBatch(X, y), h, spec)
+        _, g = step(init_state(h), init_gradient_state(h), MiniBatch(X, y), h, spec)
         expected, _ = adam_step(h.to_vector(), g.d_psi, AdamState.fresh(h.n_params, 1e-3))
         np.testing.assert_array_equal(result.hyper.to_vector(), expected)
 
@@ -301,7 +315,7 @@ class TestSrgpFit:
             return propagate(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, "propagate", advancing)
-        monkeypatch.setattr(optimizer, "init_gradient_state", lambda h, spec, reuse: init_gradient_state(h, spec))
+        monkeypatch.setattr(optimizer, "init_gradient_state", lambda h, reuse: init_gradient_state(h))
         want = srgp_fit(X, y, h, spec, cfg)
         assert len(advanced) == len(got.trace)
         assert advanced.count(False) == cfg.epochs

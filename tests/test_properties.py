@@ -64,7 +64,7 @@ def test_streamed_bound_equals_batch_bound(spec, order, batch_size):
 )
 def test_prediction_independent_of_partition(spec, order, cuts):
     order = np.asarray(order)
-    state = init_state(H, spec)
+    state = init_state(H)
     for idx in np.split(order, sorted(cuts)):
         state, _ = update(state, MiniBatch(X[idx], Y[idx]), H, spec)
     got = predict(state, X_STAR, H, spec, with_noise=True)
@@ -81,7 +81,7 @@ def test_prediction_independent_of_partition(spec, order, cuts):
 )
 def test_streamed_gradient_equals_batch_gradient(spec_index, order, cuts):
     spec = SPECS[spec_index]
-    state, g = init_state(H_G, spec), init_gradient_state(H_G, spec)
+    state, g = init_state(H_G), init_gradient_state(H_G)
     for idx in np.split(np.asarray(order), sorted(cuts)):
         state, g = step(state, g, MiniBatch(X_G[idx], Y_G[idx]), H_G, spec)
     reference = fd_reference(spec_index)

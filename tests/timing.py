@@ -100,7 +100,7 @@ def criterion_09() -> dict:
         y = rng.standard_normal(B)
         h = Hyperparameters(0.0, np.log([0.3]), np.log(0.1), sg.init_inducing_subset(X, 50, rng))
         batch = MiniBatch(X, y)
-        st, g = sg.init_state(h, spec), init_gradient_state(h, spec)
+        st, g = sg.init_state(h), init_gradient_state(h)
         return lambda: step(st, g, batch, h, spec)
 
     sizes_b = [100, 400, 1600]
@@ -121,10 +121,10 @@ def _propagate_by_parameter_count(sg) -> tuple[list[int], list]:
         X, y, h0 = make_instance(19, n=400, m=40, d=D, lengthscale=0.3)
         h = sg.Hyperparameters(h0.log_sigma0, h0.log_lengthscales, h0.log_sigma_n, h0.inducing_inputs)
         batch = sg.MiniBatch(X, y)
-        st = sg.init_state(h, spec)
+        st = sg.init_state(h)
         st2, km = sg.update(st, batch, h, spec)
         adj = gr.compute_adjoints(st, st2, km, h, spec)
-        g = gr.init_gradient_state(h, spec)  # advanced in place by every timed call
+        g = gr.init_gradient_state(h)  # advanced in place by every timed call
         return h.n_params, lambda: gr.propagate(g, adj, km.geometry, h, spec, batch)
 
     sizes_p, fns = zip(*(propagate_at(D) for D in (2, 4, 8)))
@@ -190,7 +190,7 @@ def _predict_call(sg, X, y, h0):
 
     spec = sg.ModelSpec("pep", alpha=0.5)
     h = sg.Hyperparameters(h0.log_sigma0, h0.log_lengthscales, h0.log_sigma_n, h0.inducing_inputs)
-    state, _ = sg.update(sg.init_state(h, spec), sg.MiniBatch(X, y), h, spec)
+    state, _ = sg.update(sg.init_state(h), sg.MiniBatch(X, y), h, spec)
     # The feature columns of a table whose last column is the target,
     # selected as load_dataset selects them: Fortran-ordered, as served.
     table = np.random.default_rng(1).uniform(0.0, 1.0, (PREDICT_ROWS, X.shape[1] + 1))
@@ -411,10 +411,10 @@ def _train_step_calls(sg, X, y, h0) -> tuple:
     spec = sg.ModelSpec("pep", alpha=0.5)
     h = sg.Hyperparameters(h0.log_sigma0, h0.log_lengthscales, h0.log_sigma_n, h0.inducing_inputs)
     theta, batch = h.to_vector(), sg.MiniBatch(X, y)
-    st = sg.init_state(h, spec)
+    st = sg.init_state(h)
     st2, km = sg.update(st, batch, h, spec)
     adj = gr.compute_adjoints(st, st2, km, h, spec)
-    g = gr.init_gradient_state(h, spec)  # advanced in place by every timed call
+    g = gr.init_gradient_state(h)  # advanced in place by every timed call
     adam = sg.AdamState.fresh(h.n_params, 1e-3)
 
     def step():
